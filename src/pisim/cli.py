@@ -35,10 +35,11 @@ from .desim import (
     SERIAL,
     ConfigInfeasible,
     SimConfig,
+    run_points,
     sweep_point,
     write_sweep_csv,
 )
-from .desim.sweep import SWEEP_COLUMNS, _fmt, _run_point
+from .desim.sweep import SWEEP_COLUMNS, _fmt
 from .netarch import (
     DATASETS,
     MODELS,
@@ -406,13 +407,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for cap_gb in spec.client_capacity_gb:
             for rate in spec.rates:
                 tasks.append((costs, _spec_config(spec, rate, cap_gb), spec.seed))
-    if args.jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_point, tasks))
-    else:
-        rows = [_run_point(t) for t in tasks]
+    rows = run_points(tasks, args.jobs)
     paths = _write_rows(rows, spec, spec.name)
     failed = sum(1 for r in rows if not r["feasible"])
     for path in paths:

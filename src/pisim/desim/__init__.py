@@ -4,7 +4,7 @@ from .arrivals import poisson_arrival_times
 from .config import PIPELINED, SERIAL, ConfigInfeasible, SimConfig
 from .engine import capacity_bundles, run_many, simulate, stability_limit
 from .metrics import AggregateMetrics, RequestRecord, RunMetrics, aggregate
-from .sweep import SWEEP_COLUMNS, run_sweep, sweep_point, write_sweep_csv
+from .sweep import SWEEP_COLUMNS, run_points, run_sweep, sweep_point, write_sweep_csv
 
 __all__ = [
     "AggregateMetrics",
@@ -19,6 +19,7 @@ __all__ = [
     "capacity_bundles",
     "poisson_arrival_times",
     "run_many",
+    "run_points",
     "run_sweep",
     "simulate",
     "stability_limit",

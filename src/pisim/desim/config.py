@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SERIAL = "serial"
 PIPELINED = "pipelined"
@@ -45,6 +45,3 @@ class SimConfig:
                 f"concurrency must be {SERIAL!r} or {PIPELINED!r}, "
                 f"got {self.concurrency!r}"
             )
-
-    def with_rate(self, rate: float) -> "SimConfig":
-        return replace(self, arrival_rate=rate)

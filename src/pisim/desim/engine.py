@@ -1,4 +1,4 @@
-"""Discrete-event engine for offline/online serving with precompute bundles.
+"""Serving engine for offline/online serving with precompute bundles.
 
 Two concurrency modes:
 
@@ -11,27 +11,31 @@ finished-but-unconsumed bundles fit in storage. Bundles are consumed in
 FIFO order (k-th request uses k-th bundle) and the online phase is served
 by a single resource. Storage is reserved when a build starts and released
 when the bundle's request begins its online phase.
+
+Both modes are recurrences in the request index k (Lindley 1952; Baccelli
+et al., Synchronization and Linearity, 1992), evaluated in one pass over
+the arrival times into float64 arrays. The serial pass keeps the operation
+order start = max(a_k, t_free), ready = start + off, t_free = ready + on,
+so its sums round exactly as an event-by-event simulation does.
+
+The pipelined model makes two assumptions that shape its output:
+
+- Bundles are built only for the n requests that arrive within the
+  horizon, so the engine knows the future arrival count.
+- The first min(n, cap) builds all start at t = 0, so the peak storage of
+  a pipelined run is always min(arrived, cap) bundles.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from collections import deque
 
 import numpy as np
 
 from ..costmodel.types import PhaseCosts
 from .arrivals import poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
-from .metrics import AggregateMetrics, RequestRecord, RunMetrics, aggregate, summarize_run
-
-# Heap tie-break priorities at equal timestamps. Bundle completions are
-# visible to arrivals in the same instant, and a finished online slot is
-# reusable before the next arrival is admitted.
-_OFFLINE_DONE = 0
-_ONLINE_DONE = 1
-_ARRIVAL = 2
+from .metrics import AggregateMetrics, RunMetrics, Schedule, aggregate, summarize_run
 
 
 def _bundle_bytes(costs: PhaseCosts) -> tuple[int, int]:
@@ -81,110 +85,66 @@ def stability_limit(costs: PhaseCosts, config: SimConfig) -> float:
     return min(build_rate, online_rate)
 
 
-def _simulate_serial(
-    costs: PhaseCosts, config: SimConfig, arrivals: np.ndarray
-) -> tuple[list[RequestRecord], int, int]:
-    off = costs.offline_latency_s
-    on = costs.online_latency_s
-    horizon = config.horizon_s
-    records: list[RequestRecord] = []
+def serial_schedule(
+    arrivals: np.ndarray, off: float, on: float, horizon: float
+) -> tuple[Schedule, int]:
+    """Lindley's recursion, run to the last arrival; returns the schedule
+    and the peak count of live bundles."""
+    ready = []
     t_free = 0.0
-    for k, a in enumerate(arrivals):
-        start = max(float(a), t_free)
-        ready = start + off
-        done = ready + on
-        t_free = done
-        records.append(
-            RequestRecord(
-                index=k,
-                arrival_s=float(a),
-                bundle_ready_s=ready,
-                online_start_s=ready if ready <= horizon else None,
-                done_s=done if done <= horizon else None,
-            )
-        )
-    client_b, server_b = _bundle_bytes(costs)
-    if not records:
-        return records, 0, 0
-    return records, client_b, server_b
+    for a in arrivals.tolist():
+        t_ready = (a if a > t_free else t_free) + off
+        ready.append(t_ready)
+        t_free = t_ready + on
+    bundle_ready = np.array(ready, dtype=np.float64)
+    finish = bundle_ready + on
+    schedule = Schedule(
+        arrival=arrivals,
+        bundle_ready=bundle_ready,
+        online_start=np.where(bundle_ready <= horizon, bundle_ready, math.nan),
+        done=np.where(finish <= horizon, finish, math.nan),
+    )
+    return schedule, min(len(ready), 1)
 
 
-def _simulate_pipelined(
-    costs: PhaseCosts, config: SimConfig, arrivals: np.ndarray
-) -> tuple[list[RequestRecord], int, int]:
-    off = costs.offline_latency_s
-    on = costs.online_latency_s
-    client_b, server_b = _bundle_bytes(costs)
-    cap = capacity_bundles(costs, config)
+def pipelined_schedule(
+    arrivals: np.ndarray, off: float, on: float, cap: float, horizon: float
+) -> tuple[Schedule, int]:
+    """Max-plus recurrence over FIFO bundles; returns the schedule and the
+    peak count of live bundles.
+
+    Bundle k starts building when request k - cap starts online (at t = 0
+    for the first cap), and request k starts online at
+    o_k = max(a_k, ready_k, done_{k-1}). Nothing starts after the first
+    online start or completion past the horizon.
+    """
     if cap < 1:
         raise ConfigInfeasible("storage capacity cannot hold a single bundle")
-    horizon = config.horizon_s
-    n = len(arrivals)
-
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for k, a in enumerate(arrivals):
-        heap.append((float(a), _ARRIVAL, seq, k))
-        seq += 1
-    heapq.heapify(heap)
-
-    started = 0  # builds begun (never more than n in total)
-    built = 0  # builds finished
-    consumed = 0  # bundles released to online starts
-    ready_times: list[float] = []
-    pending: deque[int] = deque()
-    server_free = True
-    online_start: list[float | None] = [None] * n
-    done: list[float | None] = [None] * n
-    peak_live = 0
-
-    def start_builds(t: float) -> None:
-        nonlocal started, seq, peak_live
-        while started < n and started - consumed < cap:
-            ready_times.append(t + off)
-            heapq.heappush(heap, (t + off, _OFFLINE_DONE, seq, started))
-            seq += 1
-            started += 1
-            peak_live = max(peak_live, started - consumed)
-
-    def serve(t: float) -> None:
-        nonlocal server_free, consumed, seq
-        while server_free and pending and built > consumed:
-            k = pending.popleft()
-            online_start[k] = t
-            consumed += 1
-            start_builds(t)
-            server_free = False
-            heapq.heappush(heap, (t + on, _ONLINE_DONE, seq, k))
-            seq += 1
-
-    start_builds(0.0)
-    while heap:
-        t, prio, _, k = heapq.heappop(heap)
-        if t > horizon:
+    times = arrivals.tolist()
+    n = len(times)
+    first = int(min(n, cap))
+    ready = [off] * first + [math.inf] * (n - first)
+    online = [math.nan] * n
+    done = [math.nan] * n
+    t_free = 0.0
+    for k, a in enumerate(times):
+        o = max(a, ready[k], t_free)
+        if o > horizon:
             break
-        if prio == _OFFLINE_DONE:
-            built += 1
-            serve(t)
-        elif prio == _ONLINE_DONE:
-            done[k] = t
-            server_free = True
-            serve(t)
-        else:
-            pending.append(k)
-            serve(t)
-
-    records = [
-        RequestRecord(
-            index=k,
-            arrival_s=float(arrivals[k]),
-            bundle_ready_s=ready_times[k] if k < len(ready_times) else math.inf,
-            online_start_s=online_start[k],
-            done_s=done[k],
-        )
-        for k in range(n)
-    ]
-    return records, peak_live * client_b, peak_live * server_b
+        online[k] = o
+        if k + cap < n:
+            ready[k + cap] = o + off
+        t_free = o + on
+        if t_free > horizon:
+            break
+        done[k] = t_free
+    schedule = Schedule(
+        arrival=arrivals,
+        bundle_ready=np.array(ready, dtype=np.float64),
+        online_start=np.array(online, dtype=np.float64),
+        done=np.array(done, dtype=np.float64),
+    )
+    return schedule, first
 
 
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
@@ -196,12 +156,18 @@ def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
     _check_feasible(costs, config)
     rng = np.random.default_rng(seed)
     arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
+    off = costs.offline_latency_s
+    on = costs.online_latency_s
     if config.concurrency == SERIAL:
-        records, peak_c, peak_s = _simulate_serial(costs, config, arrivals)
+        schedule, peak = serial_schedule(arrivals, off, on, config.horizon_s)
     else:
-        records, peak_c, peak_s = _simulate_pipelined(costs, config, arrivals)
+        cap = capacity_bundles(costs, config)
+        schedule, peak = pipelined_schedule(arrivals, off, on, cap, config.horizon_s)
+    client_b, server_b = _bundle_bytes(costs)
     saturated = config.arrival_rate > stability_limit(costs, config)
-    return summarize_run(costs, config, seed, records, saturated, peak_c, peak_s)
+    return summarize_run(
+        costs, config, seed, schedule, saturated, peak * client_b, peak * server_b
+    )
 
 
 def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:

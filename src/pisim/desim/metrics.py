@@ -1,4 +1,4 @@
-"""Per-request records, per-run summaries, and multi-run aggregation."""
+"""Per-request schedules and records, per-run summaries, and multi-run aggregation."""
 
 from __future__ import annotations
 
@@ -54,6 +54,36 @@ class RequestRecord:
 
 
 @dataclass(frozen=True)
+class Schedule:
+    """Timelines of one run's requests in arrival order, as float64 arrays.
+
+    bundle_ready is inf for a bundle whose build never started;
+    online_start and done are NaN where the horizon cut the request off.
+    """
+
+    arrival: np.ndarray
+    bundle_ready: np.ndarray
+    online_start: np.ndarray
+    done: np.ndarray
+
+    def records(self) -> tuple[RequestRecord, ...]:
+        def cut(t: float) -> float | None:
+            return None if math.isnan(t) else t
+
+        return tuple(
+            RequestRecord(k, a, r, cut(o), cut(d))
+            for k, (a, r, o, d) in enumerate(
+                zip(
+                    self.arrival.tolist(),
+                    self.bundle_ready.tolist(),
+                    self.online_start.tolist(),
+                    self.done.tolist(),
+                )
+            )
+        )
+
+
+@dataclass(frozen=True)
 class RunMetrics:
     protocol: str
     model: str
@@ -76,21 +106,25 @@ class RunMetrics:
     records: tuple[RequestRecord, ...] = field(default_factory=tuple, repr=False)
 
 
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if values.size else math.nan
+
+
 def summarize_run(
     costs: PhaseCosts,
     config: SimConfig,
     seed: int,
-    records: list[RequestRecord],
+    schedule: Schedule,
     saturated: bool,
     peak_client: int,
     peak_server: int,
 ) -> RunMetrics:
-    done = [r for r in records if r.finished]
-    lat = np.array([r.latency_s for r in done]) if done else np.empty(0)
-
-    def mean_of(vals) -> float:
-        return float(np.mean(vals)) if len(vals) else math.nan
-
+    finished = ~np.isnan(schedule.done)
+    arrival = schedule.arrival[finished]
+    ready = schedule.bundle_ready[finished]
+    online = schedule.online_start[finished]
+    done = schedule.done[finished]
+    lat = done - arrival
     return RunMetrics(
         protocol=costs.protocol.short,
         model=costs.model,
@@ -99,18 +133,18 @@ def summarize_run(
         arrival_rate=config.arrival_rate,
         horizon_s=config.horizon_s,
         seed=seed,
-        arrived=len(records),
-        completed=len(done),
-        mean_latency_s=mean_of(lat),
-        median_latency_s=float(np.median(lat)) if len(lat) else math.nan,
-        p95_latency_s=float(np.percentile(lat, 95)) if len(lat) else math.nan,
-        mean_precompute_wait_s=mean_of([r.precompute_wait_s for r in done]),
-        mean_queue_wait_s=mean_of([r.queue_wait_s for r in done]),
-        mean_online_s=mean_of([r.online_s for r in done]),
+        arrived=schedule.arrival.size,
+        completed=lat.size,
+        mean_latency_s=_mean(lat),
+        median_latency_s=float(np.median(lat)) if lat.size else math.nan,
+        p95_latency_s=float(np.percentile(lat, 95)) if lat.size else math.nan,
+        mean_precompute_wait_s=_mean(np.maximum(ready - arrival, 0.0)),
+        mean_queue_wait_s=_mean(online - np.maximum(arrival, ready)),
+        mean_online_s=_mean(done - online),
         saturated=saturated,
         peak_client_storage_bytes=peak_client,
         peak_server_storage_bytes=peak_server,
-        records=tuple(records) if config.keep_records else (),
+        records=schedule.records() if config.keep_records else (),
     )
 
 

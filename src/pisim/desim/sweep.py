@@ -12,7 +12,6 @@ from typing import Sequence
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
 from .engine import run_many, stability_limit
-from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
     "protocol",
@@ -100,6 +99,19 @@ def _run_point(args: tuple[PhaseCosts, SimConfig, int]) -> dict[str, object]:
     return sweep_point(*args)
 
 
+def run_points(
+    tasks: Sequence[tuple[PhaseCosts, SimConfig, int]], jobs: int = 1
+) -> list[dict[str, object]]:
+    """sweep_point for each (costs, config, base_seed) task, in order.
+
+    jobs > 1 distributes the tasks over worker processes.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_point, tasks))
+    return [_run_point(t) for t in tasks]
+
+
 def run_sweep(
     cost_rows: Sequence[PhaseCosts],
     rates: Sequence[float],
@@ -117,10 +129,7 @@ def run_sweep(
         for rate in rates:
             cell = dataclasses.replace(config, arrival_rate=rate, keep_records=False)
             tasks.append((costs, cell, base_seed))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_point, tasks))
-    return [_run_point(t) for t in tasks]
+    return run_points(tasks, jobs)
 
 
 def _fmt(value: object) -> str:
@@ -141,23 +150,3 @@ def write_sweep_csv(rows: Sequence[dict[str, object]], path: str | Path) -> None
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
-
-
-def aggregate_to_row(agg: AggregateMetrics) -> dict[str, object]:
-    """Flatten an AggregateMetrics into the sweep column layout."""
-    return {
-        "protocol": agg.protocol,
-        "model": agg.model,
-        "dataset": agg.dataset,
-        "concurrency": agg.concurrency,
-        "arrival_rate": agg.arrival_rate,
-        "n_runs": agg.n_runs,
-        "mean_latency_s": agg.mean_latency_s,
-        "ci95_latency_s": agg.ci95_latency_s,
-        "mean_precompute_wait_s": agg.mean_precompute_wait_s,
-        "mean_queue_wait_s": agg.mean_queue_wait_s,
-        "mean_online_s": agg.mean_online_s,
-        "saturated": agg.saturated,
-        "arrived": agg.arrived,
-        "completed": agg.completed,
-    }

@@ -1,40 +1,56 @@
 """Modular-arithmetic kernels for the protocol executors.
 
-All kernels operate on int64 arrays with entries in [0, p) and reduce
-every product before accumulating, so they are overflow-safe for any
-modulus p < 2**31.5 (p**2 must fit in int64). Each kernel has a numba
-version and a pure-numpy version with identical semantics; the public
-names bind to whichever backend _backend selected.
+All kernels operate on int64 arrays with entries in [0, p) for a modulus
+p < 2**31.5 (p**2 must fit in int64). Each kernel has a numba version and
+a pure-numpy version with identical results; the public names bind to
+whichever backend _backend selected.
+
+The numba loops reduce every product before accumulating. The numpy conv
+and matvec instead share one integer matrix product, `_matmul_mod`: it
+splits the right operand into 16-bit limbs, so each product is below
+2**47.5, and sums at most 2**14 of them before reducing mod p, so no
+partial sum reaches 2**63.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._backend import JIT_OPTIONS, USE_NUMBA, njit
 
 # ---------------------------------------------------------------- numpy
 
+_LIMB_BITS = 16
+_CHUNK = 1 << 14
+
+
+def _matmul_mod(w, x, p):
+    """(w @ x) mod p, exactly. w: (o,i), x: (i,) or (i,n)."""
+    x2 = x.reshape(x.shape[0], -1)
+    n = x2.shape[1]
+    limbs = np.concatenate([x2 & ((1 << _LIMB_BITS) - 1), x2 >> _LIMB_BITS], axis=1)
+    acc = np.zeros((w.shape[0], 2 * n), dtype=np.int64)
+    for start in range(0, w.shape[1], _CHUNK):
+        stop = start + _CHUNK
+        acc += w[:, start:stop] @ limbs[start:stop]
+        acc %= p
+    out = (acc[:, :n] + (acc[:, n:] << _LIMB_BITS)) % p
+    return out.reshape(w.shape[:1] + x.shape[1:])
+
 
 def conv2d_mod_numpy(x, w, b, stride, pad, p):
     """2D convolution mod p. x: (ci,h,w), w: (co,ci,kh,kw), b: (co,)."""
-    ci, h, ww = x.shape
-    co, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (ww + 2 * pad - kw) // stride + 1
+    co, ci, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    acc = np.zeros((co, oh, ow), dtype=np.int64)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[:, ky : ky + oh * stride : stride, kx : kx + ow * stride : stride]
-            # products < p**2 fit in int64; reduced before the channel sum
-            prod = (w[:, :, ky, kx, None, None] * patch[None, :, :, :]) % p
-            acc += prod.sum(axis=1)
-    return (acc + b[:, None, None]) % p
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    _, oh, ow, _, _ = win.shape
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, oh * ow)
+    out = _matmul_mod(w.reshape(co, -1), cols, p).reshape(co, oh, ow)
+    return (out + b[:, None, None]) % p
 
 
 def matvec_mod_numpy(w, x, b, p):
     """Matrix-vector product mod p. w: (o,i), x: (i,), b: (o,)."""
-    prod = (w * x[None, :]) % p
-    return (prod.sum(axis=1) + b) % p
+    return (_matmul_mod(w, x, p) + b) % p
 
 
 def sumpool_mod_numpy(x, window, stride, p):

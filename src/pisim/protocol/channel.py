@@ -41,7 +41,10 @@ class TranscriptEvent:
 
 
 class ProtocolHang(RuntimeError):
-    """A party waited too long for its peer."""
+    """A party waited too long for its peer, or its peer crashed."""
+
+
+_ABORT = object()  # queued by Channel.abort in place of a message
 
 
 class Transcript:
@@ -86,6 +89,15 @@ class Channel:
         self._lock = threading.Lock()
         self._queues = {CLIENT: queue.Queue(), SERVER: queue.Queue()}
 
+    def abort(self) -> None:
+        """Wake both parties' receives, now and later, with ProtocolHang.
+
+        Called when one party crashes, so that its peer fails at once
+        instead of waiting out the receive timeout.
+        """
+        for q in self._queues.values():
+            q.put(_ABORT)
+
     def set_phase(self, phase: str) -> None:
         self.phase = phase
 
@@ -113,10 +125,15 @@ class Channel:
         self._queues[receiver].put((event, payload))
 
     def receive(self, receiver: str, expect: EventKind | None = None):
+        q = self._queues[receiver]
         try:
-            event, payload = self._queues[receiver].get(timeout=self.timeout)
+            item = q.get(timeout=self.timeout)
         except queue.Empty:
             raise ProtocolHang(f"{receiver} timed out waiting for a message") from None
+        if item is _ABORT:
+            q.put(_ABORT)
+            raise ProtocolHang(f"{receiver}'s peer aborted the protocol")
+        event, payload = item
         if expect is not None and event.kind is not expect:
             raise ProtocolHang(
                 f"{receiver} expected {expect.value}, got {event.kind.value}"

@@ -3,19 +3,24 @@
 An offline run yields a PrecomputeBundle, the material exactly one
 online inference consumes. The parties run in two threads with the
 channel as their only shared state; strict message alternation keeps
-transcripts deterministic for a given (arch, protocol, seed).
+transcripts deterministic for a given (arch, protocol, seed). A party
+that raises aborts the channel, so its peer fails at once. The server's
+model depends only on (arch, seed): it is built once and every bundle
+shares it read-only, while each bundle draws fresh masks and shares.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from ..costmodel.types import Protocol
-from ..field import decode_signed
+from ..field import decode_signed, encode
 from ..netarch import NetworkArch
 from .channel import Channel, ProtocolHang, Transcript
 from .compile import CompiledNetwork, compile_network, gen_weights
@@ -27,7 +32,6 @@ from .parties import (
     server_offline,
     server_online,
 )
-from ..field import FIELD_MODULUS
 
 _bundle_counter = itertools.count(1)
 
@@ -77,7 +81,7 @@ class OnlineResult:
     transcript: Transcript
 
 
-def _run_pair(client_fn, server_fn, timeout: float):
+def _run_pair(channel: Channel, client_fn, server_fn):
     results: dict[str, object] = {}
     errors: list[BaseException] = []
 
@@ -86,6 +90,7 @@ def _run_pair(client_fn, server_fn, timeout: float):
             results[name] = fn()
         except BaseException as exc:  # propagate to the caller thread
             errors.append(exc)
+            channel.abort()
 
     threads = [
         threading.Thread(target=runner, args=("client", client_fn), daemon=True),
@@ -94,15 +99,29 @@ def _run_pair(client_fn, server_fn, timeout: float):
     for t in threads:
         t.start()
     for t in threads:
-        t.join(timeout=timeout + 5.0)
+        t.join(timeout=channel.timeout + 5.0)
         if t.is_alive():
             raise ProtocolHang("party thread did not finish")
     if errors:
-        # A peer crash usually shows up as the other side timing out;
-        # surface the root cause first.
+        # A crash wakes the peer with ProtocolHang; surface the root
+        # cause first.
         real = [e for e in errors if not isinstance(e, ProtocolHang)]
         raise (real or errors)[0]
     return results
+
+
+# Bounded, so a process that verifies many seeds keeps only recent models.
+@functools.lru_cache(maxsize=8)
+def _field_weights(arch: NetworkArch, seed: int):
+    """The server's model in Z_p, drawn once per (arch, seed) and shared
+    read-only by every bundle built from it."""
+    weights = {}
+    for key, (w, b) in gen_weights(arch, seed).items():
+        w, b = encode(w), encode(b)
+        w.setflags(write=False)
+        b.setflags(write=False)
+        weights[key] = (w, b)
+    return MappingProxyType(weights)
 
 
 def run_offline(
@@ -113,10 +132,6 @@ def run_offline(
 ) -> PrecomputeBundle:
     protocol = Protocol.parse(protocol)
     compiled = compile_network(arch)
-    raw_weights = gen_weights(arch, seed)
-    p = FIELD_MODULUS
-    field_weights = {k: (w % p, b % p) for k, (w, b) in raw_weights.items()}
-
     bundle_id = next(_bundle_counter)
     client = ClientState(
         protocol=protocol,
@@ -129,13 +144,13 @@ def run_offline(
         compiled=compiled,
         rng=np.random.default_rng(np.random.SeedSequence([seed, 2])),
         bundle_id=bundle_id,
-        weights=field_weights,
+        weights=_field_weights(arch, seed),
     )
     channel = Channel(timeout=timeout)
     _run_pair(
+        channel,
         lambda: client_offline(client, channel),
         lambda: server_offline(server, channel),
-        timeout,
     )
     return PrecomputeBundle(
         arch=arch,
@@ -175,9 +190,9 @@ def run_online(
     channel = bundle.channel
     channel.set_phase("online")
     results = _run_pair(
+        channel,
         lambda: client_online(bundle.client_state, channel, x),
         lambda: server_online(bundle.server_state, channel),
-        channel.timeout,
     )
     logits_field = results["client"]
     return OnlineResult(

@@ -14,6 +14,7 @@ the gadget's two input shares.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,7 +83,7 @@ class ServerState:
     compiled: CompiledNetwork
     rng: np.random.Generator
     bundle_id: int
-    weights: dict
+    weights: Mapping
     s_shares: dict[str, np.ndarray] = dc_field(default_factory=dict)
     gadgets: dict[int, GarbledGadget] = dc_field(default_factory=dict)
     self_stored_bytes: int = 0

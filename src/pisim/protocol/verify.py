@@ -60,11 +60,11 @@ def verify_against_plaintext(
             f"{arch.name} has {relus} relus (> {GUARD_MAX_RELUS}); "
             "pass force=True to run anyway"
         )
+    weights = gen_weights(arch, seed)
     outcomes = []
     all_ok = True
     for trial in range(trials):
         x = sample_input(arch, seed, trial)
-        weights = gen_weights(arch, seed)
         expected = plaintext_forward(arch, weights, x)
         for protocol in protocols:
             protocol = Protocol.parse(protocol)

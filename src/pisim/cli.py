@@ -40,6 +40,7 @@ from .desim import (
     write_sweep_csv,
 )
 from .desim.sweep import SWEEP_COLUMNS, _fmt
+from .field import FieldOverflowRisk
 from .netarch import (
     DATASETS,
     MODELS,
@@ -582,6 +583,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNKNOWN
     except ConfigInfeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except FieldOverflowRisk as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
 

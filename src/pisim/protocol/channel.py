@@ -3,14 +3,17 @@
 The channel is the only state the two parties share. Every send
 appends one TranscriptEvent; payloads ride alongside but never appear
 in the transcript, so exported transcripts carry sizes and kinds only.
+A send appends to the peer's mailbox and returns. A receive is
+`yield from ch.receive(...)`: it yields to the scheduler in executor.py
+while the mailbox is empty, so nothing ever blocks or times out.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-import queue
-import threading
+from collections import deque
+from collections.abc import Generator
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -41,10 +44,8 @@ class TranscriptEvent:
 
 
 class ProtocolHang(RuntimeError):
-    """A party waited too long for its peer, or its peer crashed."""
-
-
-_ABORT = object()  # queued by Channel.abort in place of a message
+    """A party got a message of the wrong kind, or every unfinished party
+    waits on an empty mailbox (deadlock); raised at once, never on a timer."""
 
 
 class Transcript:
@@ -80,26 +81,18 @@ class Transcript:
 
 
 class Channel:
-    """Two blocking queues plus the shared transcript."""
+    """Two mailboxes plus the shared transcript."""
 
-    def __init__(self, timeout: float = 30.0):
+    def __init__(self):
         self.transcript = Transcript()
-        self.timeout = timeout
         self.phase = "offline"
-        self._lock = threading.Lock()
-        self._queues = {CLIENT: queue.Queue(), SERVER: queue.Queue()}
-
-    def abort(self) -> None:
-        """Wake both parties' receives, now and later, with ProtocolHang.
-
-        Called when one party crashes, so that its peer fails at once
-        instead of waiting out the receive timeout.
-        """
-        for q in self._queues.values():
-            q.put(_ABORT)
+        self._mailboxes = {CLIENT: deque(), SERVER: deque()}
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
+
+    def has_mail(self, receiver: str) -> bool:
+        return bool(self._mailboxes[receiver])
 
     def send(
         self,
@@ -111,29 +104,24 @@ class Channel:
         label: str = "",
     ) -> None:
         receiver = SERVER if sender == CLIENT else CLIENT
-        with self._lock:
-            event = TranscriptEvent(
-                seq=len(self.transcript.events),
-                phase=self.phase,
-                direction="c2s" if sender == CLIENT else "s2c",
-                kind=kind,
-                nbytes=int(nbytes),
-                stored_by_receiver=stored_by_receiver,
-                label=label,
-            )
-            self.transcript.events.append(event)
-        self._queues[receiver].put((event, payload))
+        event = TranscriptEvent(
+            seq=len(self.transcript.events),
+            phase=self.phase,
+            direction="c2s" if sender == CLIENT else "s2c",
+            kind=kind,
+            nbytes=int(nbytes),
+            stored_by_receiver=stored_by_receiver,
+            label=label,
+        )
+        self.transcript.events.append(event)
+        self._mailboxes[receiver].append((event, payload))
 
-    def receive(self, receiver: str, expect: EventKind | None = None):
-        q = self._queues[receiver]
-        try:
-            item = q.get(timeout=self.timeout)
-        except queue.Empty:
-            raise ProtocolHang(f"{receiver} timed out waiting for a message") from None
-        if item is _ABORT:
-            q.put(_ABORT)
-            raise ProtocolHang(f"{receiver}'s peer aborted the protocol")
-        event, payload = item
+    def receive(self, receiver: str, expect: EventKind | None = None) -> Generator:
+        """Yield while `receiver`'s mailbox is empty; return (event, payload)."""
+        mailbox = self._mailboxes[receiver]
+        while not mailbox:
+            yield
+        event, payload = mailbox.popleft()
         if expect is not None and event.kind is not expect:
             raise ProtocolHang(
                 f"{receiver} expected {expect.value}, got {event.kind.value}"

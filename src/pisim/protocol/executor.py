@@ -1,19 +1,20 @@
 """Orchestration: run both parties through a phase and manage bundles.
 
 An offline run yields a PrecomputeBundle, the material exactly one
-online inference consumes. The parties run in two threads with the
-channel as their only shared state; strict message alternation keeps
-transcripts deterministic for a given (arch, protocol, seed). A party
-that raises aborts the channel, so its peer fails at once. The server's
-model depends only on (arch, seed): it is built once and every bundle
-shares it read-only, while each bundle draws fresh masks and shares.
+online inference consumes. Both parties are generators stepped in turn
+on the caller's thread, with the channel as their only shared state;
+strict message alternation keeps transcripts deterministic for a given
+(arch, protocol, seed). A party's exception propagates as is, and a run
+in which every unfinished party waits on an empty mailbox raises
+ProtocolHang at once. The lowered network (per arch) and the server's
+model (per arch and seed) are built once and shared read-only by every
+bundle, while each bundle draws fresh masks and shares.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -22,7 +23,7 @@ import numpy as np
 from ..costmodel.types import Protocol
 from ..field import decode_signed, encode
 from ..netarch import NetworkArch
-from .channel import Channel, ProtocolHang, Transcript
+from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
 from .compile import CompiledNetwork, compile_network, gen_weights
 from .parties import (
     ClientState,
@@ -81,36 +82,32 @@ class OnlineResult:
     transcript: Transcript
 
 
-def _run_pair(channel: Channel, client_fn, server_fn):
+def _run_pair(channel: Channel, client, server) -> dict[str, object]:
+    """Step both party generators until they return; their return values."""
+    parties = {CLIENT: client, SERVER: server}
     results: dict[str, object] = {}
-    errors: list[BaseException] = []
-
-    def runner(name, fn):
-        try:
-            results[name] = fn()
-        except BaseException as exc:  # propagate to the caller thread
-            errors.append(exc)
-            channel.abort()
-
-    threads = [
-        threading.Thread(target=runner, args=("client", client_fn), daemon=True),
-        threading.Thread(target=runner, args=("server", server_fn), daemon=True),
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=channel.timeout + 5.0)
-        if t.is_alive():
-            raise ProtocolHang("party thread did not finish")
-    if errors:
-        # A crash wakes the peer with ProtocolHang; surface the root
-        # cause first.
-        real = [e for e in errors if not isinstance(e, ProtocolHang)]
-        raise (real or errors)[0]
+    runnable = list(parties)
+    while parties:
+        if not runnable:
+            raise ProtocolHang(f"{' and '.join(parties)} blocked on an empty mailbox")
+        for name in runnable:
+            try:
+                next(parties[name])
+            except StopIteration as stop:
+                results[name] = stop.value
+                del parties[name]
+        runnable = [name for name in parties if channel.has_mail(name)]
     return results
 
 
-# Bounded, so a process that verifies many seeds keeps only recent models.
+# Bounded, so a process that verifies many networks or seeds keeps only
+# recent ones.
+@functools.lru_cache(maxsize=8)
+def _compiled(arch: NetworkArch) -> CompiledNetwork:
+    """The network lowered once per arch; frozen, so every bundle shares it."""
+    return compile_network(arch)
+
+
 @functools.lru_cache(maxsize=8)
 def _field_weights(arch: NetworkArch, seed: int):
     """The server's model in Z_p, drawn once per (arch, seed) and shared
@@ -128,10 +125,9 @@ def run_offline(
     arch: NetworkArch,
     protocol,
     seed: int,
-    timeout: float = 30.0,
 ) -> PrecomputeBundle:
     protocol = Protocol.parse(protocol)
-    compiled = compile_network(arch)
+    compiled = _compiled(arch)
     bundle_id = next(_bundle_counter)
     client = ClientState(
         protocol=protocol,
@@ -146,12 +142,8 @@ def run_offline(
         bundle_id=bundle_id,
         weights=_field_weights(arch, seed),
     )
-    channel = Channel(timeout=timeout)
-    _run_pair(
-        channel,
-        lambda: client_offline(client, channel),
-        lambda: server_offline(server, channel),
-    )
+    channel = Channel()
+    _run_pair(channel, client_offline(client, channel), server_offline(server, channel))
     return PrecomputeBundle(
         arch=arch,
         protocol=protocol,
@@ -191,10 +183,10 @@ def run_online(
     channel.set_phase("online")
     results = _run_pair(
         channel,
-        lambda: client_online(bundle.client_state, channel, x),
-        lambda: server_online(bundle.server_state, channel),
+        client_online(bundle.client_state, channel, x),
+        server_online(bundle.server_state, channel),
     )
-    logits_field = results["client"]
+    logits_field = results[CLIENT]
     return OnlineResult(
         logits=decode_signed(logits_field), transcript=channel.transcript
     )

@@ -1,9 +1,11 @@
 """Client and server programs for both phases.
 
-Each function drives one party over the channel and touches only that
-party's state: the client never sees weights, the server never sees
-masks or the sealing key. Message order is strict request/reply, so a
-run's transcript is deterministic.
+Each function is a generator that drives one party over the channel and
+touches only that party's state: the client never sees weights, the
+server never sees masks or the sealing key. A party suspends only in
+`yield from ch.receive(...)`; its result is the generator's return
+value. Message order is strict request/reply, so a run's transcript is
+deterministic.
 
 Share convention per linear unit U with input activation a and mask r:
 the client ends the offline phase holding c_U = L_U(r) + s_U, the
@@ -14,7 +16,7 @@ the gadget's two input shares.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Generator, Mapping
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -116,7 +118,7 @@ def _masked_points(comp: CompiledNetwork):
     return [pt for pt in comp.points if pt.masked]
 
 
-def client_offline(state: ClientState, ch: Channel) -> None:
+def client_offline(state: ClientState, ch: Channel) -> Generator:
     comp = state.compiled
     p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
@@ -134,7 +136,7 @@ def client_offline(state: ClientState, ch: Channel) -> None:
         )
 
     for unit in comp.units:
-        _, sealed = ch.receive(CLIENT, expect=EventKind.ENCRYPTED_LINEAR_SHARE)
+        _, sealed = yield from ch.receive(CLIENT, expect=EventKind.ENCRYPTED_LINEAR_SHARE)
         c = unseal(state.key, sealed)
         prev = state.shares.get(unit.dst_point)
         state.shares[unit.dst_point] = c if prev is None else (prev + c) % p
@@ -147,7 +149,7 @@ def client_offline(state: ClientState, ch: Channel) -> None:
         stored_by_receiver=cg,
         label="base-ot",
     )
-    ch.receive(CLIENT, expect=EventKind.OT_MESSAGE)
+    yield from ch.receive(CLIENT, expect=EventKind.OT_MESSAGE)
 
     if cg:
         for pt in comp.relu_points:
@@ -175,8 +177,8 @@ def client_offline(state: ClientState, ch: Channel) -> None:
             )
     else:
         for pt in comp.relu_points:
-            _, gadget = ch.receive(CLIENT, expect=EventKind.GARBLED_CIRCUIT)
-            ch.receive(CLIENT, expect=EventKind.LABELS)
+            _, gadget = yield from ch.receive(CLIENT, expect=EventKind.GARBLED_CIRCUIT)
+            yield from ch.receive(CLIENT, expect=EventKind.LABELS)
             state.gadgets[pt.index] = gadget
             ch.send(
                 CLIENT,
@@ -192,15 +194,15 @@ def client_offline(state: ClientState, ch: Channel) -> None:
         state.self_stored_bytes += CG_GARBLER_STATE_BYTES_PER_RELU * comp.total_relus
 
 
-def server_offline(state: ServerState, ch: Channel) -> None:
+def server_offline(state: ServerState, ch: Channel) -> Generator:
     comp = state.compiled
     p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
-    ch.receive(SERVER, expect=EventKind.KEYS)
+    yield from ch.receive(SERVER, expect=EventKind.KEYS)
     sealed_masks = {}
     for pt in _masked_points(comp):
-        _, sealed = ch.receive(SERVER, expect=EventKind.ENCRYPTED_MASKS)
+        _, sealed = yield from ch.receive(SERVER, expect=EventKind.ENCRYPTED_MASKS)
         sealed_masks[pt.index] = sealed
 
     for unit in comp.units:
@@ -220,7 +222,7 @@ def server_offline(state: ServerState, ch: Channel) -> None:
             label=unit.uid,
         )
 
-    ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
+    yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
     ch.send(
         SERVER,
         EventKind.OT_MESSAGE,
@@ -232,8 +234,8 @@ def server_offline(state: ServerState, ch: Channel) -> None:
 
     if cg:
         for pt in comp.relu_points:
-            _, gadget = ch.receive(SERVER, expect=EventKind.GARBLED_CIRCUIT)
-            ch.receive(SERVER, expect=EventKind.LABELS)
+            _, gadget = yield from ch.receive(SERVER, expect=EventKind.GARBLED_CIRCUIT)
+            yield from ch.receive(SERVER, expect=EventKind.LABELS)
             state.gadgets[pt.index] = gadget
     else:
         for pt in comp.relu_points:
@@ -253,7 +255,7 @@ def server_offline(state: ServerState, ch: Channel) -> None:
                 stored_by_receiver=True,
                 label=f"point{pt.index}",
             )
-            ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
+            yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
 
     out_elems = sum(u.out_elems for u in comp.units)
     state.self_stored_bytes = SHARE_BYTES_PER_ELEM * out_elems
@@ -263,7 +265,7 @@ def server_offline(state: ServerState, ch: Channel) -> None:
     state.self_stored_bytes += per_relu * comp.total_relus
 
 
-def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> np.ndarray:
+def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
     comp = state.compiled
     p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
@@ -279,7 +281,7 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> np.ndarray:
 
     for pt in comp.relu_points:
         if cg:
-            ch.receive(CLIENT, expect=EventKind.OT_MESSAGE)
+            yield from ch.receive(CLIENT, expect=EventKind.OT_MESSAGE)
             ch.send(
                 CLIENT,
                 EventKind.OT_MESSAGE,
@@ -290,7 +292,7 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> np.ndarray:
         else:
             if pt.index not in state.gadgets:
                 raise RuntimeError(f"no garbled gadget for point {pt.index}")
-            _, server_share = ch.receive(CLIENT, expect=EventKind.LABELS)
+            _, server_share = yield from ch.receive(CLIENT, expect=EventKind.LABELS)
             y = relu_remask_mod(
                 state.shares[pt.index].reshape(-1),
                 server_share.reshape(-1),
@@ -305,17 +307,17 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> np.ndarray:
                 label=f"point{pt.index}",
             )
 
-    _, server_out = ch.receive(CLIENT, expect=EventKind.MASKED_TENSOR)
+    _, server_out = yield from ch.receive(CLIENT, expect=EventKind.MASKED_TENSOR)
     out = comp.output_point
     return (state.shares[out.index] + server_out) % p
 
 
-def server_online(state: ServerState, ch: Channel) -> None:
+def server_online(state: ServerState, ch: Channel) -> Generator:
     comp = state.compiled
     p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
-    _, y0 = ch.receive(SERVER, expect=EventKind.MASKED_TENSOR)
+    _, y0 = yield from ch.receive(SERVER, expect=EventKind.MASKED_TENSOR)
     masked = {0: np.asarray(y0, dtype=np.int64) % p}
 
     def share_into(point_index: int) -> np.ndarray:
@@ -337,7 +339,7 @@ def server_online(state: ServerState, ch: Channel) -> None:
                 ONLINE_LABEL_BYTES_PER_RELU * pt.elems,
                 label=f"point{pt.index}",
             )
-            ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
+            yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
             gadget = state.gadgets[pt.index]
             masked[pt.index] = gadget.evaluate(s_share, p).reshape(pt.shape)
         else:
@@ -348,7 +350,7 @@ def server_online(state: ServerState, ch: Channel) -> None:
                 ONLINE_LABEL_BYTES_PER_RELU * pt.elems,
                 label=f"point{pt.index}",
             )
-            _, y = ch.receive(SERVER, expect=EventKind.OUTPUT_LABELS)
+            _, y = yield from ch.receive(SERVER, expect=EventKind.OUTPUT_LABELS)
             masked[pt.index] = np.asarray(y, dtype=np.int64)
 
     out = comp.output_point

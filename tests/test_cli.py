@@ -237,6 +237,15 @@ def test_verify_guard_blocks_large(capsys):
     assert "--force" in capsys.readouterr().err
 
 
+def test_verify_field_overflow_is_infeasible(capsys):
+    rc = run_cli("verify", "--model", "resnet32", "--dataset", "toy8",
+                 "--force", "--trials", "1")
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: layer 12 (conv)")
+    assert "Traceback" not in err
+
+
 def test_verify_zero_trials(capsys):
     rc = run_cli("verify", "--model", "toy_cnn", "--trials", "0")
     assert rc == EXIT_OK

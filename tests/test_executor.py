@@ -1,4 +1,5 @@
-"""Executor lifetime: a crashing party, and the model shared by bundles."""
+"""Executor lifetime: a crashing, quitting or confused party, and the
+network and model shared by bundles."""
 
 import threading
 import time
@@ -21,6 +22,7 @@ from pisim.protocol import (
 from pisim.protocol import executor
 
 TOY = build_preset("toy_cnn", "cifar100")
+TOY8 = build_preset("toy_cnn", "toy8")
 
 
 class Crash(RuntimeError):
@@ -31,21 +33,77 @@ def _crash(*args, **kwargs):
     raise Crash("party crashed")
 
 
-def test_abort_wakes_a_blocked_receive():
-    ch = Channel(timeout=30.0)
+def _quit(*args, **kwargs):
+    """A party that returns at once without sending anything."""
+    return
+    yield
+
+
+def _step(receive):
+    """Resume a receive once: its (event, payload), or None if it yielded."""
+    try:
+        next(receive)
+    except StopIteration as stop:
+        return stop.value
+    return None
+
+
+def test_receive_delivers_in_order_and_yields_on_an_empty_mailbox():
+    ch = Channel()
     ch.send("client", EventKind.KEYS, "k", 1)
-    waiter = threading.Thread(target=lambda: time.sleep(0.05) or ch.abort())
-    waiter.start()
+    ch.send("client", EventKind.LABELS, "l", 1)
+    assert _step(ch.receive("server", expect=EventKind.KEYS))[1] == "k"
+    assert _step(ch.receive("server"))[1] == "l"
+    waiting = ch.receive("server")
+    assert _step(waiting) is None
+    assert _step(waiting) is None
+    ch.send("client", EventKind.OT_MESSAGE, "o", 1)
+    assert _step(waiting)[1] == "o"
+    assert _step(ch.receive("client")) is None  # nothing was sent to the client
+
+
+def test_wrong_message_kind_raises_protocol_hang(monkeypatch):
+    def send_labels_first(state, ch):
+        ch.send("client", EventKind.LABELS, None, 1)
+        yield from ch.receive("client")
+
+    monkeypatch.setattr(executor, "client_offline", send_labels_first)
+    with pytest.raises(ProtocolHang, match="expected keys, got labels"):
+        run_offline(TOY, "sg", 0)
+
+
+def test_deadlock_raises_protocol_hang_at_once(monkeypatch):
+    monkeypatch.setattr(executor, "client_offline", lambda state, ch: ch.receive("client"))
+    monkeypatch.setattr(executor, "server_offline", lambda state, ch: ch.receive("server"))
+    with pytest.raises(ProtocolHang, match="client and server blocked"):
+        run_offline(TOY, "sg", 0)
+
+
+def test_offline_party_returning_early_hangs_at_once(monkeypatch):
+    monkeypatch.setattr(executor, "server_offline", _quit)
     t0 = time.perf_counter()
-    # messages sent before the abort still arrive in order
-    assert ch.receive("server", expect=EventKind.KEYS)[1] == "k"
-    with pytest.raises(ProtocolHang):
-        ch.receive("server")
-    with pytest.raises(ProtocolHang):
-        ch.receive("server")
+    with pytest.raises(ProtocolHang, match="client blocked"):
+        run_offline(TOY, "sg", 0)
     assert time.perf_counter() - t0 < 1.0
-    waiter.join(timeout=5.0)
-    assert not waiter.is_alive()
+
+
+def test_online_party_returning_early_hangs_at_once(monkeypatch):
+    bundle = run_offline(TOY, "cg", 0)
+    monkeypatch.setattr(executor, "client_online", _quit)
+    t0 = time.perf_counter()
+    with pytest.raises(ProtocolHang, match="server blocked"):
+        run_online(bundle, sample_input(TOY, 0))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_party_crashing_mid_phase_fails_with_its_own_error(monkeypatch):
+    def crash_after_keys(state, ch):
+        yield from ch.receive("server")
+        raise Crash("party crashed")
+
+    monkeypatch.setattr(executor, "server_offline", crash_after_keys)
+    with pytest.raises(Crash):
+        run_offline(TOY, "sg", 0)
 
 
 @pytest.mark.parametrize("party", ["server_offline", "client_offline"])
@@ -69,6 +127,14 @@ def test_online_party_crash_fails_at_once(monkeypatch, party):
         run_online(bundle, sample_input(TOY, 0))
     assert time.perf_counter() - t0 < 1.0
     assert threading.active_count() == threads
+
+
+def test_bundles_share_one_compiled_network_per_arch():
+    a = run_offline(TOY, "sg", 0)
+    b = run_offline(TOY, "cg", 3)
+    assert a.compiled is b.compiled
+    assert a.client_state.compiled is a.server_state.compiled is a.compiled
+    assert run_offline(TOY8, "sg", 0).compiled is not a.compiled
 
 
 def test_shared_weights_are_read_only():

@@ -1,36 +1,3 @@
-"""Kernel backend selection.
+"""The kernel backend's name, which the benchmark worker records; numpy is the only one."""
 
-The modular-arithmetic kernels ship in two versions: numba-jitted loops
-and a pure-numpy fallback. The jitted path is used when numba imports
-cleanly, unless PISIM_BACKEND=numpy forces the fallback. Selection
-happens once at import time so both paths stay importable for tests.
-"""
-
-import os
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_FORCED = os.environ.get("PISIM_BACKEND", "").strip().lower()
-if _FORCED not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"PISIM_BACKEND must be 'numba' or 'numpy', got {_FORCED!r}"
-    )
-
-USE_NUMBA = HAS_NUMBA and _FORCED != "numpy"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-JIT_OPTIONS = {"cache": True, "nogil": True}
+BACKEND = "numpy"

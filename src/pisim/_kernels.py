@@ -1,12 +1,9 @@
-"""Modular-arithmetic kernels for the protocol executors.
+"""Modular-arithmetic kernels for the protocol executors, in numpy.
 
 All kernels operate on int64 arrays with entries in [0, p) for a modulus
-p < 2**31.5 (p**2 must fit in int64). Each kernel has a numba version and
-a pure-numpy version with identical results; the public names bind to
-whichever backend _backend selected.
+p < 2**31.5 (p**2 must fit in int64).
 
-The numba loops reduce every product before accumulating. The numpy conv
-and matvec instead share one integer matrix product, `_matmul_mod`: it
+The conv and matvec share one integer matrix product, `_matmul_mod`: it
 splits the right operand into 16-bit limbs, so each product is below
 2**47.5, and sums at most 2**14 of them before reducing mod p, so no
 partial sum reaches 2**63.
@@ -14,10 +11,6 @@ partial sum reaches 2**63.
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from ._backend import JIT_OPTIONS, USE_NUMBA, njit
-
-# ---------------------------------------------------------------- numpy
 
 _LIMB_BITS = 16
 _CHUNK = 1 << 14
@@ -37,7 +30,7 @@ def _matmul_mod(w, x, p):
     return out.reshape(w.shape[:1] + x.shape[1:])
 
 
-def conv2d_mod_numpy(x, w, b, stride, pad, p):
+def conv2d_mod(x, w, b, stride, pad, p):
     """2D convolution mod p. x: (ci,h,w), w: (co,ci,kh,kw), b: (co,)."""
     co, ci, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
@@ -48,12 +41,12 @@ def conv2d_mod_numpy(x, w, b, stride, pad, p):
     return (out + b[:, None, None]) % p
 
 
-def matvec_mod_numpy(w, x, b, p):
+def matvec_mod(w, x, b, p):
     """Matrix-vector product mod p. w: (o,i), x: (i,), b: (o,)."""
     return (_matmul_mod(w, x, p) + b) % p
 
 
-def sumpool_mod_numpy(x, window, stride, p):
+def sumpool_mod(x, window, stride, p):
     """Window-sum pooling mod p. x: (c,h,w)."""
     c, h, ww = x.shape
     oh = (h - window) // stride + 1
@@ -65,7 +58,7 @@ def sumpool_mod_numpy(x, window, stride, p):
     return acc % p
 
 
-def relu_remask_mod_numpy(a, b, r, p):
+def relu_remask_mod(a, b, r, p):
     """ReLU gadget on flat share arrays: relu(signed(a+b)) - r, mod p.
 
     Values above (p-1)//2 decode as negative. Output is the re-masked
@@ -76,88 +69,3 @@ def relu_remask_mod_numpy(a, b, r, p):
     signed = np.where(x > half, x - p, x)
     y = np.maximum(signed, 0)
     return (y - r) % p
-
-
-# ---------------------------------------------------------------- numba
-
-
-@njit(**JIT_OPTIONS)
-def conv2d_mod_numba(x, w, b, stride, pad, p):  # pragma: no cover - jitted
-    ci, h, ww = x.shape
-    co, _, kh, kw = w.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (ww + 2 * pad - kw) // stride + 1
-    out = np.empty((co, oh, ow), dtype=np.int64)
-    for oc in range(co):
-        for oy in range(oh):
-            for ox in range(ow):
-                acc = b[oc]
-                for ic in range(ci):
-                    for ky in range(kh):
-                        iy = oy * stride - pad + ky
-                        if iy < 0 or iy >= h:
-                            continue
-                        for kx in range(kw):
-                            ix = ox * stride - pad + kx
-                            if ix < 0 or ix >= ww:
-                                continue
-                            # acc stays below (ci*kh*kw+1)*p, no overflow
-                            acc += (w[oc, ic, ky, kx] * x[ic, iy, ix]) % p
-                out[oc, oy, ox] = acc % p
-    return out
-
-
-@njit(**JIT_OPTIONS)
-def matvec_mod_numba(w, x, b, p):  # pragma: no cover - jitted
-    o, i = w.shape
-    out = np.empty(o, dtype=np.int64)
-    for row in range(o):
-        acc = b[row]
-        for col in range(i):
-            acc += (w[row, col] * x[col]) % p
-        out[row] = acc % p
-    return out
-
-
-@njit(**JIT_OPTIONS)
-def sumpool_mod_numba(x, window, stride, p):  # pragma: no cover - jitted
-    c, h, ww = x.shape
-    oh = (h - window) // stride + 1
-    ow = (ww - window) // stride + 1
-    out = np.empty((c, oh, ow), dtype=np.int64)
-    for ch in range(c):
-        for oy in range(oh):
-            for ox in range(ow):
-                acc = 0
-                for ky in range(window):
-                    for kx in range(window):
-                        acc += x[ch, oy * stride + ky, ox * stride + kx]
-                out[ch, oy, ox] = acc % p
-    return out
-
-
-@njit(**JIT_OPTIONS)
-def relu_remask_mod_numba(a, b, r, p):  # pragma: no cover - jitted
-    n = a.shape[0]
-    half = (p - 1) // 2
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        x = (a[i] + b[i]) % p
-        if x > half:
-            x -= p
-        if x < 0:
-            x = 0
-        out[i] = (x - r[i]) % p
-    return out
-
-
-if USE_NUMBA:
-    conv2d_mod = conv2d_mod_numba
-    matvec_mod = matvec_mod_numba
-    sumpool_mod = sumpool_mod_numba
-    relu_remask_mod = relu_remask_mod_numba
-else:
-    conv2d_mod = conv2d_mod_numpy
-    matvec_mod = matvec_mod_numpy
-    sumpool_mod = sumpool_mod_numpy
-    relu_remask_mod = relu_remask_mod_numpy

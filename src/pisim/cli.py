@@ -1,7 +1,7 @@
 """Command-line front end: cost reports, simulations, sweeps, verification.
 
-Exit codes: 0 success, 1 verification mismatch, 2 unknown identifier or
-bad input file, 3 infeasible configuration.
+Exit codes: 0 success, 1 verification mismatch, 2 unknown identifier,
+bad input file or bad cost input, 3 infeasible configuration.
 """
 
 from __future__ import annotations
@@ -16,30 +16,29 @@ from pathlib import Path
 
 from .costmodel import (
     CommInputs,
+    CostModelError,
     OptimizationKnobs,
     Protocol,
-    UncalibratedTriple,
-    UnknownOptimization,
     classify_regime,
     gc_storage,
     get_optimization,
     load_shipped_model,
-    max_sustainable_rate,
     offline_comm,
     online_comm,
     phase_costs,
 )
-from .costmodel.tables import _open_config
+from .costmodel.tables import open_config
 from .desim import (
     PIPELINED,
     SERIAL,
     ConfigInfeasible,
     SimConfig,
     run_points,
+    stability_limit,
     sweep_point,
     write_sweep_csv,
 )
-from .desim.sweep import SWEEP_COLUMNS, _fmt
+from .desim.sweep import SWEEP_COLUMNS, format_value
 from .field import FieldOverflowRisk
 from .netarch import (
     DATASETS,
@@ -199,7 +198,7 @@ def load_experiment(ref: str) -> ExperimentSpec:
     if not name.endswith(".exp"):
         name += ".exp"
     try:
-        with _open_config("experiments/" + name) as fh:
+        with open_config("experiments/" + name) as fh:
             return parse_experiment(fh.read())
     except FileNotFoundError:
         known = ", ".join(shipped_experiments())
@@ -231,7 +230,10 @@ def parse_knobs(text: str | None) -> OptimizationKnobs:
             raise SpecError(f"knob {part!r} is not name=value")
         if key not in aliases:
             raise SpecError(f"unknown knob {key!r}; known: relu, flop, gc_per_relu, he_per_flop")
-        fields[aliases[key]] = float(raw)
+        try:
+            fields[aliases[key]] = float(raw)
+        except ValueError:
+            raise SpecError(f"knob {key!r} needs a number, got {raw!r}") from None
     return OptimizationKnobs(name="custom", **fields)
 
 
@@ -293,7 +295,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
     _print_kv("client storage", _fmt_bytes(costs.client_storage_delta_bytes))
     _print_kv("server storage", _fmt_bytes(costs.server_storage_delta_bytes))
     _print_kv("gc storage", f"{_fmt_bytes(gc_bytes)} (held by {gc_side})")
-    _print_kv("max sustainable", f"{max_sustainable_rate(costs):.6g} req/s (serial)")
+    serial = SimConfig(arrival_rate=1.0, concurrency=SERIAL)
+    _print_kv("max sustainable", f"{stability_limit(costs, serial):.6g} req/s (serial)")
     _print_kv("regime", classify_regime(knobs).value)
     return EXIT_OK
 
@@ -370,7 +373,7 @@ def _write_rows(rows: list[dict], spec: ExperimentSpec, stem: str) -> list[Path]
         written.append(path)
     if "json" in spec.formats:
         path = out_dir / f"{stem}.json"
-        payload = [{c: _fmt(row[c]) for c in SWEEP_COLUMNS} for row in rows]
+        payload = [{c: format_value(row[c]) for c in SWEEP_COLUMNS} for row in rows]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         written.append(path)
     return written
@@ -559,13 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        UnknownPreset,
-        UnknownOptimization,
-        UncalibratedTriple,
-        SpecError,
-        ParseError,
-    ) as exc:
+    except (UnknownPreset, CostModelError, SpecError, ParseError) as exc:
         msg = str(exc)
         if isinstance(exc, UnknownPreset) and "known" not in msg:
             msg += (

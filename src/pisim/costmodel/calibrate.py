@@ -2,20 +2,19 @@
 
 The fit splits each measured latency into a wire term (bytes over the
 measured bandwidth, priced by the structural byte model) and a compute
-term, then solves a small non-negative least-squares system for the
-compute rates:
+term. The compute term is the dot product of the row's feature vector
+with a rate vector over the calibrated columns (see `formula`), so each
+phase is a linear system: one design row per measured row, whose
+coefficients are the row's features. `nnls` solves each system for
+non-negative rates with the active-set method of Lawson and Hanson
+(Solving Least Squares Problems, 1974).
 
-  offline ~ he_conv[area]*conv_flops + he_fc[area]*fc_flops
-            + garble[protocol]*relus + per_unit*n_units + fixed
-  online  ~ gc_eval*relus + conv_rate*conv_flops + fc_rate*fc_flops
-            + ot*relus (client-garbler only) + fixed
-
-HE rates are fit per input area because ciphertext packing efficiency
-depends on resolution. Rows are weighted relatively so small online
-latencies count as much as large offline ones. A soft prior keeps the
-HE share of offline compute near its measured fraction on the
-largest-FLOP row per area, which pins down the split between the
-FLOP-driven and ReLU-driven offline terms.
+Rows are weighted relatively so small online latencies count as much as
+large offline ones. A soft prior row per input area keeps the HE share
+of offline compute near its measured fraction on the largest-FLOP row of
+that area; its coefficients are that row's FLOP-driven HE features,
+which pins down the split between the FLOP-driven and ReLU-driven
+offline terms. The report prices every row with the same formula.
 """
 
 from __future__ import annotations
@@ -23,16 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
-from ..netarch import NetworkArch, build_preset, canonical_dataset, count, linear_profile
-from .comm import (
-    CommInputs,
-    gc_party_small_terms,
-    offline_comm,
-    online_comm,
-    storage_deltas,
-)
+from ..netarch import NetworkArch, build_preset, canonical_dataset
+from .comm import gc_party_small_terms, offline_comm, online_comm, storage_deltas
+from .formula import Columns, Workload, compute_seconds
 from .types import (
     CalibrationReport,
     CostModel,
@@ -55,13 +48,7 @@ class CalibrationOptions:
 @dataclass(frozen=True)
 class _RowView:
     row: MeasuredCosts
-    arch: NetworkArch
-    sizes: CommInputs
-    conv_flops: int
-    fc_flops: int
-    relus: int
-    n_units: int
-    area: int
+    w: Workload
     offline_compute_s: float
     online_compute_s: float
 
@@ -80,16 +67,14 @@ def _default_archs(rows: list[MeasuredCosts]) -> dict[tuple[str, str], NetworkAr
 
 
 def _view(row: MeasuredCosts, arch: NetworkArch) -> _RowView:
-    sizes = CommInputs.from_arch(arch)
-    counts = count(arch)
-    profile = linear_profile(arch)
+    w = Workload.of(arch)
     bw = row.bandwidth_bytes_per_s
     off_comm = row.offline_comm_bytes
     if off_comm is None:
-        off_comm = offline_comm(row.protocol, sizes).total_bytes
+        off_comm = offline_comm(row.protocol, w.sizes).total_bytes
     on_comm = row.online_comm_bytes
     if on_comm is None:
-        on_comm = online_comm(row.protocol, sizes).total_bytes
+        on_comm = online_comm(row.protocol, w.sizes).total_bytes
     off_compute = row.offline_latency_s - off_comm / bw
     on_compute = row.online_latency_s - on_comm / bw
     if off_compute <= 0 or on_compute <= 0:
@@ -97,18 +82,7 @@ def _view(row: MeasuredCosts, arch: NetworkArch) -> _RowView:
             f"{row.protocol.short}/{row.model}/{row.dataset}: modeled wire time "
             "exceeds the measured latency; bandwidth or comm columns are off"
         )
-    return _RowView(
-        row=row,
-        arch=arch,
-        sizes=sizes,
-        conv_flops=profile.conv_flops,
-        fc_flops=profile.fc_flops,
-        relus=counts.relus,
-        n_units=profile.n_units,
-        area=arch.dataset.height * arch.dataset.width,
-        offline_compute_s=off_compute,
-        online_compute_s=on_compute,
-    )
+    return _RowView(row=row, w=w, offline_compute_s=off_compute, online_compute_s=on_compute)
 
 
 def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
@@ -119,8 +93,8 @@ def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
             if v.row.protocol is Protocol.SERVER_GARBLER
             else v.row.server_storage_bytes
         )
-        small = gc_party_small_terms(v.row.protocol, v.sizes)
-        rates.append((deltas_bytes - small) / v.relus)
+        small = gc_party_small_terms(v.row.protocol, v.w.sizes)
+        rates.append((deltas_bytes - small) / v.w.sizes.relus)
     rates_arr = np.asarray(rates)
     mean = float(rates_arr.mean())
     if mean <= 0:
@@ -134,62 +108,53 @@ def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
     return mean
 
 
-def _solve_offline(views, conv_areas, fc_areas, protocols, options):
-    n_conv, n_fc, n_prot = len(conv_areas), len(fc_areas), len(protocols)
-    n_vars = n_conv + n_fc + n_prot + 2  # + per-unit + fixed
-    rows_a, rows_b = [], []
+def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+    """argmin ||a x - b|| subject to x >= 0, by the Lawson-Hanson active set.
 
-    def add(coeffs: np.ndarray, target: float, weight: float) -> None:
-        # Relative weighting: normalize by the target magnitude.
-        rows_a.append(coeffs * (weight / target))
-        rows_b.append(weight)
-
-    for v in views:
-        coeffs = np.zeros(n_vars)
-        coeffs[conv_areas.index(v.area)] = v.conv_flops
-        if v.fc_flops:
-            coeffs[n_conv + fc_areas.index(v.area)] = v.fc_flops
-        coeffs[n_conv + n_fc + protocols.index(v.row.protocol)] = v.relus
-        coeffs[-2] = v.n_units
-        coeffs[-1] = 1.0
-        add(coeffs, v.offline_compute_s, 1.0)
-
-    if options.he_share_weight > 0:
-        for area in conv_areas:
-            candidates = [v for v in views if v.area == area]
-            cg = [v for v in candidates if v.row.protocol is Protocol.CLIENT_GARBLER]
-            pool = cg or candidates
-            anchor = max(pool, key=lambda v: v.conv_flops)
-            coeffs = np.zeros(n_vars)
-            coeffs[conv_areas.index(area)] = anchor.conv_flops
-            if anchor.fc_flops and area in fc_areas:
-                coeffs[n_conv + fc_areas.index(area)] = anchor.fc_flops
-            add(
-                coeffs,
-                options.he_share_target * anchor.offline_compute_s,
-                options.he_share_weight,
-            )
-
-    result = lsq_linear(np.vstack(rows_a), np.asarray(rows_b), bounds=(0, np.inf))
-    return result.x
+    Raises InconsistentRows if max_iter (default 3 * columns) steps, each
+    freeing one column, do not reach the optimum.
+    """
+    m, n = a.shape
+    max_iter = 3 * n if max_iter is None else max_iter
+    # Unit-norm columns keep the least-squares steps accurate when the
+    # columns' scales differ by orders of magnitude, as FLOPs and 1 do.
+    norms = np.linalg.norm(a, axis=0)
+    norms[norms == 0] = 1.0
+    a = a / norms
+    tol = 10 * max(m, n) * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * np.abs(b).sum()
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    for _ in range(max_iter + 1):
+        grad = a.T @ (b - a @ x)
+        if passive.all() or grad[~passive].max() <= tol:
+            return x / norms
+        passive[np.argmax(np.where(passive, -np.inf, grad))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0).all():
+                break
+            # Step from x toward z until the first passive entry reaches 0.
+            blocking = np.flatnonzero(passive & (z <= 0))
+            ratios = x[blocking] / np.maximum(x[blocking] - z[blocking], np.finfo(float).tiny)
+            x = x + ratios.min() * (z - x)
+            x[blocking[ratios.argmin()]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+        x = z
+    raise InconsistentRows(f"NNLS did not converge in {max_iter} steps")
 
 
-def _solve_online(views, protocols, options):
-    has_cg = Protocol.CLIENT_GARBLER in protocols
-    n_vars = 4 + (1 if has_cg else 0)  # eval, conv, fc, [ot], fixed
-    rows_a, rows_b = [], []
-    for v in views:
-        coeffs = np.zeros(n_vars)
-        coeffs[0] = v.relus
-        coeffs[1] = v.conv_flops
-        coeffs[2] = v.fc_flops
-        if has_cg and v.row.protocol is Protocol.CLIENT_GARBLER:
-            coeffs[3] = v.relus
-        coeffs[-1] = 1.0
-        rows_a.append(coeffs / v.online_compute_s)
-        rows_b.append(1.0)
-    result = lsq_linear(np.vstack(rows_a), np.asarray(rows_b), bounds=(0, np.inf))
-    return result.x
+def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
+    """Non-negative rates for (features, target, weight) rows, weighted relatively.
+
+    The rows are solved in a canonical order, so that the rates, to the
+    last bit, do not depend on the order of the measured table.
+    """
+    design = sorted(design, key=lambda row: (row[1], row[2], row[0]))
+    a = np.array([np.asarray(f) * (weight / target) for f, target, weight in design])
+    b = np.array([weight for _, _, weight in design])
+    return tuple(float(r) for r in nnls(a, b))
 
 
 def calibrate(
@@ -213,84 +178,51 @@ def calibrate(
         archs.setdefault(key, arch)
 
     views = [_view(row, archs[(row.model, row.dataset)]) for row in rows]
-    protocols = sorted({v.row.protocol for v in views}, key=lambda p: p.value)
-    conv_areas = sorted({v.area for v in views})
-    fc_areas = sorted({v.area for v in views if v.fc_flops})
+    columns = Columns(
+        conv_areas=tuple(sorted({v.w.area for v in views})),
+        fc_areas=tuple(sorted({v.w.area for v in views if v.w.fc_flops})),
+        protocols=tuple(sorted({v.row.protocol for v in views}, key=lambda p: p.value)),
+    )
+    features = [columns.features(v.row.protocol, v.w) for v in views]
 
-    gc_rate = _fit_gc_rate(views, options)
-    x_off = _solve_offline(views, conv_areas, fc_areas, protocols, options)
-    x_on = _solve_online(views, protocols, options)
-
-    n_conv, n_fc = len(conv_areas), len(fc_areas)
-    he_conv = {a: float(x_off[i]) for i, a in enumerate(conv_areas)}
-    he_fc = {a: float(x_off[n_conv + i]) for i, a in enumerate(fc_areas)}
-    garble = {
-        p: float(x_off[n_conv + n_fc + i]) for i, p in enumerate(protocols)
-    }
-    has_cg = Protocol.CLIENT_GARBLER in protocols
+    offline = [(off, v.offline_compute_s, 1.0) for v, (off, _) in zip(views, features)]
+    if options.he_share_weight > 0:
+        for area in columns.conv_areas:
+            pool = [v for v in views if v.w.area == area]
+            cg = [v for v in pool if v.row.protocol is Protocol.CLIENT_GARBLER]
+            anchor = max(cg or pool, key=lambda v: v.w.conv_flops)
+            anchor_off, _ = columns.features(anchor.row.protocol, anchor.w)
+            prior = [0.0] * len(anchor_off)
+            prior[columns.he_flops] = anchor_off[columns.he_flops]
+            offline.append(
+                (prior, options.he_share_target * anchor.offline_compute_s, options.he_share_weight)
+            )
+    online = [(on, v.online_compute_s, 1.0) for v, (_, on) in zip(views, features)]
 
     model = CostModel(
         mode=mode,
-        gc_bytes_per_relu=gc_rate,
-        he_conv_s_per_flop=he_conv,
-        he_fc_s_per_flop=he_fc,
-        he_s_per_linear_unit=float(x_off[-2]),
-        garble_s_per_relu=garble,
-        offline_fixed_s=float(x_off[-1]),
-        gc_eval_s_per_relu=float(x_on[0]),
-        online_conv_s_per_flop=float(x_on[1]),
-        online_fc_s_per_flop=float(x_on[2]),
-        ot_online_s_per_relu=float(x_on[3]) if has_cg else 0.0,
-        online_fixed_s=float(x_on[-1]),
+        gc_bytes_per_relu=_fit_gc_rate(views, options),
+        columns=columns,
+        offline_rates=_solve(offline),
+        online_rates=_solve(online),
         calibrated_bandwidth=float(views[0].row.bandwidth_bytes_per_s),
         table={(r.protocol, r.model, canonical_dataset(r.dataset)): r for r in rows},
-        calibrated_protocols=frozenset(protocols),
-        report=None,
     )
-    report = _build_report(model, views, conv_areas)
-    model = replace(model, report=report)
+    model = replace(model, report=_build_report(model, views))
     if options.validate:
-        _validate(options, report)
+        _validate(options, model.report)
     return model
 
 
-def _predict_compute(model: CostModel, v: _RowView) -> tuple[float, float]:
-    he = (
-        model.he_conv_s_per_flop.get(v.area, 0.0) * v.conv_flops
-        + model.he_fc_s_per_flop.get(v.area, 0.0) * v.fc_flops
-        + model.he_s_per_linear_unit * v.n_units
-    )
-    off = he + model.garble_s_per_relu[v.row.protocol] * v.relus + model.offline_fixed_s
-    on = (
-        model.gc_eval_s_per_relu * v.relus
-        + model.online_conv_s_per_flop * v.conv_flops
-        + model.online_fc_s_per_flop * v.fc_flops
-        + model.online_fixed_s
-    )
-    if v.row.protocol is Protocol.CLIENT_GARBLER:
-        on += model.ot_online_s_per_relu * v.relus
-    return off, on
-
-
-def predicted_he_share(model: CostModel, v_area: int, conv_flops: int, fc_flops: int, n_units: int, relus: int, protocol: Protocol) -> float:
-    he = (
-        model.he_conv_s_per_flop.get(v_area, 0.0) * conv_flops
-        + model.he_fc_s_per_flop.get(v_area, 0.0) * fc_flops
-        + model.he_s_per_linear_unit * n_units
-    )
-    total = he + model.garble_s_per_relu[protocol] * relus + model.offline_fixed_s
-    return he / total if total > 0 else 0.0
-
-
-def _build_report(model: CostModel, views: list[_RowView], conv_areas) -> CalibrationReport:
+def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
     residuals = []
     he_shares = {}
     worst_storage = 0.0
     for v in views:
-        off, on = _predict_compute(model, v)
+        off, on, _ = compute_seconds(model, v.row.protocol, v.w)
         bw = v.row.bandwidth_bytes_per_s
-        off_pred = off + offline_comm(v.row.protocol, v.sizes).total_bytes / bw
-        on_pred = on + online_comm(v.row.protocol, v.sizes).total_bytes / bw
+        off_pred = off + offline_comm(v.row.protocol, v.w.sizes).total_bytes / bw
+        on_pred = on + online_comm(v.row.protocol, v.w.sizes).total_bytes / bw
         residuals.append(
             (
                 v.label,
@@ -298,25 +230,17 @@ def _build_report(model: CostModel, views: list[_RowView], conv_areas) -> Calibr
                 abs(on_pred - v.row.online_latency_s) / v.row.online_latency_s,
             )
         )
-        deltas = storage_deltas(v.row.protocol, v.sizes)
+        deltas = storage_deltas(v.row.protocol, v.w.sizes)
         for measured, predicted in (
             (v.row.client_storage_bytes, deltas.client_bytes),
             (v.row.server_storage_bytes, deltas.server_bytes),
         ):
             if measured > 0:
                 worst_storage = max(worst_storage, abs(predicted - measured) / measured)
-    for area in conv_areas:
-        pool = [v for v in views if v.area == area]
-        anchor = max(pool, key=lambda v: v.conv_flops)
-        he_shares[anchor.label] = predicted_he_share(
-            model,
-            anchor.area,
-            anchor.conv_flops,
-            anchor.fc_flops,
-            anchor.n_units,
-            anchor.relus,
-            anchor.row.protocol,
-        )
+    for area in model.columns.conv_areas:
+        anchor = max((v for v in views if v.w.area == area), key=lambda v: v.w.conv_flops)
+        off, _, he = compute_seconds(model, anchor.row.protocol, anchor.w)
+        he_shares[anchor.label] = he / off if off > 0 else 0.0
     max_lat = max(max(r[1], r[2]) for r in residuals)
     return CalibrationReport(
         max_latency_residual=max_lat,

@@ -2,50 +2,26 @@
 
 Two prediction paths share one PhaseCosts shape. Table mode replays a
 measured row (exact at the calibrated bandwidth, wire term re-priced
-at other bandwidths). Component mode rebuilds the latency from fitted
-per-unit rates and works for any architecture, including knob-scaled
-what-ifs.
+at other bandwidths). Component mode prices any architecture, including
+knob-scaled what-ifs, with the formula the rates were fit by.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..netarch import (
-    LayerCounts,
-    NetworkArch,
-    canonical_dataset,
-    count,
-    linear_profile,
-)
-from .comm import (
-    GC_TRANSFER_BYTES_PER_RELU,
-    CommInputs,
-    offline_comm,
-    online_comm,
-    storage_deltas,
-)
+from ..netarch import NetworkArch, canonical_dataset, count
+from .comm import GC_TRANSFER_BYTES_PER_RELU, offline_comm, online_comm, storage_deltas
+from .formula import IDENTITY, Workload, compute_seconds
 from .types import (
     CostModel,
     InsufficientRows,
+    InvalidCostInput,
     OptimizationKnobs,
     PhaseCosts,
     Protocol,
     UncalibratedTriple,
-    scaled_model,
 )
-
-_IDENTITY = OptimizationKnobs()
-
-
-def _rate_for_area(rates: dict[int, float], area: int) -> float:
-    """Exact area match, else the calibrated area nearest in log scale."""
-    if not rates:
-        return 0.0
-    if area in rates:
-        return rates[area]
-    nearest = min(rates, key=lambda a: abs(math.log(area / a)))
-    return rates[nearest]
 
 
 def _split_like(total: int, c2s_model: int, s2c_model: int) -> tuple[int, int]:
@@ -56,14 +32,6 @@ def _split_like(total: int, c2s_model: int, s2c_model: int) -> tuple[int, int]:
     return c2s, total - c2s
 
 
-def _he_seconds(cm: CostModel, area: int, conv_flops: float, fc_flops: float, n_units: int) -> float:
-    return (
-        _rate_for_area(cm.he_conv_s_per_flop, area) * conv_flops
-        + _rate_for_area(cm.he_fc_s_per_flop, area) * fc_flops
-        + cm.he_s_per_linear_unit * n_units
-    )
-
-
 def _component_costs(
     cm: CostModel,
     protocol: Protocol,
@@ -71,25 +39,9 @@ def _component_costs(
     bandwidth: float,
     knobs: OptimizationKnobs,
 ) -> PhaseCosts:
-    cm_k = scaled_model(cm, knobs)
-    profile = linear_profile(arch)
-    sizes = CommInputs.from_arch(arch).scaled(knobs.relu_factor)
-    conv_flops = profile.conv_flops * knobs.flop_factor
-    fc_flops = profile.fc_flops * knobs.flop_factor
-    area = arch.dataset.height * arch.dataset.width
-
-    he = _he_seconds(cm_k, area, conv_flops, fc_flops, profile.n_units)
-    off_compute = (
-        he + cm_k.garble_s_per_relu[protocol] * sizes.relus + cm_k.offline_fixed_s
-    )
-    on_compute = (
-        cm_k.gc_eval_s_per_relu * sizes.relus
-        + cm_k.online_conv_s_per_flop * conv_flops
-        + cm_k.online_fc_s_per_flop * fc_flops
-        + cm_k.online_fixed_s
-    )
-    if protocol is Protocol.CLIENT_GARBLER:
-        on_compute += cm_k.ot_online_s_per_relu * sizes.relus
+    w = Workload.of(arch)
+    sizes = w.sizes.scaled(knobs.relu_factor)
+    off_compute, on_compute, he = compute_seconds(cm, protocol, w, knobs)
 
     off_comm = offline_comm(protocol, sizes)
     on_comm = online_comm(protocol, sizes)
@@ -110,7 +62,7 @@ def _component_costs(
         off_c2s -= gc_shrink
         server_recv -= gc_shrink
 
-    gc_bytes = int(round(cm_k.gc_bytes_per_relu * sizes.relus))
+    gc_bytes = int(round(cm.gc_bytes_per_relu * knobs.gc_per_relu_factor * sizes.relus))
     return PhaseCosts(
         protocol=protocol,
         model=arch.name,
@@ -140,10 +92,9 @@ def _table_costs(
             f"no measured row for {protocol.short}/{arch.name}/{arch.dataset.name}"
         )
     row = cm.table[key]
-    sizes = CommInputs.from_arch(arch)
-    profile = linear_profile(arch)
-    model_off = offline_comm(protocol, sizes)
-    model_on = online_comm(protocol, sizes)
+    w = Workload.of(arch)
+    model_off = offline_comm(protocol, w.sizes)
+    model_on = online_comm(protocol, w.sizes)
     off_bytes = row.offline_comm_bytes
     off_bytes = model_off.total_bytes if off_bytes is None else off_bytes
     on_bytes = row.online_comm_bytes
@@ -153,16 +104,7 @@ def _table_costs(
     off_compute = row.offline_latency_s - off_bytes / bw0
     on_compute = row.online_latency_s - on_bytes / bw0
     # Measured totals are not decomposed; attribute the fitted HE share.
-    he = min(
-        _he_seconds(
-            cm,
-            arch.dataset.height * arch.dataset.width,
-            profile.conv_flops,
-            profile.fc_flops,
-            profile.n_units,
-        ),
-        off_compute,
-    )
+    he = min(compute_seconds(cm, protocol, w)[2], off_compute)
     off_c2s, off_s2c = _split_like(off_bytes, model_off.c2s_bytes, model_off.s2c_bytes)
     on_c2s, on_s2c = _split_like(on_bytes, model_on.c2s_bytes, model_on.s2c_bytes)
     return PhaseCosts(
@@ -180,7 +122,7 @@ def _table_costs(
         online_comm_s2c_bytes=on_s2c,
         client_storage_delta_bytes=row.client_storage_bytes,
         server_storage_delta_bytes=row.server_storage_bytes,
-        gc_storage_bytes=int(round(cm.gc_bytes_per_relu * sizes.relus)),
+        gc_storage_bytes=int(round(cm.gc_bytes_per_relu * w.sizes.relus)),
         bandwidth_bytes_per_s=bandwidth,
     )
 
@@ -191,20 +133,20 @@ def phase_costs(
     arch: NetworkArch,
     bandwidth: float | None = None,
     knobs: OptimizationKnobs | None = None,
-    mode: str | None = None,
 ) -> PhaseCosts:
-    """Predict per-inference offline and online costs."""
+    """Predict per-inference offline and online costs in cm.mode."""
     protocol = Protocol.parse(protocol)
     if protocol not in cm.calibrated_protocols:
         raise InsufficientRows(
             f"model was calibrated without {protocol.short} rows"
         )
     bandwidth = cm.calibrated_bandwidth if bandwidth is None else bandwidth
-    knobs = knobs or _IDENTITY
-    mode = mode or cm.mode
-    if mode == "table":
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise InvalidCostInput(f"bandwidth must be finite and positive, got {bandwidth}")
+    knobs = knobs or IDENTITY
+    if cm.mode == "table":
         if not knobs.is_identity:
-            raise ValueError(
+            raise InvalidCostInput(
                 "table mode replays measured rows and cannot apply "
                 "optimization knobs; use component mode"
             )
@@ -216,23 +158,6 @@ def gc_storage(
     arch: NetworkArch, cm: CostModel, knobs: OptimizationKnobs | None = None
 ) -> int:
     """Bytes of garbled material one inference parks on the GC side."""
-    knobs = knobs or _IDENTITY
+    knobs = knobs or IDENTITY
     relus = count(arch).relus * knobs.relu_factor
     return int(round(relus * cm.gc_bytes_per_relu * knobs.gc_per_relu_factor))
-
-
-def max_sustainable_rate(costs: PhaseCosts) -> float:
-    """Arrival rate beyond which a serial single server falls behind."""
-    return 1.0 / (costs.offline_latency_s + costs.online_latency_s)
-
-
-def apply_optimization(
-    counts: LayerCounts, cm: CostModel, knobs: OptimizationKnobs
-) -> tuple[LayerCounts, CostModel]:
-    """Scale counts and per-unit rates by the knob factors."""
-    scaled_counts = LayerCounts(
-        params=counts.params,
-        flops=int(round(counts.flops * knobs.flop_factor)),
-        relus=int(round(counts.relus * knobs.relu_factor)),
-    )
-    return scaled_counts, scaled_model(cm, knobs)

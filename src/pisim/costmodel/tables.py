@@ -128,7 +128,8 @@ def config_dir() -> Path | None:
     return Path(override) if override else None
 
 
-def _open_config(filename: str):
+def open_config(filename: str):
+    """Open a shipped config file, or its shadow under PISIM_CONFIG_DIR."""
     override = config_dir()
     if override is not None:
         path = override / filename
@@ -139,12 +140,12 @@ def _open_config(filename: str):
 
 
 def load_shipped_costs() -> list[MeasuredCosts]:
-    with _open_config(MEASURED_COSTS_FILENAME) as stream:
+    with open_config(MEASURED_COSTS_FILENAME) as stream:
         return read_measured_costs(stream)
 
 
 def load_optimizations() -> dict[str, OptimizationKnobs]:
-    with _open_config(OPTIMIZATIONS_FILENAME) as stream:
+    with open_config(OPTIMIZATIONS_FILENAME) as stream:
         return read_optimizations(stream)
 
 

@@ -3,7 +3,20 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .formula import Columns
+
+
+class CostModelError(Exception):
+    """Root of the cost model's errors; the CLI maps each to exit 2."""
+
+
+class InvalidCostInput(CostModelError, ValueError):
+    """A cost, rate, knob factor, bandwidth, mode or protocol out of its domain."""
 
 
 class Protocol(str, enum.Enum):
@@ -26,16 +39,12 @@ class Protocol(str, enum.Enum):
             "client-garbler": cls.CLIENT_GARBLER,
         }
         if key not in aliases:
-            raise ValueError(f"unknown protocol {value!r}; use sg or cg")
+            raise InvalidCostInput(f"unknown protocol {value!r}; use sg or cg")
         return aliases[key]
 
     @property
     def short(self) -> str:
         return "sg" if self is Protocol.SERVER_GARBLER else "cg"
-
-
-class CostModelError(Exception):
-    pass
 
 
 class InsufficientRows(CostModelError):
@@ -96,8 +105,8 @@ class OptimizationKnobs:
             self.gc_per_relu_factor,
             self.he_per_flop_factor,
         ):
-            if f <= 0:
-                raise ValueError(f"knob factors must be positive, got {f}")
+            if not (math.isfinite(f) and f > 0):
+                raise InvalidCostInput(f"knob factors must be finite and positive, got {f}")
 
     @property
     def is_identity(self) -> bool:
@@ -164,7 +173,8 @@ class PhaseCosts:
             "gc_storage_bytes",
         ):
             value = getattr(self, name)
-            assert value >= 0, f"negative cost {name}={value}"
+            if not value >= 0:
+                raise InvalidCostInput(f"cost {name}={value} is not non-negative")
 
     @property
     def offline_comm_bytes(self) -> int:
@@ -191,68 +201,29 @@ class CalibrationReport:
 class CostModel:
     """Calibrated rates plus the measured table they were fit from.
 
-    mode picks the default phase_costs path: "table" replays measured
-    rows (exact at the calibrated bandwidth), "component" scales the
-    fitted per-ReLU / per-FLOP rates to any architecture. HE rates are
-    keyed by input area (height*width) because ciphertext packing
-    efficiency differs per resolution; queries snap to the nearest
-    calibrated area.
+    mode picks the phase_costs path: "table" replays measured rows (exact
+    at the calibrated bandwidth), "component" prices any architecture with
+    the fitted rates. offline_rates and online_rates hold one rate per
+    calibrated column (see formula.Columns); a prediction is their dot
+    product with the network's feature vectors.
     """
 
     mode: str
     gc_bytes_per_relu: float
-    he_conv_s_per_flop: dict[int, float]
-    he_fc_s_per_flop: dict[int, float]
-    he_s_per_linear_unit: float
-    garble_s_per_relu: dict[Protocol, float]
-    offline_fixed_s: float
-    gc_eval_s_per_relu: float
-    online_conv_s_per_flop: float
-    online_fc_s_per_flop: float
-    ot_online_s_per_relu: float
-    online_fixed_s: float
+    columns: Columns
+    offline_rates: tuple[float, ...]
+    online_rates: tuple[float, ...]
     calibrated_bandwidth: float
     table: dict[tuple[Protocol, str, str], MeasuredCosts]
-    calibrated_protocols: frozenset[Protocol]
     report: CalibrationReport | None = None
 
     def __post_init__(self):
-        assert self.mode in ("table", "component"), self.mode
-        rates = [
-            self.gc_bytes_per_relu,
-            self.he_s_per_linear_unit,
-            self.offline_fixed_s,
-            self.gc_eval_s_per_relu,
-            self.online_conv_s_per_flop,
-            self.online_fc_s_per_flop,
-            self.ot_online_s_per_relu,
-            self.online_fixed_s,
-            *self.he_conv_s_per_flop.values(),
-            *self.he_fc_s_per_flop.values(),
-            *self.garble_s_per_relu.values(),
-        ]
-        assert all(r >= 0 for r in rates), "all rates must be non-negative"
+        if self.mode not in ("table", "component"):
+            raise InvalidCostInput(f"mode must be 'table' or 'component', got {self.mode!r}")
+        rates = (self.gc_bytes_per_relu, *self.offline_rates, *self.online_rates)
+        if not all(r >= 0 for r in rates):
+            raise InvalidCostInput("all rates must be non-negative")
 
-    def with_mode(self, mode: str) -> "CostModel":
-        return replace(self, mode=mode)
-
-
-def scaled_model(cm: CostModel, knobs: OptimizationKnobs) -> CostModel:
-    """Apply the per-unit knob factors to a calibrated model."""
-    if knobs.is_identity:
-        return cm
-    return replace(
-        cm,
-        gc_bytes_per_relu=cm.gc_bytes_per_relu * knobs.gc_per_relu_factor,
-        he_conv_s_per_flop={
-            k: v * knobs.he_per_flop_factor for k, v in cm.he_conv_s_per_flop.items()
-        },
-        he_fc_s_per_flop={
-            k: v * knobs.he_per_flop_factor for k, v in cm.he_fc_s_per_flop.items()
-        },
-        garble_s_per_relu={
-            k: v * knobs.gc_per_relu_factor for k, v in cm.garble_s_per_relu.items()
-        },
-        gc_eval_s_per_relu=cm.gc_eval_s_per_relu * knobs.gc_per_relu_factor,
-        ot_online_s_per_relu=cm.ot_online_s_per_relu,
-    )
+    @property
+    def calibrated_protocols(self) -> frozenset[Protocol]:
+        return frozenset(self.columns.protocols)

@@ -132,7 +132,8 @@ def run_sweep(
     return run_points(tasks, jobs)
 
 
-def _fmt(value: object) -> str:
+def format_value(value: object) -> str:
+    """One output cell: floats at .6g, booleans as true/false."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -149,4 +150,4 @@ def write_sweep_csv(rows: Sequence[dict[str, object]], path: str | Path) -> None
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([format_value(row[c]) for c in SWEEP_COLUMNS])

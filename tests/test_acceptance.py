@@ -21,7 +21,6 @@ from pisim.costmodel import (
     get_optimization,
     load_shipped_costs,
     load_shipped_model,
-    max_sustainable_rate,
     phase_costs,
     storage_deltas,
 )
@@ -203,8 +202,9 @@ def test_criterion_06_serial_crossover():
     # (c) both protocols sit beyond their serial stability limit at the
     # top rate and mean latency keeps growing with the horizon
     top = rates[-1]
-    assert top > max_sustainable_rate(sg_costs)
-    assert top > max_sustainable_rate(cg_costs)
+    serial = SimConfig(arrival_rate=1.0, concurrency=SERIAL)
+    assert top > stability_limit(sg_costs, serial)
+    assert top > stability_limit(cg_costs, serial)
     assert sg8[top].saturated and cg8[top].saturated
     costs = phase_costs(TABLE_CM, SG, build_preset("resnet32", "cifar100"))
     short = run_many(costs, SimConfig(

@@ -3,7 +3,10 @@
 import dataclasses
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisim.costmodel import (
     CalibrationOptions,
@@ -15,6 +18,7 @@ from pisim.costmodel import (
     read_measured_costs,
     write_measured_costs,
 )
+from pisim.costmodel.calibrate import nnls
 
 
 @pytest.fixture(scope="module")
@@ -97,4 +101,73 @@ def test_calibration_is_deterministic(rows):
     a = calibrate(rows)
     b = calibrate(list(reversed(rows)))
     assert a.gc_bytes_per_relu == b.gc_bytes_per_relu
-    assert a.he_conv_s_per_flop == b.he_conv_s_per_flop
+    assert a.offline_rates == b.offline_rates
+    assert a.online_rates == b.online_rates
+
+
+# The 13 rates the two solves returned before NNLS replaced a bounded
+# least-squares solver. Three of them were left at 1e-25 to 1e-17 and
+# must now be (nearly) zero.
+GOLDEN_OFFLINE = (
+    5.272025013383356e-07,  # HE conv, 32x32 inputs
+    4.770000502258914e-07,  # HE conv, 64x64 inputs
+    3.3742854208984844e-06,  # HE FC, 32x32 inputs
+    2.865267053355287e-25,  # HE FC, 64x64 inputs
+    0.32682147331313827,  # per linear unit
+    1.610897613246555e-05,  # garbling, client-garbler
+    3.377248357860331e-05,  # garbling, server-garbler
+    2.7356910956325307e-17,  # fixed
+)
+GOLDEN_ONLINE = (
+    2.080904107956079e-05,  # GC evaluation
+    1.3446084579166537e-23,  # conv
+    1.830719150018075e-08,  # FC
+    0.06469371484152127,  # fixed
+    8.19090410618518e-06,  # OT, client-garbler
+)
+
+
+def test_golden_rates(cm):
+    assert cm.columns.conv_areas == (1024, 4096)
+    assert cm.columns.fc_areas == (1024, 4096)
+    assert cm.columns.protocols == (Protocol.CLIENT_GARBLER, Protocol.SERVER_GARBLER)
+    got = cm.offline_rates + cm.online_rates
+    for i, (rate, golden) in enumerate(zip(got, GOLDEN_OFFLINE + GOLDEN_ONLINE, strict=True)):
+        if golden < 1e-15:
+            assert 0.0 <= rate <= 1e-15, i
+        else:
+            assert rate == pytest.approx(golden, rel=1e-12, abs=0.0), i
+
+
+@st.composite
+def systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, 16))
+    # columns a few orders of magnitude apart, as in the calibration design
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    return rng.standard_normal((m, n)) * scale, rng.standard_normal(m)
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_nnls_meets_kkt_and_matches_scipy(system):
+    a, b = system
+    x = nnls(a, b)
+    grad = a.T @ (b - a @ x)  # minus the gradient of ||ax - b||^2 / 2
+    tol = 1e-9 * np.linalg.norm(a, axis=0) * np.linalg.norm(b)
+    assert (x >= 0).all()
+    assert (grad[x == 0] <= tol[x == 0]).all()
+    assert (np.abs(grad[x > 0]) <= tol[x > 0]).all()
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    want = scipy_optimize.nnls(a, b)[0]
+    assert np.allclose(x, want, rtol=1e-7, atol=1e-9 * np.abs(want).max(initial=1.0))
+
+
+def test_nnls_iteration_cap_raises():
+    a = np.eye(3)
+    b = np.ones(3)
+    # each of the three columns takes one step to free
+    assert np.allclose(nnls(a, b, max_iter=3), 1.0)
+    with pytest.raises(InconsistentRows):
+        nnls(a, b, max_iter=2)

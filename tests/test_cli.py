@@ -71,6 +71,37 @@ def test_cost_unknown_knobs(capsys):
     assert "wishful" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--bandwidth", "0"],
+        ["--bandwidth", "-5"],
+        ["--bandwidth", "nan"],
+        ["--knobs", "relu=0"],
+        ["--knobs", "relu=nan"],
+        ["--knobs", "relu=abc"],
+        ["--mode", "table", "--knobs", "relu=0.5"],
+        ["--protocol", "xx"],
+    ],
+    ids=" ".join,
+)
+def test_cost_bad_input_exits_2(argv, capsys):
+    assert run_cli("cost", *argv) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_imports_no_scipy_or_numba():
+    code = (
+        "import sys, pisim.cli; pisim.cli.load_shipped_model(); "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # --- experiment specs -------------------------------------------------------
 
 

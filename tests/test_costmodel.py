@@ -1,6 +1,8 @@
 """Cost model: byte accounting, calibration queries, knobs, regimes."""
 
+import dataclasses
 import io
+import math
 
 import pytest
 
@@ -10,6 +12,7 @@ from pisim.costmodel import (
     GC_TRANSFER_BYTES_PER_RELU,
     HE_CT_BYTES_PER_ELEM,
     InsufficientRows,
+    InvalidCostInput,
     CommInputs,
     OptimizationKnobs,
     Protocol,
@@ -24,7 +27,6 @@ from pisim.costmodel import (
     load_optimizations,
     load_shipped_costs,
     load_shipped_model,
-    max_sustainable_rate,
     offline_comm,
     online_comm,
     phase_costs,
@@ -32,6 +34,7 @@ from pisim.costmodel import (
     storage_deltas,
     write_measured_costs,
 )
+from pisim.desim import SERIAL, SimConfig, stability_limit
 from pisim.netarch import build_preset, count, linear_profile
 
 SG = Protocol.SERVER_GARBLER
@@ -219,6 +222,26 @@ def test_knob_validation():
     OptimizationKnobs(flop_factor=2.0, name="ok")
 
 
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, 0.0])
+def test_knobs_reject_non_finite_factors(factor):
+    with pytest.raises(InvalidCostInput):
+        OptimizationKnobs(he_per_flop_factor=factor, name="bad")
+
+
+def test_bad_costs_and_models_raise_typed_errors(comp_cm):
+    arch = build_preset("resnet32", "cifar100")
+    costs = phase_costs(comp_cm, SG, arch)
+    with pytest.raises(InvalidCostInput):
+        dataclasses.replace(costs, online_latency_s=-1.0)
+    with pytest.raises(InvalidCostInput):
+        dataclasses.replace(comp_cm, mode="replay")
+    with pytest.raises(InvalidCostInput):
+        dataclasses.replace(comp_cm, online_rates=(-1.0,) + comp_cm.online_rates[1:])
+    for bandwidth in (0.0, -5.0, math.nan, math.inf):
+        with pytest.raises(InvalidCostInput):
+            phase_costs(comp_cm, SG, arch, bandwidth=bandwidth)
+
+
 def test_get_optimization_aliases_and_unknown():
     assert get_optimization("none").relu_factor == 1.0
     assert get_optimization("identity") == get_optimization("baseline")
@@ -238,7 +261,7 @@ def test_regime_classification():
 
 def test_max_sustainable_rate(table_cm):
     costs = phase_costs(table_cm, SG, build_preset("resnet32", "cifar100"))
-    rate = max_sustainable_rate(costs)
+    rate = stability_limit(costs, SimConfig(arrival_rate=1.0, concurrency=SERIAL))
     assert rate == pytest.approx(1.0 / (115.2 + 9.4))
 
 

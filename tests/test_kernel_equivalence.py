@@ -38,7 +38,7 @@ def test_matvec_matches_reference(data, p, rows, cols):
     w = data.draw(residues((rows, cols), p))
     x = data.draw(residues((cols,), p))
     b = data.draw(residues((rows,), p))
-    assert np.array_equal(K.matvec_mod_numpy(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
+    assert np.array_equal(K.matvec_mod(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
 
 
 # 2**17 + 5 columns of p - 1 overflow int64 unless partial sums are
@@ -49,7 +49,7 @@ def test_matvec_across_the_chunk_boundary(data, p, cols):
     w = data.draw(residues((2, cols), p))
     x = data.draw(residues((cols,), p))
     b = data.draw(residues((2,), p))
-    assert np.array_equal(K.matvec_mod_numpy(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
+    assert np.array_equal(K.matvec_mod(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
 
 
 def test_conv_across_the_chunk_boundary():
@@ -58,7 +58,7 @@ def test_conv_across_the_chunk_boundary():
         x = np.full((1821, 4, 3), p - 1, dtype=np.int64)
         w = np.full((2, 1821, 3, 3), p - 1, dtype=np.int64)
         b = np.full(2, p - 1, dtype=np.int64)
-        got = K.conv2d_mod_numpy(x, w, b, 1, 0, p)
+        got = K.conv2d_mod(x, w, b, 1, 0, p)
         assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, p))
 
 
@@ -82,7 +82,7 @@ def test_conv_matches_reference(data, p, case):
     x = data.draw(residues((ci, h, ww), p))
     w = data.draw(residues((co, ci, k, k), p))
     b = data.draw(residues((co,), p))
-    got = K.conv2d_mod_numpy(x, w, b, stride, pad, p)
+    got = K.conv2d_mod(x, w, b, stride, pad, p)
     assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, p))
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: cost reports, simulations, sweeps, verification.
 
 Exit codes: 0 success, 1 verification mismatch, 2 unknown identifier,
-bad input file or bad cost input, 3 infeasible configuration.
+bad input file, invalid architecture or bad cost input, 3 infeasible
+configuration.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .costmodel import (
     OptimizationKnobs,
     Protocol,
     classify_regime,
-    gc_storage,
     get_optimization,
     load_shipped_model,
     offline_comm,
@@ -43,6 +43,7 @@ from .field import FieldOverflowRisk
 from .netarch import (
     DATASETS,
     MODELS,
+    InvalidArch,
     NetworkArch,
     ParseError,
     UnknownPreset,
@@ -264,7 +265,6 @@ def cmd_cost(args: argparse.Namespace) -> int:
     arch = resolve_arch(args.model, args.dataset)
     protocol = Protocol.parse(args.protocol)
     costs = phase_costs(cm, protocol, arch, bandwidth=args.bandwidth, knobs=knobs)
-    gc_bytes = gc_storage(arch, cm, knobs)
     gc_side = "client" if protocol is Protocol.SERVER_GARBLER else "server"
 
     _print_kv("protocol", f"{protocol.value} ({protocol.short})")
@@ -294,7 +294,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     )
     _print_kv("client storage", _fmt_bytes(costs.client_storage_delta_bytes))
     _print_kv("server storage", _fmt_bytes(costs.server_storage_delta_bytes))
-    _print_kv("gc storage", f"{_fmt_bytes(gc_bytes)} (held by {gc_side})")
+    _print_kv("gc storage", f"{_fmt_bytes(costs.gc_storage_bytes)} (held by {gc_side})")
     serial = SimConfig(arrival_rate=1.0, concurrency=SERIAL)
     _print_kv("max sustainable", f"{stability_limit(costs, serial):.6g} req/s (serial)")
     _print_kv("regime", classify_regime(knobs).value)
@@ -359,7 +359,6 @@ def _spec_config(spec: ExperimentSpec, rate: float, cap_gb: float) -> SimConfig:
         server_capacity_bytes=spec.server_capacity_gb * 1e9,
         client_capacity_bytes=client_cap,
         concurrency=spec.concurrency,
-        keep_records=False,
     )
 
 
@@ -429,7 +428,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         protocols = (Protocol.SERVER_GARBLER, Protocol.CLIENT_GARBLER)
     else:
         protocols = (Protocol.parse(args.protocol),)
-    if args.trials <= 0:
+    if args.trials < 0:
+        raise SpecError(f"--trials must be non-negative, got {args.trials}")
+    if args.trials == 0:
         print("warning: zero trials requested; nothing verified")
         return EXIT_OK
 
@@ -562,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownPreset, CostModelError, SpecError, ParseError) as exc:
+    except (UnknownPreset, CostModelError, SpecError, ParseError, InvalidArch) as exc:
         msg = str(exc)
         if isinstance(exc, UnknownPreset) and "known" not in msg:
             msg += (
@@ -571,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(f"error: {msg}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except VerifyGuard as exc:

@@ -145,6 +145,14 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
     raise InconsistentRows(f"NNLS did not converge in {max_iter} steps")
 
 
+def _anchor(views: list[_RowView], area: int) -> _RowView:
+    """The row whose HE share the prior pins for one input area: the
+    client-garbler row with the most conv FLOPs, or any row if none is cg."""
+    pool = [v for v in views if v.w.area == area]
+    cg = [v for v in pool if v.row.protocol is Protocol.CLIENT_GARBLER]
+    return max(cg or pool, key=lambda v: v.w.conv_flops)
+
+
 def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
     """Non-negative rates for (features, target, weight) rows, weighted relatively.
 
@@ -188,9 +196,7 @@ def calibrate(
     offline = [(off, v.offline_compute_s, 1.0) for v, (off, _) in zip(views, features)]
     if options.he_share_weight > 0:
         for area in columns.conv_areas:
-            pool = [v for v in views if v.w.area == area]
-            cg = [v for v in pool if v.row.protocol is Protocol.CLIENT_GARBLER]
-            anchor = max(cg or pool, key=lambda v: v.w.conv_flops)
+            anchor = _anchor(views, area)
             anchor_off, _ = columns.features(anchor.row.protocol, anchor.w)
             prior = [0.0] * len(anchor_off)
             prior[columns.he_flops] = anchor_off[columns.he_flops]
@@ -238,7 +244,7 @@ def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
             if measured > 0:
                 worst_storage = max(worst_storage, abs(predicted - measured) / measured)
     for area in model.columns.conv_areas:
-        anchor = max((v for v in views if v.w.area == area), key=lambda v: v.w.conv_flops)
+        anchor = _anchor(views, area)
         off, _, he = compute_seconds(model, anchor.row.protocol, anchor.w)
         he_shares[anchor.label] = he / off if off > 0 else 0.0
     max_lat = max(max(r[1], r[2]) for r in residuals)

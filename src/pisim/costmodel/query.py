@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import math
 
-from ..netarch import NetworkArch, canonical_dataset, count
-from .comm import GC_TRANSFER_BYTES_PER_RELU, offline_comm, online_comm, storage_deltas
+from ..netarch import NetworkArch, canonical_dataset
+from .comm import (
+    GC_TRANSFER_BYTES_PER_RELU,
+    CommInputs,
+    offline_comm,
+    online_comm,
+    storage_deltas,
+)
 from .formula import IDENTITY, Workload, compute_seconds
 from .types import (
     CostModel,
@@ -62,7 +68,6 @@ def _component_costs(
         off_c2s -= gc_shrink
         server_recv -= gc_shrink
 
-    gc_bytes = int(round(cm.gc_bytes_per_relu * knobs.gc_per_relu_factor * sizes.relus))
     return PhaseCosts(
         protocol=protocol,
         model=arch.name,
@@ -78,7 +83,7 @@ def _component_costs(
         online_comm_s2c_bytes=on_comm.s2c_bytes,
         client_storage_delta_bytes=client_recv + deltas.client_self_bytes,
         server_storage_delta_bytes=server_recv + deltas.server_self_bytes,
-        gc_storage_bytes=gc_bytes,
+        gc_storage_bytes=_gc_bytes(cm, knobs, w.sizes),
         bandwidth_bytes_per_s=bandwidth,
     )
 
@@ -122,7 +127,7 @@ def _table_costs(
         online_comm_s2c_bytes=on_s2c,
         client_storage_delta_bytes=row.client_storage_bytes,
         server_storage_delta_bytes=row.server_storage_bytes,
-        gc_storage_bytes=int(round(cm.gc_bytes_per_relu * w.sizes.relus)),
+        gc_storage_bytes=_gc_bytes(cm, IDENTITY, w.sizes),
         bandwidth_bytes_per_s=bandwidth,
     )
 
@@ -158,6 +163,11 @@ def gc_storage(
     arch: NetworkArch, cm: CostModel, knobs: OptimizationKnobs | None = None
 ) -> int:
     """Bytes of garbled material one inference parks on the GC side."""
-    knobs = knobs or IDENTITY
-    relus = count(arch).relus * knobs.relu_factor
-    return int(round(relus * cm.gc_bytes_per_relu * knobs.gc_per_relu_factor))
+    return _gc_bytes(cm, knobs or IDENTITY, CommInputs.from_arch(arch))
+
+
+def _gc_bytes(cm: CostModel, knobs: OptimizationKnobs, sizes: CommInputs) -> int:
+    """The one GC storage price, on the ReLU count as `CommInputs.scaled`
+    rounds it; `PhaseCosts` and `gc_storage` both use it."""
+    relus = sizes.scaled(knobs.relu_factor).relus
+    return int(round(cm.gc_bytes_per_relu * knobs.gc_per_relu_factor * relus))

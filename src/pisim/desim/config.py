@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 SERIAL = "serial"
@@ -31,13 +32,19 @@ class SimConfig:
     server_capacity_bytes: float | None = 1e13
     client_capacity_bytes: float | None = None
     concurrency: str = SERIAL
-    keep_records: bool = True
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
-            raise ConfigInfeasible(f"negative arrival rate {self.arrival_rate}")
-        if self.horizon_s <= 0:
-            raise ConfigInfeasible(f"horizon must be positive, got {self.horizon_s}")
+        # Each check is written so that NaN fails it.
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ConfigInfeasible(
+                f"arrival rate must be finite and non-negative, got {self.arrival_rate}"
+            )
+        if not 0 < self.horizon_s < math.inf:
+            raise ConfigInfeasible(f"horizon must be finite and positive, got {self.horizon_s}")
+        for name in ("server_capacity_bytes", "client_capacity_bytes"):
+            capacity = getattr(self, name)
+            if capacity is not None and math.isnan(capacity):
+                raise ConfigInfeasible(f"{name} is NaN")
         if self.n_runs < 1:
             raise ConfigInfeasible(f"n_runs must be at least 1, got {self.n_runs}")
         if self.concurrency not in (SERIAL, PIPELINED):

@@ -46,7 +46,7 @@ def capacity_bundles(costs: PhaseCosts, config: SimConfig) -> float:
     """How many unconsumed bundles fit in storage; math.inf when unbounded."""
     client_b, server_b = _bundle_bytes(costs)
     cap = math.inf
-    if server_b > 0:
+    if server_b > 0 and config.server_capacity_bytes < math.inf:
         cap = min(cap, math.floor(config.server_capacity_bytes / server_b))
     if config.client_capacity_bytes is not None and client_b > 0:
         cap = min(cap, math.floor(config.client_capacity_bytes / client_b))
@@ -147,8 +147,8 @@ def pipelined_schedule(
     return schedule, first
 
 
-def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
-    """Run one arrival realization and summarize it.
+def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:
+    """One arrival realization's schedule and its peak count of live bundles.
 
     The same seed always produces the same arrival times and therefore the
     same schedule; both phases are deterministic given the arrivals.
@@ -159,12 +159,16 @@ def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
     off = costs.offline_latency_s
     on = costs.online_latency_s
     if config.concurrency == SERIAL:
-        schedule, peak = serial_schedule(arrivals, off, on, config.horizon_s)
-    else:
-        cap = capacity_bundles(costs, config)
-        schedule, peak = pipelined_schedule(arrivals, off, on, cap, config.horizon_s)
-    client_b, server_b = _bundle_bytes(costs)
+        return serial_schedule(arrivals, off, on, config.horizon_s)
+    cap = capacity_bundles(costs, config)
+    return pipelined_schedule(arrivals, off, on, cap, config.horizon_s)
+
+
+def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
+    """Run one arrival realization and summarize it."""
+    schedule, peak = run_schedule(costs, config, seed)
     saturated = config.arrival_rate > stability_limit(costs, config)
+    client_b, server_b = _bundle_bytes(costs)
     return summarize_run(
         costs, config, seed, schedule, saturated, peak * client_b, peak * server_b
     )

@@ -1,56 +1,14 @@
-"""Per-request schedules and records, per-run summaries, and multi-run aggregation."""
+"""Per-request schedules, per-run summaries, and multi-run aggregation."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..costmodel.types import PhaseCosts
 from .config import SimConfig
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """Timeline of one request.
-
-    bundle_ready_s is when its precompute bundle finished building,
-    which can precede arrival. done_s is None when the run's horizon
-    cut the request off.
-    """
-
-    index: int
-    arrival_s: float
-    bundle_ready_s: float
-    online_start_s: float | None
-    done_s: float | None
-
-    @property
-    def finished(self) -> bool:
-        return self.done_s is not None
-
-    @property
-    def latency_s(self) -> float:
-        if self.done_s is None:
-            return math.nan
-        return self.done_s - self.arrival_s
-
-    @property
-    def precompute_wait_s(self) -> float:
-        return max(0.0, self.bundle_ready_s - self.arrival_s)
-
-    @property
-    def queue_wait_s(self) -> float:
-        if self.online_start_s is None:
-            return math.nan
-        return self.online_start_s - max(self.arrival_s, self.bundle_ready_s)
-
-    @property
-    def online_s(self) -> float:
-        if self.done_s is None or self.online_start_s is None:
-            return math.nan
-        return self.done_s - self.online_start_s
 
 
 @dataclass(frozen=True)
@@ -66,22 +24,6 @@ class Schedule:
     online_start: np.ndarray
     done: np.ndarray
 
-    def records(self) -> tuple[RequestRecord, ...]:
-        def cut(t: float) -> float | None:
-            return None if math.isnan(t) else t
-
-        return tuple(
-            RequestRecord(k, a, r, cut(o), cut(d))
-            for k, (a, r, o, d) in enumerate(
-                zip(
-                    self.arrival.tolist(),
-                    self.bundle_ready.tolist(),
-                    self.online_start.tolist(),
-                    self.done.tolist(),
-                )
-            )
-        )
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -95,15 +37,12 @@ class RunMetrics:
     arrived: int
     completed: int
     mean_latency_s: float
-    median_latency_s: float
-    p95_latency_s: float
     mean_precompute_wait_s: float
     mean_queue_wait_s: float
     mean_online_s: float
     saturated: bool
     peak_client_storage_bytes: int
     peak_server_storage_bytes: int
-    records: tuple[RequestRecord, ...] = field(default_factory=tuple, repr=False)
 
 
 def _mean(values: np.ndarray) -> float:
@@ -136,21 +75,19 @@ def summarize_run(
         arrived=schedule.arrival.size,
         completed=lat.size,
         mean_latency_s=_mean(lat),
-        median_latency_s=float(np.median(lat)) if lat.size else math.nan,
-        p95_latency_s=float(np.percentile(lat, 95)) if lat.size else math.nan,
         mean_precompute_wait_s=_mean(np.maximum(ready - arrival, 0.0)),
         mean_queue_wait_s=_mean(online - np.maximum(arrival, ready)),
         mean_online_s=_mean(done - online),
         saturated=saturated,
         peak_client_storage_bytes=peak_client,
         peak_server_storage_bytes=peak_server,
-        records=schedule.records() if config.keep_records else (),
     )
 
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Across-run means with 95% confidence half-widths (1.96 s/sqrt n)."""
+    """Across-run means with 95% confidence half-widths (1.96 s/sqrt n);
+    peak storage is the largest over the runs."""
 
     n_runs: int
     arrival_rate: float
@@ -167,7 +104,8 @@ class AggregateMetrics:
     saturated: bool
     arrived: int
     completed: int
-    runs: tuple[RunMetrics, ...] = field(repr=False, default_factory=tuple)
+    peak_client_storage_bytes: int
+    peak_server_storage_bytes: int
 
 
 def _ci95(values: np.ndarray) -> float:
@@ -200,5 +138,6 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
         saturated=any(r.saturated for r in runs),
         arrived=sum(r.arrived for r in runs),
         completed=sum(r.completed for r in runs),
-        runs=tuple(runs),
+        peak_client_storage_bytes=max(r.peak_client_storage_bytes for r in runs),
+        peak_server_storage_bytes=max(r.peak_server_storage_bytes for r in runs),
     )

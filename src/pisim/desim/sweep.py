@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -90,8 +89,8 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
     row["mean_precompute_wait_s"] = agg.mean_precompute_wait_s
     row["mean_queue_wait_s"] = agg.mean_queue_wait_s
     row["mean_online_s"] = agg.mean_online_s
-    row["peak_client_storage_bytes"] = max(r.peak_client_storage_bytes for r in agg.runs)
-    row["peak_server_storage_bytes"] = max(r.peak_server_storage_bytes for r in agg.runs)
+    row["peak_client_storage_bytes"] = agg.peak_client_storage_bytes
+    row["peak_server_storage_bytes"] = agg.peak_server_storage_bytes
     return {c: row[c] for c in SWEEP_COLUMNS}
 
 
@@ -110,26 +109,6 @@ def run_points(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_point, tasks))
     return [_run_point(t) for t in tasks]
-
-
-def run_sweep(
-    cost_rows: Sequence[PhaseCosts],
-    rates: Sequence[float],
-    config: SimConfig,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> list[dict[str, object]]:
-    """Cross every cost row with every arrival rate.
-
-    Per-request records are dropped so large sweeps stay small; jobs > 1
-    distributes grid cells over worker processes.
-    """
-    tasks = []
-    for costs in cost_rows:
-        for rate in rates:
-            cell = dataclasses.replace(config, arrival_rate=rate, keep_records=False)
-            tasks.append((costs, cell, base_seed))
-    return run_points(tasks, jobs)
 
 
 def format_value(value: object) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from pisim.desim.engine import (
     capacity_bundles,
     stability_limit,
 )
-from pisim.desim.metrics import RequestRecord, RunMetrics
+from pisim.desim.metrics import RunMetrics
 
 # Heap tie-break priorities at equal timestamps. Bundle completions are
 # visible to arrivals in the same instant, and a finished online slot is
@@ -32,6 +33,48 @@ from pisim.desim.metrics import RequestRecord, RunMetrics
 _OFFLINE_DONE = 0
 _ONLINE_DONE = 1
 _ARRIVAL = 2
+
+
+@dataclass(frozen=True)
+class RequestRecord:
+    """Timeline of one request, the reference engine's output.
+
+    bundle_ready_s is when its precompute bundle finished building,
+    which can precede arrival. done_s is None when the run's horizon
+    cut the request off.
+    """
+
+    index: int
+    arrival_s: float
+    bundle_ready_s: float
+    online_start_s: float | None
+    done_s: float | None
+
+    @property
+    def finished(self) -> bool:
+        return self.done_s is not None
+
+    @property
+    def latency_s(self) -> float:
+        if self.done_s is None:
+            return math.nan
+        return self.done_s - self.arrival_s
+
+    @property
+    def precompute_wait_s(self) -> float:
+        return max(0.0, self.bundle_ready_s - self.arrival_s)
+
+    @property
+    def queue_wait_s(self) -> float:
+        if self.online_start_s is None:
+            return math.nan
+        return self.online_start_s - max(self.arrival_s, self.bundle_ready_s)
+
+    @property
+    def online_s(self) -> float:
+        if self.done_s is None or self.online_start_s is None:
+            return math.nan
+        return self.done_s - self.online_start_s
 
 
 def simulate_serial(
@@ -157,15 +200,12 @@ def summarize_records(
         arrived=len(records),
         completed=len(done),
         mean_latency_s=mean_of(lat),
-        median_latency_s=float(np.median(lat)) if len(lat) else math.nan,
-        p95_latency_s=float(np.percentile(lat, 95)) if len(lat) else math.nan,
         mean_precompute_wait_s=mean_of([r.precompute_wait_s for r in done]),
         mean_queue_wait_s=mean_of([r.queue_wait_s for r in done]),
         mean_online_s=mean_of([r.online_s for r in done]),
         saturated=saturated,
         peak_client_storage_bytes=peak_client,
         peak_server_storage_bytes=peak_server,
-        records=tuple(records) if config.keep_records else (),
     )
 
 

@@ -30,6 +30,7 @@ from pisim.desim import (
     SimConfig,
     poisson_arrival_times,
     run_many,
+    run_schedule,
     stability_limit,
 )
 from pisim.field import FIELD_MODULUS, encode
@@ -174,7 +175,6 @@ def _serial_sweep(proto, cap_gb, rates, n_runs=100, horizon=86_400.0):
             n_runs=n_runs,
             concurrency=SERIAL,
             client_capacity_bytes=cap_gb * 1e9,
-            keep_records=False,
         )
         out[rate] = run_many(costs, cfg, base_seed=0)
     return costs, out
@@ -209,11 +209,11 @@ def test_criterion_06_serial_crossover():
     costs = phase_costs(TABLE_CM, SG, build_preset("resnet32", "cifar100"))
     short = run_many(costs, SimConfig(
         arrival_rate=top, horizon_s=86_400.0, n_runs=20,
-        concurrency=SERIAL, client_capacity_bytes=8e9, keep_records=False,
+        concurrency=SERIAL, client_capacity_bytes=8e9,
     ), base_seed=0)
     long = run_many(costs, SimConfig(
         arrival_rate=top, horizon_s=172_800.0, n_runs=20,
-        concurrency=SERIAL, client_capacity_bytes=8e9, keep_records=False,
+        concurrency=SERIAL, client_capacity_bytes=8e9,
     ), base_seed=0)
     assert long.mean_latency_s / short.mean_latency_s >= 1.3
     report(6, f"cg <= sg at all 5 rates; sg@64GB gaps "
@@ -231,14 +231,13 @@ def test_criterion_07_capacity_sweep_speedup():
         cfg = SimConfig(
             arrival_rate=rate, horizon_s=86_400.0, n_runs=20,
             concurrency=PIPELINED, client_capacity_bytes=cap * 1e9,
-            keep_records=False,
         )
         agg = run_many(sg_costs, cfg, base_seed=0)
         best_sg = min(best_sg, agg.mean_latency_s)
     cg_costs = phase_costs(TABLE_CM, CG, arch)
     cg_cfg = SimConfig(
         arrival_rate=rate, horizon_s=86_400.0, n_runs=20,
-        concurrency=PIPELINED, client_capacity_bytes=64.0e9, keep_records=False,
+        concurrency=PIPELINED, client_capacity_bytes=64.0e9,
     )
     cg = run_many(cg_costs, cg_cfg, base_seed=0).mean_latency_s
     assert best_sg >= 3.0 * cg
@@ -255,7 +254,7 @@ def test_criterion_08_precompute_wait_dominates():
     for rate in rates:
         cfg = SimConfig(
             arrival_rate=rate, horizon_s=86_400.0, n_runs=10,
-            concurrency=SERIAL, keep_records=False,
+            concurrency=SERIAL,
         )
         agg = run_many(costs, cfg, base_seed=0)
         shares.append(agg.mean_precompute_wait_s / agg.mean_latency_s)
@@ -271,17 +270,15 @@ def test_criterion_09_limiting_behavior():
     for proto in (SG, CG):
         costs = phase_costs(TABLE_CM, proto, arch)
         cfg = SimConfig(
-            arrival_rate=5e-5, horizon_s=86_400.0, n_runs=20,
-            concurrency=PIPELINED, keep_records=True,
+            arrival_rate=5e-5, horizon_s=86_400.0, n_runs=20, concurrency=PIPELINED,
         )
-        agg = run_many(costs, cfg, base_seed=0)
-        warm = [
-            r.latency_s
-            for run in agg.runs
-            for r in run.records
-            if r.finished and r.bundle_ready_s <= r.arrival_s
-        ]
-        assert warm
+        warm = []
+        for seed in range(cfg.n_runs):
+            s, _ = run_schedule(costs, cfg, seed)
+            hit = ~np.isnan(s.done) & (s.bundle_ready <= s.arrival)
+            warm.append(s.done[hit] - s.arrival[hit])
+        warm = np.concatenate(warm)
+        assert warm.size
         mean = float(np.mean(warm))
         warm_means[proto] = mean
         # trickle load excluding cold starts recovers the per-request
@@ -291,7 +288,7 @@ def test_criterion_09_limiting_behavior():
     costs = phase_costs(TABLE_CM, SG, arch)
     lim = stability_limit(costs, SimConfig(arrival_rate=1.0, concurrency=SERIAL))
     rate = 1.2 * lim
-    base = dict(arrival_rate=rate, n_runs=10, concurrency=SERIAL, keep_records=False)
+    base = dict(arrival_rate=rate, n_runs=10, concurrency=SERIAL)
     short = run_many(costs, SimConfig(horizon_s=86_400.0, **base), base_seed=0)
     long = run_many(costs, SimConfig(horizon_s=172_800.0, **base), base_seed=0)
     growth = long.mean_latency_s / short.mean_latency_s
@@ -313,8 +310,7 @@ def test_criterion_10_statistics():
     assert abs(gaps.var() - 1.0) <= 0.05
 
     costs = phase_costs(TABLE_CM, CG, build_preset("resnet32", "cifar100"))
-    base = dict(arrival_rate=1e-3, horizon_s=30_000.0, concurrency=PIPELINED,
-                keep_records=False)
+    base = dict(arrival_rate=1e-3, horizon_s=30_000.0, concurrency=PIPELINED)
     # average the small-batch interval over disjoint seed blocks so a
     # single noisy std estimate cannot dominate
     small = [

@@ -19,6 +19,8 @@ from pisim.costmodel import (
     write_measured_costs,
 )
 from pisim.costmodel.calibrate import nnls
+from pisim.costmodel.formula import Workload
+from pisim.netarch import build_preset
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,19 @@ def test_he_share_anchors(cm):
     assert anchors
     for key, share in anchors.items():
         assert 0.90 <= share <= 1.0, key
+
+
+def test_he_share_anchors_are_the_prior_rows(rows, cm):
+    # the prior pins, per input area, the cg row with the most conv FLOPs
+    best = {}
+    for row in rows:
+        if row.protocol is Protocol.CLIENT_GARBLER:
+            w = Workload.of(build_preset(row.model, row.dataset))
+            if w.area not in best or w.conv_flops > best[w.area][0]:
+                best[w.area] = (w.conv_flops, f"cg/{row.model}/{row.dataset}")
+    anchors = set(cm.report.he_share_anchors)
+    assert anchors == {label for _, label in best.values()}
+    assert anchors == {"cg/resnet18/c100", "cg/resnet18/tiny"}
 
 
 def test_calibrated_protocols_cover_both(cm):

@@ -187,6 +187,31 @@ def test_simulate_infeasible_exit(tmp_path, capsys):
     assert run_cli(*args, "--allow-infeasible") == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--rates", "inf"],
+        ["--rates", "nan"],
+        ["--horizon", "nan"],
+        ["--horizon", "inf"],
+        ["--set", "server_capacity_gb=nan"],
+        ["--set", "client_capacity_gb=nan"],
+    ],
+    ids=" ".join,
+)
+def test_simulate_non_finite_input_exits_3(argv, tmp_path, capsys):
+    assert run_cli("simulate", "--runs", "1", "--out", str(tmp_path), *argv) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ")
+    assert "Traceback" not in err
+
+
+def test_simulate_pipelined_unbounded_server(tmp_path):
+    rc = run_cli("simulate", "--concurrency", "pipelined", "--set", "server_capacity_gb=inf",
+                 "--runs", "1", "--horizon", "10000", "--out", str(tmp_path))
+    assert rc == EXIT_OK
+
+
 def test_simulate_json_output(tmp_path, capsys):
     rc = run_cli(
         "simulate", "--model", "resnet32", "--dataset", "cifar100",
@@ -297,6 +322,36 @@ def test_arch_check_bad_file(tmp_path, capsys):
     p = tmp_path / "bad.arch"
     p.write_text("name x\nconv in=3 out=4 kernel=3\n")
     assert run_cli("arch", "check", str(p)) == EXIT_UNKNOWN
+
+
+NO_FLATTEN_ARCH = """name noflat
+input channels=1 height=8 width=8 classes=4 dataset=toy8
+conv in=1 out=2 kernel=3 pad=1
+relu
+fc in=128 out=4
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arch", "check", "{dir}"],
+        ["arch", "check", "{arch}"],
+        ["cost", "--model", "{arch}"],
+        ["verify", "--arch", "{arch}"],
+        ["cost", "--model", "vgg16", "--dataset", "toy8", "--mode", "component"],
+        ["verify", "--trials", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    arch = tmp_path / "f.arch"
+    arch.write_text(NO_FLATTEN_ARCH)
+    argv = [a.format(dir=tmp_path, arch=arch) for a in argv]
+    assert run_cli(*argv) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # --- console entry point ----------------------------------------------------

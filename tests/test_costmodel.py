@@ -125,7 +125,20 @@ def test_gc_storage_scales_with_relu_knob(comp_cm):
     arch = build_preset("resnet18", "tinyimagenet")
     base = gc_storage(arch, comp_cm)
     pruned = gc_storage(arch, comp_cm, knobs=OptimizationKnobs(relu_factor=0.2, name="x"))
-    assert pruned == pytest.approx(base * 0.2, abs=1.0)
+    # priced on the ReLU count rounded to a whole ReLU, as the byte model counts it
+    relus = round(count(arch).relus * 0.2)
+    assert pruned == int(round(comp_cm.gc_bytes_per_relu * relus))
+    assert pruned == pytest.approx(base * 0.2, abs=comp_cm.gc_bytes_per_relu / 2)
+
+
+@pytest.mark.parametrize("relu", [0.2, 0.37, 0.5])
+@pytest.mark.parametrize("model, dataset", [("resnet18", "tinyimagenet"), ("resnet32", "cifar100")])
+@pytest.mark.parametrize("proto", [SG, Protocol.CLIENT_GARBLER])
+def test_gc_storage_is_what_phase_costs_uses(comp_cm, relu, model, dataset, proto):
+    arch = build_preset(model, dataset)
+    knobs = OptimizationKnobs(relu_factor=relu, gc_per_relu_factor=0.6, name="x")
+    costs = phase_costs(comp_cm, proto, arch, knobs=knobs)
+    assert gc_storage(arch, comp_cm, knobs) == costs.gc_storage_bytes
 
 
 def _sizes(model="resnet32", dataset="cifar100"):

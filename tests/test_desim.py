@@ -17,6 +17,7 @@ from pisim.desim import (
     capacity_bundles,
     poisson_arrival_times,
     run_many,
+    run_schedule,
     simulate,
     stability_limit,
     sweep_point,
@@ -29,6 +30,13 @@ CM = load_shipped_model("table")
 
 def costs_for(proto="sg", model="resnet32", dataset="cifar100"):
     return phase_costs(CM, proto, build_preset(model, dataset))
+
+
+def finished_times(schedule):
+    """(arrival, bundle_ready, online_start, done) of the requests that finished."""
+    done = ~np.isnan(schedule.done)
+    return (schedule.arrival[done], schedule.bundle_ready[done],
+            schedule.online_start[done], schedule.done[done])
 
 
 # --- arrivals ---------------------------------------------------------------
@@ -70,41 +78,39 @@ def test_serial_idle_latency_is_sum_of_phases():
     costs = costs_for()
     cfg = SimConfig(arrival_rate=1e-4, horizon_s=400_000.0, concurrency=SERIAL)
     m = simulate(costs, cfg, seed=5)
+    arrival, ready, online, done = finished_times(run_schedule(costs, cfg, seed=5)[0])
     total = costs.offline_latency_s + costs.online_latency_s
     assert m.completed > 0
-    for rec in m.records:
-        if not rec.finished:
-            continue
-        assert rec.latency_s >= total - 1e-9
-        assert rec.queue_wait_s == 0.0
+    latency = done - arrival
+    assert np.all(latency >= total - 1e-9)
+    assert np.all(online - np.maximum(arrival, ready) == 0.0)
     # with sparse arrivals most requests see an idle server
-    idle = [r for r in m.records if r.finished and abs(r.latency_s - total) < 1e-9]
-    assert len(idle) >= m.completed // 2
+    idle = np.abs(latency - total) < 1e-9
+    assert idle.sum() >= m.completed // 2
 
 
 def test_latency_decomposition_identity():
     costs = costs_for("cg", "resnet18", "cifar100")
     for mode in (SERIAL, PIPELINED):
         cfg = SimConfig(arrival_rate=2e-3, horizon_s=100_000.0, concurrency=mode)
-        m = simulate(costs, cfg, seed=1)
-        for rec in m.records:
-            if not rec.finished:
-                continue
-            parts = rec.precompute_wait_s + rec.queue_wait_s + rec.online_s
-            slack = rec.online_start_s - max(
-                rec.arrival_s, rec.bundle_ready_s, 0.0
-            ) - rec.queue_wait_s
-            assert parts + slack == pytest.approx(rec.latency_s, abs=1e-6)
+        arrival, ready, online, done = finished_times(run_schedule(costs, cfg, seed=1)[0])
+        assert arrival.size
+        queue_wait = online - np.maximum(arrival, ready)
+        parts = np.maximum(ready - arrival, 0.0) + queue_wait + (done - online)
+        slack = online - np.maximum(np.maximum(arrival, ready), 0.0) - queue_wait
+        assert parts + slack == pytest.approx(done - arrival, abs=1e-6)
 
 
 def test_fifo_order_and_monotone_completion():
     costs = costs_for("cg")
     cfg = SimConfig(arrival_rate=5e-3, horizon_s=50_000.0, concurrency=PIPELINED)
-    m = simulate(costs, cfg, seed=3)
-    done = [r.done_s for r in m.records if r.finished]
-    assert done == sorted(done)
-    idx = [r.index for r in m.records]
-    assert idx == sorted(idx)
+    schedule, _ = run_schedule(costs, cfg, seed=3)
+    done = finished_times(schedule)[3]
+    assert done.size and np.all(np.diff(done) >= 0)
+    # request k is the k-th arrival and starts online no earlier than k - 1
+    assert np.all(np.diff(schedule.arrival) >= 0)
+    started = schedule.online_start[~np.isnan(schedule.online_start)]
+    assert np.all(np.diff(started) >= 0)
 
 
 def test_censoring_leaves_unfinished_records():
@@ -113,11 +119,10 @@ def test_censoring_leaves_unfinished_records():
     m = simulate(costs, cfg, seed=0)
     assert m.saturated
     assert m.completed < m.arrived
-    unfinished = [r for r in m.records if not r.finished]
-    assert unfinished
-    for rec in unfinished:
-        assert rec.done_s is None
-        assert math.isnan(rec.latency_s)
+    schedule, _ = run_schedule(costs, cfg, seed=0)
+    unfinished = np.isnan(schedule.done)
+    assert unfinished.sum() == m.arrived - m.completed > 0
+    assert np.all(np.isnan(schedule.done[unfinished] - schedule.arrival[unfinished]))
 
 
 def test_stability_limit_serial_and_pipelined():
@@ -200,8 +205,10 @@ def test_simulate_is_deterministic():
     a = simulate(costs, cfg, seed=42)
     b = simulate(costs, cfg, seed=42)
     assert a == b
-    c = simulate(costs, cfg, seed=43)
-    assert a.records != c.records
+    first, again = (run_schedule(costs, cfg, seed=42)[0] for _ in range(2))
+    for name in ("arrival", "bundle_ready", "online_start", "done"):
+        assert np.array_equal(getattr(first, name), getattr(again, name), equal_nan=True)
+    assert not np.array_equal(first.arrival, run_schedule(costs, cfg, seed=43)[0].arrival)
 
 
 # --- aggregation and sweeps -------------------------------------------------
@@ -209,7 +216,7 @@ def test_simulate_is_deterministic():
 
 def test_run_many_ci_shrinks_with_more_runs():
     costs = costs_for("cg")
-    base = dict(arrival_rate=1e-3, horizon_s=30_000.0, concurrency=PIPELINED, keep_records=False)
+    base = dict(arrival_rate=1e-3, horizon_s=30_000.0, concurrency=PIPELINED)
     small = run_many(costs, SimConfig(n_runs=4, **base), base_seed=0)
     big = run_many(costs, SimConfig(n_runs=64, **base), base_seed=100)
     assert small.ci95_latency_s > big.ci95_latency_s
@@ -254,4 +261,10 @@ def test_aggregate_means_match_hand_average():
     assert agg.mean_latency_s == pytest.approx(
         np.mean([r.mean_latency_s for r in runs])
     )
-    assert agg.runs == tuple(runs)
+    assert agg.peak_client_storage_bytes == max(r.peak_client_storage_bytes for r in runs)
+    assert agg.peak_server_storage_bytes == max(r.peak_server_storage_bytes for r in runs)
+    biggest = dataclasses.replace(
+        runs[1], peak_client_storage_bytes=10**15, peak_server_storage_bytes=10**14
+    )
+    agg = aggregate([runs[0], biggest, runs[2]])
+    assert (agg.peak_client_storage_bytes, agg.peak_server_storage_bytes) == (10**15, 10**14)

@@ -37,7 +37,6 @@ def _assert_same(schedule, records) -> None:
                                got, _oracle_arrays(records)):
         assert mine.dtype == np.float64, name
         assert np.array_equal(mine, ref, equal_nan=True), (name, mine, ref)
-    assert schedule.records() == tuple(records)
 
 
 @st.composite

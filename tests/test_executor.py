@@ -112,7 +112,7 @@ def test_offline_party_crash_fails_at_once(monkeypatch, party):
     threads = threading.active_count()
     t0 = time.perf_counter()
     with pytest.raises(Crash):
-        run_offline(TOY, "sg", 0)  # default 30 s receive timeout
+        run_offline(TOY, "sg", 0)
     assert time.perf_counter() - t0 < 1.0
     assert threading.active_count() == threads
 

@@ -3,47 +3,127 @@
 All kernels operate on int64 arrays with entries in [0, p) for a modulus
 p < 2**31.5 (p**2 must fit in int64).
 
-The conv and matvec share one integer matrix product, `_matmul_mod`: it
-splits the right operand into 16-bit limbs, so each product is below
-2**47.5, and sums at most 2**14 of them before reducing mod p, so no
-partial sum reaches 2**63.
+The conv and matvec share one matrix product, `_matmul_mod`, which runs
+on float64 BLAS and is exact. The weights are prepared once
+(`prepare_weights`): re-centred to (-p/2, p/2], so |w| <= (p-1)/2, and
+stored as float64, which holds every such integer exactly. The input is
+split into limbs of `limb_bits` bits, so each limb is below 2**limb_bits,
+and each product sums `chunk` columns. The plan is chosen from the
+measured max|w| so that
+
+    max|w| * (2**limb_bits - 1) * chunk < 2**53.
+
+Every term w*x_limb is then an integer whose magnitude is below 2**53,
+and so is every partial sum of any subset of the terms. Doubles represent
+all integers below 2**53 exactly, so each multiply, add or fused
+multiply-add in the product returns the exact integer, whatever order or
+blocking BLAS uses. The sums are converted to int64, reduced mod p, and
+the limbs recombined with the constants 2**(j*limb_bits) mod p, each
+product below p**2 < 2**63.
+
+Small weights, such as the test networks' [-3, 3], give one limb of the
+whole input width and one chunk: a single dgemm per product.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-_LIMB_BITS = 16
-_CHUNK = 1 << 14
+# doubles hold every integer of magnitude below this exactly
+_EXACT = 1 << 53
 
 
-def _matmul_mod(w, x, p):
-    """(w @ x) mod p, exactly. w: (o,i), x: (i,) or (i,n)."""
-    x2 = x.reshape(x.shape[0], -1)
-    n = x2.shape[1]
-    limbs = np.concatenate([x2 & ((1 << _LIMB_BITS) - 1), x2 >> _LIMB_BITS], axis=1)
-    acc = np.zeros((w.shape[0], 2 * n), dtype=np.int64)
-    for start in range(0, w.shape[1], _CHUNK):
-        stop = start + _CHUNK
-        acc += w[:, start:stop] @ limbs[start:stop]
-        acc %= p
-    out = (acc[:, :n] + (acc[:, n:] << _LIMB_BITS)) % p
-    return out.reshape(w.shape[:1] + x.shape[1:])
+def limb_plan(w_max: int, k: int, p: int) -> tuple[int, int]:
+    """(limb_bits, chunk) for products of k columns of weights with |w| <= w_max.
+
+    The widest limb for which whole rows sum below 2**53, so one chunk of
+    k columns. Only when not even 1-bit limbs allow that (w_max * k >=
+    2**53, beyond 2**22 columns at the largest weights) are the rows
+    summed in chunks, of the longest length 1-bit limbs allow.
+    """
+    bits = (p - 1).bit_length()
+    for limb_bits in range(bits, 0, -1):
+        if w_max * ((1 << limb_bits) - 1) * k < _EXACT:
+            return limb_bits, k
+    return 1, (_EXACT - 1) // w_max
 
 
-def conv2d_mod(x, w, b, stride, pad, p):
-    """2D convolution mod p. x: (ci,h,w), w: (co,ci,kh,kw), b: (co,)."""
+@dataclass(frozen=True, eq=False)
+class PreparedWeights:
+    """A weight tensor in Z_p, prepared once for exact float64 products.
+
+    `matrix` is the tensor flattened to (o, K), re-centred to (-p/2, p/2]
+    and read-only; `shape` is the tensor's own shape. The plan
+    (`limb_bits`, `chunk`) satisfies the bound in the module docstring.
+    """
+
+    shape: tuple[int, ...]
+    p: int
+    matrix: np.ndarray
+    limb_bits: int
+    chunk: int
+
+    @property
+    def limbs(self) -> int:
+        """How many limbs an input residue splits into."""
+        return -(-(self.p - 1).bit_length() // self.limb_bits)
+
+
+def prepare_weights(w: np.ndarray, p: int) -> PreparedWeights:
+    """Prepare integer weights w (|w| < 2**53), taken mod p, for conv2d_mod/matvec_mod."""
+    matrix = w.reshape(w.shape[0], -1).astype(np.float64)
+    np.remainder(matrix, p, out=matrix)
+    matrix[matrix > (p - 1) // 2] -= p
+    w_max = int(max(matrix.max(initial=0), -matrix.min(initial=0)))
+    matrix.setflags(write=False)
+    limb_bits, chunk = limb_plan(w_max, matrix.shape[1], p)
+    return PreparedWeights(tuple(w.shape), p, matrix, limb_bits, chunk)
+
+
+def _limbs(x: np.ndarray, w: PreparedWeights) -> np.ndarray:
+    """x's base-2**limb_bits digits, stacked on a new leading axis."""
+    if w.limbs == 1:
+        return x[None]
+    shifts = np.arange(0, w.limbs * w.limb_bits, w.limb_bits)
+    return (x[None] >> shifts.reshape((-1,) + (1,) * x.ndim)) & ((1 << w.limb_bits) - 1)
+
+
+def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(w @ x + b) mod p, exactly, from x's limbs cols: (limbs, K, n) float64.
+
+    b: (o, 1). Sums stay unreduced while they fit: a chunk's sum is below
+    2**53, a reduced one below p, and a reduced limb times its constant
+    below p**2.
+    """
+    p, m = w.p, w.matrix
+    acc = None
+    for start in range(0, m.shape[1], w.chunk):
+        stop = start + w.chunk
+        part = (m[:, start:stop] @ cols[:, start:stop]).astype(np.int64)
+        acc = part if acc is None else acc % p + part
+    out = acc[0] + b
+    for j in range(1, w.limbs):
+        out = out % p + acc[j] % p * pow(2, j * w.limb_bits, p)
+    return out % p
+
+
+def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
+    """2D convolution mod w.p. x: (ci,h,w), w: prepared (co,ci,kh,kw), b: (co,)."""
     co, ci, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    _, oh, ow, _, _ = win.shape
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(ci * kh * kw, oh * ow)
-    out = _matmul_mod(w.reshape(co, -1), cols, p).reshape(co, oh, ow)
-    return (out + b[:, None, None]) % p
+    _, h, ww = x.shape
+    xp = np.zeros((w.limbs, ci, h + 2 * pad, ww + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + ww] = _limbs(x, w)
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, oh, ow, _, _ = win.shape
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(w.limbs, ci * kh * kw, oh * ow)
+    return _matmul_mod(w, cols, b[:, None]).reshape(co, oh, ow)
 
 
-def matvec_mod(w, x, b, p):
-    """Matrix-vector product mod p. w: (o,i), x: (i,), b: (o,)."""
-    return (_matmul_mod(w, x, p) + b) % p
+def matvec_mod(w: PreparedWeights, x, b):
+    """Matrix-vector product mod w.p. w: prepared (o,i), x: (i,), b: (o,)."""
+    cols = _limbs(x, w).astype(np.float64)[:, :, None]
+    return _matmul_mod(w, cols, b[:, None])[:, 0]
 
 
 def sumpool_mod(x, window, stride, p):

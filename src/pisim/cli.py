@@ -103,14 +103,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return vals
 
 
+def _parse_capacity(text: str) -> float:
+    """GB, or unbounded; NaN passes on to SimConfig, which rejects it."""
+    if text.lower() in ("none", "inf", "unbounded"):
+        return math.inf
+    value = float(text)
+    if value < 0:
+        raise SpecError(f"capacity must be non-negative, got {text}")
+    return value
+
+
 def _parse_caps(text: str) -> tuple[float, ...]:
-    out = []
-    for tok in text.replace(",", " ").split():
-        low = tok.lower()
-        out.append(math.inf if low in ("none", "inf", "unbounded") else float(tok))
+    out = tuple(_parse_capacity(tok) for tok in text.replace(",", " ").split())
     if not out:
         raise SpecError("empty capacity list")
-    return tuple(out)
+    return out
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
@@ -147,7 +154,7 @@ _SPEC_PARSERS = {
     "protocols": _parse_names,
     "rates": _parse_floats,
     "client_capacity_gb": _parse_caps,
-    "server_capacity_gb": float,
+    "server_capacity_gb": _parse_capacity,
     "concurrency": _parse_concurrency,
     "horizon_s": float,
     "n_runs": int,
@@ -351,13 +358,12 @@ def _spec_costs(spec: ExperimentSpec, protocol: str):
 
 
 def _spec_config(spec: ExperimentSpec, rate: float, cap_gb: float) -> SimConfig:
-    client_cap = None if math.isinf(cap_gb) else cap_gb * 1e9
     return SimConfig(
         arrival_rate=rate,
         horizon_s=spec.horizon_s,
         n_runs=spec.n_runs,
         server_capacity_bytes=spec.server_capacity_gb * 1e9,
-        client_capacity_bytes=client_cap,
+        client_capacity_bytes=cap_gb * 1e9,
         concurrency=spec.concurrency,
     )
 

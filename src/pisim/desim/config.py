@@ -22,8 +22,8 @@ class SimConfig:
     never overlap and at most one precompute bundle exists at a time.
     "pipelined" precomputes bundles ahead of demand with unbounded
     offline parallelism, holding as many as storage capacity allows,
-    while the online phase stays serial. Capacities of None are
-    unlimited.
+    while the online phase stays serial. A capacity of None or math.inf
+    is unlimited; None is stored as math.inf.
     """
 
     arrival_rate: float
@@ -43,7 +43,9 @@ class SimConfig:
             raise ConfigInfeasible(f"horizon must be finite and positive, got {self.horizon_s}")
         for name in ("server_capacity_bytes", "client_capacity_bytes"):
             capacity = getattr(self, name)
-            if capacity is not None and math.isnan(capacity):
+            if capacity is None:
+                object.__setattr__(self, name, math.inf)
+            elif math.isnan(capacity):
                 raise ConfigInfeasible(f"{name} is NaN")
         if self.n_runs < 1:
             raise ConfigInfeasible(f"n_runs must be at least 1, got {self.n_runs}")

@@ -48,7 +48,7 @@ def capacity_bundles(costs: PhaseCosts, config: SimConfig) -> float:
     cap = math.inf
     if server_b > 0 and config.server_capacity_bytes < math.inf:
         cap = min(cap, math.floor(config.server_capacity_bytes / server_b))
-    if config.client_capacity_bytes is not None and client_b > 0:
+    if client_b > 0 and config.client_capacity_bytes < math.inf:
         cap = min(cap, math.floor(config.client_capacity_bytes / client_b))
     return cap
 
@@ -60,7 +60,7 @@ def _check_feasible(costs: PhaseCosts, config: SimConfig) -> None:
             f"one bundle needs {server_b} server bytes but capacity is "
             f"{config.server_capacity_bytes:.3g}"
         )
-    if config.client_capacity_bytes is not None and client_b > config.client_capacity_bytes:
+    if client_b > config.client_capacity_bytes:
         raise ConfigInfeasible(
             f"one bundle needs {client_b} client bytes but capacity is "
             f"{config.client_capacity_bytes:.3g}"

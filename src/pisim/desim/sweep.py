@@ -58,9 +58,7 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
         "arrival_rate": config.arrival_rate,
         "n_runs": config.n_runs,
         "horizon_s": config.horizon_s,
-        "client_capacity_bytes": (
-            math.inf if config.client_capacity_bytes is None else config.client_capacity_bytes
-        ),
+        "client_capacity_bytes": config.client_capacity_bytes,
         "server_capacity_bytes": config.server_capacity_bytes,
         "offline_latency_s": costs.offline_latency_s,
         "online_latency_s": costs.online_latency_s,

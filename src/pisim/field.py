@@ -9,7 +9,7 @@ FieldOverflowRisk if the modulus is too small.
 
 The default modulus is the Mersenne prime 2**31 - 1: the largest
 convenient prime whose products of two residues still fit in int64,
-which keeps every kernel exact without multi-word arithmetic. It
+which the kernels' reductions need (see pisim._kernels). It
 comfortably exceeds the safety bound 2 * (max|w| * fan_in * max|x|)**2
 for the toy networks the executors are meant to run.
 """

@@ -15,6 +15,7 @@ lowering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ class ActivationPoint:
 
     @property
     def elems(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class LinearUnit:
 
     @property
     def out_elems(self) -> int:
-        return int(np.prod(self.out_shape))
+        return math.prod(self.out_shape)
 
 
 @dataclass(frozen=True)

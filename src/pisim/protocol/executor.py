@@ -20,8 +20,9 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
-from ..field import decode_signed, encode
+from ..field import FIELD_MODULUS, decode_signed, encode
 from ..netarch import NetworkArch
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
 from .compile import CompiledNetwork, compile_network, gen_weights
@@ -110,14 +111,13 @@ def _compiled(arch: NetworkArch) -> CompiledNetwork:
 
 @functools.lru_cache(maxsize=8)
 def _field_weights(arch: NetworkArch, seed: int):
-    """The server's model in Z_p, drawn once per (arch, seed) and shared
-    read-only by every bundle built from it."""
+    """The server's model in Z_p, drawn and prepared for the kernels once
+    per (arch, seed) and shared read-only by every bundle built from it."""
     weights = {}
     for key, (w, b) in gen_weights(arch, seed).items():
-        w, b = encode(w), encode(b)
-        w.setflags(write=False)
+        b = encode(b)
         b.setflags(write=False)
-        weights[key] = (w, b)
+        weights[key] = (prepare_weights(w, FIELD_MODULUS), b)
     return MappingProxyType(weights)
 
 

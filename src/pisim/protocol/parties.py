@@ -100,11 +100,11 @@ def apply_ops(ops, x: np.ndarray, weights, p: int, with_bias: bool) -> np.ndarra
         if op.kind == "conv":
             w, b = weights[op.weight_key]
             bias = b if with_bias else np.zeros_like(b)
-            x = conv2d_mod(x, w, bias, op.stride, op.pad, p)
+            x = conv2d_mod(x, w, bias, op.stride, op.pad)
         elif op.kind == "fc":
             w, b = weights[op.weight_key]
             bias = b if with_bias else np.zeros_like(b)
-            x = matvec_mod(w, x, bias, p)
+            x = matvec_mod(w, x, bias)
         elif op.kind == "pool":
             x = sumpool_mod(x, op.window, op.stride, p)
         elif op.kind == "flatten":
@@ -275,7 +275,7 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
         CLIENT,
         EventKind.MASKED_TENSOR,
         y0,
-        SHARE_BYTES_PER_ELEM * int(np.prod(x.shape)),
+        SHARE_BYTES_PER_ELEM * x.size,
         label="input",
     )
 

@@ -77,8 +77,8 @@ def verify_against_plaintext(
                     protocol=protocol,
                     trial=trial,
                     ok=ok,
-                    logits=tuple(int(v) for v in got),
-                    expected=tuple(int(v) for v in expected),
+                    logits=tuple(got.tolist()),
+                    expected=tuple(expected.tolist()),
                 )
             )
     return VerifyResult(ok=all_ok, trials=tuple(outcomes))

@@ -341,6 +341,9 @@ fc in=128 out=4
         ["verify", "--arch", "{arch}"],
         ["cost", "--model", "vgg16", "--dataset", "toy8", "--mode", "component"],
         ["verify", "--trials", "-1"],
+        ["simulate", "--capacities", "-5"],
+        ["simulate", "--set", "client_capacity_gb=-1"],
+        ["simulate", "--set", "server_capacity_gb=-1"],
     ],
     ids=" ".join,
 )

@@ -188,6 +188,21 @@ def test_infeasible_capacity_raises():
         simulate(costs, cfg)
 
 
+@pytest.mark.parametrize("unbounded", [None, math.inf])
+@pytest.mark.parametrize("side", ["server_capacity_bytes", "client_capacity_bytes"])
+@pytest.mark.parametrize("concurrency", [SERIAL, PIPELINED])
+def test_none_and_inf_capacities_are_unbounded(concurrency, side, unbounded):
+    costs = costs_for()
+    caps = {"server_capacity_bytes": math.inf, "client_capacity_bytes": math.inf}
+    cfg = SimConfig(arrival_rate=1e-3, horizon_s=20_000.0, concurrency=concurrency,
+                    **{**caps, side: unbounded})
+    assert getattr(cfg, side) == math.inf
+    assert capacity_bundles(costs, cfg) == math.inf
+    # a capacity far above the requests in the horizon serves them alike
+    ample = dataclasses.replace(cfg, **{side: 1e30})
+    assert simulate(costs, cfg, seed=1) == simulate(costs, ample, seed=1)
+
+
 def test_simconfig_validation():
     with pytest.raises(ValueError):
         SimConfig(arrival_rate=-1.0)

@@ -1,6 +1,7 @@
 """Executor lifetime: a crashing, quitting or confused party, and the
 network and model shared by bundles."""
 
+import dataclasses
 import threading
 import time
 
@@ -141,11 +142,21 @@ def test_shared_weights_are_read_only():
     weights = run_offline(TOY, "sg", 0).server_state.weights
     for w, b in weights.values():
         with pytest.raises(ValueError):
-            w.reshape(-1)[0] = 1
+            w.matrix.reshape(-1)[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.matrix = w.matrix.copy()
         with pytest.raises(ValueError):
             b[0] = 1
     with pytest.raises(TypeError):
         weights[0] = weights[0]
+
+
+@pytest.mark.parametrize("arch", [TOY, TOY8], ids=lambda a: a.dataset.name)
+def test_toy_weights_take_one_limb_and_one_chunk(arch):
+    # weights in [-3, 3] fit one whole-width limb: one dgemm per product
+    for w, _ in run_offline(arch, "sg", 0).server_state.weights.values():
+        assert w.limbs == 1
+        assert w.chunk == w.matrix.shape[1]
 
 
 def test_bundles_share_one_model_per_arch_and_seed():
@@ -156,14 +167,15 @@ def test_bundles_share_one_model_per_arch_and_seed():
     for key in a:
         assert a[key][0] is b[key][0] and a[key][1] is b[key][1]
         assert a[key][0] is not c[key][0]
-        assert not np.array_equal(a[key][0], c[key][0])
+        assert not np.array_equal(a[key][0].matrix, c[key][0].matrix)
 
 
 @pytest.mark.parametrize("seed", [0, 4])
 def test_shared_model_is_the_generated_model(seed):
     bundle = run_offline(TOY, "sg", seed)
     x = sample_input(TOY, seed, 1)
-    decoded = {k: (decode_signed(w), decode_signed(b))
+    # the prepared matrix is re-centred, so it holds the signed weights
+    decoded = {k: (w.matrix.astype(np.int64).reshape(w.shape), decode_signed(b))
                for k, (w, b) in bundle.server_state.weights.items()}
     expected = plaintext_forward(TOY, gen_weights(TOY, seed), x)
     assert np.array_equal(plaintext_forward(TOY, decoded, x), expected)

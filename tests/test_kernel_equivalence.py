@@ -2,11 +2,15 @@
 
 The numpy field kernels and the plaintext oracle's convolution must equal
 the references exactly, for every modulus the kernels admit: the default
-Mersenne prime and the largest prime whose square fits in int64.
+Mersenne prime and the largest prime whose square fits in int64. The
+field kernels take weights prepared by `prepare_weights`, whose limb and
+chunk plan must keep every partial sum of the float64 product below 2**53.
 """
 
+import dataclasses
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
@@ -21,14 +25,17 @@ MODULI = st.sampled_from([FIELD_MODULUS, P_MAX])
 
 @st.composite
 def residues(draw, shape, p):
-    """Field elements in [0, p): uniform, all p - 1, or a mix of the two."""
+    """Field elements in [0, p): uniform, all p - 1, a mix of the two, or
+    the two residues (p -+ 1) / 2 that re-centre to the largest magnitude."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(0, p, size=shape, dtype=np.int64)
-    mode = draw(st.sampled_from(["uniform", "max", "mixed"]))
+    mode = draw(st.sampled_from(["uniform", "max", "mixed", "half"]))
     if mode == "max":
         x[...] = p - 1
     elif mode == "mixed":
         x[rng.random(shape) < 0.5] = p - 1
+    elif mode == "half":
+        x[...] = rng.choice([(p - 1) // 2, (p + 1) // 2], size=shape)
     return x
 
 
@@ -38,28 +45,32 @@ def test_matvec_matches_reference(data, p, rows, cols):
     w = data.draw(residues((rows, cols), p))
     x = data.draw(residues((cols,), p))
     b = data.draw(residues((rows,), p))
-    assert np.array_equal(K.matvec_mod(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
+    got = K.matvec_mod(K.prepare_weights(w, p), x, b)
+    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, p))
 
 
-# 2**17 + 5 columns of p - 1 overflow int64 unless partial sums are
-# reduced chunk by chunk
+# 2**17 + 5 columns of p - 1 overflowed int64 unless partial sums were
+# reduced chunk by chunk; at the largest weights they need several limbs
 @given(st.data(), MODULI, st.sampled_from([2**14 - 1, 2**14, 2**14 + 5, 2**15 + 3, 2**17 + 5]))
 @settings(max_examples=30, deadline=None)
 def test_matvec_across_the_chunk_boundary(data, p, cols):
     w = data.draw(residues((2, cols), p))
     x = data.draw(residues((cols,), p))
     b = data.draw(residues((2,), p))
-    assert np.array_equal(K.matvec_mod(w, x, b, p), kernel_oracle.matvec_mod(w, x, b, p))
+    got = K.matvec_mod(K.prepare_weights(w, p), x, b)
+    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, p))
 
 
 def test_conv_across_the_chunk_boundary():
-    # 1821 channels x 3 x 3 = 16389 products per output, just past 2**14
+    # 1821 channels x 3 x 3 = 16389 products per output, just past 2**14;
+    # weights p - 1 re-centre to -1, weights (p - 1) / 2 to the largest magnitude
     for p in (FIELD_MODULUS, P_MAX):
-        x = np.full((1821, 4, 3), p - 1, dtype=np.int64)
-        w = np.full((2, 1821, 3, 3), p - 1, dtype=np.int64)
-        b = np.full(2, p - 1, dtype=np.int64)
-        got = K.conv2d_mod(x, w, b, 1, 0, p)
-        assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, p))
+        for fill in (p - 1, (p - 1) // 2):
+            x = np.full((1821, 4, 3), p - 1, dtype=np.int64)
+            w = np.full((2, 1821, 3, 3), fill, dtype=np.int64)
+            b = np.full(2, p - 1, dtype=np.int64)
+            got = K.conv2d_mod(x, K.prepare_weights(w, p), b, 1, 0)
+            assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, p))
 
 
 @st.composite
@@ -82,8 +93,53 @@ def test_conv_matches_reference(data, p, case):
     x = data.draw(residues((ci, h, ww), p))
     w = data.draw(residues((co, ci, k, k), p))
     b = data.draw(residues((co,), p))
-    got = K.conv2d_mod(x, w, b, stride, pad, p)
+    got = K.conv2d_mod(x, K.prepare_weights(w, p), b, stride, pad)
     assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, p))
+
+
+@given(MODULI, st.data())
+@settings(max_examples=300)
+def test_plan_keeps_every_partial_sum_below_2_53(p, data):
+    w_max = data.draw(st.integers(0, (p - 1) // 2))
+    k = data.draw(st.integers(1, 2**26))
+    bits = (p - 1).bit_length()
+    limb_bits, chunk = K.limb_plan(w_max, k, p)
+    assert 1 <= limb_bits <= bits and 1 <= chunk <= k
+    assert w_max * ((1 << limb_bits) - 1) * chunk < 2**53
+    # no narrower limb or shorter chunk than the bound needs
+    if limb_bits < bits:
+        assert w_max * ((1 << limb_bits + 1) - 1) * chunk >= 2**53
+    if chunk < k:
+        assert limb_bits == 1 and w_max * (chunk + 1) >= 2**53
+
+
+@given(st.data(), MODULI, st.booleans(), st.integers(1, 32))
+@settings(max_examples=200, deadline=None)
+def test_kernels_are_exact_under_any_plan_within_the_bound(data, p, conv, limb_bits):
+    # narrower limbs and shorter chunks than the measured weights need
+    # take the recombination and chunk paths
+    if conv:
+        ci, co, h, ww, k, stride, pad = data.draw(conv_case())
+        w = data.draw(residues((co, ci, k, k), p))
+        x = data.draw(residues((ci, h, ww), p))
+    else:
+        w = data.draw(residues((data.draw(st.integers(1, 8)), data.draw(st.integers(1, 300))), p))
+        x = data.draw(residues(w.shape[1:], p))
+    b = data.draw(residues(w.shape[:1], p))
+    prepared = K.prepare_weights(w, p)
+    limb_bits = min(limb_bits, (p - 1).bit_length())
+    w_max = int(np.abs(prepared.matrix).max())
+    longest = (2**53 - 1) // max(1, w_max * ((1 << limb_bits) - 1))
+    assume(longest >= 1)
+    chunk = data.draw(st.integers(1, min(longest, prepared.matrix.shape[1])))
+    plan = dataclasses.replace(prepared, limb_bits=limb_bits, chunk=chunk)
+    if conv:
+        got = K.conv2d_mod(x, plan, b, stride, pad)
+        want = kernel_oracle.conv2d_mod(x, w, b, stride, pad, p)
+    else:
+        got = K.matvec_mod(plan, x, b)
+        want = kernel_oracle.matvec_mod(w, x, b, p)
+    assert np.array_equal(got, want)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2**20), conv_case())

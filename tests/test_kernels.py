@@ -61,7 +61,7 @@ class TestBackendsAgree:
         w = sample_elements(rng, (5, 3, 3, 3)) % 11
         b = sample_elements(rng, 5) % 11
         for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 0)]:
-            a = K.conv2d_mod(x, w, b, stride, pad, P)
+            a = K.conv2d_mod(x, K.prepare_weights(w, P), b, stride, pad)
             c = ref.conv2d_mod_loop(x, w, b, stride, pad, P)
             assert np.array_equal(a, c)
 
@@ -71,7 +71,7 @@ class TestBackendsAgree:
         x = sample_elements(rng, 33)
         b = sample_elements(rng, 7)
         assert np.array_equal(
-            K.matvec_mod(w, x, b, P), ref.matvec_mod_loop(w, x, b, P)
+            K.matvec_mod(K.prepare_weights(w, P), x, b), ref.matvec_mod_loop(w, x, b, P)
         )
 
     def test_sumpool(self):
@@ -117,7 +117,11 @@ def test_conv_matches_integer_reference():
     x_s = rng.integers(-4, 5, size=(2, 5, 5))
     w_s = rng.integers(-3, 4, size=(3, 2, 2, 2))
     b_s = rng.integers(-3, 4, size=3)
-    got = K.conv2d_mod(encode(x_s), encode(w_s), encode(b_s), 1, 0, P)
+    prepared = K.prepare_weights(encode(w_s), P)
+    # signed weights prepare to the same re-centred matrix as their residues
+    assert np.array_equal(K.prepare_weights(w_s, P).matrix, prepared.matrix)
+    assert np.array_equal(prepared.matrix, w_s.reshape(3, -1))
+    got = K.conv2d_mod(encode(x_s), prepared, encode(b_s), 1, 0)
     for co in range(3):
         for oy in range(4):
             for ox in range(4):

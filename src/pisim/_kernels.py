@@ -89,12 +89,12 @@ def _limbs(x: np.ndarray, w: PreparedWeights) -> np.ndarray:
     return (x[None] >> shifts.reshape((-1,) + (1,) * x.ndim)) & ((1 << w.limb_bits) - 1)
 
 
-def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """(w @ x + b) mod p, exactly, from x's limbs cols: (limbs, K, n) float64.
 
-    b: (o, 1). Sums stay unreduced while they fit: a chunk's sum is below
-    2**53, a reduced one below p, and a reduced limb times its constant
-    below p**2.
+    b: (o, 1), or None for no bias. Sums stay unreduced while they fit: a
+    chunk's sum is below 2**53, a reduced one below p, and a reduced limb
+    times its constant below p**2.
     """
     p, m = w.p, w.matrix
     acc = None
@@ -102,14 +102,15 @@ def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray) -> np.ndarr
         stop = start + w.chunk
         part = (m[:, start:stop] @ cols[:, start:stop]).astype(np.int64)
         acc = part if acc is None else acc % p + part
-    out = acc[0] + b
+    out = acc[0] if b is None else acc[0] + b
     for j in range(1, w.limbs):
         out = out % p + acc[j] % p * pow(2, j * w.limb_bits, p)
     return out % p
 
 
 def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
-    """2D convolution mod w.p. x: (ci,h,w), w: prepared (co,ci,kh,kw), b: (co,)."""
+    """2D convolution mod w.p. x: (ci,h,w), w: prepared (co,ci,kh,kw),
+    b: (co,) or None."""
     co, ci, kh, kw = w.shape
     _, h, ww = x.shape
     xp = np.zeros((w.limbs, ci, h + 2 * pad, ww + 2 * pad))
@@ -117,13 +118,13 @@ def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     _, _, oh, ow, _, _ = win.shape
     cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(w.limbs, ci * kh * kw, oh * ow)
-    return _matmul_mod(w, cols, b[:, None]).reshape(co, oh, ow)
+    return _matmul_mod(w, cols, None if b is None else b[:, None]).reshape(co, oh, ow)
 
 
 def matvec_mod(w: PreparedWeights, x, b):
-    """Matrix-vector product mod w.p. w: prepared (o,i), x: (i,), b: (o,)."""
+    """Matrix-vector product mod w.p. w: prepared (o,i), x: (i,), b: (o,) or None."""
     cols = _limbs(x, w).astype(np.float64)[:, :, None]
-    return _matmul_mod(w, cols, b[:, None])[:, 0]
+    return _matmul_mod(w, cols, None if b is None else b[:, None])[:, 0]
 
 
 def sumpool_mod(x, window, stride, p):

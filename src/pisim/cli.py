@@ -127,6 +127,13 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return names
 
 
+def _parse_runs(text: str) -> int:
+    runs = int(text)
+    if runs < 1:
+        raise ValueError(f"need at least 1 run, got {runs}")
+    return runs
+
+
 def _parse_formats(text: str) -> tuple[str, ...]:
     fmts = _parse_names(text)
     bad = [f for f in fmts if f not in ("csv", "json")]
@@ -157,7 +164,7 @@ _SPEC_PARSERS = {
     "server_capacity_gb": _parse_capacity,
     "concurrency": _parse_concurrency,
     "horizon_s": float,
-    "n_runs": int,
+    "n_runs": _parse_runs,
     "seed": int,
     "mode": _parse_mode,
     "knobs": str,
@@ -409,6 +416,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _spec_from_args(args)
     tasks = []
     for protocol in spec.protocols:

@@ -13,10 +13,26 @@ by a single resource. Storage is reserved when a build starts and released
 when the bundle's request begins its online phase.
 
 Both modes are recurrences in the request index k (Lindley 1952; Baccelli
-et al., Synchronization and Linearity, 1992), evaluated in one pass over
-the arrival times into float64 arrays. The serial pass keeps the operation
-order start = max(a_k, t_free), ready = start + off, t_free = ready + on,
-so its sums round exactly as an event-by-event simulation does.
+et al., Synchronization and Linearity, 1992), evaluated step-major over a
+sweep point's runs. Each run draws its own arrivals from its own seed; a
+block of runs is padded with inf into one (requests, runs) float64 matrix,
+and step k updates row k of every run at once. Each element sees the same
+float operations in the same order as an event-by-event simulation of its
+run alone, so every time is bitwise equal to it. The serial step is
+start = max(a_k, t_free), ready = start + off, t_free = ready + on. Step k
+reads only rows up to k, so a run's padding never reaches its requests.
+
+Done times never decrease with k, so a run's finished requests are a
+prefix of its column. Its four means are one pairwise sum over each row
+of a contiguous (4, completed) copy of that prefix, divided by its length:
+the sums a per-run np.mean makes. Padding with zeros instead would regroup
+the pairwise sums. The closed form cummax(a_k - k S) + k S of the serial
+recurrence is not used either: it rounds differently, by up to 8e-14
+relative, which can move a sweep CSV's sixth digit.
+
+Runs are drawn and scheduled block by block, each block's matrix within
+BLOCK_ELEMENTS elements, so memory stays bounded at high arrival rates
+however many runs a point has.
 
 The pipelined model makes two assumptions that shape its output:
 
@@ -29,6 +45,7 @@ The pipelined model makes two assumptions that shape its output:
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +53,9 @@ from ..costmodel.types import PhaseCosts
 from .arrivals import poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
 from .metrics import AggregateMetrics, RunMetrics, Schedule, aggregate, summarize_run
+
+# Largest (requests, runs) matrix a block of runs is scheduled in, in elements.
+BLOCK_ELEMENTS = 1 << 20
 
 
 def _bundle_bytes(costs: PhaseCosts) -> tuple[int, int]:
@@ -85,66 +105,90 @@ def stability_limit(costs: PhaseCosts, config: SimConfig) -> float:
     return min(build_rate, online_rate)
 
 
-def serial_schedule(
-    arrivals: np.ndarray, off: float, on: float, horizon: float
-) -> tuple[Schedule, int]:
-    """Lindley's recursion, run to the last arrival; returns the schedule
-    and the peak count of live bundles."""
-    ready = []
-    t_free = 0.0
-    for a in arrivals.tolist():
-        t_ready = (a if a > t_free else t_free) + off
-        ready.append(t_ready)
-        t_free = t_ready + on
-    bundle_ready = np.array(ready, dtype=np.float64)
-    finish = bundle_ready + on
-    schedule = Schedule(
-        arrival=arrivals,
-        bundle_ready=bundle_ready,
-        online_start=np.where(bundle_ready <= horizon, bundle_ready, math.nan),
-        done=np.where(finish <= horizon, finish, math.nan),
-    )
-    return schedule, min(len(ready), 1)
+def serial_steps(
+    arrivals: np.ndarray, off: float, on: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lindley's recursion over (requests, runs) arrivals padded with inf.
+
+    Returns (bundle_ready, finish), each (requests, runs), for every
+    request, past the horizon too. A request starts online when its
+    bundle is ready.
+    """
+    ready = np.empty_like(arrivals)
+    finish = np.empty_like(arrivals)
+    t_free = np.zeros(arrivals.shape[1])
+    for a_k, ready_k, finish_k in zip(arrivals, ready, finish):
+        np.maximum(a_k, t_free, out=ready_k)
+        ready_k += off
+        np.add(ready_k, on, out=finish_k)
+        t_free = finish_k
+    return ready, finish
 
 
-def pipelined_schedule(
+def pipelined_steps(
     arrivals: np.ndarray, off: float, on: float, cap: float, horizon: float
-) -> tuple[Schedule, int]:
-    """Max-plus recurrence over FIFO bundles; returns the schedule and the
-    peak count of live bundles.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-plus recurrence over FIFO bundles, for (requests, runs) arrivals
+    padded with inf; cap is shared by the runs.
 
     Bundle k starts building when request k - cap starts online (at t = 0
     for the first cap), and request k starts online at
     o_k = max(a_k, ready_k, done_{k-1}). Nothing starts after the first
-    online start or completion past the horizon.
+    online start or completion past the horizon. t_free only grows, so
+    once it passes the horizon so does every later o_k, and the times past
+    the horizon are exactly those an event-by-event simulation never
+    reaches. Returns (bundle_ready, online_start, finish), each
+    (requests, runs): bundle_ready is inf for a build that never started,
+    and online_start and finish are not cut at the horizon.
     """
     if cap < 1:
         raise ConfigInfeasible("storage capacity cannot hold a single bundle")
-    times = arrivals.tolist()
-    n = len(times)
-    first = int(min(n, cap))
-    ready = [off] * first + [math.inf] * (n - first)
-    online = [math.nan] * n
-    done = [math.nan] * n
-    t_free = 0.0
-    for k, a in enumerate(times):
-        o = max(a, ready[k], t_free)
-        if o > horizon:
-            break
-        online[k] = o
+    n = arrivals.shape[0]
+    ready = np.full_like(arrivals, off)
+    start = np.empty_like(arrivals)
+    finish = np.empty_like(arrivals)
+    t_free = np.zeros(arrivals.shape[1])
+    for k, (a_k, o, finish_k) in enumerate(zip(arrivals, start, finish)):
+        np.maximum(a_k, ready[k], out=o)
+        np.maximum(o, t_free, out=o)
         if k + cap < n:
-            ready[k + cap] = o + off
-        t_free = o + on
-        if t_free > horizon:
-            break
-        done[k] = t_free
-    schedule = Schedule(
-        arrival=arrivals,
-        bundle_ready=np.array(ready, dtype=np.float64),
-        online_start=np.array(online, dtype=np.float64),
-        done=np.array(done, dtype=np.float64),
-    )
-    return schedule, first
+            np.add(o, off, out=ready[k + cap])
+        np.add(o, on, out=finish_k)
+        t_free = finish_k
+    if cap < n:
+        ready[cap:][start[: n - cap] > horizon] = math.inf
+    return ready, start, finish
+
+
+def _steps(
+    arrivals: np.ndarray, costs: PhaseCosts, config: SimConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bundle_ready, online_start, finish) of the mode's recurrence."""
+    off = costs.offline_latency_s
+    on = costs.online_latency_s
+    if config.concurrency == SERIAL:
+        ready, finish = serial_steps(arrivals, off, on)
+        return ready, ready, finish
+    cap = capacity_bundles(costs, config)
+    return pipelined_steps(arrivals, off, on, cap, config.horizon_s)
+
+
+def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
+    cap = 1 if config.concurrency == SERIAL else capacity_bundles(costs, config)
+    return int(min(arrived, cap))
+
+
+def _draw_arrivals(config: SimConfig, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
+
+
+def _pad(arrivals: list[np.ndarray]) -> np.ndarray:
+    """The runs' arrivals as the columns of one matrix, padded with inf."""
+    matrix = np.full((max(a.size for a in arrivals), len(arrivals)), math.inf)
+    for column, a in zip(matrix.T, arrivals):
+        column[: a.size] = a
+    return matrix
 
 
 def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:
@@ -154,27 +198,69 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     same schedule; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    rng = np.random.default_rng(seed)
-    arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
-    off = costs.offline_latency_s
-    on = costs.online_latency_s
-    if config.concurrency == SERIAL:
-        return serial_schedule(arrivals, off, on, config.horizon_s)
-    cap = capacity_bundles(costs, config)
-    return pipelined_schedule(arrivals, off, on, cap, config.horizon_s)
+    arrivals = _draw_arrivals(config, seed)
+    ready, start, finish = (t[:, 0] for t in _steps(arrivals[:, None], costs, config))
+    horizon = config.horizon_s
+    schedule = Schedule(
+        arrival=arrivals,
+        bundle_ready=ready,
+        online_start=np.where(start <= horizon, start, math.nan),
+        done=np.where(finish <= horizon, finish, math.nan),
+    )
+    return schedule, _peak_bundles(costs, config, arrivals.size)
+
+
+def _simulate_seeds(
+    costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
+) -> list[RunMetrics]:
+    """One summary per seed. The runs are drawn in order and scheduled in
+    blocks of consecutive runs, each padded into at most BLOCK_ELEMENTS
+    elements (or holding one run, if it alone is longer)."""
+    _check_feasible(costs, config)
+    runs: list[RunMetrics] = []
+    block: list[tuple[int, np.ndarray]] = []
+    longest = 0
+    for seed in seeds:
+        arrivals = _draw_arrivals(config, seed)
+        longest = max(longest, arrivals.size)
+        if block and longest * (len(block) + 1) > BLOCK_ELEMENTS:
+            runs += _simulate_block(costs, config, block)
+            longest = arrivals.size
+        block.append((seed, arrivals))
+    runs += _simulate_block(costs, config, block)
+    return runs
+
+
+def _simulate_block(
+    costs: PhaseCosts, config: SimConfig, block: list[tuple[int, np.ndarray]]
+) -> list[RunMetrics]:
+    """Schedule a block of (seed, arrivals) runs step-major and summarize
+    each run. Empties the block: the arrivals live on only in their padded
+    copy."""
+    seeds = [seed for seed, _ in block]
+    sizes = [a.size for _, a in block]
+    arrivals = _pad([a for _, a in block])
+    block.clear()
+    ready, start, finish = _steps(arrivals, costs, config)
+    saturated = config.arrival_rate > stability_limit(costs, config)
+    client_b, server_b = _bundle_bytes(costs)
+    # finish never decreases, so each run's finished requests are a prefix
+    completed = np.count_nonzero(finish <= config.horizon_s, axis=0).tolist()
+    runs = []
+    for r, (seed, arrived, k) in enumerate(zip(seeds, sizes, completed)):
+        finished = Schedule(arrivals[:k, r], ready[:k, r], start[:k, r], finish[:k, r])
+        peak = _peak_bundles(costs, config, arrived)
+        runs.append(summarize_run(costs, config, seed, arrived, finished,
+                                  saturated, peak * client_b, peak * server_b))
+    return runs
 
 
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
     """Run one arrival realization and summarize it."""
-    schedule, peak = run_schedule(costs, config, seed)
-    saturated = config.arrival_rate > stability_limit(costs, config)
-    client_b, server_b = _bundle_bytes(costs)
-    return summarize_run(
-        costs, config, seed, schedule, saturated, peak * client_b, peak * server_b
-    )
+    return _simulate_seeds(costs, config, [seed])[0]
 
 
 def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:
     """Simulate config.n_runs independent realizations, seeds base_seed+i."""
-    runs = [simulate(costs, config, base_seed + i) for i in range(config.n_runs)]
-    return aggregate(runs)
+    seeds = range(base_seed, base_seed + config.n_runs)
+    return aggregate(_simulate_seeds(costs, config, seeds))

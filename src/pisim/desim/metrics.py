@@ -45,25 +45,32 @@ class RunMetrics:
     peak_server_storage_bytes: int
 
 
-def _mean(values: np.ndarray) -> float:
-    return float(np.mean(values)) if values.size else math.nan
-
-
 def summarize_run(
     costs: PhaseCosts,
     config: SimConfig,
     seed: int,
-    schedule: Schedule,
+    arrived: int,
+    finished: Schedule,
     saturated: bool,
     peak_client: int,
     peak_server: int,
 ) -> RunMetrics:
-    finished = ~np.isnan(schedule.done)
-    arrival = schedule.arrival[finished]
-    ready = schedule.bundle_ready[finished]
-    online = schedule.online_start[finished]
-    done = schedule.done[finished]
-    lat = done - arrival
+    """Summarize a run from its finished requests, a prefix of its schedule.
+
+    The four means are one pairwise sum over each row of a (4, completed)
+    stack of latency, precompute wait, queue wait and online time: the
+    same sums np.mean makes of each row alone.
+    """
+    completed = finished.done.size
+    terms = np.empty((4, completed))
+    lat, pre, que, onl = terms
+    np.subtract(finished.done, finished.arrival, out=lat)
+    np.subtract(finished.bundle_ready, finished.arrival, out=pre)
+    np.maximum(pre, 0.0, out=pre)
+    np.maximum(finished.arrival, finished.bundle_ready, out=que)
+    np.subtract(finished.online_start, que, out=que)
+    np.subtract(finished.done, finished.online_start, out=onl)
+    means = (np.add.reduce(terms, axis=1) / completed).tolist() if completed else [math.nan] * 4
     return RunMetrics(
         protocol=costs.protocol.short,
         model=costs.model,
@@ -72,12 +79,12 @@ def summarize_run(
         arrival_rate=config.arrival_rate,
         horizon_s=config.horizon_s,
         seed=seed,
-        arrived=schedule.arrival.size,
-        completed=lat.size,
-        mean_latency_s=_mean(lat),
-        mean_precompute_wait_s=_mean(np.maximum(ready - arrival, 0.0)),
-        mean_queue_wait_s=_mean(online - np.maximum(arrival, ready)),
-        mean_online_s=_mean(done - online),
+        arrived=arrived,
+        completed=completed,
+        mean_latency_s=means[0],
+        mean_precompute_wait_s=means[1],
+        mean_queue_wait_s=means[2],
+        mean_online_s=means[3],
         saturated=saturated,
         peak_client_storage_bytes=peak_client,
         peak_server_storage_bytes=peak_server,

@@ -99,12 +99,10 @@ def apply_ops(ops, x: np.ndarray, weights, p: int, with_bias: bool) -> np.ndarra
     for op in ops:
         if op.kind == "conv":
             w, b = weights[op.weight_key]
-            bias = b if with_bias else np.zeros_like(b)
-            x = conv2d_mod(x, w, bias, op.stride, op.pad)
+            x = conv2d_mod(x, w, b if with_bias else None, op.stride, op.pad)
         elif op.kind == "fc":
             w, b = weights[op.weight_key]
-            bias = b if with_bias else np.zeros_like(b)
-            x = matvec_mod(w, x, bias)
+            x = matvec_mod(w, x, b if with_bias else None)
         elif op.kind == "pool":
             x = sumpool_mod(x, op.window, op.stride, p)
         elif op.kind == "flatten":

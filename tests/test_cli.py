@@ -344,6 +344,12 @@ fc in=128 out=4
         ["simulate", "--capacities", "-5"],
         ["simulate", "--set", "client_capacity_gb=-1"],
         ["simulate", "--set", "server_capacity_gb=-1"],
+        ["simulate", "--runs", "0", "--out", "{dir}"],
+        ["sweep", "--runs", "0", "--out", "{dir}"],
+        ["sweep", "--runs", "-3", "--out", "{dir}"],
+        ["sweep", "--set", "n_runs=0", "--out", "{dir}"],
+        ["sweep", "--jobs", "0", "--out", "{dir}"],
+        ["sweep", "--jobs", "-2", "--out", "{dir}"],
     ],
     ids=" ".join,
 )

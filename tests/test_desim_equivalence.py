@@ -1,9 +1,10 @@
-"""The recurrence engine against the event-by-event reference in desim_oracle.
+"""The step-major engine against the event-by-event reference in desim_oracle.
 
 Every per-request time must be equal with ==, not merely close: the sweep
 CSVs are compared byte for byte.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 import desim_oracle
 from pisim.cli import main
 from pisim.costmodel import load_shipped_model, phase_costs
-from pisim.desim import PIPELINED, SERIAL, SimConfig
-from pisim.desim.engine import pipelined_schedule, serial_schedule, simulate
+from pisim.desim import PIPELINED, SERIAL, SimConfig, aggregate, run_many, simulate
+from pisim.desim import engine
+from pisim.desim.engine import pipelined_steps, serial_steps
 from pisim.netarch import build_preset
 
 
@@ -31,61 +33,109 @@ def _oracle_arrays(records) -> list[np.ndarray]:
     ]
 
 
-def _assert_same(schedule, records) -> None:
-    got = [schedule.arrival, schedule.bundle_ready, schedule.online_start, schedule.done]
+def _assert_same(timelines, records) -> None:
     for name, mine, ref in zip(("arrival", "bundle_ready", "online_start", "done"),
-                               got, _oracle_arrays(records)):
+                               timelines, _oracle_arrays(records)):
         assert mine.dtype == np.float64, name
         assert np.array_equal(mine, ref, equal_nan=True), (name, mine, ref)
 
 
+def _assert_same_metrics(mine, ref) -> None:
+    """Dataclass equality, with NaN equal to NaN."""
+    for field in dataclasses.fields(ref):
+        got, want = getattr(mine, field.name), getattr(ref, field.name)
+        both_nan = isinstance(want, float) and math.isnan(want) and math.isnan(got)
+        assert got == want or both_nan, (field.name, got, want)
+
+
 @st.composite
-def runs(draw):
-    """(arrivals, off, on, horizon). On the integer grid, arrivals, bundle
-    completions and online completions coincide often, which exercises the
-    reference heap's tie-break order."""
+def batches(draw):
+    """(runs, off, on, horizon): one to five runs' sorted arrival lists,
+    ragged and possibly empty, sharing phase times and horizon. On the
+    integer grid, arrivals, bundle completions and online completions
+    coincide often, which exercises the reference heap's tie-break order."""
     if draw(st.booleans()):
-        arrivals = [float(t) for t in draw(st.lists(st.integers(0, 40), max_size=40))]
+        times = st.integers(0, 40).map(float)
         off = float(draw(st.integers(0, 6)))
         on = float(draw(st.integers(0, 6)))
         horizon = float(draw(st.integers(1, 60)))
     else:
         times = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
-        arrivals = draw(st.lists(times, max_size=40))
-        if arrivals:
-            arrivals += draw(st.lists(st.sampled_from(arrivals), max_size=10))
         phase = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
         off = draw(phase)
         on = draw(phase)
         horizon = draw(st.floats(0.5, 150.0))
-    return np.array(sorted(arrivals), dtype=np.float64), off, on, horizon
+    runs = []
+    for arrivals in draw(st.lists(st.lists(times, max_size=40), min_size=1, max_size=5)):
+        if arrivals:
+            arrivals += draw(st.lists(st.sampled_from(arrivals), max_size=10))
+        runs.append(sorted(arrivals))
+    return runs, off, on, horizon
+
+
+def _padded(runs) -> np.ndarray:
+    matrix = np.full((max(map(len, runs)), len(runs)), math.inf)
+    for column, arrivals in zip(matrix.T, runs):
+        column[: len(arrivals)] = arrivals
+    return matrix
+
+
+def _assert_rows_same(runs, steps, horizon, reference) -> None:
+    """Each run's column of the batched timelines, cut at the horizon,
+    equals its reference run."""
+    ready, start, finish = steps
+    online = np.where(start <= horizon, start, math.nan)
+    done = np.where(finish <= horizon, finish, math.nan)
+    for r, arrivals in enumerate(runs):
+        arrivals = np.array(arrivals, dtype=np.float64)
+        n = arrivals.size
+        records, _ = reference(arrivals)
+        _assert_same([arrivals] + [t[:n, r] for t in (ready, online, done)], records)
 
 
 caps = st.one_of(st.sampled_from([1, 2, math.inf]), st.integers(3, 6))
 
 
-@settings(max_examples=400, deadline=None)
-@given(runs())
-@example((np.empty(0), 1.0, 1.0, 10.0))
-def test_serial_schedule_matches_reference(run):
-    arrivals, off, on, horizon = run
-    schedule, peak = serial_schedule(arrivals, off, on, horizon)
-    records, ref_peak = desim_oracle.simulate_serial(arrivals, off, on, horizon)
-    _assert_same(schedule, records)
-    assert peak == ref_peak
+def _spaced(gap: float, n: int) -> list[float]:
+    return [gap * k for k in range(n)]
+
+
+# Long runs that the horizon cuts off well before their last arrival, so
+# they keep stepping long after they stop. In _STOPPED every run stops; in
+# _RUNNING the last run never does.
+_STOPPED = ([_spaced(0.25, 200), _spaced(0.3, 150), []], 3.0, 1.0, 60.0)
+_RUNNING = ([_spaced(0.1, 400), _spaced(0.3, 150), [], _spaced(1.4, 100)], 3.0, 1.0, 150.0)
 
 
 @settings(max_examples=400, deadline=None)
-@given(runs(), caps)
-@example((np.empty(0), 1.0, 1.0, 10.0), 1)
-@example((np.array([0.0, 0.0, 1.0, 1.0, 2.0]), 1.0, 1.0, 3.0), 2)
-def test_pipelined_schedule_matches_reference(run, cap):
-    arrivals, off, on, horizon = run
-    schedule, peak = pipelined_schedule(arrivals, off, on, cap, horizon)
-    records, ref_peak = desim_oracle.simulate_pipelined(arrivals, off, on, cap, horizon)
-    _assert_same(schedule, records)
-    assert peak == ref_peak
-    assert type(peak) is int
+@given(batches())
+@example(([[]], 1.0, 1.0, 10.0))
+@example(([[], [], []], 1.0, 1.0, 10.0))
+@example(([[0.0, 1.0, 2.0], [], [5.0]], 2.0, 1.0, 6.0))
+@example(_STOPPED)
+@example(_RUNNING)
+def test_serial_schedule_matches_reference(batch):
+    runs, off, on, horizon = batch
+    ready, finish = serial_steps(_padded(runs), off, on)
+    _assert_rows_same(runs, (ready, ready, finish), horizon,
+                      lambda a: desim_oracle.simulate_serial(a, off, on, horizon))
+
+
+@settings(max_examples=400, deadline=None)
+@given(batches(), caps)
+@example(([[]], 1.0, 1.0, 10.0), 1)
+@example(([[], []], 1.0, 1.0, 10.0), math.inf)
+@example(([[0.0, 0.0, 1.0, 1.0, 2.0]], 1.0, 1.0, 3.0), 2)
+@example(([[0.0, 0.0, 1.0, 1.0, 2.0], [], [0.5]], 1.0, 1.0, 3.0), 2)
+@example(_STOPPED, 1)
+@example(_STOPPED, 4)
+@example(_RUNNING, 2)
+@example(_RUNNING, math.inf)
+def test_pipelined_schedule_matches_reference(batch, cap):
+    runs, off, on, horizon = batch
+    steps = pipelined_steps(_padded(runs), off, on, cap, horizon)
+    _assert_rows_same(runs, steps, horizon,
+                      lambda a: desim_oracle.simulate_pipelined(a, off, on, cap, horizon))
 
 
 @pytest.mark.parametrize(
@@ -108,11 +158,52 @@ def test_simulate_matches_reference(proto, model, dataset, concurrency, rate, ho
         assert simulate(costs, cfg, seed) == desim_oracle.simulate(costs, cfg, seed)
 
 
+def _reference_run_many(costs, config, base_seed=0):
+    runs = [desim_oracle.simulate(costs, config, base_seed + i) for i in range(config.n_runs)]
+    return aggregate(runs)
+
+
+@pytest.mark.parametrize("concurrency", [SERIAL, PIPELINED])
+@pytest.mark.parametrize(
+    "rate, horizon, block",
+    [
+        (0.0, 86_400.0, engine.BLOCK_ELEMENTS),  # no arrivals at all
+        (5.0, 1.0, engine.BLOCK_ELEMENTS),  # arrivals, but nothing completes
+        (2e-2, 20_000.0, 1_000),  # blocks of about two runs
+        (2e-2, 20_000.0, 1),  # one run per block
+    ],
+)
+def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block)
+    shapes = []
+    pad_runs = engine._pad
+
+    def pad(arrivals):
+        matrix = pad_runs(arrivals)
+        shapes.append(matrix.shape)
+        return matrix
+
+    monkeypatch.setattr(engine, "_pad", pad)
+    arch = build_preset("resnet18", "tinyimagenet")
+    costs = phase_costs(load_shipped_model("table"), "sg", arch)
+    cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=7, concurrency=concurrency,
+                    client_capacity_bytes=128e9)
+    seeds = range(3, 3 + cfg.n_runs)
+    runs = engine._simulate_seeds(costs, cfg, seeds)
+    assert len(runs) == cfg.n_runs
+    for mine, seed in zip(runs, seeds):
+        _assert_same_metrics(mine, desim_oracle.simulate(costs, cfg, seed))
+    # every block fits the budget, unless it is one run too long for it
+    assert sum(cols for _, cols in shapes) == cfg.n_runs
+    assert all(rows * cols <= block or cols == 1 for rows, cols in shapes), shapes
+    _assert_same_metrics(run_many(costs, cfg, 3), _reference_run_many(costs, cfg, 3))
+
+
 @pytest.mark.parametrize("spec", ["fig4_c100", "fig5_tiny"])
 def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
     argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--seed", "0"]
     assert main(argv + ["--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr("pisim.desim.engine.simulate", desim_oracle.simulate)
+    monkeypatch.setattr("pisim.desim.sweep.run_many", _reference_run_many)
     assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
     new = (tmp_path / "new" / f"{spec}.csv").read_bytes()
     assert new == (tmp_path / "ref" / f"{spec}.csv").read_bytes()

@@ -2,9 +2,10 @@
 
 The numpy field kernels and the plaintext oracle's convolution must equal
 the references exactly, for every modulus the kernels admit: the default
-Mersenne prime and the largest prime whose square fits in int64. The
-field kernels take weights prepared by `prepare_weights`, whose limb and
-chunk plan must keep every partial sum of the float64 product below 2**53.
+Mersenne prime and the largest prime whose square fits in int64, with a
+bias and without one (b=None). The field kernels take weights prepared by
+`prepare_weights`, whose limb and chunk plan must keep every partial sum
+of the float64 product below 2**53.
 """
 
 import dataclasses
@@ -39,13 +40,13 @@ def residues(draw, shape, p):
     return x
 
 
-@given(st.data(), MODULI, st.integers(1, 8), st.integers(1, 300))
+@given(st.data(), MODULI, st.integers(1, 8), st.integers(1, 300), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_matvec_matches_reference(data, p, rows, cols):
+def test_matvec_matches_reference(data, p, rows, cols, with_bias):
     w = data.draw(residues((rows, cols), p))
     x = data.draw(residues((cols,), p))
-    b = data.draw(residues((rows,), p))
-    got = K.matvec_mod(K.prepare_weights(w, p), x, b)
+    b = data.draw(residues((rows,), p)) if with_bias else np.zeros(rows, dtype=np.int64)
+    got = K.matvec_mod(K.prepare_weights(w, p), x, b if with_bias else None)
     assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, p))
 
 
@@ -86,14 +87,14 @@ def conv_case(draw):
     return draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w, k, stride, pad
 
 
-@given(st.data(), MODULI, conv_case())
+@given(st.data(), MODULI, conv_case(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_conv_matches_reference(data, p, case):
+def test_conv_matches_reference(data, p, case, with_bias):
     ci, co, h, ww, k, stride, pad = case
     x = data.draw(residues((ci, h, ww), p))
     w = data.draw(residues((co, ci, k, k), p))
-    b = data.draw(residues((co,), p))
-    got = K.conv2d_mod(x, K.prepare_weights(w, p), b, stride, pad)
+    b = data.draw(residues((co,), p)) if with_bias else np.zeros(co, dtype=np.int64)
+    got = K.conv2d_mod(x, K.prepare_weights(w, p), b if with_bias else None, stride, pad)
     assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, p))
 
 

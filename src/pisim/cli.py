@@ -19,6 +19,7 @@ from .costmodel import (
     CommInputs,
     CostModelError,
     OptimizationKnobs,
+    PhaseCosts,
     Protocol,
     classify_regime,
     get_optimization,
@@ -354,14 +355,15 @@ def _split_set_pairs(items: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _spec_costs(spec: ExperimentSpec, protocol: str):
+def _spec_costs(spec: ExperimentSpec, protocols: tuple[str, ...]) -> list[PhaseCosts]:
+    """PhaseCosts of each protocol on the spec's network, from one model load."""
     knobs = parse_knobs(spec.knobs)
     mode = spec.mode
     if mode == "table" and not knobs.is_identity:
         mode = "component"
     cm = load_shipped_model(mode=mode)
     arch = resolve_arch(spec.model, spec.dataset)
-    return phase_costs(cm, Protocol.parse(protocol), arch, knobs=knobs)
+    return [phase_costs(cm, Protocol.parse(p), arch, knobs=knobs) for p in protocols]
 
 
 def _spec_config(spec: ExperimentSpec, rate: float, cap_gb: float) -> SimConfig:
@@ -393,7 +395,7 @@ def _write_rows(rows: list[dict], spec: ExperimentSpec, stem: str) -> list[Path]
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    costs = _spec_costs(spec, spec.protocols[0])
+    (costs,) = _spec_costs(spec, spec.protocols[:1])
     config = _spec_config(spec, spec.rates[0], spec.client_capacity_gb[0])
     row = sweep_point(costs, config, spec.seed)
     if not row["feasible"]:
@@ -420,8 +422,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _spec_from_args(args)
     tasks = []
-    for protocol in spec.protocols:
-        costs = _spec_costs(spec, protocol)
+    for costs in _spec_costs(spec, spec.protocols):
         for cap_gb in spec.client_capacity_gb:
             for rate in spec.rates:
                 tasks.append((costs, _spec_config(spec, rate, cap_gb), spec.seed))

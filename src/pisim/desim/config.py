@@ -8,6 +8,11 @@ from dataclasses import dataclass
 SERIAL = "serial"
 PIPELINED = "pipelined"
 
+# Upper bound, exclusive, on a run's expected arrival count
+# arrival_rate * horizon_s. A run keeps several float64 timelines of its
+# requests, 8 GB each at this count, so no larger run fits in memory.
+MAX_EXPECTED_ARRIVALS = 1e9
+
 
 class ConfigInfeasible(ValueError):
     """The configuration can never serve a request."""
@@ -41,6 +46,12 @@ class SimConfig:
             )
         if not 0 < self.horizon_s < math.inf:
             raise ConfigInfeasible(f"horizon must be finite and positive, got {self.horizon_s}")
+        if not self.arrival_rate * self.horizon_s < MAX_EXPECTED_ARRIVALS:
+            raise ConfigInfeasible(
+                f"arrival rate {self.arrival_rate:g} over horizon {self.horizon_s:g} s "
+                f"expects {self.arrival_rate * self.horizon_s:g} arrivals per run; "
+                f"the limit is {MAX_EXPECTED_ARRIVALS:g}"
+            )
         for name in ("server_capacity_bytes", "client_capacity_bytes"):
             capacity = getattr(self, name)
             if capacity is None:

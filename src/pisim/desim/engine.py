@@ -34,6 +34,12 @@ Runs are drawn and scheduled block by block, each block's matrix within
 BLOCK_ELEMENTS elements, so memory stays bounded at high arrival rates
 however many runs a point has.
 
+Capacities reach a feasible run only through capacity_bundles under
+pipelined serving, and not at all under serial serving. run_key is what
+run_many's result depends on: costs, arrival rate, horizon, run count,
+concurrency, base seed and, when pipelined, that bundle count. A sweep
+runs each distinct key once.
+
 The pipelined model makes two assumptions that shape its output:
 
 - Bundles are built only for the n requests that arrive within the
@@ -71,6 +77,19 @@ def capacity_bundles(costs: PhaseCosts, config: SimConfig) -> float:
     if client_b > 0 and config.client_capacity_bytes < math.inf:
         cap = min(cap, math.floor(config.client_capacity_bytes / client_b))
     return cap
+
+
+def run_key(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> tuple | None:
+    """What run_many(costs, config, base_seed) depends on, and nothing else
+    (see the module docstring): equal keys give equal results. None for a
+    config _check_feasible rejects, whose message names its capacities."""
+    try:
+        _check_feasible(costs, config)
+    except ConfigInfeasible:
+        return None
+    bundles = None if config.concurrency == SERIAL else capacity_bundles(costs, config)
+    return (costs, config.arrival_rate, config.horizon_s, config.n_runs,
+            config.concurrency, base_seed, bundles)
 
 
 def _check_feasible(costs: PhaseCosts, config: SimConfig) -> None:

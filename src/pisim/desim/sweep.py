@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
-from .engine import run_many, stability_limit
+from .engine import run_key, run_many, stability_limit
 
 SWEEP_COLUMNS = [
     "protocol",
@@ -48,9 +47,9 @@ _NAN_FIELDS = [
 ]
 
 
-def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dict[str, object]:
-    """One grid cell: n_runs realizations of one (costs, rate) pair."""
-    row: dict[str, object] = {
+def _point_columns(costs: PhaseCosts, config: SimConfig) -> dict[str, object]:
+    """The columns a cell takes from its own costs and config, not its runs."""
+    return {
         "protocol": costs.protocol.short,
         "model": costs.model,
         "dataset": costs.dataset,
@@ -64,6 +63,11 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
         "online_latency_s": costs.online_latency_s,
         "stability_limit": stability_limit(costs, config),
     }
+
+
+def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dict[str, object]:
+    """One grid cell: n_runs realizations of one (costs, rate) pair."""
+    row = _point_columns(costs, config)
     try:
         agg = run_many(costs, config, base_seed)
     except ConfigInfeasible as exc:
@@ -101,12 +105,33 @@ def run_points(
 ) -> list[dict[str, object]]:
     """sweep_point for each (costs, config, base_seed) task, in order.
 
-    jobs > 1 distributes the tasks over worker processes.
+    Feasible tasks with equal engine.run_key (costs, rate, horizon, run
+    count, concurrency, base seed and, when pipelined, capacity_bundles)
+    share one sweep_point call; each row keeps its own _point_columns. An
+    infeasible task has no key and runs alone, so its failure names its
+    own capacities. jobs > 1 distributes the distinct tasks over worker
+    processes.
     """
-    if jobs > 1 and len(tasks) > 1:
+    first: dict[tuple, int] = {}
+    distinct: list[tuple[PhaseCosts, SimConfig, int]] = []
+    shared_by = []
+    for task in tasks:
+        key = run_key(*task)
+        index = len(distinct) if key is None else first.setdefault(key, len(distinct))
+        if index == len(distinct):
+            distinct.append(task)
+        shared_by.append(index)
+    if jobs > 1 and len(distinct) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_point, tasks))
-    return [_run_point(t) for t in tasks]
+            shared = list(pool.map(_run_point, distinct))
+    else:
+        shared = [_run_point(t) for t in distinct]
+    return [
+        {**shared[index], **_point_columns(costs, config)}
+        for index, (costs, config, _) in zip(shared_by, tasks)
+    ]
 
 
 def format_value(value: object) -> str:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pisim.cli
 from pisim.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -93,9 +94,11 @@ def test_cost_bad_input_exits_2(argv, capsys):
 
 
 def test_cli_imports_no_scipy_or_numba():
+    # nor a process pool, which only sweep --jobs N > 1 needs
     code = (
         "import sys, pisim.cli; pisim.cli.load_shipped_model(); "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & "
+        "{'scipy', 'numba', 'multiprocessing', 'concurrent'}))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -206,6 +209,21 @@ def test_simulate_non_finite_input_exits_3(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rates", "1e308"],
+        ["sweep", "@fig4_c100", "--set", "horizon_s=1e308"],
+    ],
+    ids=" ".join,
+)
+def test_huge_expected_arrival_count_exits_3(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ")
+    assert "Traceback" not in err
+
+
 def test_simulate_pipelined_unbounded_server(tmp_path):
     rc = run_cli("simulate", "--concurrency", "pipelined", "--set", "server_capacity_gb=inf",
                  "--runs", "1", "--horizon", "10000", "--out", str(tmp_path))
@@ -262,6 +280,21 @@ def test_sweep_shipped_spec_reduced(tmp_path):
         and r["arrival_rate"] == "0.01"
     ]
     assert sg8_fast and sg8_fast[0]["saturated"] == "true"
+
+
+def test_sweep_loads_the_cost_model_once(tmp_path, monkeypatch):
+    loads = []
+    load = pisim.cli.load_shipped_model
+
+    def counted_load(*args, **kwargs):
+        loads.append(kwargs)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(pisim.cli, "load_shipped_model", counted_load)
+    rc = run_cli("sweep", "@fig4_c100", "--runs", "1", "--horizon", "1000",
+                 "--out", str(tmp_path))
+    assert rc == EXIT_OK
+    assert loads == [{"mode": "table"}]
 
 
 def test_sweep_all_infeasible_exit(tmp_path, capsys):

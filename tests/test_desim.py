@@ -23,6 +23,7 @@ from pisim.desim import (
     sweep_point,
     write_sweep_csv,
 )
+from pisim.desim.config import MAX_EXPECTED_ARRIVALS
 from pisim.netarch import build_preset
 
 CM = load_shipped_model("table")
@@ -212,6 +213,10 @@ def test_simconfig_validation():
         SimConfig(arrival_rate=1e-3, concurrency="warp")
     with pytest.raises(ValueError):
         SimConfig(arrival_rate=1e-3, n_runs=0)
+    for rate, horizon in ((MAX_EXPECTED_ARRIVALS, 1.0), (1e308, 86400.0), (1e-3, 1e308)):
+        with pytest.raises(ConfigInfeasible, match="arrivals per run"):
+            SimConfig(arrival_rate=rate, horizon_s=horizon)
+    SimConfig(arrival_rate=MAX_EXPECTED_ARRIVALS / 2, horizon_s=1.0)
 
 
 def test_simulate_is_deterministic():

@@ -5,6 +5,7 @@ CSVs are compared byte for byte.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,19 @@ from hypothesis import strategies as st
 import desim_oracle
 from pisim.cli import main
 from pisim.costmodel import load_shipped_model, phase_costs
-from pisim.desim import PIPELINED, SERIAL, SimConfig, aggregate, run_many, simulate
-from pisim.desim import engine
+from pisim.desim import (
+    PIPELINED,
+    SERIAL,
+    SWEEP_COLUMNS,
+    SimConfig,
+    aggregate,
+    run_many,
+    run_points,
+    simulate,
+    sweep_point,
+)
+from pisim.desim import engine, sweep
+from pisim.desim.sweep import format_value
 from pisim.desim.engine import pipelined_steps, serial_steps
 from pisim.netarch import build_preset
 
@@ -207,3 +219,83 @@ def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
     new = (tmp_path / "new" / f"{spec}.csv").read_bytes()
     assert new == (tmp_path / "ref" / f"{spec}.csv").read_bytes()
+
+
+# Small bundles, so that capacities of a few bytes give every case of
+# sharing: repeats, unbounded, too small for one bundle, and distinct
+# capacities that hold the same number of bundles (20 and 29 hold two).
+_SHARING_COSTS = [
+    dataclasses.replace(
+        phase_costs(load_shipped_model("table"), proto, build_preset("resnet32", "cifar100")),
+        offline_latency_s=off, online_latency_s=on,
+        client_storage_delta_bytes=client_b, server_storage_delta_bytes=server_b,
+    )
+    for proto, off, on, client_b, server_b in (
+        ("sg", 2.0, 1.0, 10, 0),
+        ("cg", 0.5, 3.0, 0, 7),
+        ("cg", 4.0, 0.5, 10, 7),
+    )
+]
+_CAPACITIES = [None, math.inf, 0.0, 5.0, 10.0, 20.0, 29.0, 30.0]
+
+
+@st.composite
+def grids(draw):
+    """run_points tasks over a small grid: the product of one to a few
+    values of each input of a sweep point."""
+
+    def some(values, most=2):
+        return draw(st.lists(values, min_size=1, max_size=most))
+
+    product = itertools.product(
+        some(st.sampled_from(_SHARING_COSTS)),
+        some(st.sampled_from(_CAPACITIES), most=3),
+        some(st.sampled_from(_CAPACITIES)),
+        some(st.sampled_from([0.0, 0.2, 1.0, 3.0])),
+        some(st.floats(1.0, 30.0)),
+        some(st.integers(1, 3)),
+        some(st.sampled_from([SERIAL, PIPELINED])),
+        some(st.integers(0, 3)),
+    )
+    return [
+        (costs, SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n_runs,
+                          client_capacity_bytes=client, server_capacity_bytes=server,
+                          concurrency=concurrency), seed)
+        for costs, client, server, rate, horizon, n_runs, concurrency, seed in product
+    ]
+
+
+def _cells(rows):
+    return [[format_value(row[c]) for c in SWEEP_COLUMNS] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids())
+def test_run_points_sharing_matches_sweep_point(tasks):
+    assert _cells(run_points(tasks, 1)) == _cells([sweep_point(*t) for t in tasks])
+
+
+def test_run_points_sharing_matches_sweep_point_in_workers():
+    tasks = [
+        (c, SimConfig(arrival_rate=1.0, horizon_s=20.0, n_runs=2, client_capacity_bytes=cap,
+                      concurrency=concurrency), 1)
+        for concurrency in (SERIAL, PIPELINED)
+        for c in _SHARING_COSTS
+        for cap in (5.0, 20.0, 29.0, None)
+    ]
+    assert _cells(run_points(tasks, 2)) == _cells([sweep_point(*t) for t in tasks])
+
+
+@pytest.mark.parametrize("spec, distinct", [("fig4_c100", 10), ("fig5_tiny", 16)])
+def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted_run_many(*args):
+        calls.append(args)
+        return run_many(*args)
+
+    monkeypatch.setattr(sweep, "run_many", counted_run_many)
+    argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--out", str(tmp_path)]
+    for passes in (1, 2):
+        assert main(argv) == 0
+        assert len(calls) == distinct * passes

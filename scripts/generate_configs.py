@@ -53,6 +53,9 @@ OPTIMIZATIONS = {
     "falcon": (0.05, 0.5, 1.0, 0.5, "aggressive pruning, packed he"),
 }
 
+# (model, dataset) of each shipped archs/<model>.arch file
+ARCHS = [("resnet32", "c100"), ("vgg16", "c100"), ("resnet18", "c100"), ("toy_cnn", "toy8")]
+
 
 def make_costs() -> str:
     rows = []
@@ -92,14 +95,8 @@ def main() -> None:
     (CONFIG_DIR / "optimizations.tsv").write_text(make_optimizations())
     arch_dir = CONFIG_DIR / "archs"
     arch_dir.mkdir(exist_ok=True)
-    for model, dataset in [
-        ("resnet32", "c100"),
-        ("vgg16", "c100"),
-        ("resnet18", "c100"),
-        ("toy_cnn", "toy8"),
-    ]:
-        arch = build_preset(model, dataset)
-        (arch_dir / f"{model}.arch").write_text(serialize(arch))
+    for model, dataset in ARCHS:
+        (arch_dir / f"{model}.arch").write_text(serialize(build_preset(model, dataset)))
     print(f"wrote configs under {CONFIG_DIR}")
 
 

@@ -42,8 +42,6 @@ from .desim import (
 from .desim.sweep import SWEEP_COLUMNS, format_value
 from .field import FieldOverflowRisk
 from .netarch import (
-    DATASETS,
-    MODELS,
     InvalidArch,
     NetworkArch,
     ParseError,
@@ -52,7 +50,6 @@ from .netarch import (
     canonical_dataset,
     count,
     layer_kind_counts,
-    linear_profile,
     load,
     validate,
 )
@@ -135,6 +132,13 @@ def _parse_runs(text: str) -> int:
     return runs
 
 
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_formats(text: str) -> tuple[str, ...]:
     fmts = _parse_names(text)
     bad = [f for f in fmts if f not in ("csv", "json")]
@@ -166,7 +170,7 @@ _SPEC_PARSERS = {
     "concurrency": _parse_concurrency,
     "horizon_s": float,
     "n_runs": _parse_runs,
-    "seed": int,
+    "seed": _parse_seed,
     "mode": _parse_mode,
     "knobs": str,
     "output_dir": str,
@@ -446,6 +450,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         protocols = (Protocol.parse(args.protocol),)
     if args.trials < 0:
         raise SpecError(f"--trials must be non-negative, got {args.trials}")
+    if args.seed < 0:
+        raise SpecError(f"--seed must be non-negative, got {args.seed}")
     if args.trials == 0:
         print("warning: zero trials requested; nothing verified")
         return EXIT_OK
@@ -484,10 +490,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_arch_check(args: argparse.Namespace) -> int:
     arch = load(args.path)
-    validate(arch)
     counts = count(arch)
     kinds = layer_kind_counts(arch)
-    profile = linear_profile(arch)
     _print_kv("name", arch.name)
     _print_kv("dataset", f"{arch.dataset.name} ({arch.dataset.channels}x"
               f"{arch.dataset.height}x{arch.dataset.width}, "
@@ -497,7 +501,7 @@ def cmd_arch_check(args: argparse.Namespace) -> int:
     _print_kv("params", f"{counts.params:,}")
     _print_kv("flops", f"{counts.flops:,}")
     _print_kv("relus", f"{counts.relus:,}")
-    _print_kv("linear units", str(profile.n_units))
+    _print_kv("linear units", str(counts.n_units))
     print("ok")
     return EXIT_OK
 
@@ -580,13 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (UnknownPreset, CostModelError, SpecError, ParseError, InvalidArch) as exc:
-        msg = str(exc)
-        if isinstance(exc, UnknownPreset) and "known" not in msg:
-            msg += (
-                f" (models: {', '.join(sorted(MODELS))}; "
-                f"datasets: {', '.join(sorted(DATASETS))})"
-            )
-        print(f"error: {msg}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

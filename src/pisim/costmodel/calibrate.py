@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..netarch import NetworkArch, build_preset, canonical_dataset
-from .comm import gc_party_small_terms, offline_comm, online_comm, storage_deltas
-from .formula import Columns, Workload, compute_seconds
+from .comm import CommInputs, gc_party_small_terms, offline_comm, online_comm, storage_deltas
+from .formula import Columns, compute_seconds
 from .types import (
     CalibrationReport,
     CostModel,
@@ -48,7 +48,7 @@ class CalibrationOptions:
 @dataclass(frozen=True)
 class _RowView:
     row: MeasuredCosts
-    w: Workload
+    sizes: CommInputs
     offline_compute_s: float
     online_compute_s: float
 
@@ -57,24 +57,14 @@ class _RowView:
         return f"{self.row.protocol.short}/{self.row.model}/{self.row.dataset}"
 
 
-def _default_archs(rows: list[MeasuredCosts]) -> dict[tuple[str, str], NetworkArch]:
-    archs = {}
-    for row in rows:
-        key = (row.model, row.dataset)
-        if key not in archs:
-            archs[key] = build_preset(row.model, row.dataset)
-    return archs
-
-
-def _view(row: MeasuredCosts, arch: NetworkArch) -> _RowView:
-    w = Workload.of(arch)
+def _view(row: MeasuredCosts, sizes: CommInputs) -> _RowView:
     bw = row.bandwidth_bytes_per_s
     off_comm = row.offline_comm_bytes
     if off_comm is None:
-        off_comm = offline_comm(row.protocol, w.sizes).total_bytes
+        off_comm = offline_comm(row.protocol, sizes).total_bytes
     on_comm = row.online_comm_bytes
     if on_comm is None:
-        on_comm = online_comm(row.protocol, w.sizes).total_bytes
+        on_comm = online_comm(row.protocol, sizes).total_bytes
     off_compute = row.offline_latency_s - off_comm / bw
     on_compute = row.online_latency_s - on_comm / bw
     if off_compute <= 0 or on_compute <= 0:
@@ -82,7 +72,9 @@ def _view(row: MeasuredCosts, arch: NetworkArch) -> _RowView:
             f"{row.protocol.short}/{row.model}/{row.dataset}: modeled wire time "
             "exceeds the measured latency; bandwidth or comm columns are off"
         )
-    return _RowView(row=row, w=w, offline_compute_s=off_compute, online_compute_s=on_compute)
+    return _RowView(
+        row=row, sizes=sizes, offline_compute_s=off_compute, online_compute_s=on_compute
+    )
 
 
 def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
@@ -93,8 +85,8 @@ def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
             if v.row.protocol is Protocol.SERVER_GARBLER
             else v.row.server_storage_bytes
         )
-        small = gc_party_small_terms(v.row.protocol, v.w.sizes)
-        rates.append((deltas_bytes - small) / v.w.sizes.relus)
+        small = gc_party_small_terms(v.row.protocol, v.sizes)
+        rates.append((deltas_bytes - small) / v.sizes.relus)
     rates_arr = np.asarray(rates)
     mean = float(rates_arr.mean())
     if mean <= 0:
@@ -148,9 +140,9 @@ def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> np.ndarra
 def _anchor(views: list[_RowView], area: int) -> _RowView:
     """The row whose HE share the prior pins for one input area: the
     client-garbler row with the most conv FLOPs, or any row if none is cg."""
-    pool = [v for v in views if v.w.area == area]
+    pool = [v for v in views if v.sizes.area == area]
     cg = [v for v in pool if v.row.protocol is Protocol.CLIENT_GARBLER]
-    return max(cg or pool, key=lambda v: v.w.conv_flops)
+    return max(cg or pool, key=lambda v: v.sizes.conv_flops)
 
 
 def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
@@ -181,23 +173,26 @@ def calibrate(
     if not rows:
         raise InsufficientRows("no measured rows to calibrate from")
     options = options or CalibrationOptions()
-    archs = dict(archs or {})
-    for key, arch in _default_archs(rows).items():
-        archs.setdefault(key, arch)
+    archs = archs or {}
+    sizes: dict[tuple[str, str], CommInputs] = {}
+    for row in rows:
+        key = (row.model, row.dataset)
+        if key not in sizes:
+            sizes[key] = CommInputs.from_arch(archs[key] if key in archs else build_preset(*key))
 
-    views = [_view(row, archs[(row.model, row.dataset)]) for row in rows]
+    views = [_view(row, sizes[(row.model, row.dataset)]) for row in rows]
     columns = Columns(
-        conv_areas=tuple(sorted({v.w.area for v in views})),
-        fc_areas=tuple(sorted({v.w.area for v in views if v.w.fc_flops})),
+        conv_areas=tuple(sorted({v.sizes.area for v in views})),
+        fc_areas=tuple(sorted({v.sizes.area for v in views if v.sizes.fc_flops})),
         protocols=tuple(sorted({v.row.protocol for v in views}, key=lambda p: p.value)),
     )
-    features = [columns.features(v.row.protocol, v.w) for v in views]
+    features = [columns.features(v.row.protocol, v.sizes) for v in views]
 
     offline = [(off, v.offline_compute_s, 1.0) for v, (off, _) in zip(views, features)]
     if options.he_share_weight > 0:
         for area in columns.conv_areas:
             anchor = _anchor(views, area)
-            anchor_off, _ = columns.features(anchor.row.protocol, anchor.w)
+            anchor_off, _ = columns.features(anchor.row.protocol, anchor.sizes)
             prior = [0.0] * len(anchor_off)
             prior[columns.he_flops] = anchor_off[columns.he_flops]
             offline.append(
@@ -225,10 +220,10 @@ def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
     he_shares = {}
     worst_storage = 0.0
     for v in views:
-        off, on, _ = compute_seconds(model, v.row.protocol, v.w)
+        off, on, _ = compute_seconds(model, v.row.protocol, v.sizes)
         bw = v.row.bandwidth_bytes_per_s
-        off_pred = off + offline_comm(v.row.protocol, v.w.sizes).total_bytes / bw
-        on_pred = on + online_comm(v.row.protocol, v.w.sizes).total_bytes / bw
+        off_pred = off + offline_comm(v.row.protocol, v.sizes).total_bytes / bw
+        on_pred = on + online_comm(v.row.protocol, v.sizes).total_bytes / bw
         residuals.append(
             (
                 v.label,
@@ -236,7 +231,7 @@ def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
                 abs(on_pred - v.row.online_latency_s) / v.row.online_latency_s,
             )
         )
-        deltas = storage_deltas(v.row.protocol, v.w.sizes)
+        deltas = storage_deltas(v.row.protocol, v.sizes)
         for measured, predicted in (
             (v.row.client_storage_bytes, deltas.client_bytes),
             (v.row.server_storage_bytes, deltas.server_bytes),
@@ -245,7 +240,7 @@ def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
                 worst_storage = max(worst_storage, abs(predicted - measured) / measured)
     for area in model.columns.conv_areas:
         anchor = _anchor(views, area)
-        off, _, he = compute_seconds(model, anchor.row.protocol, anchor.w)
+        off, _, he = compute_seconds(model, anchor.row.protocol, anchor.sizes)
         he_shares[anchor.label] = he / off if off > 0 else 0.0
     max_lat = max(max(r[1], r[2]) for r in residuals)
     return CalibrationReport(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..netarch import NetworkArch, count, linear_profile
+from ..netarch import NetworkArch, count
 from .types import Protocol
 
 # Key material the client publishes once per setup.
@@ -52,28 +52,39 @@ GC_TRANSFER_BYTES_PER_RELU = GC_BLOB_BYTES_PER_RELU + INPUT_LABEL_BYTES_PER_RELU
 
 @dataclass(frozen=True)
 class CommInputs:
-    """The size numbers the byte model needs from an architecture."""
+    """The counts of one network that the byte model and the cost formula read.
+
+    area is the input's height * width, which picks the HE rate column.
+    """
 
     relus: int
     mask_in_elems: int
     mask_out_elems: int
     image_elems: int
     class_count: int
+    area: int
+    conv_flops: int
+    fc_flops: int
+    n_units: int
 
     @classmethod
     def from_arch(cls, arch: NetworkArch) -> "CommInputs":
-        counts = count(arch)
-        profile = linear_profile(arch)
+        c = count(arch)
+        ds = arch.dataset
         return cls(
-            relus=counts.relus,
-            mask_in_elems=profile.mask_in_elems,
-            mask_out_elems=profile.mask_out_elems,
-            image_elems=arch.dataset.image_elems,
-            class_count=arch.dataset.classes,
+            relus=c.relus,
+            mask_in_elems=c.mask_in_elems,
+            mask_out_elems=c.mask_out_elems,
+            image_elems=ds.image_elems,
+            class_count=ds.classes,
+            area=ds.height * ds.width,
+            conv_flops=c.conv_flops,
+            fc_flops=c.fc_flops,
+            n_units=c.n_units,
         )
 
     def scaled(self, relu_factor: float) -> "CommInputs":
-        """Shrink the nonlinear footprint; image and logits stay fixed."""
+        """Shrink the nonlinear footprint; image, logits and linear counts stay fixed."""
         if relu_factor == 1.0:
             return self
         relu_in = self.mask_in_elems - self.image_elems

@@ -18,33 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..netarch import NetworkArch, linear_profile
 from .comm import CommInputs
 from .types import CostModel, OptimizationKnobs, Protocol
 
 IDENTITY = OptimizationKnobs()
-
-
-@dataclass(frozen=True)
-class Workload:
-    """The counts the formula reads from one network, before knobs."""
-
-    area: int
-    conv_flops: int
-    fc_flops: int
-    n_units: int
-    sizes: CommInputs
-
-    @classmethod
-    def of(cls, arch: NetworkArch) -> "Workload":
-        profile = linear_profile(arch)
-        return cls(
-            area=arch.dataset.height * arch.dataset.width,
-            conv_flops=profile.conv_flops,
-            fc_flops=profile.fc_flops,
-            n_units=profile.n_units,
-            sizes=CommInputs.from_arch(arch),
-        )
 
 
 def _nearest(areas: tuple[int, ...], area: int) -> int:
@@ -78,7 +55,7 @@ class Columns:
         return slice(0, self.he_flops.stop + 1)
 
     def features(
-        self, protocol: Protocol, w: Workload, knobs: OptimizationKnobs = IDENTITY
+        self, protocol: Protocol, sizes: CommInputs, knobs: OptimizationKnobs = IDENTITY
     ) -> tuple[list[float], list[float]]:
         """Offline and online feature vectors of one network.
 
@@ -86,17 +63,17 @@ class Columns:
         factors, HE FLOPs and garbled or evaluated ReLUs by their per-unit
         cost factors.
         """
-        relus = w.sizes.scaled(knobs.relu_factor).relus
-        conv = w.conv_flops * knobs.flop_factor
-        fc = w.fc_flops * knobs.flop_factor
+        relus = sizes.scaled(knobs.relu_factor).relus
+        conv = sizes.conv_flops * knobs.flop_factor
+        fc = sizes.fc_flops * knobs.flop_factor
         he, gc = knobs.he_per_flop_factor, knobs.gc_per_relu_factor
         n_conv, n_fc = len(self.conv_areas), len(self.fc_areas)
         off = [0.0] * (n_conv + n_fc + 1 + len(self.protocols) + 1)
         if self.conv_areas:
-            off[_nearest(self.conv_areas, w.area)] = conv * he
+            off[_nearest(self.conv_areas, sizes.area)] = conv * he
         if self.fc_areas:
-            off[n_conv + _nearest(self.fc_areas, w.area)] = fc * he
-        off[self.he.stop - 1] = w.n_units
+            off[n_conv + _nearest(self.fc_areas, sizes.area)] = fc * he
+        off[self.he.stop - 1] = sizes.n_units
         off[self.he.stop + self.protocols.index(protocol)] = relus * gc
         off[-1] = 1.0
         on = [relus * gc, conv, fc, 1.0]
@@ -106,10 +83,10 @@ class Columns:
 
 
 def compute_seconds(
-    cm: CostModel, protocol: Protocol, w: Workload, knobs: OptimizationKnobs = IDENTITY
+    cm: CostModel, protocol: Protocol, sizes: CommInputs, knobs: OptimizationKnobs = IDENTITY
 ) -> tuple[float, float, float]:
     """Offline compute, online compute and the offline HE part, in seconds."""
-    off, on = cm.columns.features(protocol, w, knobs)
+    off, on = cm.columns.features(protocol, sizes, knobs)
     off_terms = [r * f for r, f in zip(cm.offline_rates, off)]
     he = sum(off_terms[cm.columns.he])
     return sum(off_terms), sum(r * f for r, f in zip(cm.online_rates, on)), he

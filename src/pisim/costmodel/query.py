@@ -18,7 +18,7 @@ from .comm import (
     online_comm,
     storage_deltas,
 )
-from .formula import IDENTITY, Workload, compute_seconds
+from .formula import IDENTITY, compute_seconds
 from .types import (
     CostModel,
     InsufficientRows,
@@ -45,9 +45,9 @@ def _component_costs(
     bandwidth: float,
     knobs: OptimizationKnobs,
 ) -> PhaseCosts:
-    w = Workload.of(arch)
-    sizes = w.sizes.scaled(knobs.relu_factor)
-    off_compute, on_compute, he = compute_seconds(cm, protocol, w, knobs)
+    unscaled = CommInputs.from_arch(arch)
+    sizes = unscaled.scaled(knobs.relu_factor)
+    off_compute, on_compute, he = compute_seconds(cm, protocol, unscaled, knobs)
 
     off_comm = offline_comm(protocol, sizes)
     on_comm = online_comm(protocol, sizes)
@@ -83,7 +83,7 @@ def _component_costs(
         online_comm_s2c_bytes=on_comm.s2c_bytes,
         client_storage_delta_bytes=client_recv + deltas.client_self_bytes,
         server_storage_delta_bytes=server_recv + deltas.server_self_bytes,
-        gc_storage_bytes=_gc_bytes(cm, knobs, w.sizes),
+        gc_storage_bytes=_gc_bytes(cm, knobs, unscaled),
         bandwidth_bytes_per_s=bandwidth,
     )
 
@@ -97,9 +97,9 @@ def _table_costs(
             f"no measured row for {protocol.short}/{arch.name}/{arch.dataset.name}"
         )
     row = cm.table[key]
-    w = Workload.of(arch)
-    model_off = offline_comm(protocol, w.sizes)
-    model_on = online_comm(protocol, w.sizes)
+    sizes = CommInputs.from_arch(arch)
+    model_off = offline_comm(protocol, sizes)
+    model_on = online_comm(protocol, sizes)
     off_bytes = row.offline_comm_bytes
     off_bytes = model_off.total_bytes if off_bytes is None else off_bytes
     on_bytes = row.online_comm_bytes
@@ -109,7 +109,7 @@ def _table_costs(
     off_compute = row.offline_latency_s - off_bytes / bw0
     on_compute = row.online_latency_s - on_bytes / bw0
     # Measured totals are not decomposed; attribute the fitted HE share.
-    he = min(compute_seconds(cm, protocol, w)[2], off_compute)
+    he = min(compute_seconds(cm, protocol, sizes)[2], off_compute)
     off_c2s, off_s2c = _split_like(off_bytes, model_off.c2s_bytes, model_off.s2c_bytes)
     on_c2s, on_s2c = _split_like(on_bytes, model_on.c2s_bytes, model_on.s2c_bytes)
     return PhaseCosts(
@@ -127,7 +127,7 @@ def _table_costs(
         online_comm_s2c_bytes=on_s2c,
         client_storage_delta_bytes=row.client_storage_bytes,
         server_storage_delta_bytes=row.server_storage_bytes,
-        gc_storage_bytes=_gc_bytes(cm, IDENTITY, w.sizes),
+        gc_storage_bytes=_gc_bytes(cm, IDENTITY, sizes),
         bandwidth_bytes_per_s=bandwidth,
     )
 

@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .types import MeasuredCosts, OptimizationKnobs, Protocol, UnknownOptimization
+from .types import CostModelError, MeasuredCosts, OptimizationKnobs, Protocol, UnknownOptimization
 
 MEASURED_COSTS_FILENAME = "measured_costs.tsv"
 OPTIMIZATIONS_FILENAME = "optimizations.tsv"
@@ -42,8 +42,8 @@ _KNOB_COLUMNS = [
 ]
 
 
-class TableFormatError(ValueError):
-    pass
+class TableFormatError(CostModelError, ValueError):
+    """A measured-costs or optimizations table that does not parse."""
 
 
 def _opt_int(text: str) -> int | None:

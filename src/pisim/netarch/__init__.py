@@ -1,7 +1,7 @@
 """Network architecture descriptions, shape inference, and counting."""
 
 from .archfile import ParseError, load, parse, save, serialize
-from .counts import LayerCounts, LinearProfile, count, count_table, layer_kind_counts, linear_profile
+from .counts import LayerCounts, count, layer_kind_counts
 from .layers import (
     AvgPool,
     Conv,
@@ -41,7 +41,6 @@ __all__ = [
     "InvalidArch",
     "LayerCounts",
     "LayerSpec",
-    "LinearProfile",
     "MODELS",
     "NetworkArch",
     "ParseError",
@@ -53,11 +52,9 @@ __all__ = [
     "build_preset",
     "canonical_dataset",
     "count",
-    "count_table",
     "get_dataset",
     "infer_shapes",
     "layer_kind_counts",
-    "linear_profile",
     "load",
     "parse",
     "save",

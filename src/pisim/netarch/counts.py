@@ -1,4 +1,4 @@
-"""Parameter, FLOP, and ReLU counting.
+"""Parameter, FLOP, ReLU and masked-element counting.
 
 Convention: one multiply-accumulate = one FLOP, so a conv costs
 out_elems * in_channels * kernel**2 and an FC costs in * out. Pooling
@@ -8,130 +8,84 @@ params and FLOPs; identity skips contribute nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .layers import Conv, FC, NetworkArch, ReLU
-from .shapes import Shape, validate
+from .shapes import Shape, skip_shape, validate
 
 
 @dataclass(frozen=True)
 class LayerCounts:
-    params: int
-    flops: int
-    relus: int
+    """Every count the cost and byte models read from one network.
 
-
-@dataclass(frozen=True)
-class LinearProfile:
-    """Shape-derived quantities the cost model scales by.
-
+    conv_flops (skip projections included) and fc_flops split flops.
     n_units counts HE-processed linear units: convs, FCs, and skip
     connections (identity skips still cost a homomorphic pass for the
     client's share). mask_in/mask_out are the total elements masked at
-    linear-segment inputs and shared at segment outputs; segments are
-    the maximal linear runs between ReLUs, so every ReLU output is
-    re-masked exactly once.
+    linear-segment inputs and shared at segment outputs. Segments are the
+    linear runs between masked points, as `protocol.compile_network`
+    lowers them: the input and every ReLU output are masked, and every
+    ReLU input, the logits and each skip merge carry a share.
     """
 
-    n_units: int
+    params: int
+    flops: int
+    relus: int
     conv_flops: int
     fc_flops: int
+    n_units: int
     mask_in_elems: int
     mask_out_elems: int
 
 
-def _layer_kinds(arch: NetworkArch) -> dict[str, int]:
+def layer_kind_counts(arch: NetworkArch) -> dict[str, int]:
+    """Counts of each layer kind, excluding skip-connection convs."""
     kinds: dict[str, int] = {"conv": 0, "relu": 0, "avgpool": 0, "fc": 0, "flatten": 0}
     for layer in arch.layers:
         kinds[layer.kind] += 1
     return kinds
 
 
-def layer_kind_counts(arch: NetworkArch) -> dict[str, int]:
-    """Counts of each layer kind, excluding skip-connection convs."""
-    return _layer_kinds(arch)
-
-
-def count_table(arch: NetworkArch) -> list[tuple[str, Shape, int, int, int]]:
-    """Per-layer (kind, out_shape, params, flops, relus) rows."""
-    shapes = validate(arch)
-    rows = []
-    for layer, shape in zip(arch.layers, shapes):
-        params = flops = relus = 0
-        if isinstance(layer, Conv):
-            out_elems = shape[0] * shape[1] * shape[2]
-            params = layer.in_channels * layer.out_channels * layer.kernel**2
-            if layer.bias:
-                params += layer.out_channels
-            flops = out_elems * layer.in_channels * layer.kernel**2
-        elif isinstance(layer, FC):
-            params = layer.in_features * layer.out_features
-            if layer.bias:
-                params += layer.out_features
-            flops = layer.in_features * layer.out_features
-        elif isinstance(layer, ReLU):
-            relus = shape[0] if len(shape) == 1 else shape[0] * shape[1] * shape[2]
-        rows.append((layer.kind, shape, params, flops, relus))
-    input_shape: Shape = (
-        arch.dataset.channels,
-        arch.dataset.height,
-        arch.dataset.width,
-    )
-    for skip in arch.skips:
-        if skip.conv is None:
-            continue
-        src = input_shape if skip.source == -1 else shapes[skip.source]
-        c = skip.conv
-        oh = (src[1] + 2 * c.padding - c.kernel) // c.stride + 1
-        ow = (src[2] + 2 * c.padding - c.kernel) // c.stride + 1
-        params = c.in_channels * c.out_channels * c.kernel**2
-        flops = c.out_channels * oh * ow * c.in_channels * c.kernel**2
-        rows.append((f"skip-conv {skip.source}->{skip.merge}", (c.out_channels, oh, ow), params, flops, 0))
-    return rows
+def _conv(conv: Conv, out: Shape) -> tuple[int, int]:
+    """Params and FLOPs of a conv whose output has shape out."""
+    macs = conv.in_channels * conv.kernel**2
+    return conv.out_channels * (macs + int(conv.bias)), math.prod(out) * macs
 
 
 def count(arch: NetworkArch) -> LayerCounts:
-    """Totals over count_table."""
-    params = flops = relus = 0
-    for _, _, p, f, r in count_table(arch):
-        params += p
-        flops += f
-        relus += r
-    return LayerCounts(params=params, flops=flops, relus=relus)
-
-
-def linear_profile(arch: NetworkArch) -> LinearProfile:
+    """Validate arch and count it in one pass over its layers and skips."""
     shapes = validate(arch)
-    conv_flops = fc_flops = 0
+    params = conv_flops = fc_flops = relus = 0
     n_units = len(arch.skips)
-    for kind, shape, _, f, _ in count_table(arch):
-        if kind.startswith("skip"):
-            conv_flops += f
-        elif kind == "conv":
-            conv_flops += f
-            n_units += 1
-        elif kind == "fc":
-            fc_flops += f
-            n_units += 1
-
-    def elems(shape: Shape) -> int:
-        return shape[0] if len(shape) == 1 else shape[0] * shape[1] * shape[2]
-
-    # walk segments: every ReLU closes one, the network end closes the last
-    mask_in = arch.dataset.image_elems
-    mask_out = 0
     for layer, shape in zip(arch.layers, shapes):
-        if isinstance(layer, ReLU):
-            mask_out += elems(shape)  # segment output, server-masked
-            mask_in += elems(shape)  # re-masked ReLU output feeds the next
-    mask_out += elems(shapes[-1])  # logits
-    mask_in -= elems(shapes[-1]) if isinstance(arch.layers[-1], ReLU) else 0
+        if isinstance(layer, Conv):
+            p, f = _conv(layer, shape)
+            params += p
+            conv_flops += f
+            n_units += 1
+        elif isinstance(layer, FC):
+            params += layer.out_features * (layer.in_features + int(layer.bias))
+            fc_flops += layer.in_features * layer.out_features
+            n_units += 1
+        elif isinstance(layer, ReLU):
+            relus += math.prod(shape)
+    ds = arch.dataset
+    input_shape = (ds.channels, ds.height, ds.width)
+    mask_out = relus + math.prod(shapes[-1])
     for skip in arch.skips:
-        mask_out += elems(shapes[skip.merge])  # extra share at each merge
-    return LinearProfile(
-        n_units=n_units,
+        mask_out += math.prod(shapes[skip.merge])
+        if skip.conv is not None:
+            p, f = _conv(skip.conv, skip_shape(skip, shapes, input_shape))
+            params += p
+            conv_flops += f
+    return LayerCounts(
+        params=params,
+        flops=conv_flops + fc_flops,
+        relus=relus,
         conv_flops=conv_flops,
         fc_flops=fc_flops,
-        mask_in_elems=mask_in,
+        n_units=n_units,
+        mask_in_elems=ds.image_elems + relus,
         mask_out_elems=mask_out,
     )

@@ -21,6 +21,7 @@ from .layers import (
     ReLU,
     SkipConnection,
 )
+from .shapes import IncompatibleResolution, conv_out, pool_out, validate
 
 CIFAR100 = DatasetSpec("cifar100", channels=3, height=32, width=32, classes=100)
 TINYIMAGENET = DatasetSpec("tinyimagenet", channels=3, height=64, width=64, classes=200)
@@ -38,7 +39,9 @@ DATASETS: dict[str, DatasetSpec] = {
 
 
 class UnknownPreset(KeyError):
-    pass
+    """No preset has this model or dataset name."""
+
+    __str__ = Exception.__str__  # the message itself, without KeyError's repr quotes
 
 
 def get_dataset(name: str) -> DatasetSpec:
@@ -183,8 +186,6 @@ def scale_to_input(arch: NetworkArch, dataset: DatasetSpec | str) -> NetworkArch
     to the new class count. Raises IncompatibleResolution if the layer
     list cannot be shape-inferred at the new size.
     """
-    from .shapes import IncompatibleResolution, validate
-
     ds = get_dataset(dataset) if isinstance(dataset, str) else dataset
     if ds.channels != arch.dataset.channels:
         raise IncompatibleResolution(
@@ -200,21 +201,9 @@ def scale_to_input(arch: NetworkArch, dataset: DatasetSpec | str) -> NetworkArch
     after_flatten = False
     for i, layer in enumerate(arch.layers):
         if layer.kind == "conv":
-            oh = (shape[1] + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            ow = (shape[2] + 2 * layer.padding - layer.kernel) // layer.stride + 1
-            shape = (layer.out_channels, oh, ow)
+            shape = conv_out(layer, shape, i)
         elif layer.kind == "avgpool":
-            window = shape[1] if layer.is_global else layer.window
-            stride = window if layer.is_global else (layer.stride or layer.window)
-            if window > shape[1] or window > shape[2]:
-                raise IncompatibleResolution(
-                    f"layer {i}: pool window {window} exceeds {shape[1]}x{shape[2]}"
-                )
-            shape = (
-                shape[0],
-                (shape[1] - window) // stride + 1,
-                (shape[2] - window) // stride + 1,
-            )
+            shape = pool_out(layer, shape, i)
         elif layer.kind == "flatten":
             shape = (shape[0] * shape[1] * shape[2],)
             after_flatten = True

@@ -15,7 +15,7 @@ class IncompatibleResolution(InvalidArch):
     """Layer list cannot be re-inferred at the requested input size."""
 
 
-def _conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
+def conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
     if len(shape) != 3:
         raise InvalidArch(f"layer {idx}: conv applied to flattened input")
     c, h, w = shape
@@ -32,7 +32,7 @@ def _conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
     return (layer.out_channels, oh, ow)
 
 
-def _pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
+def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
     if len(shape) != 3:
         raise InvalidArch(f"layer {idx}: avgpool applied to flattened input")
     c, h, w = shape
@@ -52,9 +52,9 @@ def infer_shapes(arch: NetworkArch) -> list[Shape]:
     shapes: list[Shape] = []
     for idx, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
-            shape = _conv_out(layer, shape, idx)
+            shape = conv_out(layer, shape, idx)
         elif isinstance(layer, AvgPool):
-            shape = _pool_out(layer, shape, idx)
+            shape = pool_out(layer, shape, idx)
         elif isinstance(layer, ReLU):
             pass
         elif isinstance(layer, Flatten):
@@ -76,11 +76,12 @@ def infer_shapes(arch: NetworkArch) -> list[Shape]:
     return shapes
 
 
-def _skip_shape(skip: SkipConnection, shapes: list[Shape], input_shape: Shape) -> Shape:
+def skip_shape(skip: SkipConnection, shapes: list[Shape], input_shape: Shape) -> Shape:
+    """The shape a skip adds at its merge point."""
     src = input_shape if skip.source == -1 else shapes[skip.source]
     if skip.conv is None:
         return src
-    return _conv_out(skip.conv, src, skip.source)
+    return conv_out(skip.conv, src, skip.source)
 
 
 def validate(arch: NetworkArch) -> list[Shape]:
@@ -100,7 +101,7 @@ def validate(arch: NetworkArch) -> list[Shape]:
             raise InvalidArch(f"skip {skip.source}->{skip.merge} out of range")
         if skip.source >= skip.merge:
             raise InvalidArch(f"skip {skip.source}->{skip.merge} not forward")
-        contributed = _skip_shape(skip, shapes, input_shape)
+        contributed = skip_shape(skip, shapes, input_shape)
         if contributed != shapes[skip.merge]:
             raise InvalidArch(
                 f"skip {skip.source}->{skip.merge} shape {contributed} does not "

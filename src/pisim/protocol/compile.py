@@ -28,7 +28,6 @@ from ..netarch import (
     InvalidArch,
     NetworkArch,
     ReLU,
-    infer_shapes,
     validate,
 )
 
@@ -105,8 +104,7 @@ def _conv_op(layer: Conv, key: WeightKey) -> PrimitiveOp:
 
 
 def compile_network(arch: NetworkArch) -> CompiledNetwork:
-    validate(arch)
-    shapes = infer_shapes(arch)
+    shapes = validate(arch)
     input_shape = (arch.dataset.channels, arch.dataset.height, arch.dataset.width)
 
     points = [ActivationPoint(0, input_shape, masked=True)]

@@ -23,7 +23,7 @@ from pisim.costmodel import (
     online_comm,
     storage_deltas,
 )
-from pisim.netarch import NetworkArch, canonical_dataset, linear_profile
+from pisim.netarch import NetworkArch, canonical_dataset, count
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def component_costs(
     knobs: OptimizationKnobs,
 ) -> PhaseCosts:
     cm_k = scaled_model(cm, knobs)
-    profile = linear_profile(arch)
+    profile = count(arch)
     sizes = CommInputs.from_arch(arch).scaled(knobs.relu_factor)
     conv_flops = profile.conv_flops * knobs.flop_factor
     fc_flops = profile.fc_flops * knobs.flop_factor
@@ -187,7 +187,7 @@ def table_costs(
 ) -> PhaseCosts:
     row = cm.table[(protocol, arch.name, canonical_dataset(arch.dataset.name))]
     sizes = CommInputs.from_arch(arch)
-    profile = linear_profile(arch)
+    profile = count(arch)
     model_off = offline_comm(protocol, sizes)
     model_on = online_comm(protocol, sizes)
     off_bytes = row.offline_comm_bytes
@@ -232,7 +232,7 @@ def table_costs(
 
 def predict_compute(cm: NamedRates, protocol: Protocol, arch: NetworkArch) -> tuple[float, float]:
     """Offline and online compute seconds of one calibration row, as the report priced them."""
-    profile = linear_profile(arch)
+    profile = count(arch)
     relus = CommInputs.from_arch(arch).relus
     area = arch.dataset.height * arch.dataset.width
     he = (

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pisim.costmodel import (
     CalibrationOptions,
+    CommInputs,
     InconsistentRows,
     Protocol,
     TableFormatError,
@@ -19,7 +20,6 @@ from pisim.costmodel import (
     write_measured_costs,
 )
 from pisim.costmodel.calibrate import nnls
-from pisim.costmodel.formula import Workload
 from pisim.netarch import build_preset
 
 
@@ -60,9 +60,9 @@ def test_he_share_anchors_are_the_prior_rows(rows, cm):
     best = {}
     for row in rows:
         if row.protocol is Protocol.CLIENT_GARBLER:
-            w = Workload.of(build_preset(row.model, row.dataset))
-            if w.area not in best or w.conv_flops > best[w.area][0]:
-                best[w.area] = (w.conv_flops, f"cg/{row.model}/{row.dataset}")
+            s = CommInputs.from_arch(build_preset(row.model, row.dataset))
+            if s.area not in best or s.conv_flops > best[s.area][0]:
+                best[s.area] = (s.conv_flops, f"cg/{row.model}/{row.dataset}")
     anchors = set(cm.report.he_share_anchors)
     assert anchors == {label for _, label in best.values()}
     assert anchors == {"cg/resnet18/c100", "cg/resnet18/tiny"}

@@ -63,6 +63,7 @@ def test_cost_unknown_model(capsys):
     assert run_cli("cost", "--model", "alexnet") == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert "alexnet" in err and "resnet32" in err
+    assert '"' not in err
 
 
 def test_cost_unknown_knobs(capsys):
@@ -374,6 +375,9 @@ fc in=128 out=4
         ["verify", "--arch", "{arch}"],
         ["cost", "--model", "vgg16", "--dataset", "toy8", "--mode", "component"],
         ["verify", "--trials", "-1"],
+        ["verify", "--seed", "-1"],
+        ["simulate", "--seed", "-5", "--out", "{dir}"],
+        ["sweep", "--set", "seed=-1", "--out", "{dir}"],
         ["simulate", "--capacities", "-5"],
         ["simulate", "--set", "client_capacity_gb=-1"],
         ["simulate", "--set", "server_capacity_gb=-1"],
@@ -393,6 +397,23 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert run_cli(*argv) == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "filename, table, argv",
+    [
+        ("measured_costs.tsv", "measured-costs", ["cost"]),
+        ("optimizations.tsv", "optimizations", ["cost", "--knobs", "delphi"]),
+    ],
+    ids=["measured_costs", "optimizations"],
+)
+def test_malformed_config_table_exits_2(filename, table, argv, tmp_path, monkeypatch, capsys):
+    (tmp_path / filename).write_text("name\tmodel\nx\ty\n")
+    monkeypatch.setenv("PISIM_CONFIG_DIR", str(tmp_path))
+    assert run_cli(*argv) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table} table")
     assert "Traceback" not in err
 
 

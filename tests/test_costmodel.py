@@ -35,7 +35,7 @@ from pisim.costmodel import (
     write_measured_costs,
 )
 from pisim.desim import SERIAL, SimConfig, stability_limit
-from pisim.netarch import build_preset, count, linear_profile
+from pisim.netarch import build_preset, count
 
 SG = Protocol.SERVER_GARBLER
 CG = Protocol.CLIENT_GARBLER
@@ -141,21 +141,8 @@ def test_gc_storage_is_what_phase_costs_uses(comp_cm, relu, model, dataset, prot
     assert gc_storage(arch, comp_cm, knobs) == costs.gc_storage_bytes
 
 
-def _sizes(model="resnet32", dataset="cifar100"):
-    arch = build_preset(model, dataset)
-    prof = linear_profile(arch)
-    c = count(arch)
-    return CommInputs(
-        relus=c.relus,
-        mask_in_elems=prof.mask_in_elems,
-        mask_out_elems=prof.mask_out_elems,
-        image_elems=arch.dataset.channels * arch.dataset.height * arch.dataset.width,
-        class_count=arch.dataset.classes,
-    )
-
-
 def test_offline_comm_direction_of_gc_transfer():
-    s = _sizes()
+    s = CommInputs.from_arch(build_preset("resnet32", "cifar100"))
     sg = offline_comm(SG, s)
     cg = offline_comm(CG, s)
     # the garbler ships circuits to the evaluator
@@ -164,7 +151,7 @@ def test_offline_comm_direction_of_gc_transfer():
 
 
 def test_online_comm_symmetric_between_protocols():
-    s = _sizes()
+    s = CommInputs.from_arch(build_preset("resnet32", "cifar100"))
     a = online_comm(SG, s)
     b = online_comm(CG, s)
     assert a.c2s_bytes + a.s2c_bytes == b.c2s_bytes + b.s2c_bytes
@@ -173,7 +160,8 @@ def test_online_comm_symmetric_between_protocols():
 def test_storage_deltas_match_table():
     for key, row in _rows_by_key().items():
         proto, model, dataset = key
-        d = storage_deltas(Protocol.parse(proto), _sizes(model, dataset))
+        sizes = CommInputs.from_arch(build_preset(model, dataset))
+        d = storage_deltas(Protocol.parse(proto), sizes)
         client = d.client_received_bytes + d.client_self_bytes
         server = d.server_received_bytes + d.server_self_bytes
         assert client == row.client_storage_bytes, key
@@ -190,19 +178,21 @@ def _rows_by_key():
 def test_offline_comm_matches_table():
     for key, row in _rows_by_key().items():
         proto, model, dataset = key
-        t = offline_comm(Protocol.parse(proto), _sizes(model, dataset))
+        sizes = CommInputs.from_arch(build_preset(model, dataset))
+        t = offline_comm(Protocol.parse(proto), sizes)
         assert t.c2s_bytes + t.s2c_bytes == row.offline_comm_bytes, key
 
 
 def test_online_comm_matches_table():
     for key, row in _rows_by_key().items():
         proto, model, dataset = key
-        t = online_comm(Protocol.parse(proto), _sizes(model, dataset))
+        sizes = CommInputs.from_arch(build_preset(model, dataset))
+        t = online_comm(Protocol.parse(proto), sizes)
         assert t.c2s_bytes + t.s2c_bytes == row.online_comm_bytes, key
 
 
 def test_client_storage_flip():
-    s = _sizes("resnet18", "tinyimagenet")
+    s = CommInputs.from_arch(build_preset("resnet18", "tinyimagenet"))
     sg = storage_deltas(SG, s)
     cg = storage_deltas(CG, s)
     sg_client = sg.client_received_bytes + sg.client_self_bytes

@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 import costmodel_oracle as oracle
 from pisim.costmodel import (
+    CommInputs,
     OptimizationKnobs,
     Protocol,
     load_shipped_costs,
     load_shipped_model,
     phase_costs,
 )
-from pisim.costmodel.formula import Workload, compute_seconds
+from pisim.costmodel.formula import compute_seconds
 from pisim.netarch import MODELS, build_preset
 
 COMPONENT = load_shipped_model(mode="component")
@@ -83,7 +84,7 @@ def test_table_costs_match_oracle(arch, protocol, bandwidth):
 @pytest.mark.parametrize("row", load_shipped_costs(), ids=lambda r: f"{r.protocol.short}/{r.model}/{r.dataset}")
 def test_report_prices_rows_like_oracle(row):
     arch = build_preset(row.model, row.dataset)
-    off, on, _ = compute_seconds(COMPONENT, row.protocol, Workload.of(arch))
+    off, on, _ = compute_seconds(COMPONENT, row.protocol, CommInputs.from_arch(arch))
     want_off, want_on = oracle.predict_compute(NAMED, row.protocol, arch)
     assert off == pytest.approx(want_off, rel=1e-12, abs=0.0)
     assert on == pytest.approx(want_on, rel=1e-12, abs=0.0)

@@ -1,10 +1,14 @@
 """Preset architectures, shape inference, and count goldens."""
 
+from dataclasses import astuple
+
 import pytest
 
+from pisim.costmodel import CommInputs, load_shipped_model
 from pisim.netarch import (
     AvgPool,
     Conv,
+    DatasetSpec,
     FC,
     Flatten,
     IncompatibleResolution,
@@ -19,26 +23,57 @@ from pisim.netarch import (
     get_dataset,
     infer_shapes,
     layer_kind_counts,
-    linear_profile,
     scale_to_input,
     validate,
 )
+from pisim.netarch import shapes as shape_module
 
-# exact values the counting code reproduces; the published table rounds
-# params to 0.1M/1M and flops+relus to one decimal
+# exact values the counting code reproduces, as LayerCounts fields in
+# order: params, flops, relus, conv_flops, fc_flops, n_units,
+# mask_in_elems, mask_out_elems. The published table rounds params to
+# 0.1M/1M and flops+relus to one decimal. resnet32 has 31 convs + 1 fc +
+# 13 skips, each a homomorphic unit.
 GOLDEN = {
-    ("resnet32", "cifar100"): (467_732, 68_868_352, 303_104),
-    ("vgg16", "cifar100"): (34_006_948, 332_480_512, 284_672),
-    ("resnet18", "cifar100"): (11_210_532, 555_468_800, 557_056),
-    ("resnet32", "tinyimagenet"): (474_232, 275_460_608, 1_212_416),
-    ("resnet18", "tinyimagenet"): (11_261_832, 2_221_772_800, 2_228_224),
+    ("resnet32", "cifar100"): (
+        467_732, 68_868_352, 303_104, 68_861_952, 6_400, 45, 306_176, 434_276
+    ),
+    ("vgg16", "cifar100"): (
+        34_006_948, 332_480_512, 284_672, 313_196_544, 19_283_968, 16, 287_744, 284_772
+    ),
+    ("resnet18", "cifar100"): (
+        11_210_532, 555_468_800, 557_056, 555_417_600, 51_200, 26, 560_128, 802_916
+    ),
+    ("resnet32", "tinyimagenet"): (
+        474_232, 275_460_608, 1_212_416, 275_447_808, 12_800, 45, 1_224_704, 1_736_904
+    ),
+    ("resnet18", "tinyimagenet"): (
+        11_261_832, 2_221_772_800, 2_228_224, 2_221_670_400, 102_400, 26, 2_240_512, 3_211_464
+    ),
 }
 
 
 @pytest.mark.parametrize("model,dataset", sorted(GOLDEN))
 def test_count_goldens(model, dataset):
-    c = count(build_preset(model, dataset))
-    assert (c.params, c.flops, c.relus) == GOLDEN[(model, dataset)]
+    assert astuple(count(build_preset(model, dataset))) == GOLDEN[(model, dataset)]
+
+
+def test_one_shape_walk_per_count(monkeypatch):
+    walks = []
+    infer = shape_module.infer_shapes
+
+    def counted(arch):
+        walks.append(arch.name)
+        return infer(arch)
+
+    monkeypatch.setattr(shape_module, "infer_shapes", counted)
+    arch = build_preset("resnet32", "cifar100")
+    count(arch)
+    assert len(walks) == 1
+    CommInputs.from_arch(arch)
+    assert len(walks) == 2
+    walks.clear()
+    load_shipped_model()
+    assert 0 < len(walks) <= 12
 
 
 def test_published_rounding_cifar100():
@@ -79,21 +114,18 @@ def test_layer_kind_counts_resnet32():
     assert kinds["fc"] == 1
 
 
-def test_linear_profile_resnet32():
-    p = linear_profile(build_preset("resnet32", "cifar100"))
-    # 31 convs + 1 fc + 13 skips, each a homomorphic unit
-    assert p.n_units == 45
-    assert p.mask_in_elems == 306_176
-    assert p.mask_out_elems == 434_276
-    assert p.conv_flops + p.fc_flops == 68_868_352
-
-
 def test_scale_to_input_quadruples_spatial_work():
     small = build_preset("resnet32", "cifar100")
     big = scale_to_input(small, "tinyimagenet")
     # 64x64 input has 4x the pixels of 32x32; conv flops follow
     assert count(big).relus == 4 * count(small).relus
     assert big.dataset.classes == 200
+
+
+def test_scale_to_input_rejects_too_small_input():
+    # vgg16's five 2x2 pools cannot fit a 4x4 input
+    with pytest.raises(IncompatibleResolution, match="pool window 2 exceeds"):
+        scale_to_input(build_preset("vgg16", "cifar100"), DatasetSpec("d4", 3, 4, 4, 10))
 
 
 def test_infer_shapes_output_is_class_count():
@@ -147,6 +179,18 @@ def test_validate_accepts_projection_skip():
     )
     validate(ok)
     assert count(ok).relus > 0
+
+
+def test_skip_projection_bias_counts_as_params():
+    def arch(bias):
+        proj = Conv(4, 8, 1, stride=2, bias=bias)
+        return _tiny(
+            [Conv(2, 4, 3, padding=1), ReLU(), Conv(4, 8, 3, stride=2, padding=1), ReLU(),
+             AvgPool(), Flatten(), FC(8, 4)],
+            skips=[SkipConnection(source=1, merge=2, conv=proj)],
+        )
+
+    assert count(arch(True)).params == count(arch(False)).params + 8
 
 
 def test_pool_too_large_raises():

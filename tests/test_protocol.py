@@ -18,6 +18,7 @@ from pisim.netarch import (
     NetworkArch,
     ReLU,
     SkipConnection,
+    TOY8,
     build_preset,
     validate,
 )
@@ -72,6 +73,9 @@ def mini_res() -> NetworkArch:
 
 MINI = mini_res()
 
+# toy_cnn whose logits pass through a final relu, a masked point like any other
+TOY_RELU = NetworkArch("toy_relu", TOY8, build_preset("toy_cnn", TOY8).layers + (ReLU(),))
+
 
 @pytest.mark.parametrize("arch", [TOY, MINI], ids=["toy_cnn", "mini_res"])
 @pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
@@ -116,11 +120,12 @@ def test_share_sums_reconstruct_preactivations(arch, proto):
         assert np.array_equal(rec, encode(trace[j]).ravel()), f"point {pt.index}"
 
 
+@pytest.mark.parametrize("arch", [TOY, MINI, TOY_RELU], ids=["toy_cnn", "mini_res", "toy_relu"])
 @pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
-def test_transcript_bytes_match_comm_model(proto):
-    inputs = CommInputs.from_arch(TOY)
-    bundle = run_offline(TOY, proto, seed=2)
-    online = run_online(bundle, sample_input(TOY, seed=2))
+def test_transcript_bytes_match_comm_model(proto, arch):
+    inputs = CommInputs.from_arch(arch)
+    bundle = run_offline(arch, proto, seed=2)
+    online = run_online(bundle, sample_input(arch, seed=2))
     off = offline_comm(proto, inputs)
     on = online_comm(proto, inputs)
     assert bundle.transcript.total_bytes("offline", "c2s") == off.c2s_bytes
@@ -129,10 +134,11 @@ def test_transcript_bytes_match_comm_model(proto):
     assert online.transcript.total_bytes("online", "s2c") == on.s2c_bytes
 
 
+@pytest.mark.parametrize("arch", [TOY, MINI, TOY_RELU], ids=["toy_cnn", "mini_res", "toy_relu"])
 @pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
-def test_stored_bytes_match_storage_model(proto):
-    inputs = CommInputs.from_arch(TOY)
-    bundle = run_offline(TOY, proto, seed=2)
+def test_stored_bytes_match_storage_model(proto, arch):
+    inputs = CommInputs.from_arch(arch)
+    bundle = run_offline(arch, proto, seed=2)
     d = storage_deltas(proto, inputs)
     assert bundle.client_stored_bytes == d.client_received_bytes + d.client_self_bytes
     assert bundle.server_stored_bytes == d.server_received_bytes + d.server_self_bytes

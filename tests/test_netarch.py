@@ -114,6 +114,15 @@ def test_layer_kind_counts_resnet32():
     assert kinds["fc"] == 1
 
 
+def test_linear_profile_resnet32():
+    c = count(build_preset("resnet32", "cifar100"))
+    # 31 convs + 1 fc + 13 skips, each a homomorphic unit
+    assert c.n_units == 45
+    assert c.mask_in_elems == 306_176
+    assert c.mask_out_elems == 434_276
+    assert c.conv_flops + c.fc_flops == 68_868_352
+
+
 def test_scale_to_input_quadruples_spatial_work():
     small = build_preset("resnet32", "cifar100")
     big = scale_to_input(small, "tinyimagenet")

@@ -94,11 +94,22 @@ class ExperimentSpec:
     formats: tuple[str, ...] = ("csv",)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    vals = tuple(float(t) for t in text.replace(",", " ").split())
-    if not vals:
+def _parse_rates(text: str) -> tuple[float, ...]:
+    """req/s; NaN and +inf pass on to SimConfig, which rejects them."""
+    rates = tuple(float(t) for t in text.replace(",", " ").split())
+    if not rates:
         raise SpecError("empty number list")
-    return vals
+    if any(r < 0 for r in rates):
+        raise SpecError(f"rates must be non-negative, got {text}")
+    return rates
+
+
+def _parse_horizon(text: str) -> float:
+    """Seconds; NaN and +inf pass on to SimConfig, which rejects them."""
+    horizon = float(text)
+    if horizon <= 0:
+        raise SpecError(f"horizon must be positive, got {text}")
+    return horizon
 
 
 def _parse_capacity(text: str) -> float:
@@ -164,11 +175,11 @@ _SPEC_PARSERS = {
     "model": str,
     "dataset": canonical_dataset,
     "protocols": _parse_names,
-    "rates": _parse_floats,
+    "rates": _parse_rates,
     "client_capacity_gb": _parse_caps,
     "server_capacity_gb": _parse_capacity,
     "concurrency": _parse_concurrency,
-    "horizon_s": float,
+    "horizon_s": _parse_horizon,
     "n_runs": _parse_runs,
     "seed": _parse_seed,
     "mode": _parse_mode,
@@ -586,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UnknownPreset, CostModelError, SpecError, ParseError, InvalidArch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except VerifyGuard as exc:

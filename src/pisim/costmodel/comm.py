@@ -129,12 +129,6 @@ class StorageDeltas:
     def server_bytes(self) -> int:
         return self.server_received_bytes + self.server_self_bytes
 
-    def gc_party_bytes(self, protocol: Protocol) -> int:
-        """Total on the side that stores the garbled circuits."""
-        if protocol is Protocol.SERVER_GARBLER:
-            return self.client_bytes
-        return self.server_bytes
-
 
 def offline_comm(protocol: Protocol, sizes: CommInputs) -> CommTotals:
     enc_masks = HE_CT_BYTES_PER_ELEM * sizes.mask_in_elems

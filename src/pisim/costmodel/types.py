@@ -117,15 +117,6 @@ class OptimizationKnobs:
             and self.he_per_flop_factor == 1.0
         )
 
-    def combine(self, other: "OptimizationKnobs") -> "OptimizationKnobs":
-        return OptimizationKnobs(
-            relu_factor=self.relu_factor * other.relu_factor,
-            flop_factor=self.flop_factor * other.flop_factor,
-            gc_per_relu_factor=self.gc_per_relu_factor * other.gc_per_relu_factor,
-            he_per_flop_factor=self.he_per_flop_factor * other.he_per_flop_factor,
-            name=f"{self.name}+{other.name}",
-        )
-
     @property
     def gc_total_reduction(self) -> float:
         """Factor by which total GC cost shrinks (count times unit cost)."""
@@ -183,10 +174,6 @@ class PhaseCosts:
     @property
     def online_comm_bytes(self) -> int:
         return self.online_comm_c2s_bytes + self.online_comm_s2c_bytes
-
-    @property
-    def total_latency_s(self) -> float:
-        return self.offline_latency_s + self.online_latency_s
 
 
 @dataclass(frozen=True)

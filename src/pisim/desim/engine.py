@@ -28,7 +28,8 @@ of a contiguous (4, completed) copy of that prefix, divided by its length:
 the sums a per-run np.mean makes. Padding with zeros instead would regroup
 the pairwise sums. The closed form cummax(a_k - k S) + k S of the serial
 recurrence is not used either: it rounds differently, by up to 8e-14
-relative, which can move a sweep CSV's sixth digit.
+relative, which can move a sweep CSV's sixth digit. A run's means are its
+column of one (4, runs) array, which metrics.aggregate reduces.
 
 Runs are drawn and scheduled block by block, each block's matrix within
 BLOCK_ELEMENTS elements, so memory stays bounded at high arrival rates
@@ -45,7 +46,8 @@ The pipelined model makes two assumptions that shape its output:
 - Bundles are built only for the n requests that arrive within the
   horizon, so the engine knows the future arrival count.
 - The first min(n, cap) builds all start at t = 0, so the peak storage of
-  a pipelined run is always min(arrived, cap) bundles.
+  a pipelined run is always min(arrived, cap) bundles, and the peak over
+  a point's runs is that of its run with the most arrivals.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from ..costmodel.types import PhaseCosts
 from .arrivals import poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
-from .metrics import AggregateMetrics, RunMetrics, Schedule, aggregate, summarize_run
+from .metrics import AggregateMetrics, Schedule, aggregate, summarize_run
 
 # Largest (requests, runs) matrix a block of runs is scheduled in, in elements.
 BLOCK_ELEMENTS = 1 << 20
@@ -231,55 +233,54 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
 
 def _simulate_seeds(
     costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
-) -> list[RunMetrics]:
-    """One summary per seed. The runs are drawn in order and scheduled in
-    blocks of consecutive runs, each padded into at most BLOCK_ELEMENTS
-    elements (or holding one run, if it alone is longer)."""
+) -> AggregateMetrics:
+    """Aggregate one run per seed. The runs are drawn in order and
+    scheduled in blocks of consecutive runs, each padded into at most
+    BLOCK_ELEMENTS elements (or holding one run, if it alone is longer).
+    Each run's four means are its column of one (4, runs) array."""
     _check_feasible(costs, config)
-    runs: list[RunMetrics] = []
-    block: list[tuple[int, np.ndarray]] = []
-    longest = 0
-    for seed in seeds:
+    means = np.empty((4, len(seeds)))
+    block: list[np.ndarray] = []
+    arrived = completed = longest = most = 0
+    for r, seed in enumerate(seeds):
         arrivals = _draw_arrivals(config, seed)
+        arrived += arrivals.size
+        most = max(most, arrivals.size)
         longest = max(longest, arrivals.size)
         if block and longest * (len(block) + 1) > BLOCK_ELEMENTS:
-            runs += _simulate_block(costs, config, block)
+            completed += _simulate_block(costs, config, block, means[:, r - len(block) : r])
             longest = arrivals.size
-        block.append((seed, arrivals))
-    runs += _simulate_block(costs, config, block)
-    return runs
+        block.append(arrivals)
+    completed += _simulate_block(costs, config, block, means[:, -len(block) :])
+    saturated = config.arrival_rate > stability_limit(costs, config)
+    peak = _peak_bundles(costs, config, most)
+    client_b, server_b = _bundle_bytes(costs)
+    return aggregate(means, arrived, completed, saturated, peak * client_b, peak * server_b)
 
 
 def _simulate_block(
-    costs: PhaseCosts, config: SimConfig, block: list[tuple[int, np.ndarray]]
-) -> list[RunMetrics]:
-    """Schedule a block of (seed, arrivals) runs step-major and summarize
-    each run. Empties the block: the arrivals live on only in their padded
-    copy."""
-    seeds = [seed for seed, _ in block]
-    sizes = [a.size for _, a in block]
-    arrivals = _pad([a for _, a in block])
+    costs: PhaseCosts, config: SimConfig, block: list[np.ndarray], means: np.ndarray
+) -> int:
+    """Schedule a block of runs' arrivals step-major, write each run's four
+    means into its column of means, and return how many of the block's
+    requests completed. Empties the block: the arrivals live on only in
+    their padded copy."""
+    arrivals = _pad(block)
     block.clear()
     ready, start, finish = _steps(arrivals, costs, config)
-    saturated = config.arrival_rate > stability_limit(costs, config)
-    client_b, server_b = _bundle_bytes(costs)
     # finish never decreases, so each run's finished requests are a prefix
     completed = np.count_nonzero(finish <= config.horizon_s, axis=0).tolist()
-    runs = []
-    for r, (seed, arrived, k) in enumerate(zip(seeds, sizes, completed)):
+    for r, k in enumerate(completed):
         finished = Schedule(arrivals[:k, r], ready[:k, r], start[:k, r], finish[:k, r])
-        peak = _peak_bundles(costs, config, arrived)
-        runs.append(summarize_run(costs, config, seed, arrived, finished,
-                                  saturated, peak * client_b, peak * server_b))
-    return runs
+        means[:, r] = summarize_run(finished)
+    return sum(completed)
 
 
-def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
-    """Run one arrival realization and summarize it."""
-    return _simulate_seeds(costs, config, [seed])[0]
+def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> AggregateMetrics:
+    """Run one arrival realization: run_many's aggregate of that one run."""
+    return _simulate_seeds(costs, config, [seed])
 
 
 def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:
     """Simulate config.n_runs independent realizations, seeds base_seed+i."""
-    seeds = range(base_seed, base_seed + config.n_runs)
-    return aggregate(_simulate_seeds(costs, config, seeds))
+    return _simulate_seeds(costs, config, range(base_seed, base_seed + config.n_runs))

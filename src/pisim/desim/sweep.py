@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 from typing import Sequence
@@ -10,6 +11,7 @@ from typing import Sequence
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
 from .engine import run_key, run_many, stability_limit
+from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
     "protocol",
@@ -38,13 +40,13 @@ SWEEP_COLUMNS = [
     "failure",
 ]
 
-_NAN_FIELDS = [
-    "mean_latency_s",
-    "ci95_latency_s",
-    "mean_precompute_wait_s",
-    "mean_queue_wait_s",
-    "mean_online_s",
-]
+# The run columns of a cell whose storage cannot hold one bundle.
+_NO_RUNS = dataclasses.asdict(AggregateMetrics(
+    saturated=False, arrived=0, completed=0,
+    mean_latency_s=math.nan, ci95_latency_s=math.nan, mean_precompute_wait_s=math.nan,
+    mean_queue_wait_s=math.nan, mean_online_s=math.nan,
+    peak_client_storage_bytes=0, peak_server_storage_bytes=0,
+))
 
 
 def _point_columns(costs: PhaseCosts, config: SimConfig) -> dict[str, object]:
@@ -69,30 +71,10 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
     """One grid cell: n_runs realizations of one (costs, rate) pair."""
     row = _point_columns(costs, config)
     try:
-        agg = run_many(costs, config, base_seed)
+        row.update(dataclasses.asdict(run_many(costs, config, base_seed)), feasible=True,
+                   failure="")
     except ConfigInfeasible as exc:
-        row["feasible"] = False
-        row["saturated"] = False
-        row["arrived"] = 0
-        row["completed"] = 0
-        for name in _NAN_FIELDS:
-            row[name] = math.nan
-        row["peak_client_storage_bytes"] = 0
-        row["peak_server_storage_bytes"] = 0
-        row["failure"] = str(exc)
-        return {c: row[c] for c in SWEEP_COLUMNS}
-    row["failure"] = ""
-    row["feasible"] = True
-    row["saturated"] = agg.saturated
-    row["arrived"] = agg.arrived
-    row["completed"] = agg.completed
-    row["mean_latency_s"] = agg.mean_latency_s
-    row["ci95_latency_s"] = agg.ci95_latency_s
-    row["mean_precompute_wait_s"] = agg.mean_precompute_wait_s
-    row["mean_queue_wait_s"] = agg.mean_queue_wait_s
-    row["mean_online_s"] = agg.mean_online_s
-    row["peak_client_storage_bytes"] = agg.peak_client_storage_bytes
-    row["peak_server_storage_bytes"] = agg.peak_server_storage_bytes
+        row.update(_NO_RUNS, feasible=False, failure=str(exc))
     return {c: row[c] for c in SWEEP_COLUMNS}
 
 

@@ -9,7 +9,7 @@ Grammar (one directive per line, '#' starts a comment):
     relu
     avgpool global | avgpool window=W [stride=S]
     flatten
-    skip from=I to=J [conv in=CI out=CO kernel=K [stride=S]]
+    skip from=I to=J [conv in=CI out=CO kernel=K [stride=S] [pad=P] [bias=true|false]]
 
 `skip` indices refer to 0-based positions among the layer directives
 (conv/fc/relu/avgpool/flatten); from=-1 taps the network input. The

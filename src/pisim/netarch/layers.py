@@ -7,7 +7,7 @@ with the protocol executors, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,3 @@ class NetworkArch:
     dataset: DatasetSpec
     layers: tuple[LayerSpec, ...]
     skips: tuple[SkipConnection, ...] = field(default_factory=tuple)
-
-    def with_dataset(self, dataset: DatasetSpec) -> "NetworkArch":
-        return replace(self, dataset=dataset)

@@ -32,12 +32,19 @@ def conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
     return (layer.out_channels, oh, ow)
 
 
+def pool_window(layer: AvgPool, shape: Shape) -> tuple[int, int]:
+    """(window, stride) of an avgpool over a (c, h, w) input; a global
+    pool's window is the input's height."""
+    if layer.is_global:
+        return shape[1], shape[1]
+    return layer.window, layer.stride or layer.window
+
+
 def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
     if len(shape) != 3:
         raise InvalidArch(f"layer {idx}: avgpool applied to flattened input")
     c, h, w = shape
-    window = h if layer.is_global else layer.window
-    stride = window if layer.is_global else (layer.stride or layer.window)
+    window, stride = pool_window(layer, shape)
     if window > h or window > w:
         raise IncompatibleResolution(
             f"layer {idx}: pool window {window} exceeds input {h}x{w}"

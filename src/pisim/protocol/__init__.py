@@ -24,7 +24,6 @@ from .executor import (
     PrecomputeBundle,
     run_offline,
     run_online,
-    run_session,
     sample_input,
 )
 from .oracle import plaintext_forward
@@ -73,7 +72,6 @@ __all__ = [
     "plaintext_forward",
     "run_offline",
     "run_online",
-    "run_session",
     "sample_input",
     "seal",
     "unseal",

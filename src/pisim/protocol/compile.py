@@ -30,6 +30,7 @@ from ..netarch import (
     ReLU,
     validate,
 )
+from ..netarch.shapes import pool_window
 
 WeightKey = int | tuple[str, int]
 
@@ -130,7 +131,7 @@ def compile_network(arch: NetworkArch) -> CompiledNetwork:
         cur_ops = []
         cur_in = out_shape
 
-    prev_shape = input_shape
+    in_shapes = [input_shape, *shapes]  # layer idx reads in_shapes[idx]
     for idx, layer in enumerate(arch.layers):
         shape = shapes[idx]
         if isinstance(layer, ReLU):
@@ -150,12 +151,10 @@ def compile_network(arch: NetworkArch) -> CompiledNetwork:
                 )
             )
         elif isinstance(layer, AvgPool):
-            window = prev_shape[1] if layer.is_global else layer.window
-            stride = window if layer.is_global else (layer.stride or layer.window)
+            window, stride = pool_window(layer, in_shapes[idx])
             cur_ops.append(PrimitiveOp(kind="pool", window=window, stride=stride))
         elif isinstance(layer, Flatten):
             cur_ops.append(PrimitiveOp(kind="flatten"))
-        prev_shape = shape
 
     out_idx = len(points)
     points.append(ActivationPoint(out_idx, shapes[-1], masked=False))

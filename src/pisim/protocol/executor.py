@@ -197,14 +197,3 @@ def sample_input(arch: NetworkArch, seed: int, trial: int = 0) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, trial]))
     ds = arch.dataset
     return rng.integers(0, 16, size=(ds.channels, ds.height, ds.width), dtype=np.int64)
-
-
-def run_session(
-    arch: NetworkArch, protocol, seed: int, x: np.ndarray | None = None
-) -> tuple[np.ndarray, PrecomputeBundle]:
-    """Offline then online with a fresh bundle; returns (logits, bundle)."""
-    bundle = run_offline(arch, protocol, seed)
-    if x is None:
-        x = sample_input(arch, seed)
-    result = run_online(bundle, x)
-    return result.logits, bundle

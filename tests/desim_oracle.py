@@ -3,8 +3,9 @@
 An event-by-event simulation: the serial loop builds one RequestRecord per
 request, and the pipelined engine pops arrival, bundle-completion and
 online-completion events from a heap. Runs are summarized by reading the
-records back through their properties. `pisim.desim.engine` must match it
-exactly on every request and every summary statistic.
+records back through their properties into one RunMetrics each, and a
+point's runs are aggregated from a list of those. `pisim.desim.engine`
+must match it exactly on every request and every summary statistic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pisim.desim.engine import (
     capacity_bundles,
     stability_limit,
 )
-from pisim.desim.metrics import RunMetrics
+from pisim.desim.metrics import AggregateMetrics
 
 # Heap tie-break priorities at equal timestamps. Bundle completions are
 # visible to arrivals in the same instant, and a finished online slot is
@@ -174,14 +175,23 @@ def simulate_pipelined(
     return records, peak_live
 
 
+@dataclass(frozen=True)
+class RunMetrics:
+    """One run's summary."""
+
+    arrived: int
+    completed: int
+    mean_latency_s: float
+    mean_precompute_wait_s: float
+    mean_queue_wait_s: float
+    mean_online_s: float
+    saturated: bool
+    peak_client_storage_bytes: int
+    peak_server_storage_bytes: int
+
+
 def summarize_records(
-    costs: PhaseCosts,
-    config: SimConfig,
-    seed: int,
-    records: list[RequestRecord],
-    saturated: bool,
-    peak_client: int,
-    peak_server: int,
+    records: list[RequestRecord], saturated: bool, peak_client: int, peak_server: int
 ) -> RunMetrics:
     done = [r for r in records if r.finished]
     lat = np.array([r.latency_s for r in done]) if done else np.empty(0)
@@ -190,13 +200,6 @@ def summarize_records(
         return float(np.mean(vals)) if len(vals) else math.nan
 
     return RunMetrics(
-        protocol=costs.protocol.short,
-        model=costs.model,
-        dataset=costs.dataset,
-        concurrency=config.concurrency,
-        arrival_rate=config.arrival_rate,
-        horizon_s=config.horizon_s,
-        seed=seed,
         arrived=len(records),
         completed=len(done),
         mean_latency_s=mean_of(lat),
@@ -209,8 +212,37 @@ def summarize_records(
     )
 
 
+def _ci95(values: np.ndarray) -> float:
+    if values.size < 2:
+        return 0.0
+    return float(1.96 * values.std(ddof=1) / math.sqrt(values.size))
+
+
+def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
+    """Across-run means and 95% half-widths over the runs whose means are
+    not NaN, from lists of the runs' fields; peak storage is the largest."""
+    lat = np.array([r.mean_latency_s for r in runs if not math.isnan(r.mean_latency_s)])
+    pre = np.array(
+        [r.mean_precompute_wait_s for r in runs if not math.isnan(r.mean_precompute_wait_s)]
+    )
+    que = np.array([r.mean_queue_wait_s for r in runs if not math.isnan(r.mean_queue_wait_s)])
+    onl = np.array([r.mean_online_s for r in runs if not math.isnan(r.mean_online_s)])
+    return AggregateMetrics(
+        saturated=any(r.saturated for r in runs),
+        arrived=sum(r.arrived for r in runs),
+        completed=sum(r.completed for r in runs),
+        mean_latency_s=float(lat.mean()) if lat.size else math.nan,
+        ci95_latency_s=_ci95(lat),
+        mean_precompute_wait_s=float(pre.mean()) if pre.size else math.nan,
+        mean_queue_wait_s=float(que.mean()) if que.size else math.nan,
+        mean_online_s=float(onl.mean()) if onl.size else math.nan,
+        peak_client_storage_bytes=max(r.peak_client_storage_bytes for r in runs),
+        peak_server_storage_bytes=max(r.peak_server_storage_bytes for r in runs),
+    )
+
+
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
-    """Drop-in for `pisim.desim.engine.simulate` built on the reference engine."""
+    """One run's summary from the reference engine."""
     _check_feasible(costs, config)
     rng = np.random.default_rng(seed)
     arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
@@ -223,6 +255,10 @@ def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
         records, peak = simulate_pipelined(arrivals, off, on, cap, config.horizon_s)
     client_b, server_b = _bundle_bytes(costs)
     saturated = config.arrival_rate > stability_limit(costs, config)
-    return summarize_records(
-        costs, config, seed, records, saturated, peak * client_b, peak * server_b
-    )
+    return summarize_records(records, saturated, peak * client_b, peak * server_b)
+
+
+def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:
+    """Drop-in for `pisim.desim.engine.run_many` built on the reference engine."""
+    runs = [simulate(costs, config, base_seed + i) for i in range(config.n_runs)]
+    return aggregate(runs)

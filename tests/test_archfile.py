@@ -16,10 +16,29 @@ from pisim.netarch import (
 
 SHIPPED = sorted(MODELS)
 
+# A strided skip projection with its own padding and bias, which a skip's
+# conv reads and writes with the same fields as a layer conv.
+PROJECTED_SKIP = """
+name projected_skip
+input channels=3 height=8 width=8 classes=4
+conv in=3 out=4 kernel=3 pad=1
+relu
+conv in=4 out=8 kernel=3 stride=2 pad=1
+skip from=1 to=2 conv in=4 out=8 kernel=3 stride=2 pad=1 bias=true
+relu
+avgpool global
+flatten
+fc in=8 out=4
+"""
 
-@pytest.mark.parametrize("model", SHIPPED)
+
+@pytest.mark.parametrize("model", SHIPPED + ["projected_skip"])
 def test_roundtrip_presets(model):
-    arch = build_preset(model, "cifar100")
+    if model == "projected_skip":
+        arch = parse(PROJECTED_SKIP)
+        assert (arch.skips[0].conv.padding, arch.skips[0].conv.bias) == (1, True)
+    else:
+        arch = build_preset(model, "cifar100")
     again = parse(serialize(arch), name_hint=arch.name)
     validate(again)
     assert again.layers == arch.layers

@@ -387,6 +387,14 @@ fc in=128 out=4
         ["sweep", "--set", "n_runs=0", "--out", "{dir}"],
         ["sweep", "--jobs", "0", "--out", "{dir}"],
         ["sweep", "--jobs", "-2", "--out", "{dir}"],
+        ["simulate", "--rates", "-1", "--out", "{dir}"],
+        ["simulate", "--set", "rates=0.001 -inf", "--out", "{dir}"],
+        ["simulate", "--horizon", "-5", "--out", "{dir}"],
+        ["simulate", "--horizon", "0", "--out", "{dir}"],
+        ["sweep", "@fig4_c100", "--set", "horizon_s=-5", "--out", "{dir}"],
+        # a path under a regular file raises NotADirectoryError
+        ["sweep", "@fig4_c100", "--runs", "1", "--out", "{arch}/out"],
+        ["verify", "--arch", "{arch}/x.arch"],
     ],
     ids=" ".join,
 )

@@ -277,14 +277,33 @@ def test_aggregate_means_match_hand_average():
     costs = costs_for("cg")
     cfg = SimConfig(arrival_rate=1e-3, horizon_s=20_000.0, n_runs=3, concurrency=SERIAL)
     runs = [simulate(costs, cfg, seed=s) for s in range(3)]
-    agg = aggregate(runs)
-    assert agg.mean_latency_s == pytest.approx(
-        np.mean([r.mean_latency_s for r in runs])
-    )
+    agg = run_many(costs, cfg)
+    assert agg.mean_latency_s == pytest.approx(np.mean([r.mean_latency_s for r in runs]))
+    assert agg.arrived == sum(r.arrived for r in runs)
+    assert agg.completed == sum(r.completed for r in runs)
     assert agg.peak_client_storage_bytes == max(r.peak_client_storage_bytes for r in runs)
     assert agg.peak_server_storage_bytes == max(r.peak_server_storage_bytes for r in runs)
-    biggest = dataclasses.replace(
-        runs[1], peak_client_storage_bytes=10**15, peak_server_storage_bytes=10**14
-    )
-    agg = aggregate([runs[0], biggest, runs[2]])
+
+    # columns are runs; the second completed nothing, so it is skipped
+    means = np.array([
+        [10.0, math.nan, 20.0, 36.0],
+        [1.0, math.nan, 2.0, 6.0],
+        [0.5, math.nan, 0.25, 0.75],
+        [3.0, math.nan, 3.0, 3.0],
+    ])
+    agg = aggregate(means, arrived=40, completed=31, saturated=True,
+                    peak_client=10**15, peak_server=10**14)
+    assert agg.mean_latency_s == pytest.approx(22.0)
+    assert agg.ci95_latency_s == pytest.approx(1.96 * np.std([10, 20, 36], ddof=1) / math.sqrt(3))
+    assert agg.mean_precompute_wait_s == pytest.approx(3.0)
+    assert agg.mean_queue_wait_s == pytest.approx(0.5)
+    assert agg.mean_online_s == 3.0
+    assert (agg.arrived, agg.completed, agg.saturated) == (40, 31, True)
     assert (agg.peak_client_storage_bytes, agg.peak_server_storage_bytes) == (10**15, 10**14)
+
+    # one run left: no interval; none left: NaN means
+    one = aggregate(means[:, :2], 5, 1, False, 0, 0)
+    assert (one.mean_latency_s, one.ci95_latency_s) == (10.0, 0.0)
+    none = aggregate(means[:, 1:2], 5, 0, False, 0, 0)
+    assert math.isnan(none.mean_latency_s) and math.isnan(none.mean_online_s)
+    assert none.ci95_latency_s == 0.0

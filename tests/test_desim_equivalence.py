@@ -53,11 +53,11 @@ def _assert_same(timelines, records) -> None:
 
 
 def _assert_same_metrics(mine, ref) -> None:
-    """Dataclass equality, with NaN equal to NaN."""
+    """Field by field equality of type and value, floats bit for bit
+    (repr tells every float64 apart), with NaN equal to NaN."""
     for field in dataclasses.fields(ref):
         got, want = getattr(mine, field.name), getattr(ref, field.name)
-        both_nan = isinstance(want, float) and math.isnan(want) and math.isnan(got)
-        assert got == want or both_nan, (field.name, got, want)
+        assert repr(got) == repr(want), (field.name, got, want)
 
 
 @st.composite
@@ -167,12 +167,41 @@ def test_simulate_matches_reference(proto, model, dataset, concurrency, rate, ho
         client_capacity_bytes=None if cap_gb is None else cap_gb * 1e9,
     )
     for seed in range(3):
-        assert simulate(costs, cfg, seed) == desim_oracle.simulate(costs, cfg, seed)
+        reference = desim_oracle.aggregate([desim_oracle.simulate(costs, cfg, seed)])
+        _assert_same_metrics(simulate(costs, cfg, seed), reference)
 
 
-def _reference_run_many(costs, config, base_seed=0):
-    runs = [desim_oracle.simulate(costs, config, base_seed + i) for i in range(config.n_runs)]
-    return aggregate(runs)
+_MEANS = ("mean_latency_s", "mean_precompute_wait_s", "mean_queue_wait_s", "mean_online_s")
+_NAN_RUN = (math.nan,) * 4
+_entry = st.one_of(st.floats(0.0, 1e9), st.just(math.nan))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(_NAN_RUN), st.tuples(*[_entry] * 4)), min_size=1, max_size=40),
+       st.booleans())
+@example([_NAN_RUN], False)
+@example([(1.0, 2.0, 3.0, 4.0)], True)
+def test_aggregate_matches_list_reference(columns, saturated):
+    """The (4, runs) aggregate against the list-based reference, over
+    columns that are all NaN (a run in which nothing completed), and
+    single NaN entries too."""
+    means = np.array(columns).T.copy()
+    runs = [
+        desim_oracle.RunMetrics(
+            k, k // 2, *column, saturated,
+            peak_client_storage_bytes=10**12 * (k % 7), peak_server_storage_bytes=k % 5,
+        )
+        for k, column in enumerate(columns)
+    ]
+    mine = aggregate(
+        means,
+        sum(r.arrived for r in runs),
+        sum(r.completed for r in runs),
+        saturated,
+        max(r.peak_client_storage_bytes for r in runs),
+        max(r.peak_server_storage_bytes for r in runs),
+    )
+    _assert_same_metrics(mine, desim_oracle.aggregate(runs))
 
 
 @pytest.mark.parametrize("concurrency", [SERIAL, PIPELINED])
@@ -195,27 +224,36 @@ def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypat
         shapes.append(matrix.shape)
         return matrix
 
+    aggregated = []
+
+    def aggregate_runs(means, *totals):
+        aggregated.append(means.copy())
+        return aggregate(means, *totals)
+
     monkeypatch.setattr(engine, "_pad", pad)
+    monkeypatch.setattr(engine, "aggregate", aggregate_runs)
     arch = build_preset("resnet18", "tinyimagenet")
     costs = phase_costs(load_shipped_model("table"), "sg", arch)
     cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=7, concurrency=concurrency,
                     client_capacity_bytes=128e9)
-    seeds = range(3, 3 + cfg.n_runs)
-    runs = engine._simulate_seeds(costs, cfg, seeds)
-    assert len(runs) == cfg.n_runs
-    for mine, seed in zip(runs, seeds):
-        _assert_same_metrics(mine, desim_oracle.simulate(costs, cfg, seed))
+    agg = run_many(costs, cfg, 3)
+    _assert_same_metrics(agg, desim_oracle.run_many(costs, cfg, 3))
+    # every run's column holds its reference means, bit for bit
+    (means,) = aggregated
+    assert means.shape == (4, cfg.n_runs)
+    for column, seed in zip(means.T, range(3, 3 + cfg.n_runs)):
+        run = desim_oracle.simulate(costs, cfg, seed)
+        assert repr(column.tolist()) == repr([getattr(run, name) for name in _MEANS]), seed
     # every block fits the budget, unless it is one run too long for it
     assert sum(cols for _, cols in shapes) == cfg.n_runs
     assert all(rows * cols <= block or cols == 1 for rows, cols in shapes), shapes
-    _assert_same_metrics(run_many(costs, cfg, 3), _reference_run_many(costs, cfg, 3))
 
 
 @pytest.mark.parametrize("spec", ["fig4_c100", "fig5_tiny"])
 def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
     argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--seed", "0"]
     assert main(argv + ["--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr("pisim.desim.sweep.run_many", _reference_run_many)
+    monkeypatch.setattr("pisim.desim.sweep.run_many", desim_oracle.run_many)
     assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
     new = (tmp_path / "new" / f"{spec}.csv").read_bytes()
     assert new == (tmp_path / "ref" / f"{spec}.csv").read_bytes()

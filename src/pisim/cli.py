@@ -238,7 +238,7 @@ def load_experiment(ref: str) -> ExperimentSpec:
 
 def parse_knobs(text: str | None) -> OptimizationKnobs:
     """A shipped optimization name, or comma-separated factor=value pairs."""
-    if not text or text.lower() in ("none", "identity", "baseline"):
+    if not text:
         return OptimizationKnobs()
     if "=" not in text:
         return get_optimization(text)

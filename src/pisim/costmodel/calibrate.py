@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..netarch import NetworkArch, build_preset, canonical_dataset
+from ..netarch import build_preset, canonical_dataset
 from .comm import CommInputs, gc_party_small_terms, offline_comm, online_comm, storage_deltas
 from .formula import Columns, compute_seconds
 from .types import (
@@ -159,26 +159,23 @@ def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
 
 def calibrate(
     rows: list[MeasuredCosts],
-    archs: dict[tuple[str, str], NetworkArch] | None = None,
     options: CalibrationOptions | None = None,
     mode: str = "component",
 ) -> CostModel:
     """Fit a CostModel from measured rows.
 
-    archs maps (model, dataset) names from the table to architectures;
-    unnamed pairs fall back to the built-in presets. Partial protocol
+    Each row's (model, dataset) names a built-in preset. Partial protocol
     coverage is allowed: queries for a protocol with no rows raise
     InsufficientRows later, at query time.
     """
     if not rows:
         raise InsufficientRows("no measured rows to calibrate from")
     options = options or CalibrationOptions()
-    archs = archs or {}
     sizes: dict[tuple[str, str], CommInputs] = {}
     for row in rows:
         key = (row.model, row.dataset)
         if key not in sizes:
-            sizes[key] = CommInputs.from_arch(archs[key] if key in archs else build_preset(*key))
+            sizes[key] = CommInputs.from_arch(build_preset(*key))
 
     views = [_view(row, sizes[(row.model, row.dataset)]) for row in rows]
     columns = Columns(

@@ -3,14 +3,12 @@
 An optimization helps a storage-bound deployment only if it shrinks
 the per-request GC footprint enough to matter, and helps a
 compute-bound one only via the HE term. The classifier buckets a knob
-setting by its total GC and HE reductions; infeasible storage caps the
-outcome at LOW because queued requests then wait on space, not work.
+setting by its total GC and HE reductions.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .types import OptimizationKnobs
 
@@ -21,28 +19,14 @@ class Regime(str, enum.Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    moderate_gc_reduction: float = 4.0
-    high_gc_reduction: float = 8.0
-    min_he_reduction: float = 2.0
-
-
-def classify_regime(
-    knobs: OptimizationKnobs,
-    storage_ok: bool = True,
-    thresholds: RegimeThresholds | None = None,
-) -> Regime:
-    """Bucket an optimization by expected serving-capacity benefit."""
-    t = thresholds or RegimeThresholds()
-    if not storage_ok:
+def classify_regime(knobs: OptimizationKnobs) -> Regime:
+    """Bucket an optimization by expected serving-capacity benefit: at
+    least a 2x HE reduction, then a GC reduction of 8x for HIGH and 4x
+    for MODERATE."""
+    if knobs.he_total_reduction < 2.0:
         return Regime.LOW
-    gc = knobs.gc_total_reduction
-    he = knobs.he_total_reduction
-    if he < t.min_he_reduction:
-        return Regime.LOW
-    if gc >= t.high_gc_reduction:
+    if knobs.gc_total_reduction >= 8.0:
         return Regime.HIGH
-    if gc >= t.moderate_gc_reduction:
+    if knobs.gc_total_reduction >= 4.0:
         return Regime.MODERATE
     return Regime.LOW

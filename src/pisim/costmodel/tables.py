@@ -150,10 +150,12 @@ def load_optimizations() -> dict[str, OptimizationKnobs]:
 
 
 def get_optimization(name: str) -> OptimizationKnobs:
-    knobs = load_optimizations()
+    """A shipped optimization by name; none, identity and baseline name no
+    optimization at all."""
     key = name.strip().lower()
     if key in ("none", "identity", "baseline"):
         return OptimizationKnobs()
+    knobs = load_optimizations()
     if key not in knobs:
         known = ", ".join(sorted(knobs))
         raise UnknownOptimization(f"unknown optimization {name!r}; known: {known}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layers import Conv, FC, NetworkArch, ReLU
-from .shapes import Shape, skip_shape, validate
+from .layers import NetworkArch
+from .lowering import compile_network
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class LayerCounts:
     connections (identity skips still cost a homomorphic pass for the
     client's share). mask_in/mask_out are the total elements masked at
     linear-segment inputs and shared at segment outputs. Segments are the
-    linear runs between masked points, as `protocol.compile_network`
-    lowers them: the input and every ReLU output are masked, and every
-    ReLU input, the logits and each skip merge carry a share.
+    linear units of `netarch.lowering.compile_network`: the input and
+    every ReLU output are masked, and every ReLU input, the logits and
+    each skip merge carry a share.
     """
 
     params: int
@@ -47,45 +47,25 @@ def layer_kind_counts(arch: NetworkArch) -> dict[str, int]:
     return kinds
 
 
-def _conv(conv: Conv, out: Shape) -> tuple[int, int]:
-    """Params and FLOPs of a conv whose output has shape out."""
-    macs = conv.in_channels * conv.kernel**2
-    return conv.out_channels * (macs + int(conv.bias)), math.prod(out) * macs
-
-
 def count(arch: NetworkArch) -> LayerCounts:
-    """Validate arch and count it in one pass over its layers and skips."""
-    shapes = validate(arch)
-    params = conv_flops = fc_flops = relus = 0
-    n_units = len(arch.skips)
-    for layer, shape in zip(arch.layers, shapes):
-        if isinstance(layer, Conv):
-            p, f = _conv(layer, shape)
-            params += p
-            conv_flops += f
-            n_units += 1
-        elif isinstance(layer, FC):
-            params += layer.out_features * (layer.in_features + int(layer.bias))
-            fc_flops += layer.in_features * layer.out_features
-            n_units += 1
-        elif isinstance(layer, ReLU):
-            relus += math.prod(shape)
-    ds = arch.dataset
-    input_shape = (ds.channels, ds.height, ds.width)
-    mask_out = relus + math.prod(shapes[-1])
-    for skip in arch.skips:
-        mask_out += math.prod(shapes[skip.merge])
-        if skip.conv is not None:
-            p, f = _conv(skip.conv, skip_shape(skip, shapes, input_shape))
-            params += p
-            conv_flops += f
+    """Validate and lower arch, then fold its units and points into counts."""
+    net = compile_network(arch)
+    flops = {"conv": 0, "fc": 0}
+    params = n_units = 0
+    for unit in net.units:
+        weighted = [op for op in unit.ops if op.weight_shape is not None]
+        n_units += 1 if unit.is_skip else len(weighted)
+        for op in weighted:
+            params += math.prod(op.weight_shape) + op.weight_shape[0] * op.has_bias
+            flops[op.kind] += math.prod(op.out_shape) * math.prod(op.weight_shape[1:])
+    relus = net.total_relus
     return LayerCounts(
         params=params,
-        flops=conv_flops + fc_flops,
+        flops=flops["conv"] + flops["fc"],
         relus=relus,
-        conv_flops=conv_flops,
-        fc_flops=fc_flops,
+        conv_flops=flops["conv"],
+        fc_flops=flops["fc"],
         n_units=n_units,
-        mask_in_elems=ds.image_elems + relus,
-        mask_out_elems=mask_out,
+        mask_in_elems=sum(p.elems for p in net.points if p.masked),
+        mask_out_elems=sum(u.out_elems for u in net.units),
     )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .layers import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU, SkipConnection
+from .layers import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 
 Shape = tuple[int, ...]  # (c, h, w) before flatten, (features,) after
 
@@ -83,14 +83,6 @@ def infer_shapes(arch: NetworkArch) -> list[Shape]:
     return shapes
 
 
-def skip_shape(skip: SkipConnection, shapes: list[Shape], input_shape: Shape) -> Shape:
-    """The shape a skip adds at its merge point."""
-    src = input_shape if skip.source == -1 else shapes[skip.source]
-    if skip.conv is None:
-        return src
-    return conv_out(skip.conv, src, skip.source)
-
-
 def validate(arch: NetworkArch) -> list[Shape]:
     """Full structural check; returns per-layer shapes on success."""
     shapes = infer_shapes(arch)
@@ -103,15 +95,27 @@ def validate(arch: NetworkArch) -> list[Shape]:
         )
     input_shape: Shape = (arch.dataset.channels, arch.dataset.height, arch.dataset.width)
     n = len(arch.layers)
-    for skip in arch.skips:
+    for i, skip in enumerate(arch.skips):
         if not (-1 <= skip.source < n) or not (0 <= skip.merge < n):
             raise InvalidArch(f"skip {skip.source}->{skip.merge} out of range")
         if skip.source >= skip.merge:
             raise InvalidArch(f"skip {skip.source}->{skip.merge} not forward")
-        contributed = skip_shape(skip, shapes, input_shape)
+        src = input_shape if skip.source == -1 else shapes[skip.source]
+        contributed = src if skip.conv is None else conv_out(skip.conv, src, skip.source)
         if contributed != shapes[skip.merge]:
             raise InvalidArch(
                 f"skip {skip.source}->{skip.merge} shape {contributed} does not "
                 f"match merge shape {shapes[skip.merge]}"
+            )
+        # The masked protocol folds a skip into the linear segment that
+        # feeds the next ReLU, so it must start and end at masked points.
+        if skip.source != -1 and not isinstance(arch.layers[skip.source], ReLU):
+            raise InvalidArch(
+                f"skip {i}: source layer {skip.source} is not a mask point "
+                "(must be -1 or a relu)"
+            )
+        if skip.merge + 1 >= n or not isinstance(arch.layers[skip.merge + 1], ReLU):
+            raise InvalidArch(
+                f"skip {i}: merge layer {skip.merge} must feed directly into a relu"
             )
     return shapes

@@ -9,14 +9,7 @@ from .channel import (
     Transcript,
     TranscriptEvent,
 )
-from .compile import (
-    ActivationPoint,
-    CompiledNetwork,
-    LinearUnit,
-    PrimitiveOp,
-    compile_network,
-    gen_weights,
-)
+from .compile import gen_weights
 from .executor import (
     BundleConsumed,
     BundleMismatch,
@@ -41,19 +34,15 @@ from .verify import (
 __all__ = [
     "CLIENT",
     "SERVER",
-    "ActivationPoint",
     "BundleConsumed",
     "BundleMismatch",
     "Channel",
     "ClientState",
-    "CompiledNetwork",
     "EventKind",
     "GUARD_MAX_RELUS",
     "GarbledGadget",
-    "LinearUnit",
     "OnlineResult",
     "PrecomputeBundle",
-    "PrimitiveOp",
     "ProtocolHang",
     "SealKey",
     "SealedVector",
@@ -66,7 +55,6 @@ __all__ = [
     "WrongKey",
     "apply_linear",
     "apply_ops",
-    "compile_network",
     "export_transcript",
     "gen_weights",
     "plaintext_forward",

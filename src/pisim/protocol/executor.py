@@ -23,9 +23,9 @@ import numpy as np
 from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
 from ..field import FIELD_MODULUS, decode_signed, encode
-from ..netarch import NetworkArch
+from ..netarch import CompiledNetwork, NetworkArch, compile_network
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
-from .compile import CompiledNetwork, compile_network, gen_weights
+from .compile import gen_weights
 from .parties import (
     ClientState,
     ServerState,

@@ -37,8 +37,8 @@ from ..costmodel.comm import (
     SHARE_BYTES_PER_ELEM,
 )
 from ..costmodel.types import Protocol
+from ..netarch import CompiledNetwork
 from .channel import CLIENT, SERVER, Channel, EventKind
-from .compile import CompiledNetwork
 from .sealed import SealKey, apply_linear, seal, unseal
 
 

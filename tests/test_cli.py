@@ -20,6 +20,7 @@ from pisim.cli import (
     build_parser,
     main,
     parse_experiment,
+    parse_knobs,
     shipped_experiments,
 )
 from pisim.desim import SWEEP_COLUMNS
@@ -66,6 +67,14 @@ def test_cost_unknown_model(capsys):
     assert '"' not in err
 
 
+@pytest.mark.parametrize("text", [None, "", "none", "None", "identity", " baseline "])
+def test_identity_knob_spellings(text, tmp_path, monkeypatch):
+    # naming no optimization reads no optimizations table, not even a bad one
+    (tmp_path / "optimizations.tsv").write_text("name\tmodel\nx\ty\n")
+    monkeypatch.setenv("PISIM_CONFIG_DIR", str(tmp_path))
+    assert parse_knobs(text).is_identity
+
+
 def test_cost_unknown_knobs(capsys):
     rc = run_cli("cost", "--model", "resnet32", "--knobs", "wishful",
                  "--mode", "component")
@@ -100,6 +109,17 @@ def test_cli_imports_no_scipy_or_numba():
         "import sys, pisim.cli; pisim.cli.load_shipped_model(); "
         "print(sorted({m.split('.')[0] for m in sys.modules} & "
         "{'scipy', 'numba', 'multiprocessing', 'concurrent'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cost_model_imports_no_protocol():
+    # the cost model reads the lowering from netarch, not from the protocol
+    code = (
+        "import sys, pisim.costmodel; pisim.costmodel.load_shipped_model(); "
+        "print(sorted(m for m in sys.modules if m.startswith('pisim.protocol')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -365,6 +385,34 @@ relu
 fc in=128 out=4
 """
 
+# Two skips the masked protocol cannot evaluate: one taps a conv output,
+# which carries no mask, and one merges into a value that feeds an
+# avgpool rather than a relu.
+SKIP_FROM_CONV_ARCH = """name skip_from_conv
+input channels=1 height=8 width=8 classes=4 dataset=toy8
+conv in=1 out=2 kernel=3 pad=1
+relu
+conv in=2 out=2 kernel=3 pad=1
+relu
+conv in=2 out=2 kernel=3 pad=1
+skip from=2 to=4
+relu
+avgpool global
+flatten
+fc in=2 out=4
+"""
+
+SKIP_INTO_POOL_ARCH = """name skip_into_pool
+input channels=1 height=8 width=8 classes=4 dataset=toy8
+conv in=1 out=2 kernel=3 pad=1
+relu
+conv in=2 out=2 kernel=3 pad=1
+skip from=1 to=2
+avgpool global
+flatten
+fc in=2 out=4
+"""
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -395,13 +443,27 @@ fc in=128 out=4
         # a path under a regular file raises NotADirectoryError
         ["sweep", "@fig4_c100", "--runs", "1", "--out", "{arch}/out"],
         ["verify", "--arch", "{arch}/x.arch"],
+        # component mode, since table mode has no measured row for them
+        ["arch", "check", "{skip_from_conv}"],
+        ["cost", "--model", "{skip_from_conv}", "--mode", "component"],
+        ["simulate", "--model", "{skip_from_conv}", "--mode", "component", "--out", "{dir}"],
+        ["arch", "check", "{skip_into_pool}"],
+        ["cost", "--model", "{skip_into_pool}", "--mode", "component"],
+        ["sweep", "--model", "{skip_into_pool}", "--mode", "component", "--runs", "1",
+         "--out", "{dir}"],
     ],
     ids=" ".join,
 )
 def test_bad_input_exits_2(argv, tmp_path, capsys):
-    arch = tmp_path / "f.arch"
-    arch.write_text(NO_FLATTEN_ARCH)
-    argv = [a.format(dir=tmp_path, arch=arch) for a in argv]
+    paths = {"dir": tmp_path}
+    for key, text in [
+        ("arch", NO_FLATTEN_ARCH),
+        ("skip_from_conv", SKIP_FROM_CONV_ARCH),
+        ("skip_into_pool", SKIP_INTO_POOL_ARCH),
+    ]:
+        paths[key] = tmp_path / f"{key}.arch"
+        paths[key].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     assert run_cli(*argv) == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -258,8 +258,6 @@ def test_regime_classification():
     assert classify_regime(get_optimization("delphi")) is Regime.LOW
     assert classify_regime(get_optimization("deepreduce")) is Regime.MODERATE
     assert classify_regime(get_optimization("deepreduce_circa")) is Regime.HIGH
-    # storage pressure demotes an otherwise high regime
-    assert classify_regime(get_optimization("deepreduce_circa"), storage_ok=False) is Regime.LOW
 
 
 def test_max_sustainable_rate(table_cm):

@@ -173,6 +173,29 @@ def test_validate_rejects_skip_shape_mismatch():
         validate(bad)
 
 
+def test_validate_rejects_skip_from_conv():
+    # layer 2 is a conv, whose output carries no client mask
+    bad = _tiny(
+        [Conv(2, 4, 3, padding=1), ReLU(), Conv(4, 4, 3, padding=1), ReLU(),
+         Conv(4, 4, 3, padding=1), ReLU(), AvgPool(), Flatten(), FC(4, 4)],
+        skips=[SkipConnection(source=2, merge=4)],
+    )
+    for check in (validate, count):
+        with pytest.raises(InvalidArch, match="skip 0: source layer 2 is not a mask point"):
+            check(bad)
+
+
+def test_validate_rejects_skip_merge_into_pool():
+    bad = _tiny(
+        [Conv(2, 4, 3, padding=1), ReLU(), Conv(4, 4, 3, padding=1), AvgPool(), Flatten(),
+         FC(4, 4)],
+        skips=[SkipConnection(source=1, merge=2)],
+    )
+    for check in (validate, count):
+        with pytest.raises(InvalidArch, match="merge layer 2 must feed directly into a relu"):
+            check(bad)
+
+
 def test_validate_accepts_projection_skip():
     ok = _tiny(
         [

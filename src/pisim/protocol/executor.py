@@ -8,7 +8,10 @@ strict message alternation keeps transcripts deterministic for a given
 in which every unfinished party waits on an empty mailbox raises
 ProtocolHang at once. The lowered network (per arch) and the server's
 model (per arch and seed) are built once and shared read-only by every
-bundle, while each bundle draws fresh masks and shares.
+bundle. Each bundle draws its own masks and shares, but from generators
+seeded by the seed alone (SeedSequence([seed, 1]) for the client,
+[seed, 2] for the server), so every bundle of one (arch, protocol, seed)
+draws the same ones.
 """
 
 from __future__ import annotations

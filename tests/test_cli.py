@@ -24,6 +24,7 @@ from pisim.cli import (
     shipped_experiments,
 )
 from pisim.desim import SWEEP_COLUMNS
+from pisim.protocol import verify
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -348,11 +349,33 @@ def test_verify_guard_blocks_large(capsys):
 
 
 def test_verify_field_overflow_is_infeasible(capsys):
-    rc = run_cli("verify", "--model", "resnet32", "--dataset", "toy8",
-                 "--force", "--trials", "1")
+    # 3 trials run as one block of the plaintext pass: it stops at the
+    # same layer, reporting the largest value of the three
+    for trials in ("1", "3"):
+        rc = run_cli("verify", "--model", "resnet32", "--dataset", "toy8",
+                     "--force", "--trials", trials)
+        assert rc == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 12 (conv)")
+        assert "Traceback" not in err
+
+
+def test_verify_inexact_oracle_product_is_infeasible(capsys, monkeypatch):
+    # FC weights scaled by 2**45: max|w| * max|x| * 128 inputs passes 2**53
+    gen_weights = verify.gen_weights
+
+    def huge_fc(arch, seed):
+        weights = gen_weights(arch, seed)
+        w, b = weights[3]
+        weights[3] = (w * 2**45, b)
+        return weights
+
+    monkeypatch.setattr(verify, "gen_weights", huge_fc)
+    rc = run_cli("verify", "--model", "toy_cnn", "--dataset", "toy8", "--trials", "2")
     assert rc == EXIT_INFEASIBLE
     err = capsys.readouterr().err
-    assert err.startswith("error: layer 12 (conv)")
+    assert err.startswith("error: layer 3 (fc): max|w| ")
+    assert "2**53" in err
     assert "Traceback" not in err
 
 

@@ -177,6 +177,6 @@ def test_shared_model_is_the_generated_model(seed):
     # the prepared matrix is re-centred, so it holds the signed weights
     decoded = {k: (w.matrix.astype(np.int64).reshape(w.shape), decode_signed(b))
                for k, (w, b) in bundle.server_state.weights.items()}
-    expected = plaintext_forward(TOY, gen_weights(TOY, seed), x)
-    assert np.array_equal(plaintext_forward(TOY, decoded, x), expected)
+    expected = plaintext_forward(TOY, gen_weights(TOY, seed), x[None])[0]
+    assert np.array_equal(plaintext_forward(TOY, decoded, x[None])[0], expected)
     assert np.array_equal(run_online(bundle, x).logits, expected)

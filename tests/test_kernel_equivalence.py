@@ -1,6 +1,6 @@
 """The linear kernels against the loop references in kernel_oracle.
 
-The numpy field kernels and the plaintext oracle's convolution must equal
+The numpy field kernels and the plaintext oracle's block convolution must equal
 the references exactly, for every modulus the kernels admit: the default
 Mersenne prime and the largest prime whose square fits in int64, with a
 bias and without one (b=None). The field kernels take weights prepared by
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import kernel_oracle
 from pisim import _kernels as K
 from pisim.field import FIELD_MODULUS
-from pisim.protocol.oracle import _conv_plain
+from pisim.protocol import oracle
 
 # largest prime p with p**2 < 2**63, the top of the kernels' range
 P_MAX = 3_037_000_493
@@ -143,15 +143,16 @@ def test_kernels_are_exact_under_any_plan_within_the_bound(data, p, conv, limb_b
     assert np.array_equal(got, want)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 2**20), conv_case())
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2**20), conv_case(), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
-def test_oracle_conv_matches_reference(seed, bound, case):
+def test_oracle_conv_matches_reference(seed, bound, case, n):
+    # the oracle convolves a block of n inputs; each must equal the reference
     ci, co, h, ww, k, stride, pad = case
     rng = np.random.default_rng(seed)
-    x = rng.integers(-bound, bound + 1, size=(ci, h, ww), dtype=np.int64)
+    x = rng.integers(-bound, bound + 1, size=(n, ci, h, ww), dtype=np.int64)
     w = rng.integers(-3, 4, size=(co, ci, k, k), dtype=np.int64)
     b = rng.integers(-3, 4, size=co, dtype=np.int64)
-    got = _conv_plain(x, w, b, stride, pad)
-    want = kernel_oracle.conv_plain(x, w, b, stride, pad)
+    got = oracle._conv(x, w, b, stride, pad, bound, "conv")
     assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    for xi, gi in zip(x, got):
+        assert np.array_equal(gi, kernel_oracle.conv_plain(xi, w, b, stride, pad))

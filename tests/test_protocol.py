@@ -84,7 +84,7 @@ def test_exact_against_oracle(arch, proto):
         bundle = run_offline(arch, proto, seed=seed)
         x = sample_input(arch, seed=seed)
         result = run_online(bundle, x)
-        expected = plaintext_forward(arch, gen_weights(arch, seed), x)
+        expected = plaintext_forward(arch, gen_weights(arch, seed), x[None])[0]
         assert np.array_equal(result.logits, expected), f"seed {seed}"
 
 
@@ -105,7 +105,7 @@ def test_share_sums_reconstruct_preactivations(arch, proto):
     x = sample_input(arch, seed=seed)
     run_online(bundle, x)
     trace: dict[int, np.ndarray] = {}
-    plaintext_forward(arch, gen_weights(arch, seed), x, trace=trace)
+    plaintext_forward(arch, gen_weights(arch, seed), x[None], trace=trace)
     server = bundle.server_state
     client = bundle.client_state
     points = bundle.compiled.relu_points

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracing import LAYER_BINDINGS, Tracer, install_layer_spans  # noqa: E402
 
+from pisim.cli import main  # noqa: E402
 from pisim.costmodel import load_shipped_model, phase_costs  # noqa: E402
 from pisim.desim import SERIAL, SimConfig, run_points  # noqa: E402
 from pisim.netarch import build_preset  # noqa: E402
@@ -62,3 +63,17 @@ def test_a_sweep_point_records_every_desim_span():
     for name in ("desim.poisson_arrival_times", "desim.summarize_run"):
         assert names.count(name) == config.n_runs, name
     assert names.count("desim.simulate") == 0
+
+
+def test_a_traced_verify_records_the_oracle_and_every_online_run(capsys):
+    tracer = Tracer()
+    restore = install_layer_spans(tracer)
+    try:
+        assert main(["verify", "--model", "toy_cnn", "--trials", "3"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    oracle = [s for s in tracer.spans if s.name == "protocol.plaintext_forward"]
+    assert oracle and sum(s.duration for s in oracle) > 0
+    # 3 trials x 2 protocols, plus one sg and one cg run for the byte check
+    assert [s.name for s in tracer.spans].count("protocol.run_online") == 8

@@ -1,8 +1,8 @@
 """Command-line front end: cost reports, simulations, sweeps, verification.
 
-Exit codes: 0 success, 1 verification mismatch, 2 unknown identifier,
-bad input file, invalid architecture or bad cost input, 3 infeasible
-configuration.
+Exit codes: 0 success, 1 verification mismatch, and otherwise the
+exit_code of the PisimError raised (see pisim.errors): 2 for bad input,
+3 for an infeasible configuration. An unusable path (OSError) exits 2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .costmodel import (
     CommInputs,
-    CostModelError,
     OptimizationKnobs,
     PhaseCosts,
     Protocol,
@@ -32,7 +31,6 @@ from .costmodel.tables import open_config
 from .desim import (
     PIPELINED,
     SERIAL,
-    ConfigInfeasible,
     SimConfig,
     run_points,
     stability_limit,
@@ -40,12 +38,9 @@ from .desim import (
     write_sweep_csv,
 )
 from .desim.sweep import SWEEP_COLUMNS, format_value
-from .field import FieldOverflowRisk
+from .errors import PisimError
 from .netarch import (
-    InvalidArch,
     NetworkArch,
-    ParseError,
-    UnknownPreset,
     build_preset,
     canonical_dataset,
     count,
@@ -54,7 +49,6 @@ from .netarch import (
     validate,
 )
 from .protocol import (
-    VerifyGuard,
     run_offline,
     run_online,
     sample_input,
@@ -69,29 +63,8 @@ EXIT_INFEASIBLE = 3
 CI_PROFILE = {"horizon_s": 14400.0, "n_runs": 10}
 
 
-class SpecError(ValueError):
+class SpecError(PisimError, ValueError):
     """Experiment spec has an unknown key or a malformed value."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ExperimentSpec:
-    """Flat description of one simulation or sweep experiment."""
-
-    name: str = "adhoc"
-    model: str = "resnet32"
-    dataset: str = "cifar100"
-    protocols: tuple[str, ...] = ("sg", "cg")
-    rates: tuple[float, ...] = (1e-3,)
-    client_capacity_gb: tuple[float, ...] = (math.inf,)
-    server_capacity_gb: float = 10000.0
-    concurrency: str = SERIAL
-    horizon_s: float = 86400.0
-    n_runs: int = 100
-    seed: int = 0
-    mode: str = "table"
-    knobs: str = "none"
-    output_dir: str = "."
-    formats: tuple[str, ...] = ("csv",)
 
 
 def _parse_rates(text: str) -> tuple[float, ...]:
@@ -170,33 +143,50 @@ def _parse_mode(text: str) -> str:
     return text
 
 
-_SPEC_PARSERS = {
-    "name": str,
-    "model": str,
-    "dataset": canonical_dataset,
-    "protocols": _parse_names,
-    "rates": _parse_rates,
-    "client_capacity_gb": _parse_caps,
-    "server_capacity_gb": _parse_capacity,
-    "concurrency": _parse_concurrency,
-    "horizon_s": _parse_horizon,
-    "n_runs": _parse_runs,
-    "seed": _parse_seed,
-    "mode": _parse_mode,
-    "knobs": str,
-    "output_dir": str,
-    "formats": _parse_formats,
-}
+def _key(default, parse, flag: str | None = None, help: str | None = None):
+    """An experiment key: its default, the parser of its text, and its flag."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "flag": flag, "help": help})
+
+
+@dataclasses.dataclass(frozen=True)
+class ExperimentSpec:
+    """Flat description of one simulation or sweep experiment.
+
+    Spec files, --set and each key's flag all hand the key's text to the
+    parser its field declares.
+    """
+
+    name: str = _key("adhoc", str, "--name", "output file stem")
+    model: str = _key("resnet32", str, "--model", "preset name or .arch path")
+    dataset: str = _key("cifar100", canonical_dataset, "--dataset")
+    protocols: tuple[str, ...] = _key(("sg", "cg"), _parse_names, "--protocols",
+                                      "comma list, e.g. sg,cg")
+    rates: tuple[float, ...] = _key((1e-3,), _parse_rates, "--rates", "comma list of req/s")
+    client_capacity_gb: tuple[float, ...] = _key(
+        (math.inf,), _parse_caps, "--capacities",
+        "comma list of client capacities in GB (none = unbounded)")
+    server_capacity_gb: float = _key(10000.0, _parse_capacity)
+    concurrency: str = _key(SERIAL, _parse_concurrency, "--concurrency", "serial or pipelined")
+    horizon_s: float = _key(86400.0, _parse_horizon, "--horizon", "seconds simulated")
+    n_runs: int = _key(100, _parse_runs, "--runs", "independent runs")
+    seed: int = _key(0, _parse_seed, "--seed")
+    mode: str = _key("table", _parse_mode, "--mode", "table or component")
+    knobs: str = _key("none", str, "--knobs")
+    output_dir: str = _key(".", str, "--out", "output directory")
+    formats: tuple[str, ...] = _key(("csv",), _parse_formats, "--formats", "csv,json")
+
+
+_SPEC_KEYS = {f.name: f.metadata for f in dataclasses.fields(ExperimentSpec)}
 
 
 def apply_spec_pairs(spec: ExperimentSpec, pairs: list[tuple[str, str]]) -> ExperimentSpec:
     updates = {}
     for key, raw in pairs:
-        if key not in _SPEC_PARSERS:
-            known = ", ".join(sorted(_SPEC_PARSERS))
+        if key not in _SPEC_KEYS:
+            known = ", ".join(sorted(_SPEC_KEYS))
             raise SpecError(f"unknown experiment key {key!r}; known keys: {known}")
         try:
-            updates[key] = _SPEC_PARSERS[key](raw)
+            updates[key] = _SPEC_KEYS[key]["parse"](raw)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"bad value for {key!r}: {exc}") from exc
     return dataclasses.replace(spec, **updates) if updates else spec
@@ -335,27 +325,9 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     spec = load_experiment(args.spec) if args.spec else ExperimentSpec()
     if args.profile == "ci":
         spec = dataclasses.replace(spec, **CI_PROFILE)
-    flag_map = [
-        ("model", "model"),
-        ("dataset", "dataset"),
-        ("protocols", "protocols"),
-        ("rates", "rates"),
-        ("capacities", "client_capacity_gb"),
-        ("concurrency", "concurrency"),
-        ("horizon", "horizon_s"),
-        ("runs", "n_runs"),
-        ("seed", "seed"),
-        ("mode", "mode"),
-        ("knobs", "knobs"),
-        ("out", "output_dir"),
-        ("formats", "formats"),
-        ("name", "name"),
-    ]
-    pairs = []
-    for attr, key in flag_map:
-        value = getattr(args, attr, None)
-        if value is not None:
-            pairs.append((key, str(value)))
+    # each key's flag stores its raw text under the key's name
+    flags = vars(args)
+    pairs = [(key, flags[key]) for key in _SPEC_KEYS if flags.get(key) is not None]
     pairs.extend(_split_set_pairs(args.set or []))
     return apply_spec_pairs(spec, pairs)
 
@@ -451,10 +423,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    arch = resolve_arch(args.model, args.dataset) if args.arch is None else None
-    if arch is None:
-        arch = load(args.arch)
-        validate(arch)
+    arch = resolve_arch(args.model if args.arch is None else args.arch, args.dataset)
     if args.protocol == "both":
         protocols = (Protocol.SERVER_GARBLER, Protocol.CLIENT_GARBLER)
     else:
@@ -542,21 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override any experiment key (repeatable, last wins)")
         p.add_argument("--profile", choices=("ci",), default=None,
                        help="ci: 4 h horizon, 10 runs")
-        p.add_argument("--model", default=None)
-        p.add_argument("--dataset", default=None)
-        p.add_argument("--protocols", default=None, help="comma list, e.g. sg,cg")
-        p.add_argument("--rates", default=None, help="comma list of req/s")
-        p.add_argument("--capacities", default=None,
-                       help="comma list of client capacities in GB (none = unbounded)")
-        p.add_argument("--concurrency", default=None, choices=(SERIAL, PIPELINED))
-        p.add_argument("--horizon", default=None, type=float, help="seconds simulated")
-        p.add_argument("--runs", default=None, type=int, help="independent runs")
-        p.add_argument("--seed", default=None, type=int)
-        p.add_argument("--mode", default=None, choices=("table", "component"))
-        p.add_argument("--knobs", default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--formats", default=None, help="csv,json")
-        p.add_argument("--name", default=None, help="output file stem")
+        for key, meta in _SPEC_KEYS.items():
+            if meta["flag"]:
+                p.add_argument(meta["flag"], dest=key, default=None, help=meta["help"])
 
     p_sim = sub.add_parser("simulate", help="simulate one serving configuration")
     add_spec_args(p_sim)
@@ -594,22 +551,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UnknownPreset, CostModelError, SpecError, ParseError, InvalidArch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    except PisimError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except VerifyGuard as exc:
-        msg = str(exc).replace("pass force=True", "pass --force")
-        print(f"error: {msg}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except ConfigInfeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except FieldOverflowRisk as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
 
 def entry() -> None:

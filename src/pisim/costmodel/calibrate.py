@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..netarch import build_preset, canonical_dataset
-from .comm import CommInputs, gc_party_small_terms, offline_comm, online_comm, storage_deltas
+from .comm import CommInputs, offline_comm, online_comm, storage_deltas
 from .formula import Columns, compute_seconds
 from .types import (
     CalibrationReport,
@@ -80,13 +80,13 @@ def _view(row: MeasuredCosts, sizes: CommInputs) -> _RowView:
 def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
     rates = []
     for v in views:
-        deltas_bytes = (
-            v.row.client_storage_bytes
-            if v.row.protocol is Protocol.SERVER_GARBLER
-            else v.row.server_storage_bytes
-        )
-        small = gc_party_small_terms(v.row.protocol, v.sizes)
-        rates.append((deltas_bytes - small) / v.sizes.relus)
+        # the GC party's storage that does not scale with the ReLU count
+        small = storage_deltas(v.row.protocol, replace(v.sizes, relus=0))
+        if v.row.protocol is Protocol.SERVER_GARBLER:
+            gc_party_bytes = v.row.client_storage_bytes - small.client_bytes
+        else:
+            gc_party_bytes = v.row.server_storage_bytes - small.server_bytes
+        rates.append(gc_party_bytes / v.sizes.relus)
     rates_arr = np.asarray(rates)
     mean = float(rates_arr.mean())
     if mean <= 0:

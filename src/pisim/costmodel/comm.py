@@ -173,21 +173,3 @@ def storage_deltas(protocol: Protocol, sizes: CommInputs) -> StorageDeltas:
         + CG_EVALUATOR_STATE_BYTES_PER_RELU * sizes.relus,
     )
 
-
-def gc_party_small_terms(protocol: Protocol, sizes: CommInputs) -> int:
-    """GC-party storage that does not scale with the ReLU count.
-
-    Calibration subtracts these structural terms before fitting the
-    per-ReLU storage rate, so the fitted rate reflects the per-ReLU
-    footprint alone (circuit, labels, decode or OT state).
-    """
-    if protocol is Protocol.SERVER_GARBLER:
-        return (
-            HE_CT_BYTES_PER_ELEM * sizes.mask_out_elems
-            + SHARE_BYTES_PER_ELEM * sizes.mask_in_elems
-        )
-    return (
-        KEY_BYTES
-        + BASE_OT_BYTES_PER_DIRECTION
-        + SHARE_BYTES_PER_ELEM * sizes.mask_out_elems
-    )

@@ -7,12 +7,14 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..errors import PisimError
+
 if TYPE_CHECKING:
     from .formula import Columns
 
 
-class CostModelError(Exception):
-    """Root of the cost model's errors; the CLI maps each to exit 2."""
+class CostModelError(PisimError):
+    """Root of the cost model's errors."""
 
 
 class InvalidCostInput(CostModelError, ValueError):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import PisimError
+
 SERIAL = "serial"
 PIPELINED = "pipelined"
 
@@ -14,8 +16,11 @@ PIPELINED = "pipelined"
 MAX_EXPECTED_ARRIVALS = 1e9
 
 
-class ConfigInfeasible(ValueError):
+class ConfigInfeasible(PisimError, ValueError):
     """The configuration can never serve a request."""
+
+    exit_code = 3
+    prefix = "infeasible"
 
 
 @dataclass(frozen=True)

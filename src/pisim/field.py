@@ -16,11 +16,15 @@ for the toy networks the executors are meant to run.
 
 import numpy as np
 
+from .errors import PisimError
+
 FIELD_MODULUS = 2**31 - 1
 
 
-class FieldOverflowRisk(ValueError):
+class FieldOverflowRisk(PisimError, ValueError):
     """Worst-case activation magnitude exceeds the signed field capacity."""
+
+    exit_code = 3
 
 
 def half_range(p: int = FIELD_MODULUS) -> int:

@@ -19,6 +19,7 @@ round-trips exactly.
 
 from __future__ import annotations
 
+from ..errors import PisimError
 from .layers import (
     AvgPool,
     Conv,
@@ -31,7 +32,7 @@ from .layers import (
 )
 
 
-class ParseError(ValueError):
+class ParseError(PisimError, ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno

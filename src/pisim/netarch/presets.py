@@ -11,6 +11,7 @@ omitted from the dataflow graph.
 
 from __future__ import annotations
 
+from ..errors import PisimError
 from .layers import (
     AvgPool,
     Conv,
@@ -38,7 +39,7 @@ DATASETS: dict[str, DatasetSpec] = {
 }
 
 
-class UnknownPreset(KeyError):
+class UnknownPreset(PisimError, KeyError):
     """No preset has this model or dataset name."""
 
     __str__ = Exception.__str__  # the message itself, without KeyError's repr quotes

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from ..errors import PisimError
 from .layers import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 
 Shape = tuple[int, ...]  # (c, h, w) before flatten, (features,) after
 
 
-class InvalidArch(ValueError):
+class InvalidArch(PisimError, ValueError):
     """Architecture fails shape inference or structural validation."""
 
 

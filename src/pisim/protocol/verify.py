@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ..costmodel.types import Protocol
+from ..errors import PisimError
 from ..netarch import NetworkArch, count
 from .channel import Transcript
 from .compile import gen_weights
@@ -26,8 +27,8 @@ GUARD_MAX_RELUS = 10_000
 TRIAL_BLOCK = 6
 
 
-class VerifyGuard(RuntimeError):
-    pass
+class VerifyGuard(PisimError, RuntimeError):
+    """A network too large to verify without force."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def verify_against_plaintext(
     if relus > GUARD_MAX_RELUS and not force:
         raise VerifyGuard(
             f"{arch.name} has {relus} relus (> {GUARD_MAX_RELUS}); "
-            "pass force=True to run anyway"
+            "pass --force to run anyway"
         )
     protocols = [Protocol.parse(protocol) for protocol in protocols]
     weights = gen_weights(arch, seed)

@@ -13,7 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 from pisim.costmodel import (
+    BASE_OT_BYTES_PER_DIRECTION,
     GC_TRANSFER_BYTES_PER_RELU,
+    HE_CT_BYTES_PER_ELEM,
+    KEY_BYTES,
+    SHARE_BYTES_PER_ELEM,
     CommInputs,
     CostModel,
     OptimizationKnobs,
@@ -250,3 +254,22 @@ def predict_compute(cm: NamedRates, protocol: Protocol, arch: NetworkArch) -> tu
     if protocol is Protocol.CLIENT_GARBLER:
         on += cm.ot_online_s_per_relu * relus
     return off, on
+
+
+def gc_party_small_terms(protocol: Protocol, sizes: CommInputs) -> int:
+    """GC-party storage that does not scale with the ReLU count.
+
+    Calibration subtracts these structural terms before fitting the
+    per-ReLU storage rate, so the fitted rate reflects the per-ReLU
+    footprint alone (circuit, labels, decode or OT state).
+    """
+    if protocol is Protocol.SERVER_GARBLER:
+        return (
+            HE_CT_BYTES_PER_ELEM * sizes.mask_out_elems
+            + SHARE_BYTES_PER_ELEM * sizes.mask_in_elems
+        )
+    return (
+        KEY_BYTES
+        + BASE_OT_BYTES_PER_DIRECTION
+        + SHARE_BYTES_PER_ELEM * sizes.mask_out_elems
+    )

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, spec handling, output files."""
 
 import csv
+import dataclasses
 import json
 import re
 import subprocess
@@ -561,3 +562,32 @@ def test_readme_commands_run():
     text = (REPO / "README.md").read_text()
     for cmd in re.findall(r"pisim (\w+)", text):
         assert cmd in known or cmd == "cli", cmd
+
+
+# --- spec flags -------------------------------------------------------------
+
+
+SPEC_FLAG_CASES = [
+    ("--name", "demo", "name", "demo"),
+    ("--model", "vgg16", "model", "vgg16"),
+    ("--dataset", "tiny", "dataset", "tinyimagenet"),
+    ("--protocols", "cg", "protocols", ("cg",)),
+    ("--rates", "0.5,2", "rates", (0.5, 2.0)),
+    ("--capacities", "8,none", "client_capacity_gb", (8.0, float("inf"))),
+    ("--concurrency", "pipelined", "concurrency", "pipelined"),
+    ("--horizon", "60", "horizon_s", 60.0),
+    ("--runs", "7", "n_runs", 7),
+    ("--seed", "3", "seed", 3),
+    ("--mode", "component", "mode", "component"),
+    ("--knobs", "delphi", "knobs", "delphi"),
+    ("--out", "results", "output_dir", "results"),
+    ("--formats", "csv,json", "formats", ("csv", "json")),
+]
+
+
+@pytest.mark.parametrize("flag, raw, key, value", SPEC_FLAG_CASES, ids=[c[0] for c in SPEC_FLAG_CASES])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_spec_flag_sets_its_key(command, flag, raw, key, value):
+    args = build_parser().parse_args([command, flag, raw])
+    want = dataclasses.replace(ExperimentSpec(), **{key: value})
+    assert pisim.cli._spec_from_args(args) == want

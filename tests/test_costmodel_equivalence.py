@@ -3,7 +3,8 @@
 Every PhaseCosts field of `phase_costs` must equal the oracle's: integer
 fields exactly, float fields within 1e-12 relative, for every preset,
 protocol, knob setting and bandwidth. The calibration report must price
-its rows as the oracle does.
+its rows as the oracle does, and the GC party's ReLU-independent storage
+that calibration takes from `storage_deltas` must equal the oracle's.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from pisim.costmodel import (
     load_shipped_costs,
     load_shipped_model,
     phase_costs,
+    storage_deltas,
 )
 from pisim.costmodel.formula import compute_seconds
 from pisim.netarch import MODELS, build_preset
@@ -88,3 +90,38 @@ def test_report_prices_rows_like_oracle(row):
     want_off, want_on = oracle.predict_compute(NAMED, row.protocol, arch)
     assert off == pytest.approx(want_off, rel=1e-12, abs=0.0)
     assert on == pytest.approx(want_on, rel=1e-12, abs=0.0)
+
+
+def gc_party_small_bytes(protocol, sizes):
+    small = storage_deltas(protocol, dataclasses.replace(sizes, relus=0))
+    return small.client_bytes if protocol is Protocol.SERVER_GARBLER else small.server_bytes
+
+
+COUNTS = st.integers(0, 2**40)
+
+
+@given(
+    protocol=st.sampled_from(list(Protocol)),
+    sizes=st.builds(
+        CommInputs,
+        relus=COUNTS,
+        mask_in_elems=COUNTS,
+        mask_out_elems=COUNTS,
+        image_elems=COUNTS,
+        class_count=COUNTS,
+        area=COUNTS,
+        conv_flops=COUNTS,
+        fc_flops=COUNTS,
+        n_units=COUNTS,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_gc_party_small_bytes_match_oracle(protocol, sizes):
+    assert gc_party_small_bytes(protocol, sizes) == oracle.gc_party_small_terms(protocol, sizes)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.short)
+@pytest.mark.parametrize("arch", ARCHS, ids=lambda a: f"{a.name}/{a.dataset.name}")
+def test_gc_party_small_bytes_match_oracle_on_presets(arch, protocol):
+    sizes = CommInputs.from_arch(arch)
+    assert gc_party_small_bytes(protocol, sizes) == oracle.gc_party_small_terms(protocol, sizes)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -48,12 +49,9 @@ from .netarch import (
     load,
     validate,
 )
-from .protocol import (
-    run_offline,
-    run_online,
-    sample_input,
-    verify_against_plaintext,
-)
+from .protocol import verify_against_plaintext
+# perfbench's tracer binds these here, though cli no longer calls them
+from .protocol import run_offline, run_online, sample_input  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -170,8 +168,10 @@ class ExperimentSpec:
     horizon_s: float = _key(86400.0, _parse_horizon, "--horizon", "seconds simulated")
     n_runs: int = _key(100, _parse_runs, "--runs", "independent runs")
     seed: int = _key(0, _parse_seed, "--seed")
-    mode: str = _key("table", _parse_mode, "--mode", "table or component")
-    knobs: str = _key("none", str, "--knobs")
+    mode: str | None = _key(None, _parse_mode, "--mode",
+                            "table or component; default table without knobs, component with them")
+    knobs: str = _key("none", str, "--knobs",
+                      "optimization name or relu=F,flop=F,gc_per_relu=F,he_per_flop=F")
     output_dir: str = _key(".", str, "--out", "output directory")
     formats: tuple[str, ...] = _key(("csv",), _parse_formats, "--formats", "csv,json")
 
@@ -259,8 +259,9 @@ def parse_knobs(text: str | None) -> OptimizationKnobs:
 
 
 def resolve_arch(model: str, dataset: str) -> NetworkArch:
-    """A preset pair, or a .arch file path in place of the model name."""
-    if model.endswith(".arch") or Path(model).exists():
+    """A preset pair, or an architecture file in place of the model name:
+    a name that ends in .arch or holds a path separator is a path."""
+    if model.endswith(".arch") or "/" in model or os.sep in model:
         arch = load(model)
         validate(arch)
         return arch
@@ -279,16 +280,12 @@ def _print_kv(key: str, value: str) -> None:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    knobs = parse_knobs(args.knobs)
-    mode = args.mode or ("table" if knobs.is_identity else "component")
-    cm = load_shipped_model(mode=mode)
-    arch = resolve_arch(args.model, args.dataset)
-    protocol = Protocol.parse(args.protocol)
-    costs = phase_costs(cm, protocol, arch, bandwidth=args.bandwidth, knobs=knobs)
+    knobs, mode, (costs,) = _spec_costs(_spec_from_args(args), (args.protocol,), args.bandwidth)
+    protocol = costs.protocol
     gc_side = "client" if protocol is Protocol.SERVER_GARBLER else "server"
 
     _print_kv("protocol", f"{protocol.value} ({protocol.short})")
-    _print_kv("network", f"{arch.name} / {arch.dataset.name}")
+    _print_kv("network", f"{costs.model} / {costs.dataset}")
     _print_kv("mode", mode)
     if not knobs.is_identity:
         _print_kv(
@@ -322,13 +319,14 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = load_experiment(args.spec) if args.spec else ExperimentSpec()
-    if args.profile == "ci":
-        spec = dataclasses.replace(spec, **CI_PROFILE)
-    # each key's flag stores its raw text under the key's name
+    # cost has no spec, --profile or --set; each key's flag stores its raw
+    # text under the key's name
     flags = vars(args)
+    spec = load_experiment(flags["spec"]) if flags.get("spec") else ExperimentSpec()
+    if flags.get("profile") == "ci":
+        spec = dataclasses.replace(spec, **CI_PROFILE)
     pairs = [(key, flags[key]) for key in _SPEC_KEYS if flags.get(key) is not None]
-    pairs.extend(_split_set_pairs(args.set or []))
+    pairs.extend(_split_set_pairs(flags.get("set") or []))
     return apply_spec_pairs(spec, pairs)
 
 
@@ -342,15 +340,21 @@ def _split_set_pairs(items: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _spec_costs(spec: ExperimentSpec, protocols: tuple[str, ...]) -> list[PhaseCosts]:
-    """PhaseCosts of each protocol on the spec's network, from one model load."""
+def _spec_costs(
+    spec: ExperimentSpec, protocols: tuple[str, ...], bandwidth: float | None = None
+) -> tuple[OptimizationKnobs, str, list[PhaseCosts]]:
+    """The spec's knobs and cost mode, and the PhaseCosts of each protocol
+    on its network, from one model load.
+
+    With no mode given, identity knobs price in table mode and any other
+    knobs in component mode; table mode with knobs is phase_costs' error.
+    """
     knobs = parse_knobs(spec.knobs)
-    mode = spec.mode
-    if mode == "table" and not knobs.is_identity:
-        mode = "component"
+    mode = spec.mode or ("table" if knobs.is_identity else "component")
     cm = load_shipped_model(mode=mode)
     arch = resolve_arch(spec.model, spec.dataset)
-    return [phase_costs(cm, Protocol.parse(p), arch, knobs=knobs) for p in protocols]
+    costs = [phase_costs(cm, p, arch, bandwidth=bandwidth, knobs=knobs) for p in protocols]
+    return knobs, mode, costs
 
 
 def _spec_config(spec: ExperimentSpec, rate: float, cap_gb: float) -> SimConfig:
@@ -382,7 +386,7 @@ def _write_rows(rows: list[dict], spec: ExperimentSpec, stem: str) -> list[Path]
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    (costs,) = _spec_costs(spec, spec.protocols[:1])
+    _, _, (costs,) = _spec_costs(spec, spec.protocols[:1])
     config = _spec_config(spec, spec.rates[0], spec.client_capacity_gb[0])
     row = sweep_point(costs, config, spec.seed)
     if not row["feasible"]:
@@ -408,8 +412,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     spec = _spec_from_args(args)
+    _, _, per_protocol = _spec_costs(spec, spec.protocols)
     tasks = []
-    for costs in _spec_costs(spec, spec.protocols):
+    for costs in per_protocol:
         for cap_gb in spec.client_capacity_gb:
             for rate in spec.rates:
                 tasks.append((costs, _spec_config(spec, rate, cap_gb), spec.seed))
@@ -450,14 +455,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     inputs = CommInputs.from_arch(arch)
     for protocol in protocols:
-        bundle = run_offline(arch, protocol, args.seed)
-        online = run_online(bundle, sample_input(arch, args.seed))
+        transcript = result.transcripts[protocol]
         off_model = offline_comm(protocol, inputs)
         on_model = online_comm(protocol, inputs)
-        off_c2s = bundle.transcript.total_bytes("offline", "c2s")
-        off_s2c = bundle.transcript.total_bytes("offline", "s2c")
-        on_c2s = online.transcript.total_bytes("online", "c2s")
-        on_s2c = online.transcript.total_bytes("online", "s2c")
+        off_c2s = transcript.total_bytes("offline", "c2s")
+        off_s2c = transcript.total_bytes("offline", "s2c")
+        on_c2s = transcript.total_bytes("online", "c2s")
+        on_s2c = transcript.total_bytes("online", "s2c")
         print(
             f"{protocol.short} transcript vs cost model (bytes): "
             f"offline c2s {off_c2s - off_model.c2s_bytes:+d}, "
@@ -494,14 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_key_flags(p: argparse.ArgumentParser, keys=tuple(_SPEC_KEYS)) -> None:
+        for key in keys:
+            meta = _SPEC_KEYS[key]
+            if meta["flag"]:
+                p.add_argument(meta["flag"], dest=key, default=None, help=meta["help"])
+
     p_cost = sub.add_parser("cost", help="print per-inference phase costs")
-    p_cost.add_argument("--model", default="resnet32", help="preset name or .arch path")
-    p_cost.add_argument("--dataset", default="cifar100")
+    add_key_flags(p_cost, ("model", "dataset", "knobs", "mode"))
     p_cost.add_argument("--protocol", default="sg", help="sg or cg")
-    p_cost.add_argument("--knobs", default=None,
-                        help="optimization name or relu=F,flop=F,gc_per_relu=F,he_per_flop=F")
     p_cost.add_argument("--bandwidth", type=float, default=None, help="link bytes/s")
-    p_cost.add_argument("--mode", choices=("table", "component"), default=None)
     p_cost.set_defaults(fn=cmd_cost)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -511,9 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override any experiment key (repeatable, last wins)")
         p.add_argument("--profile", choices=("ci",), default=None,
                        help="ci: 4 h horizon, 10 runs")
-        for key, meta in _SPEC_KEYS.items():
-            if meta["flag"]:
-                p.add_argument(meta["flag"], dest=key, default=None, help=meta["help"])
+        add_key_flags(p)
 
     p_sim = sub.add_parser("simulate", help="simulate one serving configuration")
     add_spec_args(p_sim)

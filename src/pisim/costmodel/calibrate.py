@@ -14,7 +14,9 @@ large offline ones. A soft prior row per input area keeps the HE share
 of offline compute near its measured fraction on the largest-FLOP row of
 that area; its coefficients are that row's FLOP-driven HE features,
 which pins down the split between the FLOP-driven and ReLU-driven
-offline terms. The report prices every row with the same formula.
+offline terms. The report prices every row with the same formula, and
+calibration fails unless every row's residuals are within the tolerances
+below.
 """
 
 from __future__ import annotations
@@ -36,13 +38,14 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
-class CalibrationOptions:
-    latency_tolerance: float = 0.10
-    storage_tolerance: float = 0.05
-    he_share_target: float = 0.915
-    he_share_weight: float = 0.6
-    validate: bool = True
+# Largest relative residual a row may keep, on each phase's latency and
+# on each party's storage.
+LATENCY_TOLERANCE = 0.10
+STORAGE_TOLERANCE = 0.05
+# The HE share of offline compute the prior pins on each area's anchor
+# row, and the prior row's weight beside the measured rows' 1.
+HE_SHARE_TARGET = 0.915
+HE_SHARE_WEIGHT = 0.6
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def _view(row: MeasuredCosts, sizes: CommInputs) -> _RowView:
     )
 
 
-def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
+def _fit_gc_rate(views: list[_RowView]) -> float:
     rates = []
     for v in views:
         # the GC party's storage that does not scale with the ReLU count
@@ -92,10 +95,10 @@ def _fit_gc_rate(views: list[_RowView], options: CalibrationOptions) -> float:
     if mean <= 0:
         raise InconsistentRows("fitted GC storage rate is not positive")
     spread = float(np.abs(rates_arr - mean).max() / mean)
-    if spread > options.storage_tolerance:
+    if spread > STORAGE_TOLERANCE:
         raise InconsistentRows(
             f"per-row GC storage rates disagree by {spread:.1%} "
-            f"(tolerance {options.storage_tolerance:.0%})"
+            f"(tolerance {STORAGE_TOLERANCE:.0%})"
         )
     return mean
 
@@ -157,11 +160,7 @@ def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
     return tuple(float(r) for r in nnls(a, b))
 
 
-def calibrate(
-    rows: list[MeasuredCosts],
-    options: CalibrationOptions | None = None,
-    mode: str = "component",
-) -> CostModel:
+def calibrate(rows: list[MeasuredCosts], mode: str = "component") -> CostModel:
     """Fit a CostModel from measured rows.
 
     Each row's (model, dataset) names a built-in preset. Partial protocol
@@ -170,7 +169,6 @@ def calibrate(
     """
     if not rows:
         raise InsufficientRows("no measured rows to calibrate from")
-    options = options or CalibrationOptions()
     sizes: dict[tuple[str, str], CommInputs] = {}
     for row in rows:
         key = (row.model, row.dataset)
@@ -186,20 +184,17 @@ def calibrate(
     features = [columns.features(v.row.protocol, v.sizes) for v in views]
 
     offline = [(off, v.offline_compute_s, 1.0) for v, (off, _) in zip(views, features)]
-    if options.he_share_weight > 0:
-        for area in columns.conv_areas:
-            anchor = _anchor(views, area)
-            anchor_off, _ = columns.features(anchor.row.protocol, anchor.sizes)
-            prior = [0.0] * len(anchor_off)
-            prior[columns.he_flops] = anchor_off[columns.he_flops]
-            offline.append(
-                (prior, options.he_share_target * anchor.offline_compute_s, options.he_share_weight)
-            )
+    for area in columns.conv_areas:
+        anchor = _anchor(views, area)
+        anchor_off, _ = columns.features(anchor.row.protocol, anchor.sizes)
+        prior = [0.0] * len(anchor_off)
+        prior[columns.he_flops] = anchor_off[columns.he_flops]
+        offline.append((prior, HE_SHARE_TARGET * anchor.offline_compute_s, HE_SHARE_WEIGHT))
     online = [(on, v.online_compute_s, 1.0) for v, (_, on) in zip(views, features)]
 
     model = CostModel(
         mode=mode,
-        gc_bytes_per_relu=_fit_gc_rate(views, options),
+        gc_bytes_per_relu=_fit_gc_rate(views),
         columns=columns,
         offline_rates=_solve(offline),
         online_rates=_solve(online),
@@ -207,8 +202,7 @@ def calibrate(
         table={(r.protocol, r.model, canonical_dataset(r.dataset)): r for r in rows},
     )
     model = replace(model, report=_build_report(model, views))
-    if options.validate:
-        _validate(options, model.report)
+    _validate(model.report)
     return model
 
 
@@ -248,15 +242,15 @@ def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
     )
 
 
-def _validate(options: CalibrationOptions, report: CalibrationReport) -> None:
-    bad = [r for r in report.row_residuals if max(r[1], r[2]) > options.latency_tolerance]
+def _validate(report: CalibrationReport) -> None:
+    bad = [r for r in report.row_residuals if max(r[1], r[2]) > LATENCY_TOLERANCE]
     if bad:
         detail = "; ".join(f"{label}: off {o:.1%} on {n:.1%}" for label, o, n in bad)
         raise InconsistentRows(
-            f"latency residuals exceed {options.latency_tolerance:.0%}: {detail}"
+            f"latency residuals exceed {LATENCY_TOLERANCE:.0%}: {detail}"
         )
-    if report.max_storage_residual > options.storage_tolerance:
+    if report.max_storage_residual > STORAGE_TOLERANCE:
         raise InconsistentRows(
-            f"storage residuals exceed {options.storage_tolerance:.0%} "
+            f"storage residuals exceed {STORAGE_TOLERANCE:.0%} "
             f"(worst {report.max_storage_residual:.1%})"
         )

@@ -4,8 +4,9 @@ Secret shares and masked activations live in Z_p for a configurable
 prime p. Signed integers are embedded symmetrically: values in
 [0, (p-1)/2] are non-negative, the rest decode as negative. Exactness
 therefore requires every true intermediate activation to stay within
-+-(p-1)/2; executors check a worst-case bound before running and raise
-FieldOverflowRisk if the modulus is too small.
++-(p-1)/2. The plaintext reference in pisim.protocol.oracle checks each
+intermediate against that window and raises FieldOverflowRisk once one
+leaves it.
 
 The default modulus is the Mersenne prime 2**31 - 1: the largest
 convenient prime whose products of two residues still fit in int64,
@@ -46,12 +47,3 @@ def sample_elements(rng: np.random.Generator, shape, p: int = FIELD_MODULUS) -> 
     """Uniform field elements, used for masks and additive shares."""
     return rng.integers(0, p, size=shape, dtype=np.int64)
 
-
-def check_activation_bound(bound: int, p: int = FIELD_MODULUS) -> None:
-    """Raise FieldOverflowRisk unless |activation| <= bound decodes exactly."""
-    if bound > half_range(p):
-        raise FieldOverflowRisk(
-            f"worst-case activation magnitude {bound} exceeds the signed "
-            f"capacity {half_range(p)} of modulus {p}; use a larger modulus "
-            "or smaller weights/inputs"
-        )

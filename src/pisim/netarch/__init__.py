@@ -31,7 +31,6 @@ from .presets import (
     build_preset,
     canonical_dataset,
     get_dataset,
-    scale_to_input,
 )
 from .shapes import IncompatibleResolution, InvalidArch, infer_shapes, validate
 
@@ -70,7 +69,6 @@ __all__ = [
     "load",
     "parse",
     "save",
-    "scale_to_input",
     "serialize",
     "validate",
 ]

@@ -22,7 +22,6 @@ from .layers import (
     ReLU,
     SkipConnection,
 )
-from .shapes import IncompatibleResolution, conv_out, pool_out, validate
 
 CIFAR100 = DatasetSpec("cifar100", channels=3, height=32, width=32, classes=100)
 TINYIMAGENET = DatasetSpec("tinyimagenet", channels=3, height=64, width=64, classes=200)
@@ -178,43 +177,3 @@ def build_preset(model: str, dataset: DatasetSpec | str | None = None) -> Networ
         ds = dataset
     return _BUILDERS[key](ds)
 
-
-def scale_to_input(arch: NetworkArch, dataset: DatasetSpec | str) -> NetworkArch:
-    """Re-derive an architecture at a new input geometry.
-
-    Channel widths are preserved. The first FC after each Flatten is
-    resized to the new flattened width and the final FC's output is set
-    to the new class count. Raises IncompatibleResolution if the layer
-    list cannot be shape-inferred at the new size.
-    """
-    ds = get_dataset(dataset) if isinstance(dataset, str) else dataset
-    if ds.channels != arch.dataset.channels:
-        raise IncompatibleResolution(
-            f"dataset {ds.name} has {ds.channels} channels, "
-            f"architecture expects {arch.dataset.channels}"
-        )
-    last_fc = max(
-        (i for i, layer in enumerate(arch.layers) if layer.kind == "fc"),
-        default=None,
-    )
-    shape = (ds.channels, ds.height, ds.width)
-    new_layers: list = []
-    after_flatten = False
-    for i, layer in enumerate(arch.layers):
-        if layer.kind == "conv":
-            shape = conv_out(layer, shape, i)
-        elif layer.kind == "avgpool":
-            shape = pool_out(layer, shape, i)
-        elif layer.kind == "flatten":
-            shape = (shape[0] * shape[1] * shape[2],)
-            after_flatten = True
-        elif layer.kind == "fc":
-            in_features = shape[0] if after_flatten else layer.in_features
-            out_features = ds.classes if i == last_fc else layer.out_features
-            layer = FC(in_features, out_features, bias=layer.bias)
-            shape = (out_features,)
-            after_flatten = False
-        new_layers.append(layer)
-    scaled = NetworkArch(arch.name, ds, tuple(new_layers), arch.skips)
-    validate(scaled)
-    return scaled

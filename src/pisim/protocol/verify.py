@@ -44,6 +44,8 @@ class TrialOutcome:
 class VerifyResult:
     ok: bool
     trials: tuple[TrialOutcome, ...] = field(default_factory=tuple)
+    # each protocol's trial-0 transcript, offline and online phases
+    transcripts: dict[Protocol, Transcript] = field(default_factory=dict)
 
     @property
     def failures(self) -> tuple[TrialOutcome, ...]:
@@ -65,7 +67,8 @@ def verify_against_plaintext(
     The plaintext pass runs once per block of up to TRIAL_BLOCK trials,
     on inputs drawn once for both. Matching is exact integer equality.
     Overflow in the reference pass propagates as FieldOverflowRisk
-    before any of its block's masked runs.
+    before any of its block's masked runs. Only trial 0's transcripts
+    are kept, one per protocol.
     """
     relus = count(arch).relus
     if relus > GUARD_MAX_RELUS and not force:
@@ -76,13 +79,17 @@ def verify_against_plaintext(
     protocols = [Protocol.parse(protocol) for protocol in protocols]
     weights = gen_weights(arch, seed)
     outcomes = []
+    transcripts = {}
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         xs = np.stack([sample_input(arch, seed, trial) for trial in block])
         for trial, x, expected in zip(block, xs, plaintext_forward(arch, weights, xs)):
             for protocol in protocols:
                 bundle = run_offline(arch, protocol, seed)
-                got = run_online(bundle, x).logits
+                online = run_online(bundle, x)
+                got = online.logits
+                if trial == 0:
+                    transcripts[protocol] = online.transcript
                 outcomes.append(
                     TrialOutcome(
                         protocol=protocol,
@@ -92,7 +99,9 @@ def verify_against_plaintext(
                         expected=tuple(expected.tolist()),
                     )
                 )
-    return VerifyResult(ok=all(t.ok for t in outcomes), trials=tuple(outcomes))
+    return VerifyResult(
+        ok=all(t.ok for t in outcomes), trials=tuple(outcomes), transcripts=transcripts
+    )
 
 
 def export_transcript(transcript: Transcript, path) -> None:

@@ -1,6 +1,7 @@
 """Fitting component rates from the measured-cost table."""
 
 import dataclasses
+import importlib
 import io
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisim.costmodel import (
-    CalibrationOptions,
     CommInputs,
     InconsistentRows,
     Protocol,
@@ -72,10 +72,12 @@ def test_calibrated_protocols_cover_both(cm):
     assert cm.calibrated_protocols == frozenset(Protocol)
 
 
-def test_tight_tolerance_rejected(rows):
-    opts = CalibrationOptions(latency_tolerance=1e-4, validate=True)
+def test_tight_tolerance_rejected(rows, monkeypatch):
+    # the package's `calibrate` attribute is the function, so fetch the module
+    calibrate_module = importlib.import_module("pisim.costmodel.calibrate")
+    monkeypatch.setattr(calibrate_module, "LATENCY_TOLERANCE", 1e-4)
     with pytest.raises(InconsistentRows):
-        calibrate(rows, options=opts)
+        calibrate(rows)
 
 
 def test_wire_time_exceeding_latency_rejected(rows):

@@ -105,6 +105,49 @@ def test_cost_bad_input_exits_2(argv, capsys):
     assert "Traceback" not in err
 
 
+def _priced_argv(command, out_dir, *argv):
+    if command == "cost":
+        return ["cost", *argv]
+    return [command, "--runs", "1", "--horizon", "10", "--out", str(out_dir), *argv]
+
+
+PRICED_COMMANDS = ["cost", "simulate", "sweep"]
+
+
+@pytest.mark.parametrize("command", PRICED_COMMANDS)
+def test_table_mode_with_knobs_exits_2_on_every_command(command, tmp_path, capsys):
+    argv = _priced_argv(command, tmp_path, "--mode", "table", "--knobs", "relu=0.5")
+    assert run_cli(*argv) == EXIT_UNKNOWN
+    assert capsys.readouterr().err == (
+        "error: table mode replays measured rows and cannot apply "
+        "optimization knobs; use component mode\n"
+    )
+
+
+@pytest.mark.parametrize("command", PRICED_COMMANDS)
+def test_bad_mode_is_a_bad_key_value_on_every_command(command, tmp_path, capsys):
+    assert run_cli(*_priced_argv(command, tmp_path, "--mode", "bogus")) == EXIT_UNKNOWN
+    assert capsys.readouterr().err.startswith("error: bad value for 'mode': ")
+
+
+@pytest.mark.parametrize(
+    "knobs, mode",
+    [([], "table"), (["--knobs", "baseline"], "table"), (["--knobs", "relu=0.5"], "component")],
+)
+@pytest.mark.parametrize("command", PRICED_COMMANDS)
+def test_knobs_pick_the_mode_when_none_is_given(command, knobs, mode, tmp_path, monkeypatch):
+    modes = []
+    load = pisim.cli.load_shipped_model
+
+    def recorded_load(**kwargs):
+        modes.append(kwargs["mode"])
+        return load(**kwargs)
+
+    monkeypatch.setattr(pisim.cli, "load_shipped_model", recorded_load)
+    assert run_cli(*_priced_argv(command, tmp_path, *knobs)) == EXIT_OK
+    assert modes == [mode]
+
+
 def test_cli_imports_no_scipy_or_numba():
     # nor a process pool, which only sweep --jobs N > 1 needs
     code = (
@@ -384,6 +427,18 @@ def test_verify_zero_trials(capsys):
     rc = run_cli("verify", "--model", "toy_cnn", "--trials", "0")
     assert rc == EXIT_OK
     assert "nothing verified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--arch"], ["cost", "--model"]], ids=["verify", "cost"]
+)
+def test_a_missing_path_is_named(argv, tmp_path, monkeypatch, capsys):
+    # a name with a path separator is a path even without the .arch suffix
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "results/net.txt") == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "results/net.txt" in err
+    assert "unknown model" not in err
 
 
 # --- arch check -------------------------------------------------------------

@@ -9,8 +9,6 @@ import kernel_oracle as ref
 from pisim import _kernels as K
 from pisim.field import (
     FIELD_MODULUS,
-    FieldOverflowRisk,
-    check_activation_bound,
     decode_signed,
     encode,
     half_range,
@@ -44,12 +42,6 @@ def test_sample_elements_in_range():
     x = sample_elements(_rng(), (1000,))
     assert x.dtype == np.int64
     assert x.min() >= 0 and x.max() < P
-
-
-def test_check_activation_bound():
-    check_activation_bound(HALF)
-    with pytest.raises(FieldOverflowRisk):
-        check_activation_bound(HALF + 1)
 
 
 class TestBackendsAgree:

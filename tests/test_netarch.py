@@ -23,7 +23,6 @@ from pisim.netarch import (
     get_dataset,
     infer_shapes,
     layer_kind_counts,
-    scale_to_input,
     validate,
 )
 from pisim.netarch import shapes as shape_module
@@ -121,20 +120,6 @@ def test_linear_profile_resnet32():
     assert c.mask_in_elems == 306_176
     assert c.mask_out_elems == 434_276
     assert c.conv_flops + c.fc_flops == 68_868_352
-
-
-def test_scale_to_input_quadruples_spatial_work():
-    small = build_preset("resnet32", "cifar100")
-    big = scale_to_input(small, "tinyimagenet")
-    # 64x64 input has 4x the pixels of 32x32; conv flops follow
-    assert count(big).relus == 4 * count(small).relus
-    assert big.dataset.classes == 200
-
-
-def test_scale_to_input_rejects_too_small_input():
-    # vgg16's five 2x2 pools cannot fit a 4x4 input
-    with pytest.raises(IncompatibleResolution, match="pool window 2 exceeds"):
-        scale_to_input(build_preset("vgg16", "cifar100"), DatasetSpec("d4", 3, 4, 4, 10))
 
 
 def test_infer_shapes_output_is_class_count():

@@ -23,6 +23,10 @@ product below p**2 < 2**63.
 
 Small weights, such as the test networks' [-3, 3], give one limb of the
 whole input width and one chunk: a single dgemm per product.
+
+The linear kernels take inputs with zero or more leading batch
+dimensions, numpy style; a batch adds columns to the product, not
+products. An unbatched call returns what one input of a batch would.
 """
 
 from dataclasses import dataclass
@@ -32,6 +36,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
+# Output positions per conv product. A batch's images are convolved in
+# groups, so its im2col copy (kh*kw*ci float64 rows) is at most this wide.
+# On `verify --trials 100` (toy_cnn, cifar100, blocks of 4), caps of 1024,
+# 2048 and 4096 gave a peak RSS of 46.5, 46.2 and 47.1 MB (medians of 3 to
+# 6 runs; 46.1 MB with one bundle per run) at equal CPU.
+_CONV_COLS = 2048
 
 
 def limb_plan(w_max: int, k: int, p: int) -> tuple[int, int]:
@@ -108,45 +118,68 @@ def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray | None) -> n
     return out % p
 
 
-def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
-    """2D convolution mod w.p. x: (ci,h,w), w: prepared (co,ci,kh,kw),
-    b: (co,) or None."""
+def _conv_product(xs, w: PreparedWeights, b, stride, pad, oh, ow) -> np.ndarray:
+    """(co, n*oh*ow) convolution of the images xs (n, ci, h, w) as one product."""
     co, ci, kh, kw = w.shape
-    _, h, ww = x.shape
-    xp = np.zeros((w.limbs, ci, h + 2 * pad, ww + 2 * pad))
-    xp[:, :, pad : pad + h, pad : pad + ww] = _limbs(x, w)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    _, _, oh, ow, _, _ = win.shape
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(w.limbs, ci * kh * kw, oh * ow)
-    return _matmul_mod(w, cols, None if b is None else b[:, None]).reshape(co, oh, ow)
+    n, _, h, ww = xs.shape
+    xp = np.zeros((w.limbs, n, ci, h + 2 * pad, ww + 2 * pad))
+    xp[..., pad : pad + h, pad : pad + ww] = _limbs(xs, w)
+    win = sliding_window_view(xp, (kh, kw), axis=(3, 4))[:, :, :, ::stride, ::stride]
+    cols = win.transpose(0, 2, 5, 6, 1, 3, 4).reshape(w.limbs, ci * kh * kw, n * oh * ow)
+    return _matmul_mod(w, cols, None if b is None else b[:, None])
+
+
+def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
+    """2D convolution mod w.p. x: batch + (ci,h,w), w: prepared (co,ci,kh,kw),
+    b: (co,) or None; returns batch + (co,oh,ow).
+
+    The images of a batch are the columns of one product, in groups of at
+    most _CONV_COLS output positions (at least one image a group).
+    """
+    co, ci, kh, kw = w.shape
+    *batch, _, h, ww = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (ww + 2 * pad - kw) // stride + 1
+    xs = x.reshape(-1, ci, h, ww)
+    out = np.empty((len(xs), co, oh, ow), dtype=np.int64)
+    group = max(1, _CONV_COLS // (oh * ow))
+    for start in range(0, len(xs), group):
+        part = xs[start : start + group]
+        prod = _conv_product(part, w, b, stride, pad, oh, ow)
+        out[start : start + len(part)] = prod.reshape(co, -1, oh, ow).transpose(1, 0, 2, 3)
+    return out.reshape(*batch, co, oh, ow)
 
 
 def matvec_mod(w: PreparedWeights, x, b):
-    """Matrix-vector product mod w.p. w: prepared (o,i), x: (i,), b: (o,) or None."""
-    cols = _limbs(x, w).astype(np.float64)[:, :, None]
-    return _matmul_mod(w, cols, None if b is None else b[:, None])[:, 0]
+    """Matrix-vector product mod w.p. w: prepared (o,i), x: batch + (i,),
+    b: (o,) or None; returns batch + (o,). The vectors are the columns of
+    one product."""
+    cols = _limbs(x.reshape(-1, x.shape[-1]).T, w).astype(np.float64)
+    out = _matmul_mod(w, cols, None if b is None else b[:, None])
+    return out.T.reshape(*x.shape[:-1], w.shape[0])
 
 
 def sumpool_mod(x, window, stride, p):
-    """Window-sum pooling mod p. x: (c,h,w)."""
-    c, h, ww = x.shape
+    """Window-sum pooling mod p. x: batch + (c,h,w)."""
+    *lead, h, ww = x.shape
     oh = (h - window) // stride + 1
     ow = (ww - window) // stride + 1
-    acc = np.zeros((c, oh, ow), dtype=np.int64)
+    acc = np.zeros((*lead, oh, ow), dtype=np.int64)
     for ky in range(window):
         for kx in range(window):
-            acc += x[:, ky : ky + oh * stride : stride, kx : kx + ow * stride : stride]
+            acc += x[..., ky : ky + oh * stride : stride, kx : kx + ow * stride : stride]
     return acc % p
 
 
 def relu_remask_mod(a, b, r, p):
-    """ReLU gadget on flat share arrays: relu(signed(a+b)) - r, mod p.
+    """ReLU gadget on share arrays of one shape: relu(signed(a+b)) - r, mod p.
 
     Values above (p-1)//2 decode as negative. Output is the re-masked
     share handed to the next linear layer.
     """
-    x = (a + b) % p
-    half = (p - 1) // 2
-    signed = np.where(x > half, x - p, x)
-    y = np.maximum(signed, 0)
-    return (y - r) % p
+    y = a + b
+    y %= p
+    y[y > (p - 1) // 2] = 0  # negative values: relu gives 0
+    y -= r
+    y %= p
+    return y

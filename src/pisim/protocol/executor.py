@@ -1,23 +1,29 @@
 """Orchestration: run both parties through a phase and manage bundles.
 
 An offline run yields a PrecomputeBundle, the material exactly one
-online inference consumes. Both parties are generators stepped in turn
-on the caller's thread, with the channel as their only shared state;
-strict message alternation keeps transcripts deterministic for a given
-(arch, protocol, seed). A party's exception propagates as is, and a run
-in which every unfinished party waits on an empty mailbox raises
-ProtocolHang at once. The lowered network (per arch) and the server's
-model (per arch and seed) are built once and shared read-only by every
-bundle. Each bundle draws its own masks and shares, but from generators
-seeded by the seed alone (SeedSequence([seed, 1]) for the client,
-[seed, 2] for the server), so every bundle of one (arch, protocol, seed)
-draws the same ones.
+online inference consumes, or a block of n such bundles that one online
+run of n inputs consumes together. Both parties are generators stepped
+in turn on the caller's thread, with the channel as their only shared
+state; strict message alternation keeps transcripts deterministic for a
+given (arch, protocol, seed, nonce). A party's exception propagates as
+is, and a run in which every unfinished party waits on an empty mailbox
+raises ProtocolHang at once. The lowered network (per arch) and the
+server's model (per arch and seed) are built once and shared read-only
+by every bundle.
+
+Each bundle is fresh randomness for one inference: bundle k of a seed
+draws its masks and shares from generators seeded with
+SeedSequence([seed, party, k]), party 1 for the client and 2 for the
+server, and bundle 0 from [seed, party]. A block of nonces holds, bundle
+for bundle, what single runs at those nonces hold, and its transcript
+is each one's transcript.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -51,9 +57,14 @@ class BundleMismatch(RuntimeError):
 
 @dataclass
 class PrecomputeBundle:
+    """One bundle (`nonce` an int), or a block of bundles (`nonce` a tuple)
+    whose states hold every array with a leading axis of one entry per
+    nonce. Stored byte counts are per inference."""
+
     arch: NetworkArch
     protocol: Protocol
     seed: int
+    nonce: int | tuple[int, ...]
     compiled: CompiledNetwork
     client_state: ClientState
     server_state: ServerState
@@ -124,24 +135,42 @@ def _field_weights(arch: NetworkArch, seed: int):
     return MappingProxyType(weights)
 
 
+def _generators(seed: int, party: int, nonces) -> tuple[np.random.Generator, ...]:
+    """One party's generator for each bundle; nonce 0 keeps [seed, party]."""
+    entropy = ([seed, party, k] if k else [seed, party] for k in nonces)
+    return tuple(np.random.default_rng(np.random.SeedSequence(e)) for e in entropy)
+
+
 def run_offline(
     arch: NetworkArch,
     protocol,
     seed: int,
+    nonce: int | Sequence[int] = 0,
 ) -> PrecomputeBundle:
+    """The bundle for `nonce`, or for a sequence of nonces one block of
+    bundles built in a single two-party run."""
     protocol = Protocol.parse(protocol)
     compiled = _compiled(arch)
     bundle_id = next(_bundle_counter)
+    if isinstance(nonce, Sequence):
+        nonce = tuple(nonce)
+        if not nonce:
+            raise ValueError("a block needs at least one nonce")
+        nonces, batch = nonce, (len(nonce),)
+    else:
+        nonces, batch = (nonce,), ()
     client = ClientState(
         protocol=protocol,
         compiled=compiled,
-        rng=np.random.default_rng(np.random.SeedSequence([seed, 1])),
+        rngs=_generators(seed, 1, nonces),
+        batch=batch,
         bundle_id=bundle_id,
     )
     server = ServerState(
         protocol=protocol,
         compiled=compiled,
-        rng=np.random.default_rng(np.random.SeedSequence([seed, 2])),
+        rngs=_generators(seed, 2, nonces),
+        batch=batch,
         bundle_id=bundle_id,
         weights=_field_weights(arch, seed),
     )
@@ -151,6 +180,7 @@ def run_offline(
         arch=arch,
         protocol=protocol,
         seed=seed,
+        nonce=nonce,
         compiled=compiled,
         client_state=client,
         server_state=server,
@@ -165,6 +195,8 @@ def run_online(
     arch: NetworkArch | None = None,
     protocol=None,
 ) -> OnlineResult:
+    """Consume the bundle on x: one (c, h, w) input for one bundle, or
+    (n, c, h, w) for a block of n; the logits carry the same leading axis."""
     if bundle.consumed:
         raise BundleConsumed(
             "precompute bundle was already used; run the offline phase again"
@@ -176,7 +208,7 @@ def run_online(
     if bundle.client_state.bundle_id != bundle.server_state.bundle_id:
         raise BundleMismatch("client and server state come from different bundles")
     ds = bundle.arch.dataset
-    expected = (ds.channels, ds.height, ds.width)
+    expected = bundle.client_state.batch + (ds.channels, ds.height, ds.width)
     x = np.asarray(x, dtype=np.int64)
     if x.shape != expected:
         raise BundleMismatch(f"input shape {x.shape} does not match {expected}")

@@ -7,6 +7,12 @@ server never sees masks or the sealing key. A party suspends only in
 value. Message order is strict request/reply, so a run's transcript is
 deterministic.
 
+One run drives one bundle or a block of them. Every array a party
+samples, sends or keeps has the shape `batch + shape`, where `batch` is
+() for one bundle and (n,) for a block of n, and bundle k draws its masks
+and shares from its own generator, `rngs[k]`. Message byte counts are per
+inference, so a block's transcript is the transcript of each bundle in it.
+
 Share convention per linear unit U with input activation a and mask r:
 the client ends the offline phase holding c_U = L_U(r) + s_U, the
 server holds s_U, and online the server computes L_U(a - r) + b - s_U.
@@ -66,11 +72,21 @@ class GarbledGadget:
         )
 
 
+def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:
+    """Uniform field elements of shape batch + shape, each bundle's from its
+    own generator."""
+    out = np.empty((len(rngs), *shape), dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        out[k] = sample_elements(rng, shape)
+    return out.reshape(batch + shape)
+
+
 @dataclass
 class ClientState:
     protocol: Protocol
     compiled: CompiledNetwork
-    rng: np.random.Generator
+    rngs: tuple[np.random.Generator, ...]  # one per bundle
+    batch: tuple[int, ...]  # () for one bundle, (n,) for a block
     bundle_id: int
     key: SealKey = dc_field(default_factory=SealKey)
     masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
@@ -83,7 +99,8 @@ class ClientState:
 class ServerState:
     protocol: Protocol
     compiled: CompiledNetwork
-    rng: np.random.Generator
+    rngs: tuple[np.random.Generator, ...]
+    batch: tuple[int, ...]
     bundle_id: int
     weights: Mapping
     s_shares: dict[str, np.ndarray] = dc_field(default_factory=dict)
@@ -106,7 +123,7 @@ def apply_ops(ops, x: np.ndarray, weights, p: int, with_bias: bool) -> np.ndarra
         elif op.kind == "pool":
             x = sumpool_mod(x, op.window, op.stride, p)
         elif op.kind == "flatten":
-            x = np.ascontiguousarray(x.reshape(-1))
+            x = np.ascontiguousarray(x.reshape(*x.shape[:-3], -1))
         else:
             raise AssertionError(f"unknown op {op.kind}")
     return x
@@ -123,7 +140,7 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
 
     ch.send(CLIENT, EventKind.KEYS, state.key, KEY_BYTES, stored_by_receiver=True, label="setup")
     for pt in _masked_points(comp):
-        r = sample_elements(state.rng, pt.shape)
+        r = _draw(state.rngs, state.batch, pt.shape)
         state.masks[pt.index] = r
         ch.send(
             CLIENT,
@@ -204,7 +221,7 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
         sealed_masks[pt.index] = sealed
 
     for unit in comp.units:
-        s = sample_elements(state.rng, unit.out_shape)
+        s = _draw(state.rngs, state.batch, unit.out_shape)
         state.s_shares[unit.uid] = s
 
         def share_of(r, unit=unit, s=s):
@@ -268,12 +285,14 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
     p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
-    y0 = (encode(x) - state.masks[0]) % p
+    y0 = encode(x)
+    y0 -= state.masks[0]
+    y0 %= p
     ch.send(
         CLIENT,
         EventKind.MASKED_TENSOR,
         y0,
-        SHARE_BYTES_PER_ELEM * x.size,
+        SHARE_BYTES_PER_ELEM * comp.points[0].elems,
         label="input",
     )
 
@@ -292,11 +311,8 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
                 raise RuntimeError(f"no garbled gadget for point {pt.index}")
             _, server_share = yield from ch.receive(CLIENT, expect=EventKind.LABELS)
             y = relu_remask_mod(
-                state.shares[pt.index].reshape(-1),
-                server_share.reshape(-1),
-                state.masks[pt.index].reshape(-1),
-                p,
-            ).reshape(pt.shape)
+                state.shares[pt.index], server_share, state.masks[pt.index], p
+            )
             ch.send(
                 CLIENT,
                 EventKind.OUTPUT_LABELS,
@@ -316,7 +332,7 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     _, y0 = yield from ch.receive(SERVER, expect=EventKind.MASKED_TENSOR)
-    masked = {0: np.asarray(y0, dtype=np.int64) % p}
+    masked = {0: y0}
 
     def share_into(point_index: int) -> np.ndarray:
         total = None
@@ -339,7 +355,7 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
             )
             yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
             gadget = state.gadgets[pt.index]
-            masked[pt.index] = gadget.evaluate(s_share, p).reshape(pt.shape)
+            masked[pt.index] = gadget.evaluate(s_share, p).reshape(s_share.shape)
         else:
             ch.send(
                 SERVER,

@@ -19,12 +19,14 @@ from .oracle import plaintext_forward
 # default so a typo'd model name cannot wedge a terminal.
 GUARD_MAX_RELUS = 10_000
 
-# Trials per plaintext pass. A block shares each weight matrix's float64
-# conversion among its inputs, but its transients add to peak memory: on
-# `verify --trials 100` (toy_cnn, cifar100) blocks of 8 cost 0.3 MB more
-# than blocks of 6 for 1.4 ms less CPU a pass, and one block of all 100
-# trials raised the peak from 46 MB to 57 MB for no CPU saved.
-TRIAL_BLOCK = 6
+# Trials per block: one plaintext pass, and per protocol one offline and
+# one online two-party run, over the block's inputs. A block's bundles and
+# transients add to peak memory: on `verify --trials 100` (toy_cnn,
+# cifar100) blocks of 4, 5 and 6 gave a peak RSS of 46.2, 46.5 and 46.8 MB
+# (medians of 3 to 6 runs, against 46.1 MB with one bundle per run and
+# plaintext blocks of 6) for 0.19, 0.21 and 0.19 s of CPU a pass at
+# reference speed, within run-to-run noise of each other.
+TRIAL_BLOCK = 4
 
 
 class VerifyGuard(PisimError, RuntimeError):
@@ -61,14 +63,14 @@ def verify_against_plaintext(
 ) -> VerifyResult:
     """Run masked inference and compare logits with the plaintext pass.
 
-    Trials vary only the input: every bundle of one (arch, protocol,
-    seed) draws the same masks and shares, so each protocol runs with
-    one mask set.
-    The plaintext pass runs once per block of up to TRIAL_BLOCK trials,
-    on inputs drawn once for both. Matching is exact integer equality.
-    Overflow in the reference pass propagates as FieldOverflowRisk
-    before any of its block's masked runs. Only trial 0's transcripts
-    are kept, one per protocol.
+    Trial t runs on bundle nonce t, so every trial has its own masks and
+    shares. Trials run in blocks of up to TRIAL_BLOCK: the block's inputs
+    are drawn once, the plaintext pass runs once over them, and each
+    protocol builds and consumes the block's bundles in one offline and
+    one online run. Matching is exact integer equality. Overflow in the
+    reference pass propagates as FieldOverflowRisk before any of its
+    block's masked runs. Only trial 0's transcripts are kept, one per
+    protocol; a block's transcript is each of its bundles'.
     """
     relus = count(arch).relus
     if relus > GUARD_MAX_RELUS and not force:
@@ -83,20 +85,23 @@ def verify_against_plaintext(
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         xs = np.stack([sample_input(arch, seed, trial) for trial in block])
-        for trial, x, expected in zip(block, xs, plaintext_forward(arch, weights, xs)):
+        expected = plaintext_forward(arch, weights, xs)
+        logits = {}
+        for protocol in protocols:
+            online = run_online(run_offline(arch, protocol, seed, nonce=block), xs)
+            logits[protocol] = online.logits
+            if start == 0:
+                transcripts[protocol] = online.transcript
+        for i, trial in enumerate(block):
             for protocol in protocols:
-                bundle = run_offline(arch, protocol, seed)
-                online = run_online(bundle, x)
-                got = online.logits
-                if trial == 0:
-                    transcripts[protocol] = online.transcript
+                got = logits[protocol][i]
                 outcomes.append(
                     TrialOutcome(
                         protocol=protocol,
                         trial=trial,
-                        ok=bool(np.array_equal(got, expected)),
+                        ok=bool(np.array_equal(got, expected[i])),
                         logits=tuple(got.tolist()),
-                        expected=tuple(expected.tolist()),
+                        expected=tuple(expected[i].tolist()),
                     )
                 )
     return VerifyResult(

@@ -1,0 +1,52 @@
+"""A block of bundles against single runs at the same nonces.
+
+`run_offline(..., nonce=range(start, start + n))` builds n bundles in one
+two-party run, and `run_online` consumes them on n inputs at once. Bundle
+k of the block must hold, bit for bit, what a single run at nonce
+start + k holds: masks, client shares, server shares, probe shares,
+logits, stored bytes and the transcript.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_protocol import MINI, TOY
+
+from pisim.protocol import run_offline, run_online, sample_input
+from pisim.protocol.verify import TRIAL_BLOCK
+
+
+def _assert_slice_k(block: dict, single: dict, k: int, n: int, what: str) -> None:
+    assert block.keys() == single.keys(), what
+    for key, want in single.items():
+        got = block[key]
+        assert got.dtype == want.dtype and got.shape == (n, *want.shape), (what, key)
+        assert np.array_equal(got[k], want), (what, key)
+
+
+@given(
+    st.sampled_from([TOY, MINI]),
+    st.sampled_from(["sg", "cg"]),
+    st.integers(1, TRIAL_BLOCK),
+    st.integers(0, 2**20),
+    st.integers(0, 50),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_bundles_equal_single_runs(arch, protocol, n, start, seed):
+    nonces = range(start, start + n)
+    xs = np.stack([sample_input(arch, seed, trial) for trial in nonces])
+    block = run_offline(arch, protocol, seed, nonce=nonces)
+    logits = run_online(block, xs).logits
+    assert logits.shape[0] == n
+    for k, nonce in enumerate(nonces):
+        single = run_offline(arch, protocol, seed, nonce=nonce)
+        assert np.array_equal(logits[k], run_online(single, xs[k]).logits)
+        for what in ("masks", "shares"):
+            _assert_slice_k(getattr(block.client_state, what),
+                            getattr(single.client_state, what), k, n, what)
+        for what in ("s_shares", "probe_shares"):
+            _assert_slice_k(getattr(block.server_state, what),
+                            getattr(single.server_state, what), k, n, what)
+        assert block.client_stored_bytes == single.client_stored_bytes
+        assert block.server_stored_bytes == single.server_stored_bytes
+        assert block.transcript.to_jsonl() == single.transcript.to_jsonl()

@@ -5,10 +5,12 @@ the references exactly, for every modulus the kernels admit: the default
 Mersenne prime and the largest prime whose square fits in int64, with a
 bias and without one (b=None). The field kernels take weights prepared by
 `prepare_weights`, whose limb and chunk plan must keep every partial sum
-of the float64 product below 2**53.
+of the float64 product below 2**53. A kernel given a batch of inputs must
+return, bit for bit, the stack of its calls on each input alone.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -156,3 +158,96 @@ def test_oracle_conv_matches_reference(seed, bound, case, n):
     assert got.dtype == np.int64
     for xi, gi in zip(x, got):
         assert np.array_equal(gi, kernel_oracle.conv_plain(xi, w, b, stride, pad))
+
+
+def _unbatched_stack(kernel, xs, batch, x_ndim):
+    """kernel on each input of the batch xs in turn, stacked back to batch."""
+    outs = [kernel(x) for x in xs.reshape(-1, *xs.shape[xs.ndim - x_ndim:])]
+    return np.stack(outs).reshape(*batch, *outs[0].shape)
+
+
+BATCHES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+@given(st.data(), MODULI, st.booleans(), st.integers(1, 32), BATCHES, st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, p, conv, limb_bits, batch,
+                                                        group_cols):
+    # the plans of test_kernels_are_exact_under_any_plan_within_the_bound,
+    # and conv groups of any width, down to one image a product
+    if conv:
+        ci, co, h, ww, k, stride, pad = data.draw(conv_case())
+        w = data.draw(residues((co, ci, k, k), p))
+        x_shape = (ci, h, ww)
+    else:
+        w = data.draw(residues((data.draw(st.integers(1, 8)), data.draw(st.integers(1, 300))), p))
+        x_shape = w.shape[1:]
+    b = data.draw(st.one_of(st.none(), residues(w.shape[:1], p)))
+    prepared = K.prepare_weights(w, p)
+    limb_bits = min(limb_bits, (p - 1).bit_length())
+    w_max = int(np.abs(prepared.matrix).max())
+    longest = (2**53 - 1) // max(1, w_max * ((1 << limb_bits) - 1))
+    assume(longest >= 1)
+    chunk = data.draw(st.integers(1, min(longest, prepared.matrix.shape[1])))
+    plan = dataclasses.replace(prepared, limb_bits=limb_bits, chunk=chunk)
+    if conv:
+        def kernel(x):
+            return K.conv2d_mod(x, plan, b, stride, pad)
+    else:
+        def kernel(x):
+            return K.matvec_mod(plan, x, b)
+    xs = data.draw(residues(batch + x_shape, p))
+    with mock.patch.object(K, "_CONV_COLS", group_cols):
+        got = kernel(xs)
+    want = _unbatched_stack(kernel, xs, batch, len(x_shape))
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@given(st.data(), MODULI, st.sampled_from([2**14 + 5, 2**17 + 5]), st.integers(2, 3))
+@settings(max_examples=10, deadline=None)
+def test_a_batched_matvec_across_the_chunk_boundary(data, p, cols, n):
+    w = data.draw(residues((2, cols), p))
+    xs = data.draw(residues((n, cols), p))
+    b = data.draw(residues((2,), p))
+    prepared = K.prepare_weights(w, p)
+    want = _unbatched_stack(lambda x: K.matvec_mod(prepared, x, b), xs, (n,), 1)
+    assert np.array_equal(K.matvec_mod(prepared, xs, b), want)
+
+
+def test_a_batched_conv_across_the_chunk_boundary():
+    # test_conv_across_the_chunk_boundary's 16389-product rows, two images a
+    # batch, one image a product and both in one
+    for p in (FIELD_MODULUS, P_MAX):
+        xs = np.full((2, 1821, 4, 3), p - 1, dtype=np.int64)
+        xs[1, :, 1] = (p - 1) // 2
+        w = K.prepare_weights(np.full((2, 1821, 3, 3), (p - 1) // 2, dtype=np.int64), p)
+        b = np.full(2, p - 1, dtype=np.int64)
+        want = _unbatched_stack(lambda x: K.conv2d_mod(x, w, b, 1, 0), xs, (2,), 3)
+        for group_cols in (1, 4):
+            with mock.patch.object(K, "_CONV_COLS", group_cols):
+                assert np.array_equal(K.conv2d_mod(xs, w, b, 1, 0), want)
+
+
+@st.composite
+def pool_case(draw):
+    window = draw(st.integers(1, 3))
+    stride = draw(st.integers(1, window))
+    h, w = draw(st.integers(window, window + 6)), draw(st.integers(window, window + 6))
+    return draw(st.integers(1, 3)), h, w, window, stride
+
+
+@given(st.data(), MODULI, pool_case(), BATCHES)
+@settings(max_examples=100, deadline=None)
+def test_batched_pool_and_relu_equal_their_unbatched_calls(data, p, case, batch):
+    c, h, ww, window, stride = case
+    xs = data.draw(residues(batch + (c, h, ww), p))
+    got = K.sumpool_mod(xs, window, stride, p)
+    want = _unbatched_stack(lambda x: K.sumpool_mod(x, window, stride, p), xs, batch, 3)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    a, b, r = (data.draw(residues(batch + (c * h * ww,), p)) for _ in range(3))
+    got = K.relu_remask_mod(a, b, r, p)
+    want = np.stack([K.relu_remask_mod(ai, bi, ri, p) for ai, bi, ri in
+                     zip(a.reshape(-1, c * h * ww), b.reshape(-1, c * h * ww),
+                         r.reshape(-1, c * h * ww))]).reshape(got.shape)
+    assert np.array_equal(got, want)

@@ -206,6 +206,58 @@ def test_bundle_mismatch_checks():
         run_online(bundle, np.zeros((3, 8, 8), dtype=np.int64))
 
 
+@pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
+def test_each_nonce_draws_fresh_masks_and_shares(proto):
+    x = sample_input(TOY, seed=0)
+    a, b = (run_offline(TOY, proto, seed=0, nonce=nonce) for nonce in (0, 1))
+    for what in ("masks", "shares"):
+        old, new = getattr(a.client_state, what), getattr(b.client_state, what)
+        assert old.keys() == new.keys()
+        assert not any(np.array_equal(old[i], new[i]) for i in old), what
+    old, new = a.server_state.s_shares, b.server_state.s_shares
+    assert not any(np.array_equal(old[u], new[u]) for u in old)
+    assert np.array_equal(run_online(a, x).logits, run_online(b, x).logits)
+
+
+def _block_of(n):
+    return (
+        run_offline(TOY, SG, seed=0, nonce=range(n)),
+        np.stack([sample_input(TOY, seed=0, trial=t) for t in range(n)]),
+    )
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_block_refuses_another_number_of_inputs(count):
+    block, xs = _block_of(3)
+    xs = np.concatenate([xs, xs])[:count]
+    with pytest.raises(BundleMismatch, match=r"input shape \(%d, 3, 32, 32\)" % count):
+        run_online(block, xs)
+    assert not block.consumed
+
+
+def test_block_refuses_a_single_input():
+    block, xs = _block_of(3)
+    with pytest.raises(BundleMismatch, match=r"does not match \(3, 3, 32, 32\)"):
+        run_online(block, xs[0])
+    # a block of one still wants its input axis
+    one, x1 = _block_of(1)
+    with pytest.raises(BundleMismatch):
+        run_online(one, x1[0])
+    assert run_online(one, x1).logits.shape == (1, TOY.dataset.classes)
+
+
+def test_consumed_block_raises():
+    block, xs = _block_of(3)
+    assert run_online(block, xs).logits.shape == (3, TOY.dataset.classes)
+    with pytest.raises(BundleConsumed):
+        run_online(block, xs)
+
+
+def test_an_empty_block_is_refused():
+    with pytest.raises(ValueError, match="at least one nonce"):
+        run_offline(TOY, SG, seed=0, nonce=())
+
+
 def test_sealed_roundtrip_and_opacity():
     rng = np.random.default_rng(0)
     vals = sample_elements(rng, (64,))

@@ -75,5 +75,6 @@ def test_a_traced_verify_records_the_oracle_and_every_online_run(capsys):
     capsys.readouterr()
     oracle = [s for s in tracer.spans if s.name == "protocol.plaintext_forward"]
     assert oracle and sum(s.duration for s in oracle) > 0
-    # 3 trials x 2 protocols; the byte check reads trial 0's transcripts
-    assert [s.name for s in tracer.spans].count("protocol.run_online") == 6
+    # 3 trials make one block, run once per protocol; the byte check reads
+    # trial 0's transcripts
+    assert [s.name for s in tracer.spans].count("protocol.run_online") == 2

@@ -19,6 +19,7 @@ from pisim.costmodel import (
     storage_deltas,
     write_measured_costs,
 )
+from pisim.costmodel.tables import KNOB_COLUMNS
 from pisim.netarch import build_preset, serialize
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "pisim" / "configs"
@@ -42,7 +43,7 @@ LATENCIES = {
     ("cg", "resnet18", "tiny"): (1549.1, 86.9),
 }
 
-# name -> (relu, flop, gc_per_relu, he_per_flop, notes)
+# name -> (one factor per knob, in KNOB_COLUMNS order, then notes)
 OPTIMIZATIONS = {
     "delphi": (0.5, 1.0, 1.0, 1.0, "relu pruning via nas"),
     "cryptonas": (0.25, 2.0, 1.0, 1.0, "relu budget search, heavier linear layers"),
@@ -83,9 +84,9 @@ def make_costs() -> str:
 
 
 def make_optimizations() -> str:
-    lines = ["name\trelu_factor\tflop_factor\tgc_per_relu_factor\the_per_flop_factor\tnotes"]
-    for name, (rf, ff, gf, hf, notes) in OPTIMIZATIONS.items():
-        lines.append(f"{name}\t{rf:g}\t{ff:g}\t{gf:g}\t{hf:g}\t{notes}")
+    lines = ["\t".join(KNOB_COLUMNS)]
+    for name, (*factors, notes) in OPTIMIZATIONS.items():
+        lines.append("\t".join([name, *(f"{f:g}" for f in factors), notes]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,0 +1,96 @@
+"""Print one SHA-256 per group of pisim's refactor-invariant outputs.
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+The groups are the outputs a refactor must leave byte-identical:
+
+  cost      stdout (and exit code) of 168 `pisim cost` runs: every preset
+            model x dataset x protocol under 14 mode, knob and bandwidth
+            variants
+  rates     each cost mode's calibrated rates (as float.hex) and the repr
+            of its CalibrationReport, fit from the shipped table
+  sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
+  verify    stdout of `verify --trials 100` at seeds 0 to 3
+
+It digests whichever pisim is first on the import path, so the same file
+checks a `git archive` of another commit when PYTHONPATH points there. It
+takes no options and runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import pisim.cli
+from pisim.cli import main
+from pisim.costmodel import load_shipped_model
+
+MODELS = ("resnet32", "vgg16", "resnet18")
+DATASETS = ("cifar100", "tinyimagenet")
+PROTOCOLS = ("sg", "cg")
+COST_VARIANTS = (
+    (),
+    ("--mode", "component"),
+    ("--bandwidth", "1e7"),
+    ("--mode", "component", "--bandwidth", "1e9"),
+    *(("--knobs", name) for name in (
+        "delphi", "cryptonas", "safenet", "circa", "deepreduce", "deepreduce_circa", "falcon",
+    )),
+    ("--knobs", "relu=0.2"),
+    ("--knobs", "gc=0.5,he=0.5"),
+    ("--knobs", "flop_factor=2,he_per_flop=0.7", "--bandwidth", "3e8"),
+)
+
+
+def run(argv: list[str]) -> str:
+    """One CLI call's exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return f"$ {' '.join(argv)}\n[{code}]\n{out.getvalue()}"
+
+
+def cost_text() -> str:
+    return "".join(
+        run(["cost", "--model", m, "--dataset", d, "--protocol", p, *variant])
+        for m in MODELS for d in DATASETS for p in PROTOCOLS for variant in COST_VARIANTS
+    )
+
+
+def rates_text() -> str:
+    lines = []
+    for mode in ("table", "component"):
+        cm = load_shipped_model(mode=mode)
+        rates = (cm.gc_bytes_per_relu, *cm.offline_rates, *cm.online_rates,
+                 cm.calibrated_bandwidth)
+        lines.append(f"{mode} {cm.columns!r} {' '.join(float(r).hex() for r in rates)}")
+        lines.append(repr(cm.report))
+    return "\n".join(lines) + "\n"
+
+
+def sweeps_text() -> str:
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in ("fig4_c100", "fig5_tiny"):
+            run(["sweep", "@" + spec, "--jobs", "1", "--out", tmp])
+            parts.append(spec + "\n" + (Path(tmp) / f"{spec}.csv").read_text())
+    return "".join(parts)
+
+
+def verify_text() -> str:
+    return "".join(run(["verify", "--trials", "100", "--seed", str(s)]) for s in range(4))
+
+
+def main_digest() -> None:
+    print(f"pisim from {Path(pisim.cli.__file__).parent}")
+    for name, text in (("cost", cost_text), ("rates", rates_text),
+                       ("sweeps", sweeps_text), ("verify", verify_text)):
+        print(f"{name:<8}{hashlib.sha256(text().encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main_digest()

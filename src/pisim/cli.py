@@ -29,6 +29,7 @@ from .costmodel import (
     phase_costs,
 )
 from .costmodel.tables import open_config
+from .costmodel.types import KNOB_FACTORS
 from .desim import (
     PIPELINED,
     SERIAL,
@@ -59,6 +60,14 @@ EXIT_UNKNOWN = 2
 EXIT_INFEASIBLE = 3
 
 CI_PROFILE = {"horizon_s": 14400.0, "n_runs": 10}
+
+# Each knob factor's field by its short name (the field name less "_factor").
+# parse_knobs takes the field name, the short name or the short name's first
+# word: relu, flop, gc and he.
+_KNOB_NAMES = {f.removesuffix("_factor"): f for f in KNOB_FACTORS}
+_KNOB_ALIASES = {
+    alias: f for short, f in _KNOB_NAMES.items() for alias in (f, short, short.split("_")[0])
+}
 
 
 class SpecError(PisimError, ValueError):
@@ -171,7 +180,7 @@ class ExperimentSpec:
     mode: str | None = _key(None, _parse_mode, "--mode",
                             "table or component; default table without knobs, component with them")
     knobs: str = _key("none", str, "--knobs",
-                      "optimization name or relu=F,flop=F,gc_per_relu=F,he_per_flop=F")
+                      "optimization name or " + ",".join(f"{k}=F" for k in _KNOB_NAMES))
     output_dir: str = _key(".", str, "--out", "output directory")
     formats: tuple[str, ...] = _key(("csv",), _parse_formats, "--formats", "csv,json")
 
@@ -232,27 +241,15 @@ def parse_knobs(text: str | None) -> OptimizationKnobs:
         return OptimizationKnobs()
     if "=" not in text:
         return get_optimization(text)
-    aliases = {
-        "relu": "relu_factor",
-        "relu_factor": "relu_factor",
-        "flop": "flop_factor",
-        "flop_factor": "flop_factor",
-        "gc": "gc_per_relu_factor",
-        "gc_per_relu": "gc_per_relu_factor",
-        "gc_per_relu_factor": "gc_per_relu_factor",
-        "he": "he_per_flop_factor",
-        "he_per_flop": "he_per_flop_factor",
-        "he_per_flop_factor": "he_per_flop_factor",
-    }
     fields = {}
     for part in text.split(","):
         key, eq, raw = part.strip().partition("=")
         if not eq:
             raise SpecError(f"knob {part!r} is not name=value")
-        if key not in aliases:
-            raise SpecError(f"unknown knob {key!r}; known: relu, flop, gc_per_relu, he_per_flop")
+        if key not in _KNOB_ALIASES:
+            raise SpecError(f"unknown knob {key!r}; known: {', '.join(_KNOB_NAMES)}")
         try:
-            fields[aliases[key]] = float(raw)
+            fields[_KNOB_ALIASES[key]] = float(raw)
         except ValueError:
             raise SpecError(f"knob {key!r} needs a number, got {raw!r}") from None
     return OptimizationKnobs(name="custom", **fields)
@@ -288,11 +285,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
     _print_kv("network", f"{costs.model} / {costs.dataset}")
     _print_kv("mode", mode)
     if not knobs.is_identity:
-        _print_kv(
-            "knobs",
-            f"{knobs.name} (relu={knobs.relu_factor:g} flop={knobs.flop_factor:g} "
-            f"gc_per_relu={knobs.gc_per_relu_factor:g} he_per_flop={knobs.he_per_flop_factor:g})",
-        )
+        factors = " ".join(f"{short}={getattr(knobs, f):g}" for short, f in _KNOB_NAMES.items())
+        _print_kv("knobs", f"{knobs.name} ({factors})")
     _print_kv("bandwidth", f"{costs.bandwidth_bytes_per_s:.3g} B/s")
     _print_kv("offline latency", f"{costs.offline_latency_s:.3f} s")
     _print_kv("online latency", f"{costs.online_latency_s:.3f} s")

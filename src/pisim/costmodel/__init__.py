@@ -1,29 +1,23 @@
-"""Calibrated latency, communication, and storage model."""
+"""Calibrated latency, communication, and storage model.
 
-from .calibrate import calibrate
+The fit itself is `pisim.costmodel.calibrate.calibrate`; the package
+attribute `calibrate` is that submodule.
+"""
+
+from .calibrate import load_shipped_model
 from .comm import (
     BASE_OT_BYTES_PER_DIRECTION,
     CG_EVALUATOR_STATE_BYTES_PER_RELU,
-    CG_GARBLER_STATE_BYTES_PER_RELU,
-    GC_BLOB_BYTES_PER_RELU,
-    GC_INPUT_BITS_PER_RELU,
     GC_TRANSFER_BYTES_PER_RELU,
     HE_CT_BYTES_PER_ELEM,
-    INPUT_LABEL_BYTES_PER_RELU,
     KEY_BYTES,
-    LABEL_BYTES_PER_INPUT_BIT,
-    ONLINE_LABEL_BYTES_PER_RELU,
-    OT_EXT_CHOICE_BYTES_PER_RELU,
-    SG_GARBLER_STATE_BYTES_PER_RELU,
     SHARE_BYTES_PER_ELEM,
     CommInputs,
-    CommTotals,
-    StorageDeltas,
     offline_comm,
     online_comm,
     storage_deltas,
 )
-from .query import gc_storage, phase_costs
+from .query import phase_costs
 from .regimes import Regime, classify_regime
 from .tables import (
     TableFormatError,
@@ -31,11 +25,9 @@ from .tables import (
     load_optimizations,
     load_shipped_costs,
     read_measured_costs,
-    read_optimizations,
     write_measured_costs,
 )
 from .types import (
-    CalibrationReport,
     CostModel,
     CostModelError,
     InconsistentRows,
@@ -52,21 +44,11 @@ from .types import (
 __all__ = [
     "BASE_OT_BYTES_PER_DIRECTION",
     "CG_EVALUATOR_STATE_BYTES_PER_RELU",
-    "CG_GARBLER_STATE_BYTES_PER_RELU",
-    "GC_BLOB_BYTES_PER_RELU",
-    "GC_INPUT_BITS_PER_RELU",
     "GC_TRANSFER_BYTES_PER_RELU",
     "HE_CT_BYTES_PER_ELEM",
-    "INPUT_LABEL_BYTES_PER_RELU",
     "KEY_BYTES",
-    "LABEL_BYTES_PER_INPUT_BIT",
-    "ONLINE_LABEL_BYTES_PER_RELU",
-    "OT_EXT_CHOICE_BYTES_PER_RELU",
-    "SG_GARBLER_STATE_BYTES_PER_RELU",
     "SHARE_BYTES_PER_ELEM",
-    "CalibrationReport",
     "CommInputs",
-    "CommTotals",
     "CostModel",
     "CostModelError",
     "InconsistentRows",
@@ -77,13 +59,10 @@ __all__ = [
     "PhaseCosts",
     "Protocol",
     "Regime",
-    "StorageDeltas",
     "TableFormatError",
     "UncalibratedTriple",
     "UnknownOptimization",
-    "calibrate",
     "classify_regime",
-    "gc_storage",
     "get_optimization",
     "load_optimizations",
     "load_shipped_costs",
@@ -92,12 +71,6 @@ __all__ = [
     "online_comm",
     "phase_costs",
     "read_measured_costs",
-    "read_optimizations",
     "storage_deltas",
     "write_measured_costs",
 ]
-
-
-def load_shipped_model(mode: str = "component") -> CostModel:
-    """Calibrate from the packaged measured-costs table."""
-    return calibrate(load_shipped_costs(), mode=mode)

@@ -14,9 +14,9 @@ large offline ones. A soft prior row per input area keeps the HE share
 of offline compute near its measured fraction on the largest-FLOP row of
 that area; its coefficients are that row's FLOP-driven HE features,
 which pins down the split between the FLOP-driven and ReLU-driven
-offline terms. The report prices every row with the same formula, and
-calibration fails unless every row's residuals are within the tolerances
-below.
+offline terms. The report prices every row through the component query
+path at the row's bandwidth, and calibration fails unless every row's
+residuals are within the tolerances below.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..netarch import build_preset, canonical_dataset
-from .comm import CommInputs, offline_comm, online_comm, storage_deltas
+from .comm import CommInputs, storage_deltas
 from .formula import Columns, compute_seconds
+from .query import component_costs, measured_phases
+from .tables import load_shipped_costs
 from .types import (
     CalibrationReport,
     CostModel,
@@ -61,15 +63,7 @@ class _RowView:
 
 
 def _view(row: MeasuredCosts, sizes: CommInputs) -> _RowView:
-    bw = row.bandwidth_bytes_per_s
-    off_comm = row.offline_comm_bytes
-    if off_comm is None:
-        off_comm = offline_comm(row.protocol, sizes).total_bytes
-    on_comm = row.online_comm_bytes
-    if on_comm is None:
-        on_comm = online_comm(row.protocol, sizes).total_bytes
-    off_compute = row.offline_latency_s - off_comm / bw
-    on_compute = row.online_latency_s - on_comm / bw
+    (_, off_compute), (_, on_compute) = measured_phases(row, sizes)
     if off_compute <= 0 or on_compute <= 0:
         raise InconsistentRows(
             f"{row.protocol.short}/{row.model}/{row.dataset}: modeled wire time "
@@ -206,26 +200,30 @@ def calibrate(rows: list[MeasuredCosts], mode: str = "component") -> CostModel:
     return model
 
 
+def load_shipped_model(mode: str = "component") -> CostModel:
+    """Calibrate from the packaged measured-costs table."""
+    return calibrate(load_shipped_costs(), mode=mode)
+
+
 def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:
     residuals = []
     he_shares = {}
     worst_storage = 0.0
     for v in views:
-        off, on, _ = compute_seconds(model, v.row.protocol, v.sizes)
-        bw = v.row.bandwidth_bytes_per_s
-        off_pred = off + offline_comm(v.row.protocol, v.sizes).total_bytes / bw
-        on_pred = on + online_comm(v.row.protocol, v.sizes).total_bytes / bw
+        row = v.row
+        costs = component_costs(
+            model, row.protocol, (row.model, row.dataset), v.sizes, row.bandwidth_bytes_per_s
+        )
         residuals.append(
             (
                 v.label,
-                abs(off_pred - v.row.offline_latency_s) / v.row.offline_latency_s,
-                abs(on_pred - v.row.online_latency_s) / v.row.online_latency_s,
+                abs(costs.offline_latency_s - row.offline_latency_s) / row.offline_latency_s,
+                abs(costs.online_latency_s - row.online_latency_s) / row.online_latency_s,
             )
         )
-        deltas = storage_deltas(v.row.protocol, v.sizes)
         for measured, predicted in (
-            (v.row.client_storage_bytes, deltas.client_bytes),
-            (v.row.server_storage_bytes, deltas.server_bytes),
+            (row.client_storage_bytes, costs.client_storage_delta_bytes),
+            (row.server_storage_bytes, costs.server_storage_delta_bytes),
         ):
             if measured > 0:
                 worst_storage = max(worst_storage, abs(predicted - measured) / measured)

@@ -1,9 +1,11 @@
 """Cost queries against a calibrated model.
 
-Two prediction paths share one PhaseCosts shape. Table mode replays a
-measured row (exact at the calibrated bandwidth, wire term re-priced
-at other bandwidths). Component mode prices any architecture, including
-knob-scaled what-ifs, with the formula the rates were fit by.
+Two prediction paths share one PhaseCosts constructor, `_priced`. Table
+mode replays a measured row (exact at the calibrated bandwidth, wire term
+re-priced at other bandwidths), split into bytes and compute by
+`measured_phases`, as the fit splits it. Component mode prices any
+architecture, including knob-scaled what-ifs, with the formula the rates
+were fit by; the calibration report prices each measured row through it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from ..netarch import NetworkArch, canonical_dataset
 from .comm import (
     GC_TRANSFER_BYTES_PER_RELU,
     CommInputs,
+    CommTotals,
     offline_comm,
     online_comm,
     storage_deltas,
@@ -23,6 +26,7 @@ from .types import (
     CostModel,
     InsufficientRows,
     InvalidCostInput,
+    MeasuredCosts,
     OptimizationKnobs,
     PhaseCosts,
     Protocol,
@@ -38,19 +42,83 @@ def _split_like(total: int, c2s_model: int, s2c_model: int) -> tuple[int, int]:
     return c2s, total - c2s
 
 
-def _component_costs(
+def measured_phases(
+    row: MeasuredCosts, sizes: CommInputs
+) -> tuple[tuple[CommTotals, float], tuple[CommTotals, float]]:
+    """The offline and online (bytes, compute seconds) of a measured row.
+
+    A phase's bytes are the row's comm column, or the structural model's
+    where the column is "-", split between the directions as the model
+    splits them; its compute is the measured latency less their wire time
+    at the row's bandwidth.
+    """
+    phases = []
+    for measured, latency, model in (
+        (row.offline_comm_bytes, row.offline_latency_s, offline_comm(row.protocol, sizes)),
+        (row.online_comm_bytes, row.online_latency_s, online_comm(row.protocol, sizes)),
+    ):
+        total = model.total_bytes if measured is None else measured
+        c2s, s2c = _split_like(total, model.c2s_bytes, model.s2c_bytes)
+        phases.append((CommTotals(c2s, s2c), latency - total / row.bandwidth_bytes_per_s))
+    return phases[0], phases[1]
+
+
+def _priced(
     cm: CostModel,
     protocol: Protocol,
-    arch: NetworkArch,
-    bandwidth: float,
+    labels: tuple[str, str],
+    sizes: CommInputs,
     knobs: OptimizationKnobs,
+    bandwidth: float,
+    compute: tuple[float, float, float],
+    comm: tuple[CommTotals, CommTotals],
+    storage: tuple[int, int],
 ) -> PhaseCosts:
-    unscaled = CommInputs.from_arch(arch)
-    sizes = unscaled.scaled(knobs.relu_factor)
-    off_compute, on_compute, he = compute_seconds(cm, protocol, unscaled, knobs)
+    """The one PhaseCosts constructor, on knob-scaled sizes.
 
+    compute is offline, online and offline-HE seconds, comm each phase's
+    bytes and storage the client's and the server's. A phase's latency is
+    its compute plus its bytes over the bandwidth; the GC side parks the
+    fitted bytes per garbled ReLU, scaled by the per-ReLU knob.
+    """
+    (off_s, on_s, he), (off, on), (client, server) = compute, comm, storage
+    return PhaseCosts(
+        protocol=protocol,
+        model=labels[0],
+        dataset=labels[1],
+        offline_latency_s=off_s + off.total_bytes / bandwidth,
+        online_latency_s=on_s + on.total_bytes / bandwidth,
+        offline_compute_s=off_s,
+        online_compute_s=on_s,
+        offline_he_s=he,
+        offline_comm_c2s_bytes=off.c2s_bytes,
+        offline_comm_s2c_bytes=off.s2c_bytes,
+        online_comm_c2s_bytes=on.c2s_bytes,
+        online_comm_s2c_bytes=on.s2c_bytes,
+        client_storage_delta_bytes=client,
+        server_storage_delta_bytes=server,
+        gc_storage_bytes=int(
+            round(cm.gc_bytes_per_relu * knobs.gc_per_relu_factor * sizes.relus)
+        ),
+        bandwidth_bytes_per_s=bandwidth,
+    )
+
+
+def component_costs(
+    cm: CostModel,
+    protocol: Protocol,
+    labels: tuple[str, str],
+    unscaled: CommInputs,
+    bandwidth: float,
+    knobs: OptimizationKnobs = IDENTITY,
+) -> PhaseCosts:
+    """Price a network's counts with the fitted rates and the byte model.
+
+    labels are the model and dataset names the result carries. Component
+    queries and the calibration report both price through here.
+    """
+    sizes = unscaled.scaled(knobs.relu_factor)
     off_comm = offline_comm(protocol, sizes)
-    on_comm = online_comm(protocol, sizes)
     deltas = storage_deltas(protocol, sizes)
 
     # Cheaper per-ReLU garbling shrinks the GC bytes on the wire and in
@@ -68,23 +136,11 @@ def _component_costs(
         off_c2s -= gc_shrink
         server_recv -= gc_shrink
 
-    return PhaseCosts(
-        protocol=protocol,
-        model=arch.name,
-        dataset=arch.dataset.name,
-        offline_latency_s=off_compute + (off_c2s + off_s2c) / bandwidth,
-        online_latency_s=on_compute + on_comm.total_bytes / bandwidth,
-        offline_compute_s=off_compute,
-        online_compute_s=on_compute,
-        offline_he_s=he,
-        offline_comm_c2s_bytes=off_c2s,
-        offline_comm_s2c_bytes=off_s2c,
-        online_comm_c2s_bytes=on_comm.c2s_bytes,
-        online_comm_s2c_bytes=on_comm.s2c_bytes,
-        client_storage_delta_bytes=client_recv + deltas.client_self_bytes,
-        server_storage_delta_bytes=server_recv + deltas.server_self_bytes,
-        gc_storage_bytes=_gc_bytes(cm, knobs, unscaled),
-        bandwidth_bytes_per_s=bandwidth,
+    return _priced(
+        cm, protocol, labels, sizes, knobs, bandwidth,
+        compute_seconds(cm, protocol, unscaled, knobs),
+        (CommTotals(off_c2s, off_s2c), online_comm(protocol, sizes)),
+        (client_recv + deltas.client_self_bytes, server_recv + deltas.server_self_bytes),
     )
 
 
@@ -98,37 +154,14 @@ def _table_costs(
         )
     row = cm.table[key]
     sizes = CommInputs.from_arch(arch)
-    model_off = offline_comm(protocol, sizes)
-    model_on = online_comm(protocol, sizes)
-    off_bytes = row.offline_comm_bytes
-    off_bytes = model_off.total_bytes if off_bytes is None else off_bytes
-    on_bytes = row.online_comm_bytes
-    on_bytes = model_on.total_bytes if on_bytes is None else on_bytes
-
-    bw0 = row.bandwidth_bytes_per_s
-    off_compute = row.offline_latency_s - off_bytes / bw0
-    on_compute = row.online_latency_s - on_bytes / bw0
+    (off, off_compute), (on, on_compute) = measured_phases(row, sizes)
     # Measured totals are not decomposed; attribute the fitted HE share.
     he = min(compute_seconds(cm, protocol, sizes)[2], off_compute)
-    off_c2s, off_s2c = _split_like(off_bytes, model_off.c2s_bytes, model_off.s2c_bytes)
-    on_c2s, on_s2c = _split_like(on_bytes, model_on.c2s_bytes, model_on.s2c_bytes)
-    return PhaseCosts(
-        protocol=protocol,
-        model=arch.name,
-        dataset=arch.dataset.name,
-        offline_latency_s=off_compute + off_bytes / bandwidth,
-        online_latency_s=on_compute + on_bytes / bandwidth,
-        offline_compute_s=off_compute,
-        online_compute_s=on_compute,
-        offline_he_s=he,
-        offline_comm_c2s_bytes=off_c2s,
-        offline_comm_s2c_bytes=off_s2c,
-        online_comm_c2s_bytes=on_c2s,
-        online_comm_s2c_bytes=on_s2c,
-        client_storage_delta_bytes=row.client_storage_bytes,
-        server_storage_delta_bytes=row.server_storage_bytes,
-        gc_storage_bytes=_gc_bytes(cm, IDENTITY, sizes),
-        bandwidth_bytes_per_s=bandwidth,
+    return _priced(
+        cm, protocol, (arch.name, arch.dataset.name), sizes, IDENTITY, bandwidth,
+        (off_compute, on_compute, he),
+        (off, on),
+        (row.client_storage_bytes, row.server_storage_bytes),
     )
 
 
@@ -156,18 +189,5 @@ def phase_costs(
                 "optimization knobs; use component mode"
             )
         return _table_costs(cm, protocol, arch, bandwidth)
-    return _component_costs(cm, protocol, arch, bandwidth, knobs)
-
-
-def gc_storage(
-    arch: NetworkArch, cm: CostModel, knobs: OptimizationKnobs | None = None
-) -> int:
-    """Bytes of garbled material one inference parks on the GC side."""
-    return _gc_bytes(cm, knobs or IDENTITY, CommInputs.from_arch(arch))
-
-
-def _gc_bytes(cm: CostModel, knobs: OptimizationKnobs, sizes: CommInputs) -> int:
-    """The one GC storage price, on the ReLU count as `CommInputs.scaled`
-    rounds it; `PhaseCosts` and `gc_storage` both use it."""
-    relus = sizes.scaled(knobs.relu_factor).relus
-    return int(round(cm.gc_bytes_per_relu * knobs.gc_per_relu_factor * relus))
+    labels = (arch.name, arch.dataset.name)
+    return component_costs(cm, protocol, labels, CommInputs.from_arch(arch), bandwidth, knobs)

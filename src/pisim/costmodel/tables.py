@@ -1,9 +1,10 @@
 """Reading and writing measured-cost and optimization tables.
 
 Both tables are tab-separated with a header row. Missing optional
-values are written as "-". The copies shipped under pisim/configs/ can
-be overridden by pointing PISIM_CONFIG_DIR at a directory with the
-same file names.
+values are written as "-"; a row shorter than the header reads its
+missing cells as empty, which the value parsers reject. The copies
+shipped under pisim/configs/ can be overridden by pointing
+PISIM_CONFIG_DIR at a directory with the same file names.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .types import CostModelError, MeasuredCosts, OptimizationKnobs, Protocol, UnknownOptimization
+from .types import (
+    KNOB_FACTORS,
+    CostModelError,
+    MeasuredCosts,
+    OptimizationKnobs,
+    Protocol,
+    UnknownOptimization,
+)
 
 MEASURED_COSTS_FILENAME = "measured_costs.tsv"
 OPTIMIZATIONS_FILENAME = "optimizations.tsv"
@@ -32,14 +40,7 @@ _COST_COLUMNS = [
     "online_comm_bytes",
 ]
 
-_KNOB_COLUMNS = [
-    "name",
-    "relu_factor",
-    "flop_factor",
-    "gc_per_relu_factor",
-    "he_per_flop_factor",
-    "notes",
-]
+KNOB_COLUMNS = ["name", *KNOB_FACTORS, "notes"]
 
 
 class TableFormatError(CostModelError, ValueError):
@@ -51,7 +52,7 @@ def _opt_int(text: str) -> int | None:
 
 
 def read_measured_costs(stream: TextIO) -> list[MeasuredCosts]:
-    reader = csv.DictReader(stream, delimiter="\t")
+    reader = csv.DictReader(stream, delimiter="\t", restval="")
     if reader.fieldnames is None:
         raise TableFormatError("empty measured-costs table")
     missing = [c for c in _COST_COLUMNS[:8] if c not in reader.fieldnames]
@@ -100,23 +101,18 @@ def write_measured_costs(stream: TextIO, rows: Iterable[MeasuredCosts]) -> None:
 
 
 def read_optimizations(stream: TextIO) -> dict[str, OptimizationKnobs]:
-    reader = csv.DictReader(stream, delimiter="\t")
+    reader = csv.DictReader(stream, delimiter="\t", restval="")
     if reader.fieldnames is None:
         raise TableFormatError("empty optimizations table")
-    missing = [c for c in _KNOB_COLUMNS[:5] if c not in reader.fieldnames]
+    missing = [c for c in KNOB_COLUMNS[:-1] if c not in reader.fieldnames]
     if missing:
         raise TableFormatError(f"optimizations table missing columns: {missing}")
     knobs = {}
     for lineno, raw in enumerate(reader, start=2):
         try:
             name = raw["name"].strip()
-            knobs[name] = OptimizationKnobs(
-                relu_factor=float(raw["relu_factor"]),
-                flop_factor=float(raw["flop_factor"]),
-                gc_per_relu_factor=float(raw["gc_per_relu_factor"]),
-                he_per_flop_factor=float(raw["he_per_flop_factor"]),
-                name=name,
-            )
+            factors = {f: float(raw[f]) for f in KNOB_FACTORS}
+            knobs[name] = OptimizationKnobs(name=name, **factors)
         except (KeyError, ValueError) as exc:
             raise TableFormatError(f"optimizations line {lineno}: {exc}") from exc
     return knobs

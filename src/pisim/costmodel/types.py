@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from ..errors import PisimError
@@ -101,23 +101,14 @@ class OptimizationKnobs:
     name: str = "none"
 
     def __post_init__(self):
-        for f in (
-            self.relu_factor,
-            self.flop_factor,
-            self.gc_per_relu_factor,
-            self.he_per_flop_factor,
-        ):
-            if not (math.isfinite(f) and f > 0):
-                raise InvalidCostInput(f"knob factors must be finite and positive, got {f}")
+        for f in KNOB_FACTORS:
+            value = getattr(self, f)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidCostInput(f"knob factors must be finite and positive, got {value}")
 
     @property
     def is_identity(self) -> bool:
-        return (
-            self.relu_factor == 1.0
-            and self.flop_factor == 1.0
-            and self.gc_per_relu_factor == 1.0
-            and self.he_per_flop_factor == 1.0
-        )
+        return all(getattr(self, f) == 1.0 for f in KNOB_FACTORS)
 
     @property
     def gc_total_reduction(self) -> float:
@@ -127,6 +118,10 @@ class OptimizationKnobs:
     @property
     def he_total_reduction(self) -> float:
         return 1.0 / (self.flop_factor * self.he_per_flop_factor)
+
+
+# The knob factors' field names, in declaration order: every field but the name.
+KNOB_FACTORS = tuple(f.name for f in fields(OptimizationKnobs) if f.name != "name")
 
 
 @dataclass(frozen=True)
@@ -151,20 +146,7 @@ class PhaseCosts:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self):
-        for name in (
-            "offline_latency_s",
-            "online_latency_s",
-            "offline_compute_s",
-            "online_compute_s",
-            "offline_he_s",
-            "offline_comm_c2s_bytes",
-            "offline_comm_s2c_bytes",
-            "online_comm_c2s_bytes",
-            "online_comm_s2c_bytes",
-            "client_storage_delta_bytes",
-            "server_storage_delta_bytes",
-            "gc_storage_bytes",
-        ):
+        for name in _COST_FIELDS:
             value = getattr(self, name)
             if not value >= 0:
                 raise InvalidCostInput(f"cost {name}={value} is not non-negative")
@@ -176,6 +158,15 @@ class PhaseCosts:
     @property
     def online_comm_bytes(self) -> int:
         return self.online_comm_c2s_bytes + self.online_comm_s2c_bytes
+
+
+# The fields __post_init__ holds non-negative: all but the three labels and
+# the bandwidth, which phase_costs holds finite and positive.
+_COST_FIELDS = tuple(
+    f.name
+    for f in fields(PhaseCosts)
+    if f.name not in ("protocol", "model", "dataset", "bandwidth_bytes_per_s")
+)
 
 
 @dataclass(frozen=True)

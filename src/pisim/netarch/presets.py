@@ -11,6 +11,8 @@ omitted from the dataflow graph.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..errors import PisimError
 from .layers import (
     AvgPool,
@@ -62,16 +64,23 @@ def canonical_dataset(name: str) -> str:
         return name
 
 
-def _residual_stages(stage_channels, blocks_per_stage, in_channels, project):
-    """Shared builder for the two ResNets.
+def _resnet(
+    name: str,
+    stage_channels: tuple[int, ...],
+    blocks_per_stage: int,
+    project: bool,
+    dataset: DatasetSpec,
+) -> NetworkArch:
+    """The one ResNet builder: a stem conv as wide as the first stage,
+    stages of two-conv basic blocks (each stage after the first halves the
+    resolution in its first block), a global average pool and one FC.
 
-    Yields layers and skip connections; `project` picks 1x1-conv
-    shortcuts at shape-changing transitions (else those transitions get
-    no modeled skip).
+    Blocks that keep their shape get an identity skip; `project` gives the
+    shape-changing ones 1x1-conv shortcuts (else they get no modeled skip).
     """
-    layers: list = []
+    inc = stage_channels[0]
+    layers: list = [Conv(dataset.channels, inc, kernel=3, stride=1, padding=1), ReLU()]
     skips: list[SkipConnection] = []
-    inc = in_channels
     for stage, ch in enumerate(stage_channels):
         for block in range(blocks_per_stage):
             stride = 2 if stage > 0 and block == 0 else 1
@@ -90,31 +99,8 @@ def _residual_stages(stage_channels, blocks_per_stage, in_channels, project):
                 )
             layers.append(ReLU())
             inc = ch
-    return layers, skips, inc
-
-
-def _resnet32(dataset: DatasetSpec) -> NetworkArch:
-    layers: list = [Conv(dataset.channels, 16, kernel=3, stride=1, padding=1), ReLU()]
-    body, skips, width = _residual_stages((16, 32, 64), 5, 16, project=False)
-    offset = len(layers)
-    skips = [
-        SkipConnection(s.source + offset, s.merge + offset, s.conv) for s in skips
-    ]
-    layers += body
-    layers += [AvgPool(window=0), Flatten(), FC(width, dataset.classes)]
-    return NetworkArch("resnet32", dataset, tuple(layers), tuple(skips))
-
-
-def _resnet18(dataset: DatasetSpec) -> NetworkArch:
-    layers: list = [Conv(dataset.channels, 64, kernel=3, stride=1, padding=1), ReLU()]
-    body, skips, width = _residual_stages((64, 128, 256, 512), 2, 64, project=True)
-    offset = len(layers)
-    skips = [
-        SkipConnection(s.source + offset, s.merge + offset, s.conv) for s in skips
-    ]
-    layers += body
-    layers += [AvgPool(window=0), Flatten(), FC(width, dataset.classes)]
-    return NetworkArch("resnet18", dataset, tuple(layers), tuple(skips))
+    layers += [AvgPool(window=0), Flatten(), FC(inc, dataset.classes)]
+    return NetworkArch(name, dataset, tuple(layers), tuple(skips))
 
 
 _VGG_CFG = (64, 64, "P", 128, 128, "P", 256, 256, 256, "P", 512, 512, 512, "P", 512, 512, 512, "P")
@@ -155,8 +141,8 @@ def _toy_cnn(dataset: DatasetSpec) -> NetworkArch:
 
 
 _BUILDERS = {
-    "resnet32": _resnet32,
-    "resnet18": _resnet18,
+    "resnet32": partial(_resnet, "resnet32", (16, 32, 64), 5, False),
+    "resnet18": partial(_resnet, "resnet18", (64, 128, 256, 512), 2, True),
     "vgg16": _vgg16,
     "toy_cnn": _toy_cnn,
 }

@@ -17,7 +17,6 @@ from pisim.costmodel import (
     Protocol,
     Regime,
     classify_regime,
-    gc_storage,
     get_optimization,
     load_shipped_costs,
     load_shipped_model,
@@ -81,9 +80,9 @@ def test_criterion_01_network_counts():
 
 
 def test_criterion_02_gc_storage_bottleneck():
-    r32 = gc_storage(build_preset("resnet32", "cifar100"), COMP_CM)
-    r18c = gc_storage(build_preset("resnet18", "cifar100"), COMP_CM)
-    r18t = gc_storage(build_preset("resnet18", "tinyimagenet"), COMP_CM)
+    r32 = phase_costs(COMP_CM, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
+    r18c = phase_costs(COMP_CM, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
+    r18t = phase_costs(COMP_CM, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
     assert abs(r32 - 5.3e9) / 5.3e9 <= 0.05        # 5% band
     assert r18c > 9e9
     assert abs(r18t - 38.9e9) / 38.9e9 <= 0.10     # 10% band

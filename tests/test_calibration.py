@@ -1,25 +1,25 @@
 """Fitting component rates from the measured-cost table."""
 
 import dataclasses
-import importlib
 import io
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pisim.costmodel
 from pisim.costmodel import (
     CommInputs,
     InconsistentRows,
     Protocol,
     TableFormatError,
-    calibrate,
     load_shipped_costs,
     read_measured_costs,
     write_measured_costs,
 )
-from pisim.costmodel.calibrate import nnls
+from pisim.costmodel.calibrate import calibrate, nnls
 from pisim.netarch import build_preset
 
 
@@ -72,10 +72,15 @@ def test_calibrated_protocols_cover_both(cm):
     assert cm.calibrated_protocols == frozenset(Protocol)
 
 
+def test_package_attribute_calibrate_is_the_submodule():
+    calibrate_module = sys.modules["pisim.costmodel.calibrate"]
+    assert pisim.costmodel.calibrate is calibrate_module
+    assert pisim.costmodel.calibrate.calibrate is calibrate
+    assert "calibrate" not in pisim.costmodel.__all__
+
+
 def test_tight_tolerance_rejected(rows, monkeypatch):
-    # the package's `calibrate` attribute is the function, so fetch the module
-    calibrate_module = importlib.import_module("pisim.costmodel.calibrate")
-    monkeypatch.setattr(calibrate_module, "LATENCY_TOLERANCE", 1e-4)
+    monkeypatch.setattr("pisim.costmodel.calibrate.LATENCY_TOLERANCE", 1e-4)
     with pytest.raises(InconsistentRows):
         calibrate(rows)
 

@@ -77,6 +77,41 @@ def test_identity_knob_spellings(text, tmp_path, monkeypatch):
     assert parse_knobs(text).is_identity
 
 
+@pytest.mark.parametrize(
+    "spelling, field",
+    [
+        ("relu", "relu_factor"),
+        ("relu_factor", "relu_factor"),
+        ("flop", "flop_factor"),
+        ("flop_factor", "flop_factor"),
+        ("gc", "gc_per_relu_factor"),
+        ("gc_per_relu", "gc_per_relu_factor"),
+        ("gc_per_relu_factor", "gc_per_relu_factor"),
+        ("he", "he_per_flop_factor"),
+        ("he_per_flop", "he_per_flop_factor"),
+        ("he_per_flop_factor", "he_per_flop_factor"),
+    ],
+)
+def test_knob_spelling_sets_its_field(spelling, field):
+    knobs = parse_knobs(f"{spelling}=0.5")
+    factors = {"relu_factor", "flop_factor", "gc_per_relu_factor", "he_per_flop_factor"}
+    assert knobs.name == "custom"
+    assert getattr(knobs, field) == 0.5
+    assert all(getattr(knobs, other) == 1.0 for other in factors - {field})
+
+
+def test_unknown_knob_lists_the_known_ones():
+    with pytest.raises(SpecError, match=r"unknown knob 'gpu'; known: relu, flop, gc_per_relu, "
+                                        r"he_per_flop$"):
+        parse_knobs("relu=0.5,gpu=2")
+
+
+def test_cost_prints_every_knob_factor(capsys):
+    assert run_cli("cost", "--knobs", "relu=0.2", "--mode", "component") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "knobs                 custom (relu=0.2 flop=1 gc_per_relu=1 he_per_flop=1)\n" in out
+
+
 def test_cost_unknown_knobs(capsys):
     rc = run_cli("cost", "--model", "resnet32", "--knobs", "wishful",
                  "--mode", "component")
@@ -563,6 +598,27 @@ def test_malformed_config_table_exits_2(filename, table, argv, tmp_path, monkeyp
     assert run_cli(*argv) == EXIT_UNKNOWN
     err = capsys.readouterr().err
     assert err.startswith(f"error: {table} table")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "filename, table, argv, header",
+    [
+        ("measured_costs.tsv", "measured-costs", ["cost"],
+         "protocol\tmodel\tdataset\toffline_latency_s\tonline_latency_s\t"
+         "client_storage_bytes\tserver_storage_bytes\tbandwidth_bytes_per_s\n"),
+        ("optimizations.tsv", "optimizations", ["cost", "--knobs", "delphi"],
+         "name\trelu_factor\tflop_factor\tgc_per_relu_factor\the_per_flop_factor\tnotes\n"),
+    ],
+    ids=["measured_costs", "optimizations"],
+)
+def test_short_config_row_exits_2(filename, table, argv, header, tmp_path, monkeypatch, capsys):
+    # a row with fewer cells than the header names the line, not a TypeError
+    (tmp_path / filename).write_text(header + "sg\t0.5\t1\n")
+    monkeypatch.setenv("PISIM_CONFIG_DIR", str(tmp_path))
+    assert run_cli(*argv) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {table} line 2: ")
     assert "Traceback" not in err
 
 

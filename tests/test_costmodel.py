@@ -20,9 +20,7 @@ from pisim.costmodel import (
     SHARE_BYTES_PER_ELEM,
     UncalibratedTriple,
     UnknownOptimization,
-    calibrate,
     classify_regime,
-    gc_storage,
     get_optimization,
     load_optimizations,
     load_shipped_costs,
@@ -34,6 +32,7 @@ from pisim.costmodel import (
     storage_deltas,
     write_measured_costs,
 )
+from pisim.costmodel.calibrate import calibrate
 from pisim.desim import SERIAL, SimConfig, stability_limit
 from pisim.netarch import build_preset, count
 
@@ -110,9 +109,9 @@ def test_bandwidth_repricing(table_cm):
 
 
 def test_gc_storage_values(comp_cm):
-    r32 = gc_storage(build_preset("resnet32", "cifar100"), comp_cm)
-    r18c = gc_storage(build_preset("resnet18", "cifar100"), comp_cm)
-    r18t = gc_storage(build_preset("resnet18", "tinyimagenet"), comp_cm)
+    r32 = phase_costs(comp_cm, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
+    r18c = phase_costs(comp_cm, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
+    r18t = phase_costs(comp_cm, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
     assert abs(r32 - 5.3e9) / 5.3e9 <= 0.05
     assert r18c > 9e9
     assert abs(r18t - 38.9e9) / 38.9e9 <= 0.10
@@ -123,8 +122,9 @@ def test_gc_storage_values(comp_cm):
 
 def test_gc_storage_scales_with_relu_knob(comp_cm):
     arch = build_preset("resnet18", "tinyimagenet")
-    base = gc_storage(arch, comp_cm)
-    pruned = gc_storage(arch, comp_cm, knobs=OptimizationKnobs(relu_factor=0.2, name="x"))
+    base = phase_costs(comp_cm, SG, arch).gc_storage_bytes
+    knobs = OptimizationKnobs(relu_factor=0.2, name="x")
+    pruned = phase_costs(comp_cm, SG, arch, knobs=knobs).gc_storage_bytes
     # priced on the ReLU count rounded to a whole ReLU, as the byte model counts it
     relus = round(count(arch).relus * 0.2)
     assert pruned == int(round(comp_cm.gc_bytes_per_relu * relus))
@@ -138,7 +138,8 @@ def test_gc_storage_is_what_phase_costs_uses(comp_cm, relu, model, dataset, prot
     arch = build_preset(model, dataset)
     knobs = OptimizationKnobs(relu_factor=relu, gc_per_relu_factor=0.6, name="x")
     costs = phase_costs(comp_cm, proto, arch, knobs=knobs)
-    assert gc_storage(arch, comp_cm, knobs) == costs.gc_storage_bytes
+    relus = round(count(arch).relus * relu)
+    assert costs.gc_storage_bytes == int(round(comp_cm.gc_bytes_per_relu * 0.6 * relus))
 
 
 def test_offline_comm_direction_of_gc_transfer():

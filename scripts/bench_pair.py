@@ -3,7 +3,8 @@
     python3 scripts/bench_pair.py --base REV --pairs 10 --seconds 45 --out BENCH_<slug>.json
 
 Exports REV with `git archive` into a temporary directory (removed at the
-end), then for each workload of BENCHMARK.json runs --pairs pairs of
+end) and copies the working tree beside it without `.git` and `__pycache__`,
+so neither side starts from bytecode the other lacks. Then for each workload of BENCHMARK.json runs --pairs pairs of
 `perfbench/run.py --trace 0`, one run in each tree at the pair's seed,
 alternating which side runs first. Each run uses its own tree's perfbench.
 For every end-to-end metric the output holds both sides' medians and
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -82,7 +84,8 @@ def main() -> int:
                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
            "pairs": args.pairs, "seconds": args.seconds, "notes": NOTES, "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        base_tree = Path(tmp)
+        base_tree, change_tree = Path(tmp, "base"), Path(tmp, "change")
+        shutil.copytree(ROOT, change_tree, ignore=shutil.ignore_patterns(".git", "__pycache__"))
         archive = subprocess.run(["git", "archive", out["base"]["commit"]], cwd=ROOT,
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -90,7 +93,7 @@ def main() -> int:
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
-                order = [("base", base_tree), ("change", ROOT)]
+                order = [("base", base_tree), ("change", change_tree)]
                 for side, tree in order if i % 2 == 0 else order[::-1]:
                     runs[side].append(run(tree, workload, i + 1, args.seconds))
                     print(workload, i + 1, side, runs[side][-1].get("error", "ok"), flush=True)

@@ -1,28 +1,24 @@
 """Modular-arithmetic kernels for the protocol executors, in numpy.
 
-All kernels operate on int64 arrays with entries in [0, p) for a modulus
-p < 2**31.5 (p**2 must fit in int64).
+All kernels operate on int64 arrays with entries in [0, p), p the field
+modulus 2**31 - 1 (`pisim.field.FIELD_MODULUS`).
 
-The conv and matvec share one matrix product, `_matmul_mod`, which runs
-on float64 BLAS and is exact. The weights are prepared once
-(`prepare_weights`): re-centred to (-p/2, p/2], so |w| <= (p-1)/2, and
-stored as float64, which holds every such integer exactly. The input is
-split into limbs of `limb_bits` bits, so each limb is below 2**limb_bits,
-and each product sums `chunk` columns. The plan is chosen from the
-measured max|w| so that
+The conv and matvec share one matrix product, `_matmul_mod`: a single
+float64 dgemm, which is exact. The weights are prepared once
+(`prepare_weights`): re-centred to (-p/2, p/2] and stored as float64,
+which holds every such integer exactly. An input residue is at most
+p - 1, so with fan-in K every term w*x of an output, and every partial
+sum of any subset of its K terms, is an integer of magnitude at most
 
-    max|w| * (2**limb_bits - 1) * chunk < 2**53.
+    max|w| * (p - 1) * K,
 
-Every term w*x_limb is then an integer whose magnitude is below 2**53,
-and so is every partial sum of any subset of the terms. Doubles represent
-all integers below 2**53 exactly, so each multiply, add or fused
-multiply-add in the product returns the exact integer, whatever order or
-blocking BLAS uses. The sums are converted to int64, reduced mod p, and
-the limbs recombined with the constants 2**(j*limb_bits) mod p, each
-product below p**2 < 2**63.
-
-Small weights, such as the test networks' [-3, 3], give one limb of the
-whole input width and one chunk: a single dgemm per product.
+and `prepare_weights` requires that to be below 2**53, raising
+FieldOverflowRisk otherwise. Doubles represent all integers below 2**53
+exactly, so each multiply, add or fused multiply-add in the product
+returns the exact integer, whatever order or blocking BLAS uses (Dumas,
+Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS 2008). The sums are converted to
+int64, the bias added, and the result reduced mod p. Weights in [-3, 3],
+as the executor draws them, admit fan-ins up to 1,398,101.
 
 The linear kernels take inputs with zero or more leading batch
 dimensions, numpy style; a batch adds columns to the product, not
@@ -34,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .field import FIELD_MODULUS as P, FieldOverflowRisk
+
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
 # Output positions per conv product. A batch's images are convolved in
@@ -44,93 +42,60 @@ _EXACT = 1 << 53
 _CONV_COLS = 2048
 
 
-def limb_plan(w_max: int, k: int, p: int) -> tuple[int, int]:
-    """(limb_bits, chunk) for products of k columns of weights with |w| <= w_max.
-
-    The widest limb for which whole rows sum below 2**53, so one chunk of
-    k columns. Only when not even 1-bit limbs allow that (w_max * k >=
-    2**53, beyond 2**22 columns at the largest weights) are the rows
-    summed in chunks, of the longest length 1-bit limbs allow.
-    """
-    bits = (p - 1).bit_length()
-    for limb_bits in range(bits, 0, -1):
-        if w_max * ((1 << limb_bits) - 1) * k < _EXACT:
-            return limb_bits, k
-    return 1, (_EXACT - 1) // w_max
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedWeights:
     """A weight tensor in Z_p, prepared once for exact float64 products.
 
     `matrix` is the tensor flattened to (o, K), re-centred to (-p/2, p/2]
-    and read-only; `shape` is the tensor's own shape. The plan
-    (`limb_bits`, `chunk`) satisfies the bound in the module docstring.
+    and read-only; `shape` is the tensor's own shape.
     """
 
     shape: tuple[int, ...]
-    p: int
     matrix: np.ndarray
-    limb_bits: int
-    chunk: int
-
-    @property
-    def limbs(self) -> int:
-        """How many limbs an input residue splits into."""
-        return -(-(self.p - 1).bit_length() // self.limb_bits)
 
 
-def prepare_weights(w: np.ndarray, p: int) -> PreparedWeights:
-    """Prepare integer weights w (|w| < 2**53), taken mod p, for conv2d_mod/matvec_mod."""
+def prepare_weights(w: np.ndarray) -> PreparedWeights:
+    """Prepare integer weights w (|w| < 2**53), taken mod p, for conv2d_mod/matvec_mod.
+
+    Raises FieldOverflowRisk unless max|w| * (p - 1) * K < 2**53.
+    """
     matrix = w.reshape(w.shape[0], -1).astype(np.float64)
-    np.remainder(matrix, p, out=matrix)
-    matrix[matrix > (p - 1) // 2] -= p
+    np.remainder(matrix, P, out=matrix)
+    matrix[matrix > (P - 1) // 2] -= P
     w_max = int(max(matrix.max(initial=0), -matrix.min(initial=0)))
+    fan_in = matrix.shape[1]
+    if w_max * (P - 1) * fan_in >= _EXACT:
+        raise FieldOverflowRisk(
+            f"weights of fan-in {fan_in} and max|w| {w_max}: max|w| * (p - 1) * fan-in "
+            "reaches 2**53; the float64 product would not be exact"
+        )
     matrix.setflags(write=False)
-    limb_bits, chunk = limb_plan(w_max, matrix.shape[1], p)
-    return PreparedWeights(tuple(w.shape), p, matrix, limb_bits, chunk)
-
-
-def _limbs(x: np.ndarray, w: PreparedWeights) -> np.ndarray:
-    """x's base-2**limb_bits digits, stacked on a new leading axis."""
-    if w.limbs == 1:
-        return x[None]
-    shifts = np.arange(0, w.limbs * w.limb_bits, w.limb_bits)
-    return (x[None] >> shifts.reshape((-1,) + (1,) * x.ndim)) & ((1 << w.limb_bits) - 1)
+    return PreparedWeights(tuple(w.shape), matrix)
 
 
 def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """(w @ x + b) mod p, exactly, from x's limbs cols: (limbs, K, n) float64.
-
-    b: (o, 1), or None for no bias. Sums stay unreduced while they fit: a
-    chunk's sum is below 2**53, a reduced one below p, and a reduced limb
-    times its constant below p**2.
-    """
-    p, m = w.p, w.matrix
-    acc = None
-    for start in range(0, m.shape[1], w.chunk):
-        stop = start + w.chunk
-        part = (m[:, start:stop] @ cols[:, start:stop]).astype(np.int64)
-        acc = part if acc is None else acc % p + part
-    out = acc[0] if b is None else acc[0] + b
-    for j in range(1, w.limbs):
-        out = out % p + acc[j] % p * pow(2, j * w.limb_bits, p)
-    return out % p
+    """(w @ cols + b) mod p, exactly. cols: (K, n) float64; b: (o, 1), or
+    None for no bias."""
+    out = (w.matrix @ cols).astype(np.int64)
+    if b is not None:
+        out += b
+    out %= P
+    return out
 
 
 def _conv_product(xs, w: PreparedWeights, b, stride, pad, oh, ow) -> np.ndarray:
     """(co, n*oh*ow) convolution of the images xs (n, ci, h, w) as one product."""
     co, ci, kh, kw = w.shape
     n, _, h, ww = xs.shape
-    xp = np.zeros((w.limbs, n, ci, h + 2 * pad, ww + 2 * pad))
-    xp[..., pad : pad + h, pad : pad + ww] = _limbs(xs, w)
-    win = sliding_window_view(xp, (kh, kw), axis=(3, 4))[:, :, :, ::stride, ::stride]
-    cols = win.transpose(0, 2, 5, 6, 1, 3, 4).reshape(w.limbs, ci * kh * kw, n * oh * ow)
+    xp = np.zeros((n, ci, h + 2 * pad, ww + 2 * pad))
+    xp[..., pad : pad + h, pad : pad + ww] = xs
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, n * oh * ow)
     return _matmul_mod(w, cols, None if b is None else b[:, None])
 
 
 def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
-    """2D convolution mod w.p. x: batch + (ci,h,w), w: prepared (co,ci,kh,kw),
+    """2D convolution mod p. x: batch + (ci,h,w), w: prepared (co,ci,kh,kw),
     b: (co,) or None; returns batch + (co,oh,ow).
 
     The images of a batch are the columns of one product, in groups of at
@@ -151,15 +116,15 @@ def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
 
 
 def matvec_mod(w: PreparedWeights, x, b):
-    """Matrix-vector product mod w.p. w: prepared (o,i), x: batch + (i,),
+    """Matrix-vector product mod p. w: prepared (o,i), x: batch + (i,),
     b: (o,) or None; returns batch + (o,). The vectors are the columns of
     one product."""
-    cols = _limbs(x.reshape(-1, x.shape[-1]).T, w).astype(np.float64)
+    cols = x.reshape(-1, x.shape[-1]).T.astype(np.float64)
     out = _matmul_mod(w, cols, None if b is None else b[:, None])
     return out.T.reshape(*x.shape[:-1], w.shape[0])
 
 
-def sumpool_mod(x, window, stride, p):
+def sumpool_mod(x, window, stride):
     """Window-sum pooling mod p. x: batch + (c,h,w)."""
     *lead, h, ww = x.shape
     oh = (h - window) // stride + 1
@@ -168,18 +133,18 @@ def sumpool_mod(x, window, stride, p):
     for ky in range(window):
         for kx in range(window):
             acc += x[..., ky : ky + oh * stride : stride, kx : kx + ow * stride : stride]
-    return acc % p
+    return acc % P
 
 
-def relu_remask_mod(a, b, r, p):
+def relu_remask_mod(a, b, r):
     """ReLU gadget on share arrays of one shape: relu(signed(a+b)) - r, mod p.
 
     Values above (p-1)//2 decode as negative. Output is the re-masked
     share handed to the next linear layer.
     """
     y = a + b
-    y %= p
-    y[y > (p - 1) // 2] = 0  # negative values: relu gives 0
+    y %= P
+    y[y > (P - 1) // 2] = 0  # negative values: relu gives 0
     y -= r
-    y %= p
+    y %= P
     return y

@@ -31,7 +31,7 @@ import numpy as np
 
 from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
-from ..field import FIELD_MODULUS, decode_signed, encode
+from ..field import decode_signed, encode
 from ..netarch import CompiledNetwork, NetworkArch, compile_network
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
 from .compile import gen_weights
@@ -131,7 +131,7 @@ def _field_weights(arch: NetworkArch, seed: int):
     for key, (w, b) in gen_weights(arch, seed).items():
         b = encode(b)
         b.setflags(write=False)
-        weights[key] = (prepare_weights(w, FIELD_MODULUS), b)
+        weights[key] = (prepare_weights(w), b)
     return MappingProxyType(weights)
 
 

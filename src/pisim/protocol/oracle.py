@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..field import FIELD_MODULUS, FieldOverflowRisk, half_range
+from ..field import FieldOverflowRisk, half_range
 from ..netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 
 # doubles hold every integer of magnitude below this exactly
@@ -110,13 +110,13 @@ def _pool_plain(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     return out
 
 
-def _check_bound(x: np.ndarray, where: str, p: int) -> int:
+def _check_bound(x: np.ndarray, where: str) -> int:
     """max|x| over the block; raises once it leaves the signed field window."""
     peak = _peak(x)
-    if peak > half_range(p):
+    if peak > half_range():
         raise FieldOverflowRisk(
             f"{where}: |value| {peak} exceeds the signed field window "
-            f"{half_range(p)}; results would wrap"
+            f"{half_range()}; results would wrap"
         )
     return peak
 
@@ -125,7 +125,6 @@ def plaintext_forward(
     arch: NetworkArch,
     weights: dict,
     x: np.ndarray,
-    p: int = FIELD_MODULUS,
     trace: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact integer logits, (n, classes), for a block x of n inputs.
@@ -134,7 +133,7 @@ def plaintext_forward(
     j-th ReLU (in layer order) under key j.
     """
     x = np.asarray(x, dtype=np.int64)
-    peak = _check_bound(x, "input", p)
+    peak = _check_bound(x, "input")
     sources = {skip.source for skip in arch.skips}
     outputs = {-1: (x, peak)}
     skips_at = {}
@@ -169,7 +168,7 @@ def plaintext_forward(
                 conv, into = skip.conv, f"skip {i} into {where}"
                 src = _conv(src, w, b, conv.stride, conv.padding, src_peak, into)
             cur = cur + src
-        peak = _check_bound(cur, where, p)
+        peak = _check_bound(cur, where)
         if idx in sources:
             outputs[idx] = (cur, peak)
     return cur

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .._kernels import conv2d_mod, matvec_mod, relu_remask_mod, sumpool_mod
-from ..field import FIELD_MODULUS, encode, sample_elements
+from ..field import FIELD_MODULUS as P, encode, sample_elements
 from ..costmodel.comm import (
     BASE_OT_BYTES_PER_DIRECTION,
     CG_EVALUATOR_STATE_BYTES_PER_RELU,
@@ -64,12 +64,10 @@ class GarbledGadget:
         self._client_share = client_share
         self._next_mask = next_mask
 
-    def evaluate(self, server_share: np.ndarray, p: int) -> np.ndarray:
+    def evaluate(self, server_share: np.ndarray) -> np.ndarray:
         if self._client_share is None:
             raise RuntimeError("this gadget is a garbler-side record, not evaluable")
-        return relu_remask_mod(
-            self._client_share, server_share.reshape(-1), self._next_mask, p
-        )
+        return relu_remask_mod(self._client_share, server_share.reshape(-1), self._next_mask)
 
 
 def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:
@@ -111,7 +109,7 @@ class ServerState:
     probe_shares: dict[int, np.ndarray] = dc_field(default_factory=dict)
 
 
-def apply_ops(ops, x: np.ndarray, weights, p: int, with_bias: bool) -> np.ndarray:
+def apply_ops(ops, x: np.ndarray, weights, with_bias: bool) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.int64)
     for op in ops:
         if op.kind == "conv":
@@ -121,7 +119,7 @@ def apply_ops(ops, x: np.ndarray, weights, p: int, with_bias: bool) -> np.ndarra
             w, b = weights[op.weight_key]
             x = matvec_mod(w, x, b if with_bias else None)
         elif op.kind == "pool":
-            x = sumpool_mod(x, op.window, op.stride, p)
+            x = sumpool_mod(x, op.window, op.stride)
         elif op.kind == "flatten":
             x = np.ascontiguousarray(x.reshape(*x.shape[:-3], -1))
         else:
@@ -135,7 +133,6 @@ def _masked_points(comp: CompiledNetwork):
 
 def client_offline(state: ClientState, ch: Channel) -> Generator:
     comp = state.compiled
-    p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     ch.send(CLIENT, EventKind.KEYS, state.key, KEY_BYTES, stored_by_receiver=True, label="setup")
@@ -154,7 +151,7 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
         _, sealed = yield from ch.receive(CLIENT, expect=EventKind.ENCRYPTED_LINEAR_SHARE)
         c = unseal(state.key, sealed)
         prev = state.shares.get(unit.dst_point)
-        state.shares[unit.dst_point] = c if prev is None else (prev + c) % p
+        state.shares[unit.dst_point] = c if prev is None else (prev + c) % P
 
     ch.send(
         CLIENT,
@@ -211,7 +208,6 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
 
 def server_offline(state: ServerState, ch: Channel) -> Generator:
     comp = state.compiled
-    p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     yield from ch.receive(SERVER, expect=EventKind.KEYS)
@@ -225,8 +221,8 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
         state.s_shares[unit.uid] = s
 
         def share_of(r, unit=unit, s=s):
-            lin = apply_ops(unit.ops, r, state.weights, p, with_bias=False)
-            return (lin + s) % p
+            lin = apply_ops(unit.ops, r, state.weights, with_bias=False)
+            return (lin + s) % P
 
         ch.send(
             SERVER,
@@ -282,12 +278,11 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
 
 def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
     comp = state.compiled
-    p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     y0 = encode(x)
     y0 -= state.masks[0]
-    y0 %= p
+    y0 %= P
     ch.send(
         CLIENT,
         EventKind.MASKED_TENSOR,
@@ -310,9 +305,7 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
             if pt.index not in state.gadgets:
                 raise RuntimeError(f"no garbled gadget for point {pt.index}")
             _, server_share = yield from ch.receive(CLIENT, expect=EventKind.LABELS)
-            y = relu_remask_mod(
-                state.shares[pt.index], server_share, state.masks[pt.index], p
-            )
+            y = relu_remask_mod(state.shares[pt.index], server_share, state.masks[pt.index])
             ch.send(
                 CLIENT,
                 EventKind.OUTPUT_LABELS,
@@ -323,12 +316,11 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
 
     _, server_out = yield from ch.receive(CLIENT, expect=EventKind.MASKED_TENSOR)
     out = comp.output_point
-    return (state.shares[out.index] + server_out) % p
+    return (state.shares[out.index] + server_out) % P
 
 
 def server_online(state: ServerState, ch: Channel) -> Generator:
     comp = state.compiled
-    p = FIELD_MODULUS
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     _, y0 = yield from ch.receive(SERVER, expect=EventKind.MASKED_TENSOR)
@@ -337,9 +329,9 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
     def share_into(point_index: int) -> np.ndarray:
         total = None
         for unit in comp.units_into(point_index):
-            lin = apply_ops(unit.ops, masked[unit.src_point], state.weights, p, True)
-            contrib = (lin - state.s_shares[unit.uid]) % p
-            total = contrib if total is None else (total + contrib) % p
+            lin = apply_ops(unit.ops, masked[unit.src_point], state.weights, True)
+            contrib = (lin - state.s_shares[unit.uid]) % P
+            total = contrib if total is None else (total + contrib) % P
         return total
 
     for pt in comp.relu_points:
@@ -355,7 +347,7 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
             )
             yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
             gadget = state.gadgets[pt.index]
-            masked[pt.index] = gadget.evaluate(s_share, p).reshape(s_share.shape)
+            masked[pt.index] = gadget.evaluate(s_share).reshape(s_share.shape)
         else:
             ch.send(
                 SERVER,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from pisim.field import FIELD_MODULUS, FieldOverflowRisk, half_range
+from pisim.field import FIELD_MODULUS, FieldOverflowRisk
 from pisim.netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 
 
@@ -39,10 +39,10 @@ def _pool_plain(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 
 def _check_bound(x: np.ndarray, where: str, p: int) -> None:
     peak = int(np.abs(x).max()) if x.size else 0
-    if peak > half_range(p):
+    if peak > (p - 1) // 2:
         raise FieldOverflowRisk(
             f"{where}: |value| {peak} exceeds the signed field window "
-            f"{half_range(p)}; results would wrap"
+            f"{(p - 1) // 2}; results would wrap"
         )
 
 

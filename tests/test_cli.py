@@ -458,6 +458,19 @@ def test_verify_inexact_oracle_product_is_infeasible(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_verify_past_the_kernel_bound_is_infeasible(capsys, tmp_path):
+    # 3 * (p - 1) * 1,398,102 reaches 2**53: the masked kernels refuse a
+    # fan-in whose plaintext pass is still exact
+    arch = tmp_path / "wide.arch"
+    arch.write_text("name wide_fc\ninput channels=1 height=1 width=1398102 classes=2\n"
+                    "flatten\nfc in=1398102 out=2\n")
+    rc = run_cli("verify", "--force", "--trials", "1", "--arch", str(arch))
+    assert rc == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "fan-in 1398102" in err
+    assert "Traceback" not in err
+
+
 def test_verify_zero_trials(capsys):
     rc = run_cli("verify", "--model", "toy_cnn", "--trials", "0")
     assert rc == EXIT_OK

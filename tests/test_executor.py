@@ -2,14 +2,16 @@
 network and model shared by bundles."""
 
 import dataclasses
+import itertools
+import math
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from pisim.field import decode_signed
-from pisim.netarch import build_preset
+from pisim.field import FIELD_MODULUS, decode_signed
+from pisim.netarch import DATASETS, MODELS, InvalidArch, build_preset, compile_network
 from pisim.protocol import (
     Channel,
     EventKind,
@@ -151,12 +153,35 @@ def test_shared_weights_are_read_only():
         weights[0] = weights[0]
 
 
+def _largest_fan_ins():
+    """The largest fan-in of each preset x dataset that validates."""
+    fan_ins = {}
+    datasets = sorted({d.name for d in DATASETS.values()})
+    for model, dataset in itertools.product(MODELS, datasets):
+        try:
+            units = compile_network(build_preset(model, dataset)).units
+        except InvalidArch:
+            continue
+        fan_ins[model, dataset] = max(math.prod(op.weight_shape[1:]) for unit in units
+                                      for op in unit.ops if op.weight_shape is not None)
+    return fan_ins
+
+
+def test_no_shipped_network_reaches_the_kernel_bound():
+    # gen_weights draws |w| <= 3, so `verify --force` on a shipped network
+    # never trips prepare_weights' guard
+    fan_ins = _largest_fan_ins()
+    assert max(fan_ins.values()) == fan_ins["toy_cnn", "imagenet"] == 100_352
+    for fan_in in fan_ins.values():
+        assert 3 * (FIELD_MODULUS - 1) * fan_in < 2**53
+
+
 @pytest.mark.parametrize("arch", [TOY, TOY8], ids=lambda a: a.dataset.name)
-def test_toy_weights_take_one_limb_and_one_chunk(arch):
-    # weights in [-3, 3] fit one whole-width limb: one dgemm per product
+def test_toy_weights_are_one_float64_matrix(arch):
     for w, _ in run_offline(arch, "sg", 0).server_state.weights.values():
-        assert w.limbs == 1
-        assert w.chunk == w.matrix.shape[1]
+        assert [f.name for f in dataclasses.fields(w)] == ["shape", "matrix"]
+        assert w.matrix.dtype == np.float64 and not w.matrix.flags.writeable
+        assert w.matrix.shape == (w.shape[0], math.prod(w.shape[1:]))
 
 
 def test_bundles_share_one_model_per_arch_and_seed():

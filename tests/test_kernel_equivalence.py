@@ -1,79 +1,94 @@
 """The linear kernels against the loop references in kernel_oracle.
 
 The numpy field kernels and the plaintext oracle's block convolution must equal
-the references exactly, for every modulus the kernels admit: the default
-Mersenne prime and the largest prime whose square fits in int64, with a
-bias and without one (b=None). The field kernels take weights prepared by
-`prepare_weights`, whose limb and chunk plan must keep every partial sum
-of the float64 product below 2**53. A kernel given a batch of inputs must
+the references exactly, with a bias and without one (b=None). The field
+kernels take weights prepared by `prepare_weights`, which admits them only
+while max|w| * (p - 1) * fan-in < 2**53; the weights here are drawn up to
+the largest |w| that bound admits for the drawn fan-in, that edge included,
+and the inputs over all of [0, p). A kernel given a batch of inputs must
 return, bit for bit, the stack of its calls on each input alone.
 """
 
-import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle
 from pisim import _kernels as K
-from pisim.field import FIELD_MODULUS
+from pisim.field import FIELD_MODULUS as P
 from pisim.protocol import oracle
 
-# largest prime p with p**2 < 2**63, the top of the kernels' range
-P_MAX = 3_037_000_493
-MODULI = st.sampled_from([FIELD_MODULUS, P_MAX])
+
+def w_bound(fan_in):
+    """The largest |w| prepare_weights admits at this fan-in."""
+    return (2**53 - 1) // ((P - 1) * fan_in)
 
 
 @st.composite
-def residues(draw, shape, p):
+def residues(draw, shape):
     """Field elements in [0, p): uniform, all p - 1, a mix of the two, or
-    the two residues (p -+ 1) / 2 that re-centre to the largest magnitude."""
+    the two residues (p -+ 1) / 2 either side of the signed window's edge."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.integers(0, p, size=shape, dtype=np.int64)
+    x = rng.integers(0, P, size=shape, dtype=np.int64)
     mode = draw(st.sampled_from(["uniform", "max", "mixed", "half"]))
     if mode == "max":
-        x[...] = p - 1
+        x[...] = P - 1
     elif mode == "mixed":
-        x[rng.random(shape) < 0.5] = p - 1
+        x[rng.random(shape) < 0.5] = P - 1
     elif mode == "half":
-        x[...] = rng.choice([(p - 1) // 2, (p + 1) // 2], size=shape)
+        x[...] = rng.choice([(P - 1) // 2, (P + 1) // 2], size=shape)
     return x
 
 
-@given(st.data(), MODULI, st.integers(1, 8), st.integers(1, 300), st.booleans())
+@st.composite
+def weights(draw, shape):
+    """Weight residues re-centring into [-w_max, w_max], w_max the bound at
+    the fan-in prod(shape[1:]): uniform, all at +-w_max, or a mix."""
+    w_max = w_bound(math.prod(shape[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.integers(-w_max, w_max + 1, size=shape, dtype=np.int64)
+    edge = rng.choice([-w_max, w_max], size=shape)
+    mode = draw(st.sampled_from(["uniform", "edge", "mixed"]))
+    if mode == "edge":
+        w = edge
+    elif mode == "mixed":
+        w = np.where(rng.random(shape) < 0.5, edge, w)
+    return w % P
+
+
+@given(st.data(), st.integers(1, 8), st.integers(1, 300), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_matvec_matches_reference(data, p, rows, cols, with_bias):
-    w = data.draw(residues((rows, cols), p))
-    x = data.draw(residues((cols,), p))
-    b = data.draw(residues((rows,), p)) if with_bias else np.zeros(rows, dtype=np.int64)
-    got = K.matvec_mod(K.prepare_weights(w, p), x, b if with_bias else None)
-    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, p))
+def test_matvec_matches_reference(data, rows, cols, with_bias):
+    w = data.draw(weights((rows, cols)))
+    x = data.draw(residues((cols,)))
+    b = data.draw(residues((rows,))) if with_bias else np.zeros(rows, dtype=np.int64)
+    got = K.matvec_mod(K.prepare_weights(w), x, b if with_bias else None)
+    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, P))
 
 
-# 2**17 + 5 columns of p - 1 overflowed int64 unless partial sums were
-# reduced chunk by chunk; at the largest weights they need several limbs
-@given(st.data(), MODULI, st.sampled_from([2**14 - 1, 2**14, 2**14 + 5, 2**15 + 3, 2**17 + 5]))
+@given(st.data(), st.sampled_from([2**14 - 1, 2**14, 2**14 + 5, 2**15 + 3, 2**17 + 5]))
 @settings(max_examples=30, deadline=None)
-def test_matvec_across_the_chunk_boundary(data, p, cols):
-    w = data.draw(residues((2, cols), p))
-    x = data.draw(residues((cols,), p))
-    b = data.draw(residues((2,), p))
-    got = K.matvec_mod(K.prepare_weights(w, p), x, b)
-    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, p))
+def test_matvec_at_large_fan_in(data, cols):
+    w = data.draw(weights((2, cols)))
+    x = data.draw(residues((cols,)))
+    b = data.draw(residues((2,)))
+    got = K.matvec_mod(K.prepare_weights(w), x, b)
+    assert np.array_equal(got, kernel_oracle.matvec_mod(w, x, b, P))
 
 
-def test_conv_across_the_chunk_boundary():
-    # 1821 channels x 3 x 3 = 16389 products per output, just past 2**14;
-    # weights p - 1 re-centre to -1, weights (p - 1) / 2 to the largest magnitude
-    for p in (FIELD_MODULUS, P_MAX):
-        for fill in (p - 1, (p - 1) // 2):
-            x = np.full((1821, 4, 3), p - 1, dtype=np.int64)
-            w = np.full((2, 1821, 3, 3), fill, dtype=np.int64)
-            b = np.full(2, p - 1, dtype=np.int64)
-            got = K.conv2d_mod(x, K.prepare_weights(w, p), b, 1, 0)
-            assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, p))
+def test_conv_at_large_fan_in():
+    # 1821 channels x 3 x 3 = 16389 products per output; weights p - 1
+    # re-centre to -1, the others to the largest magnitude the bound admits
+    edge = w_bound(1821 * 9)
+    for fill in (P - 1, edge, P - edge):
+        x = np.full((1821, 4, 3), P - 1, dtype=np.int64)
+        w = np.full((2, 1821, 3, 3), fill, dtype=np.int64)
+        b = np.full(2, P - 1, dtype=np.int64)
+        got = K.conv2d_mod(x, K.prepare_weights(w), b, 1, 0)
+        assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, P))
 
 
 @st.composite
@@ -89,60 +104,15 @@ def conv_case(draw):
     return draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w, k, stride, pad
 
 
-@given(st.data(), MODULI, conv_case(), st.booleans())
+@given(st.data(), conv_case(), st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_conv_matches_reference(data, p, case, with_bias):
+def test_conv_matches_reference(data, case, with_bias):
     ci, co, h, ww, k, stride, pad = case
-    x = data.draw(residues((ci, h, ww), p))
-    w = data.draw(residues((co, ci, k, k), p))
-    b = data.draw(residues((co,), p)) if with_bias else np.zeros(co, dtype=np.int64)
-    got = K.conv2d_mod(x, K.prepare_weights(w, p), b if with_bias else None, stride, pad)
-    assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, p))
-
-
-@given(MODULI, st.data())
-@settings(max_examples=300)
-def test_plan_keeps_every_partial_sum_below_2_53(p, data):
-    w_max = data.draw(st.integers(0, (p - 1) // 2))
-    k = data.draw(st.integers(1, 2**26))
-    bits = (p - 1).bit_length()
-    limb_bits, chunk = K.limb_plan(w_max, k, p)
-    assert 1 <= limb_bits <= bits and 1 <= chunk <= k
-    assert w_max * ((1 << limb_bits) - 1) * chunk < 2**53
-    # no narrower limb or shorter chunk than the bound needs
-    if limb_bits < bits:
-        assert w_max * ((1 << limb_bits + 1) - 1) * chunk >= 2**53
-    if chunk < k:
-        assert limb_bits == 1 and w_max * (chunk + 1) >= 2**53
-
-
-@given(st.data(), MODULI, st.booleans(), st.integers(1, 32))
-@settings(max_examples=200, deadline=None)
-def test_kernels_are_exact_under_any_plan_within_the_bound(data, p, conv, limb_bits):
-    # narrower limbs and shorter chunks than the measured weights need
-    # take the recombination and chunk paths
-    if conv:
-        ci, co, h, ww, k, stride, pad = data.draw(conv_case())
-        w = data.draw(residues((co, ci, k, k), p))
-        x = data.draw(residues((ci, h, ww), p))
-    else:
-        w = data.draw(residues((data.draw(st.integers(1, 8)), data.draw(st.integers(1, 300))), p))
-        x = data.draw(residues(w.shape[1:], p))
-    b = data.draw(residues(w.shape[:1], p))
-    prepared = K.prepare_weights(w, p)
-    limb_bits = min(limb_bits, (p - 1).bit_length())
-    w_max = int(np.abs(prepared.matrix).max())
-    longest = (2**53 - 1) // max(1, w_max * ((1 << limb_bits) - 1))
-    assume(longest >= 1)
-    chunk = data.draw(st.integers(1, min(longest, prepared.matrix.shape[1])))
-    plan = dataclasses.replace(prepared, limb_bits=limb_bits, chunk=chunk)
-    if conv:
-        got = K.conv2d_mod(x, plan, b, stride, pad)
-        want = kernel_oracle.conv2d_mod(x, w, b, stride, pad, p)
-    else:
-        got = K.matvec_mod(plan, x, b)
-        want = kernel_oracle.matvec_mod(w, x, b, p)
-    assert np.array_equal(got, want)
+    x = data.draw(residues((ci, h, ww)))
+    w = data.draw(weights((co, ci, k, k)))
+    b = data.draw(residues((co,))) if with_bias else np.zeros(co, dtype=np.int64)
+    got = K.conv2d_mod(x, K.prepare_weights(w), b if with_bias else None, stride, pad)
+    assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, P))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2**20), conv_case(), st.integers(1, 4))
@@ -169,34 +139,26 @@ def _unbatched_stack(kernel, xs, batch, x_ndim):
 BATCHES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
 
 
-@given(st.data(), MODULI, st.booleans(), st.integers(1, 32), BATCHES, st.integers(1, 300))
+@given(st.data(), st.booleans(), BATCHES, st.integers(1, 300))
 @settings(max_examples=200, deadline=None)
-def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, p, conv, limb_bits, batch,
-                                                        group_cols):
-    # the plans of test_kernels_are_exact_under_any_plan_within_the_bound,
-    # and conv groups of any width, down to one image a product
+def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, conv, batch, group_cols):
+    # conv groups of any width, down to one image a product
     if conv:
         ci, co, h, ww, k, stride, pad = data.draw(conv_case())
-        w = data.draw(residues((co, ci, k, k), p))
+        w = data.draw(weights((co, ci, k, k)))
         x_shape = (ci, h, ww)
     else:
-        w = data.draw(residues((data.draw(st.integers(1, 8)), data.draw(st.integers(1, 300))), p))
+        w = data.draw(weights((data.draw(st.integers(1, 8)), data.draw(st.integers(1, 300)))))
         x_shape = w.shape[1:]
-    b = data.draw(st.one_of(st.none(), residues(w.shape[:1], p)))
-    prepared = K.prepare_weights(w, p)
-    limb_bits = min(limb_bits, (p - 1).bit_length())
-    w_max = int(np.abs(prepared.matrix).max())
-    longest = (2**53 - 1) // max(1, w_max * ((1 << limb_bits) - 1))
-    assume(longest >= 1)
-    chunk = data.draw(st.integers(1, min(longest, prepared.matrix.shape[1])))
-    plan = dataclasses.replace(prepared, limb_bits=limb_bits, chunk=chunk)
+    b = data.draw(st.one_of(st.none(), residues(w.shape[:1])))
+    prepared = K.prepare_weights(w)
     if conv:
         def kernel(x):
-            return K.conv2d_mod(x, plan, b, stride, pad)
+            return K.conv2d_mod(x, prepared, b, stride, pad)
     else:
         def kernel(x):
-            return K.matvec_mod(plan, x, b)
-    xs = data.draw(residues(batch + x_shape, p))
+            return K.matvec_mod(prepared, x, b)
+    xs = data.draw(residues(batch + x_shape))
     with mock.patch.object(K, "_CONV_COLS", group_cols):
         got = kernel(xs)
     want = _unbatched_stack(kernel, xs, batch, len(x_shape))
@@ -204,29 +166,28 @@ def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, p, conv, limb_bit
     assert got.shape == want.shape and np.array_equal(got, want)
 
 
-@given(st.data(), MODULI, st.sampled_from([2**14 + 5, 2**17 + 5]), st.integers(2, 3))
+@given(st.data(), st.sampled_from([2**14 + 5, 2**17 + 5]), st.integers(2, 3))
 @settings(max_examples=10, deadline=None)
-def test_a_batched_matvec_across_the_chunk_boundary(data, p, cols, n):
-    w = data.draw(residues((2, cols), p))
-    xs = data.draw(residues((n, cols), p))
-    b = data.draw(residues((2,), p))
-    prepared = K.prepare_weights(w, p)
+def test_a_batched_matvec_at_large_fan_in(data, cols, n):
+    w = data.draw(weights((2, cols)))
+    xs = data.draw(residues((n, cols)))
+    b = data.draw(residues((2,)))
+    prepared = K.prepare_weights(w)
     want = _unbatched_stack(lambda x: K.matvec_mod(prepared, x, b), xs, (n,), 1)
     assert np.array_equal(K.matvec_mod(prepared, xs, b), want)
 
 
-def test_a_batched_conv_across_the_chunk_boundary():
-    # test_conv_across_the_chunk_boundary's 16389-product rows, two images a
-    # batch, one image a product and both in one
-    for p in (FIELD_MODULUS, P_MAX):
-        xs = np.full((2, 1821, 4, 3), p - 1, dtype=np.int64)
-        xs[1, :, 1] = (p - 1) // 2
-        w = K.prepare_weights(np.full((2, 1821, 3, 3), (p - 1) // 2, dtype=np.int64), p)
-        b = np.full(2, p - 1, dtype=np.int64)
-        want = _unbatched_stack(lambda x: K.conv2d_mod(x, w, b, 1, 0), xs, (2,), 3)
-        for group_cols in (1, 4):
-            with mock.patch.object(K, "_CONV_COLS", group_cols):
-                assert np.array_equal(K.conv2d_mod(xs, w, b, 1, 0), want)
+def test_a_batched_conv_at_large_fan_in():
+    # test_conv_at_large_fan_in's 16389-product rows at the largest admitted
+    # weight, two images a batch, one image a product and both in one
+    xs = np.full((2, 1821, 4, 3), P - 1, dtype=np.int64)
+    xs[1, :, 1] = (P - 1) // 2
+    w = K.prepare_weights(np.full((2, 1821, 3, 3), w_bound(1821 * 9), dtype=np.int64))
+    b = np.full(2, P - 1, dtype=np.int64)
+    want = _unbatched_stack(lambda x: K.conv2d_mod(x, w, b, 1, 0), xs, (2,), 3)
+    for group_cols in (1, 4):
+        with mock.patch.object(K, "_CONV_COLS", group_cols):
+            assert np.array_equal(K.conv2d_mod(xs, w, b, 1, 0), want)
 
 
 @st.composite
@@ -237,17 +198,17 @@ def pool_case(draw):
     return draw(st.integers(1, 3)), h, w, window, stride
 
 
-@given(st.data(), MODULI, pool_case(), BATCHES)
+@given(st.data(), pool_case(), BATCHES)
 @settings(max_examples=100, deadline=None)
-def test_batched_pool_and_relu_equal_their_unbatched_calls(data, p, case, batch):
+def test_batched_pool_and_relu_equal_their_unbatched_calls(data, case, batch):
     c, h, ww, window, stride = case
-    xs = data.draw(residues(batch + (c, h, ww), p))
-    got = K.sumpool_mod(xs, window, stride, p)
-    want = _unbatched_stack(lambda x: K.sumpool_mod(x, window, stride, p), xs, batch, 3)
+    xs = data.draw(residues(batch + (c, h, ww)))
+    got = K.sumpool_mod(xs, window, stride)
+    want = _unbatched_stack(lambda x: K.sumpool_mod(x, window, stride), xs, batch, 3)
     assert got.shape == want.shape and np.array_equal(got, want)
-    a, b, r = (data.draw(residues(batch + (c * h * ww,), p)) for _ in range(3))
-    got = K.relu_remask_mod(a, b, r, p)
-    want = np.stack([K.relu_remask_mod(ai, bi, ri, p) for ai, bi, ri in
+    a, b, r = (data.draw(residues(batch + (c * h * ww,))) for _ in range(3))
+    got = K.relu_remask_mod(a, b, r)
+    want = np.stack([K.relu_remask_mod(ai, bi, ri) for ai, bi, ri in
                      zip(a.reshape(-1, c * h * ww), b.reshape(-1, c * h * ww),
                          r.reshape(-1, c * h * ww))]).reshape(got.shape)
     assert np.array_equal(got, want)

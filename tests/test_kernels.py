@@ -9,6 +9,7 @@ import kernel_oracle as ref
 from pisim import _kernels as K
 from pisim.field import (
     FIELD_MODULUS,
+    FieldOverflowRisk,
     decode_signed,
     encode,
     half_range,
@@ -16,7 +17,7 @@ from pisim.field import (
 )
 
 P = FIELD_MODULUS
-HALF = half_range(P)
+HALF = half_range()
 
 
 def _rng():
@@ -24,8 +25,27 @@ def _rng():
 
 
 def test_modulus_products_fit_int64():
-    # p^2 must stay below 2^63 or the kernels silently wrap
+    # p^2 must stay below 2^63 or the loop references silently wrap
     assert (P - 1) ** 2 < 2**63
+
+
+def test_prepare_weights_at_the_bound():
+    # 3 * (p - 1) * K < 2**53 holds up to fan-in 1,398,101 and no further
+    assert K.prepare_weights(np.full((2, 1_398_101), 3)).matrix.shape == (2, 1_398_101)
+    with pytest.raises(FieldOverflowRisk, match="fan-in 1398102"):
+        K.prepare_weights(np.full((2, 1_398_102), 3))
+
+
+@given(st.integers(1024, HALF), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_prepare_weights_admits_the_largest_exact_fan_in(w_max, negative):
+    # the largest fan-in at which max|w| * (p - 1) * K stays below 2**53,
+    # whichever sign the largest weight has
+    k = (2**53 - 1) // (w_max * (P - 1))
+    w = encode(-w_max if negative else w_max)
+    assert K.prepare_weights(np.full((1, k), w)).matrix.shape == (1, k)
+    with pytest.raises(FieldOverflowRisk):
+        K.prepare_weights(np.full((1, k + 1), w))
 
 
 def test_encode_decode_roundtrip():
@@ -53,23 +73,25 @@ class TestBackendsAgree:
         w = sample_elements(rng, (5, 3, 3, 3)) % 11
         b = sample_elements(rng, 5) % 11
         for stride, pad in [(1, 0), (1, 1), (2, 1), (3, 0)]:
-            a = K.conv2d_mod(x, K.prepare_weights(w, P), b, stride, pad)
+            a = K.conv2d_mod(x, K.prepare_weights(w), b, stride, pad)
             c = ref.conv2d_mod_loop(x, w, b, stride, pad, P)
             assert np.array_equal(a, c)
 
     def test_matvec(self):
         rng = _rng()
-        w = sample_elements(rng, (7, 33))
+        # the largest weights the 2**53 bound admits at fan-in 33
+        w_max = (2**53 - 1) // ((P - 1) * 33)
+        w = encode(rng.integers(-w_max, w_max + 1, size=(7, 33)))
         x = sample_elements(rng, 33)
         b = sample_elements(rng, 7)
         assert np.array_equal(
-            K.matvec_mod(K.prepare_weights(w, P), x, b), ref.matvec_mod_loop(w, x, b, P)
+            K.matvec_mod(K.prepare_weights(w), x, b), ref.matvec_mod_loop(w, x, b, P)
         )
 
     def test_sumpool(self):
         x = sample_elements(_rng(), (4, 8, 8))
         for window, stride in [(2, 2), (4, 4), (3, 2), (8, 8)]:
-            a = K.sumpool_mod(x, window, stride, P)
+            a = K.sumpool_mod(x, window, stride)
             c = ref.sumpool_mod_loop(x, window, stride, P)
             assert np.array_equal(a, c)
 
@@ -79,7 +101,7 @@ class TestBackendsAgree:
         b = sample_elements(rng, 4096)
         r = sample_elements(rng, 4096)
         assert np.array_equal(
-            K.relu_remask_mod(a, b, r, P), ref.relu_remask_mod_loop(a, b, r, P)
+            K.relu_remask_mod(a, b, r), ref.relu_remask_mod_loop(a, b, r, P)
         )
 
 
@@ -98,7 +120,6 @@ def test_relu_remask_semantics(a, b, r):
         np.array([a], dtype=np.int64),
         np.array([b], dtype=np.int64),
         np.array([r], dtype=np.int64),
-        P,
     )
     assert int(got[0]) == want
 
@@ -109,9 +130,9 @@ def test_conv_matches_integer_reference():
     x_s = rng.integers(-4, 5, size=(2, 5, 5))
     w_s = rng.integers(-3, 4, size=(3, 2, 2, 2))
     b_s = rng.integers(-3, 4, size=3)
-    prepared = K.prepare_weights(encode(w_s), P)
+    prepared = K.prepare_weights(encode(w_s))
     # signed weights prepare to the same re-centred matrix as their residues
-    assert np.array_equal(K.prepare_weights(w_s, P).matrix, prepared.matrix)
+    assert np.array_equal(K.prepare_weights(w_s).matrix, prepared.matrix)
     assert np.array_equal(prepared.matrix, w_s.reshape(3, -1))
     got = K.conv2d_mod(encode(x_s), prepared, encode(b_s), 1, 0)
     for co in range(3):

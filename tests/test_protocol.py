@@ -307,7 +307,7 @@ def test_gadget_evaluate_semantics(seed, n):
     s = (encode(v) - c) % P
     mask = sample_elements(rng, (n,))
     gadget = GarbledGadget(0, n, client_share=c, next_mask=mask)
-    out = gadget.evaluate(s, P)
+    out = gadget.evaluate(s)
     assert np.array_equal(out, (np.maximum(v, 0) - mask) % P)
 
 
@@ -315,4 +315,4 @@ def test_garbler_side_gadget_not_evaluable():
     from pisim.protocol.parties import GarbledGadget
 
     with pytest.raises(RuntimeError):
-        GarbledGadget(0, 4).evaluate(np.zeros(4, dtype=np.int64), P)
+        GarbledGadget(0, 4).evaluate(np.zeros(4, dtype=np.int64))

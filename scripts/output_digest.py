@@ -7,8 +7,8 @@ The groups are the outputs a refactor must leave byte-identical:
   cost      stdout (and exit code) of 168 `pisim cost` runs: every preset
             model x dataset x protocol under 14 mode, knob and bandwidth
             variants
-  rates     each cost mode's calibrated rates (as float.hex) and the repr
-            of its CalibrationReport, fit from the shipped table
+  rates     the calibrated rates (as float.hex) and the repr of the
+            CalibrationReport, fit from the shipped table
   sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
   verify    stdout of `verify --trials 100` at seeds 0 to 3
 
@@ -62,14 +62,9 @@ def cost_text() -> str:
 
 
 def rates_text() -> str:
-    lines = []
-    for mode in ("table", "component"):
-        cm = load_shipped_model(mode=mode)
-        rates = (cm.gc_bytes_per_relu, *cm.offline_rates, *cm.online_rates,
-                 cm.calibrated_bandwidth)
-        lines.append(f"{mode} {cm.columns!r} {' '.join(float(r).hex() for r in rates)}")
-        lines.append(repr(cm.report))
-    return "\n".join(lines) + "\n"
+    cm = load_shipped_model()
+    rates = (cm.gc_bytes_per_relu, *cm.offline_rates, *cm.online_rates, cm.calibrated_bandwidth)
+    return f"{cm.columns!r} {' '.join(float(r).hex() for r in rates)}\n{cm.report!r}\n"
 
 
 def sweeps_text() -> str:

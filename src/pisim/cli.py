@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -345,9 +346,11 @@ def _spec_costs(
     """
     knobs = parse_knobs(spec.knobs)
     mode = spec.mode or ("table" if knobs.is_identity else "component")
-    cm = load_shipped_model(mode=mode)
+    cm = load_shipped_model()
     arch = resolve_arch(spec.model, spec.dataset)
-    costs = [phase_costs(cm, p, arch, bandwidth=bandwidth, knobs=knobs) for p in protocols]
+    costs = [
+        phase_costs(cm, p, arch, bandwidth=bandwidth, knobs=knobs, mode=mode) for p in protocols
+    ]
     return knobs, mode, costs
 
 
@@ -484,7 +487,10 @@ def cmd_arch_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later
+    one, so repeated in-process calls of main leave no parser as garbage."""
     parser = argparse.ArgumentParser(
         prog="pisim",
         description="Cost modeling and discrete-event simulation of "

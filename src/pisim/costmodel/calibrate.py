@@ -154,7 +154,7 @@ def _solve(design: list[tuple[list[float], float, float]]) -> tuple[float, ...]:
     return tuple(float(r) for r in nnls(a, b))
 
 
-def calibrate(rows: list[MeasuredCosts], mode: str = "component") -> CostModel:
+def calibrate(rows: list[MeasuredCosts]) -> CostModel:
     """Fit a CostModel from measured rows.
 
     Each row's (model, dataset) names a built-in preset. Partial protocol
@@ -187,7 +187,6 @@ def calibrate(rows: list[MeasuredCosts], mode: str = "component") -> CostModel:
     online = [(on, v.online_compute_s, 1.0) for v, (_, on) in zip(views, features)]
 
     model = CostModel(
-        mode=mode,
         gc_bytes_per_relu=_fit_gc_rate(views),
         columns=columns,
         offline_rates=_solve(offline),
@@ -200,9 +199,9 @@ def calibrate(rows: list[MeasuredCosts], mode: str = "component") -> CostModel:
     return model
 
 
-def load_shipped_model(mode: str = "component") -> CostModel:
+def load_shipped_model() -> CostModel:
     """Calibrate from the packaged measured-costs table."""
-    return calibrate(load_shipped_costs(), mode=mode)
+    return calibrate(load_shipped_costs())
 
 
 def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:

@@ -1,18 +1,20 @@
 """Cost queries against a calibrated model.
 
-Two prediction paths share one PhaseCosts constructor, `_priced`. Table
-mode replays a measured row (exact at the calibrated bandwidth, wire term
-re-priced at other bandwidths), split into bytes and compute by
-`measured_phases`, as the fit splits it. Component mode prices any
-architecture, including knob-scaled what-ifs, with the formula the rates
-were fit by; the calibration report prices each measured row through it.
+One fitted CostModel answers each query in the mode the query names, and
+the two prediction paths share one PhaseCosts constructor, `_priced`.
+Table mode replays a measured row (exact at the calibrated bandwidth,
+wire term re-priced at other bandwidths), split into bytes and compute by
+`measured_phases`, as the fit splits it; it prices only the networks that
+were measured. Component mode prices any architecture, including
+knob-scaled what-ifs, with the formula the rates were fit by; the
+calibration report prices each measured row through it.
 """
 
 from __future__ import annotations
 
 import math
 
-from ..netarch import NetworkArch, canonical_dataset
+from ..netarch import NetworkArch, build_preset, canonical_dataset
 from .comm import (
     GC_TRANSFER_BYTES_PER_RELU,
     CommInputs,
@@ -153,6 +155,11 @@ def _table_costs(
             f"no measured row for {protocol.short}/{arch.name}/{arch.dataset.name}"
         )
     row = cm.table[key]
+    if arch != build_preset(row.model, row.dataset):
+        raise UncalibratedTriple(
+            f"{arch.name}/{arch.dataset.name} is not the network measured under that "
+            "name; table mode replays only the measured networks, use --mode component"
+        )
     sizes = CommInputs.from_arch(arch)
     (off, off_compute), (on, on_compute) = measured_phases(row, sizes)
     # Measured totals are not decomposed; attribute the fitted HE share.
@@ -171,8 +178,10 @@ def phase_costs(
     arch: NetworkArch,
     bandwidth: float | None = None,
     knobs: OptimizationKnobs | None = None,
+    mode: str = "component",
 ) -> PhaseCosts:
-    """Predict per-inference offline and online costs in cm.mode."""
+    """Predict per-inference offline and online costs: mode "table"
+    replays a measured row, "component" prices with the fitted rates."""
     protocol = Protocol.parse(protocol)
     if protocol not in cm.calibrated_protocols:
         raise InsufficientRows(
@@ -182,7 +191,9 @@ def phase_costs(
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise InvalidCostInput(f"bandwidth must be finite and positive, got {bandwidth}")
     knobs = knobs or IDENTITY
-    if cm.mode == "table":
+    if mode not in ("table", "component"):
+        raise InvalidCostInput(f"unknown cost mode {mode!r}; use table or component")
+    if mode == "table":
         if not knobs.is_identity:
             raise InvalidCostInput(
                 "table mode replays measured rows and cannot apply "

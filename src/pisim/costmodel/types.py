@@ -58,7 +58,8 @@ class InconsistentRows(CostModelError):
 
 
 class UncalibratedTriple(CostModelError):
-    """Table-direct lookup for a (protocol, model, dataset) with no row."""
+    """Table-mode lookup for a (protocol, model, dataset) with no row, or
+    for a network other than the measured one."""
 
 
 class UnknownOptimization(CostModelError):
@@ -181,14 +182,12 @@ class CalibrationReport:
 class CostModel:
     """Calibrated rates plus the measured table they were fit from.
 
-    mode picks the phase_costs path: "table" replays measured rows (exact
-    at the calibrated bandwidth), "component" prices any architecture with
-    the fitted rates. offline_rates and online_rates hold one rate per
-    calibrated column (see formula.Columns); a prediction is their dot
-    product with the network's feature vectors.
+    offline_rates and online_rates hold one rate per calibrated column
+    (see formula.Columns); a component prediction is their dot product
+    with the network's feature vectors. table holds the measured rows
+    that table-mode queries replay.
     """
 
-    mode: str
     gc_bytes_per_relu: float
     columns: Columns
     offline_rates: tuple[float, ...]
@@ -198,8 +197,6 @@ class CostModel:
     report: CalibrationReport | None = None
 
     def __post_init__(self):
-        if self.mode not in ("table", "component"):
-            raise InvalidCostInput(f"mode must be 'table' or 'component', got {self.mode!r}")
         rates = (self.gc_bytes_per_relu, *self.offline_rates, *self.online_rates)
         if not all(r >= 0 for r in rates):
             raise InvalidCostInput("all rates must be non-negative")

@@ -3,16 +3,14 @@
 from .arrivals import poisson_arrival_times
 from .config import PIPELINED, SERIAL, ConfigInfeasible, SimConfig
 from .engine import capacity_bundles, run_many, run_schedule, simulate, stability_limit
-from .metrics import AggregateMetrics, Schedule, aggregate
+from .metrics import aggregate
 from .sweep import SWEEP_COLUMNS, run_points, sweep_point, write_sweep_csv
 
 __all__ = [
-    "AggregateMetrics",
     "ConfigInfeasible",
     "PIPELINED",
     "SERIAL",
     "SWEEP_COLUMNS",
-    "Schedule",
     "SimConfig",
     "aggregate",
     "capacity_bundles",

@@ -32,15 +32,15 @@ class SimConfig:
     never overlap and at most one precompute bundle exists at a time.
     "pipelined" precomputes bundles ahead of demand with unbounded
     offline parallelism, holding as many as storage capacity allows,
-    while the online phase stays serial. A capacity of None or math.inf
-    is unlimited; None is stored as math.inf.
+    while the online phase stays serial. A capacity of math.inf is
+    unlimited.
     """
 
     arrival_rate: float
     horizon_s: float = 86400.0
     n_runs: int = 100
-    server_capacity_bytes: float | None = 1e13
-    client_capacity_bytes: float | None = None
+    server_capacity_bytes: float = 1e13
+    client_capacity_bytes: float = math.inf
     concurrency: str = SERIAL
 
     def __post_init__(self):
@@ -58,10 +58,7 @@ class SimConfig:
                 f"the limit is {MAX_EXPECTED_ARRIVALS:g}"
             )
         for name in ("server_capacity_bytes", "client_capacity_bytes"):
-            capacity = getattr(self, name)
-            if capacity is None:
-                object.__setattr__(self, name, math.inf)
-            elif math.isnan(capacity):
+            if math.isnan(getattr(self, name)):
                 raise ConfigInfeasible(f"{name} is NaN")
         if self.n_runs < 1:
             raise ConfigInfeasible(f"n_runs must be at least 1, got {self.n_runs}")

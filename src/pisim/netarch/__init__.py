@@ -8,24 +8,14 @@ from .layers import (
     DatasetSpec,
     FC,
     Flatten,
-    LayerSpec,
     NetworkArch,
     ReLU,
     SkipConnection,
 )
-from .lowering import (
-    ActivationPoint,
-    CompiledNetwork,
-    LinearUnit,
-    PrimitiveOp,
-    compile_network,
-)
+from .lowering import CompiledNetwork, compile_network
 from .presets import (
-    CIFAR100,
     DATASETS,
-    IMAGENET,
     MODELS,
-    TINYIMAGENET,
     TOY8,
     UnknownPreset,
     build_preset,
@@ -35,28 +25,21 @@ from .presets import (
 from .shapes import IncompatibleResolution, InvalidArch, infer_shapes, validate
 
 __all__ = [
-    "ActivationPoint",
     "AvgPool",
-    "CIFAR100",
     "CompiledNetwork",
     "Conv",
     "DATASETS",
     "DatasetSpec",
     "FC",
     "Flatten",
-    "IMAGENET",
     "IncompatibleResolution",
     "InvalidArch",
     "LayerCounts",
-    "LayerSpec",
-    "LinearUnit",
     "MODELS",
     "NetworkArch",
     "ParseError",
-    "PrimitiveOp",
     "ReLU",
     "SkipConnection",
-    "TINYIMAGENET",
     "TOY8",
     "UnknownPreset",
     "build_preset",

@@ -78,7 +78,7 @@ def _finish(fields: dict[str, str], lineno: int) -> None:
         raise ParseError(lineno, f"unknown fields {sorted(fields)}")
 
 
-def _parse_conv(tokens: list[str], lineno: int, default_bias: bool) -> Conv:
+def _parse_conv(tokens: list[str], lineno: int) -> Conv:
     f = _fields(tokens, lineno)
     conv = Conv(
         in_channels=_take_int(f, "in", lineno),
@@ -86,7 +86,7 @@ def _parse_conv(tokens: list[str], lineno: int, default_bias: bool) -> Conv:
         kernel=_take_int(f, "kernel", lineno),
         stride=_take_int(f, "stride", lineno, default=1),
         padding=_take_int(f, "pad", lineno, default=0),
-        bias=_take_bool(f, "bias", lineno, default_bias),
+        bias=_take_bool(f, "bias", lineno, False),
     )
     _finish(f, lineno)
     return conv
@@ -118,7 +118,7 @@ def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
             )
             _finish(f, lineno)
         elif directive == "conv":
-            layers.append(_parse_conv(tokens, lineno, default_bias=False))
+            layers.append(_parse_conv(tokens, lineno))
         elif directive == "fc":
             f = _fields(tokens, lineno)
             layers.append(
@@ -152,7 +152,7 @@ def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
             conv = None
             if "conv" in tokens:
                 split = tokens.index("conv")
-                conv = _parse_conv(tokens[split + 1 :], lineno, default_bias=False)
+                conv = _parse_conv(tokens[split + 1 :], lineno)
                 tokens = tokens[:split]
             f = _fields(tokens, lineno)
             source = _take_int(f, "from", lineno)

@@ -150,16 +150,11 @@ _BUILDERS = {
 MODELS = tuple(sorted(_BUILDERS))
 
 
-def build_preset(model: str, dataset: DatasetSpec | str | None = None) -> NetworkArch:
+def build_preset(model: str, dataset: DatasetSpec | str) -> NetworkArch:
     """Construct a preset architecture at the given dataset's geometry."""
     key = model.lower()
     if key not in _BUILDERS:
         raise UnknownPreset(f"unknown model {key!r}; known: {sorted(_BUILDERS)}")
-    if dataset is None:
-        ds = TOY8 if key == "toy_cnn" else CIFAR100
-    elif isinstance(dataset, str):
-        ds = get_dataset(dataset)
-    else:
-        ds = dataset
+    ds = get_dataset(dataset) if isinstance(dataset, str) else dataset
     return _BUILDERS[key](ds)
 

@@ -52,24 +52,19 @@ class Transcript:
     def __init__(self):
         self.events: list[TranscriptEvent] = []
 
-    def total_bytes(self, phase: str | None = None, direction: str | None = None) -> int:
+    def total_bytes(self, phase: str, direction: str) -> int:
         return sum(
-            e.nbytes
-            for e in self.events
-            if (phase is None or e.phase == phase)
-            and (direction is None or e.direction == direction)
+            e.nbytes for e in self.events if e.phase == phase and e.direction == direction
         )
 
-    def stored_bytes(self, receiver: str, phase: str = "offline") -> int:
+    def stored_bytes(self, receiver: str) -> int:
+        """Bytes the receiver keeps from the offline phase."""
         direction = "c2s" if receiver == SERVER else "s2c"
         return sum(
             e.nbytes
             for e in self.events
-            if e.phase == phase and e.direction == direction and e.stored_by_receiver
+            if e.phase == "offline" and e.direction == direction and e.stored_by_receiver
         )
-
-    def kinds(self, phase: str | None = None) -> set[EventKind]:
-        return {e.kind for e in self.events if phase is None or e.phase == phase}
 
     def to_jsonl(self) -> str:
         lines = []

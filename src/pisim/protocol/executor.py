@@ -52,19 +52,17 @@ class BundleConsumed(RuntimeError):
 
 
 class BundleMismatch(RuntimeError):
-    """Bundle and online request disagree on arch, protocol, or input."""
+    """Bundle and online input disagree on shape, or the client and server
+    states come from different bundles."""
 
 
 @dataclass
 class PrecomputeBundle:
-    """One bundle (`nonce` an int), or a block of bundles (`nonce` a tuple)
-    whose states hold every array with a leading axis of one entry per
-    nonce. Stored byte counts are per inference."""
+    """One bundle, or a block of bundles whose states hold every array
+    with a leading axis of one entry per nonce. Stored byte counts are per
+    inference."""
 
     arch: NetworkArch
-    protocol: Protocol
-    seed: int
-    nonce: int | tuple[int, ...]
     compiled: CompiledNetwork
     client_state: ClientState
     server_state: ServerState
@@ -153,10 +151,10 @@ def run_offline(
     compiled = _compiled(arch)
     bundle_id = next(_bundle_counter)
     if isinstance(nonce, Sequence):
-        nonce = tuple(nonce)
-        if not nonce:
+        nonces = tuple(nonce)
+        if not nonces:
             raise ValueError("a block needs at least one nonce")
-        nonces, batch = nonce, (len(nonce),)
+        batch = (len(nonces),)
     else:
         nonces, batch = (nonce,), ()
     client = ClientState(
@@ -178,9 +176,6 @@ def run_offline(
     _run_pair(channel, client_offline(client, channel), server_offline(server, channel))
     return PrecomputeBundle(
         arch=arch,
-        protocol=protocol,
-        seed=seed,
-        nonce=nonce,
         compiled=compiled,
         client_state=client,
         server_state=server,
@@ -189,22 +184,13 @@ def run_offline(
     )
 
 
-def run_online(
-    bundle: PrecomputeBundle,
-    x: np.ndarray,
-    arch: NetworkArch | None = None,
-    protocol=None,
-) -> OnlineResult:
+def run_online(bundle: PrecomputeBundle, x: np.ndarray) -> OnlineResult:
     """Consume the bundle on x: one (c, h, w) input for one bundle, or
     (n, c, h, w) for a block of n; the logits carry the same leading axis."""
     if bundle.consumed:
         raise BundleConsumed(
             "precompute bundle was already used; run the offline phase again"
         )
-    if arch is not None and arch != bundle.arch:
-        raise BundleMismatch("bundle was precomputed for a different architecture")
-    if protocol is not None and Protocol.parse(protocol) is not bundle.protocol:
-        raise BundleMismatch("bundle was precomputed for a different protocol")
     if bundle.client_state.bundle_id != bundle.server_state.bundle_id:
         raise BundleMismatch("client and server state come from different bundles")
     ds = bundle.arch.dataset

@@ -56,11 +56,9 @@ class GarbledGadget:
     sanctioned access to them.
     """
 
-    __slots__ = ("point_index", "relus", "_client_share", "_next_mask")
+    __slots__ = ("_client_share", "_next_mask")
 
-    def __init__(self, point_index, relus, client_share=None, next_mask=None):
-        self.point_index = point_index
-        self.relus = relus
+    def __init__(self, client_share=None, next_mask=None):
         self._client_share = client_share
         self._next_mask = next_mask
 
@@ -166,8 +164,6 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
     if cg:
         for pt in comp.relu_points:
             gadget = GarbledGadget(
-                pt.index,
-                pt.elems,
                 client_share=state.shares[pt.index].reshape(-1).copy(),
                 next_mask=state.masks[pt.index].reshape(-1).copy(),
             )
@@ -253,7 +249,7 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
             ch.send(
                 SERVER,
                 EventKind.GARBLED_CIRCUIT,
-                GarbledGadget(pt.index, pt.elems),
+                GarbledGadget(),
                 GC_BLOB_BYTES_PER_RELU * pt.elems,
                 stored_by_receiver=True,
                 label=f"point{pt.index}",

@@ -47,8 +47,7 @@ from pisim.protocol import (
 SG = Protocol.SERVER_GARBLER
 CG = Protocol.CLIENT_GARBLER
 
-TABLE_CM = load_shipped_model("table")
-COMP_CM = load_shipped_model("component")
+CM = load_shipped_model()
 
 
 def report(n: int, detail: str) -> None:
@@ -80,13 +79,13 @@ def test_criterion_01_network_counts():
 
 
 def test_criterion_02_gc_storage_bottleneck():
-    r32 = phase_costs(COMP_CM, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
-    r18c = phase_costs(COMP_CM, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
-    r18t = phase_costs(COMP_CM, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
+    r32 = phase_costs(CM, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
+    r18c = phase_costs(CM, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
+    r18t = phase_costs(CM, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
     assert abs(r32 - 5.3e9) / 5.3e9 <= 0.05        # 5% band
     assert r18c > 9e9
     assert abs(r18t - 38.9e9) / 38.9e9 <= 0.10     # 10% band
-    per_relu = COMP_CM.gc_bytes_per_relu
+    per_relu = CM.gc_bytes_per_relu
     assert 17_000 <= per_relu <= 20_000
     report(2, f"gc state {r32 / 1e9:.2f} / {r18c / 1e9:.2f} / {r18t / 1e9:.2f} GB "
               f"at {per_relu / 1e3:.2f} KB per relu")
@@ -98,10 +97,10 @@ def test_criterion_03_latency_calibration():
     assert len(rows) == 12
     for row in rows:
         arch = build_preset(row.model, row.dataset)
-        exact = phase_costs(TABLE_CM, row.protocol, arch)
+        exact = phase_costs(CM, row.protocol, arch, mode="table")
         assert exact.offline_latency_s == pytest.approx(row.offline_latency_s, abs=1e-9)
         assert exact.online_latency_s == pytest.approx(row.online_latency_s, abs=1e-9)
-        fit = phase_costs(COMP_CM, row.protocol, arch)
+        fit = phase_costs(CM, row.protocol, arch)
         off = abs(fit.offline_latency_s - row.offline_latency_s) / row.offline_latency_s
         on = abs(fit.online_latency_s - row.online_latency_s) / row.online_latency_s
         worst = max(worst, off, on)
@@ -165,7 +164,7 @@ def test_criterion_05_garbler_placement():
 
 
 def _serial_sweep(proto, cap_gb, rates, n_runs=100, horizon=86_400.0):
-    costs = phase_costs(TABLE_CM, proto, build_preset("resnet32", "cifar100"))
+    costs = phase_costs(CM, proto, build_preset("resnet32", "cifar100"), mode="table")
     out = {}
     for rate in rates:
         cfg = SimConfig(
@@ -205,7 +204,7 @@ def test_criterion_06_serial_crossover():
     assert top > stability_limit(sg_costs, serial)
     assert top > stability_limit(cg_costs, serial)
     assert sg8[top].saturated and cg8[top].saturated
-    costs = phase_costs(TABLE_CM, SG, build_preset("resnet32", "cifar100"))
+    costs = phase_costs(CM, SG, build_preset("resnet32", "cifar100"), mode="table")
     short = run_many(costs, SimConfig(
         arrival_rate=top, horizon_s=86_400.0, n_runs=20,
         concurrency=SERIAL, client_capacity_bytes=8e9,
@@ -224,7 +223,7 @@ def test_criterion_06_serial_crossover():
 def test_criterion_07_capacity_sweep_speedup():
     arch = build_preset("resnet18", "tinyimagenet")
     rate, caps = 0.004, (64.0, 128.0, 256.0)
-    sg_costs = phase_costs(TABLE_CM, SG, arch)
+    sg_costs = phase_costs(CM, SG, arch, mode="table")
     best_sg = math.inf
     for cap in caps:
         cfg = SimConfig(
@@ -233,7 +232,7 @@ def test_criterion_07_capacity_sweep_speedup():
         )
         agg = run_many(sg_costs, cfg, base_seed=0)
         best_sg = min(best_sg, agg.mean_latency_s)
-    cg_costs = phase_costs(TABLE_CM, CG, arch)
+    cg_costs = phase_costs(CM, CG, arch, mode="table")
     cg_cfg = SimConfig(
         arrival_rate=rate, horizon_s=86_400.0, n_runs=20,
         concurrency=PIPELINED, client_capacity_bytes=64.0e9,
@@ -246,7 +245,7 @@ def test_criterion_07_capacity_sweep_speedup():
 
 
 def test_criterion_08_precompute_wait_dominates():
-    costs = phase_costs(COMP_CM, CG, build_preset("resnet18", "cifar100"))
+    costs = phase_costs(CM, CG, build_preset("resnet18", "cifar100"))
     assert costs.offline_he_s >= 0.90 * costs.offline_compute_s
     rates = (1.2e-3, 1.8e-3, 2.2e-3)
     shares = []
@@ -267,7 +266,7 @@ def test_criterion_09_limiting_behavior():
     arch = build_preset("resnet32", "cifar100")
     warm_means = {}
     for proto in (SG, CG):
-        costs = phase_costs(TABLE_CM, proto, arch)
+        costs = phase_costs(CM, proto, arch, mode="table")
         cfg = SimConfig(
             arrival_rate=5e-5, horizon_s=86_400.0, n_runs=20, concurrency=PIPELINED,
         )
@@ -284,7 +283,7 @@ def test_criterion_09_limiting_behavior():
         # online latency to 5%
         assert abs(mean - costs.online_latency_s) / costs.online_latency_s <= 0.05
 
-    costs = phase_costs(TABLE_CM, SG, arch)
+    costs = phase_costs(CM, SG, arch, mode="table")
     lim = stability_limit(costs, SimConfig(arrival_rate=1.0, concurrency=SERIAL))
     rate = 1.2 * lim
     base = dict(arrival_rate=rate, n_runs=10, concurrency=SERIAL)
@@ -308,7 +307,7 @@ def test_criterion_10_statistics():
     assert abs(gaps.mean() - 1.0) <= 3 / math.sqrt(gaps.size)
     assert abs(gaps.var() - 1.0) <= 0.05
 
-    costs = phase_costs(TABLE_CM, CG, build_preset("resnet32", "cifar100"))
+    costs = phase_costs(CM, CG, build_preset("resnet32", "cifar100"), mode="table")
     base = dict(arrival_rate=1e-3, horizon_s=30_000.0, concurrency=PIPELINED)
     # average the small-batch interval over disjoint seed blocks so a
     # single noisy std estimate cannot dominate

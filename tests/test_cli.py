@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import re
 import subprocess
@@ -67,6 +68,35 @@ def test_cost_unknown_model(capsys):
     err = capsys.readouterr().err
     assert "alexnet" in err and "resnet32" in err
     assert '"' not in err
+
+
+# Named and labelled like a measured row, but another network.
+FAKE_RESNET32_ARCH = """name resnet32
+input channels=3 height=32 width=32 classes=100 dataset=cifar100
+conv in=3 out=2 kernel=3 pad=1
+relu
+flatten
+fc in=2048 out=100
+"""
+
+
+def test_table_mode_replays_only_the_measured_network(tmp_path, capsys):
+    path = tmp_path / "fake.arch"
+    path.write_text(FAKE_RESNET32_ARCH)
+    assert run_cli("cost", "--model", str(path)) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--mode component" in err
+    assert run_cli("cost", "--model", str(path), "--mode", "component") == EXIT_OK
+
+
+@pytest.mark.parametrize("model", ["resnet18", "resnet32", "vgg16"])
+def test_a_shipped_arch_file_costs_as_its_preset(model, capsys):
+    path = REPO / "src" / "pisim" / "configs" / "archs" / f"{model}.arch"
+    for protocol in ("sg", "cg"):
+        assert run_cli("cost", "--model", str(path), "--protocol", protocol) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert run_cli("cost", "--model", model, "--protocol", protocol) == EXIT_OK
+        assert from_file == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", [None, "", "none", "None", "identity", " baseline "])
@@ -172,15 +202,15 @@ def test_bad_mode_is_a_bad_key_value_on_every_command(command, tmp_path, capsys)
 @pytest.mark.parametrize("command", PRICED_COMMANDS)
 def test_knobs_pick_the_mode_when_none_is_given(command, knobs, mode, tmp_path, monkeypatch):
     modes = []
-    load = pisim.cli.load_shipped_model
+    query = pisim.cli.phase_costs
 
-    def recorded_load(**kwargs):
+    def recorded_query(*args, **kwargs):
         modes.append(kwargs["mode"])
-        return load(**kwargs)
+        return query(*args, **kwargs)
 
-    monkeypatch.setattr(pisim.cli, "load_shipped_model", recorded_load)
+    monkeypatch.setattr(pisim.cli, "phase_costs", recorded_query)
     assert run_cli(*_priced_argv(command, tmp_path, *knobs)) == EXIT_OK
-    assert modes == [mode]
+    assert modes and set(modes) == {mode}
 
 
 def test_cli_imports_no_scipy_or_numba():
@@ -384,18 +414,24 @@ def test_sweep_shipped_spec_reduced(tmp_path):
 
 
 def test_sweep_loads_the_cost_model_once(tmp_path, monkeypatch):
-    loads = []
-    load = pisim.cli.load_shipped_model
+    loads, modes = [], []
+    load, query = pisim.cli.load_shipped_model, pisim.cli.phase_costs
 
     def counted_load(*args, **kwargs):
-        loads.append(kwargs)
+        loads.append((args, kwargs))
         return load(*args, **kwargs)
 
+    def recorded_query(*args, **kwargs):
+        modes.append(kwargs["mode"])
+        return query(*args, **kwargs)
+
     monkeypatch.setattr(pisim.cli, "load_shipped_model", counted_load)
+    monkeypatch.setattr(pisim.cli, "phase_costs", recorded_query)
     rc = run_cli("sweep", "@fig4_c100", "--runs", "1", "--horizon", "1000",
                  "--out", str(tmp_path))
     assert rc == EXIT_OK
-    assert loads == [{"mode": "table"}]
+    assert loads == [((), {})]
+    assert modes == ["table", "table"]
 
 
 def test_sweep_all_infeasible_exit(tmp_path, capsys):
@@ -654,6 +690,20 @@ def test_exit_code_on_unknown_subapproach():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_an_in_process_call_leaves_no_parser_garbage(capsys):
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli("verify", "--trials", "2") == EXIT_OK
+        gc.collect()
+        leftovers = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not leftovers
 
 
 # --- documentation sync -----------------------------------------------------

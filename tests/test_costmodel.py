@@ -57,49 +57,45 @@ TABLE = {
 
 
 @pytest.fixture(scope="module")
-def table_cm():
-    return load_shipped_model(mode="table")
-
-
-@pytest.fixture(scope="module")
-def comp_cm():
-    return load_shipped_model(mode="component")
+def cm():
+    return load_shipped_model()
 
 
 @pytest.mark.parametrize("key", sorted(TABLE))
-def test_table_mode_reproduces_measurements(table_cm, key):
+def test_table_mode_reproduces_measurements(cm, key):
     proto, model, dataset = key
-    costs = phase_costs(table_cm, proto, build_preset(model, dataset))
+    costs = phase_costs(cm, proto, build_preset(model, dataset), mode="table")
     off, on = TABLE[key]
     assert costs.offline_latency_s == pytest.approx(off, abs=1e-9)
     assert costs.online_latency_s == pytest.approx(on, abs=1e-9)
 
 
 @pytest.mark.parametrize("key", sorted(TABLE))
-def test_component_mode_within_ten_percent(comp_cm, key):
+def test_component_mode_within_ten_percent(cm, key):
     proto, model, dataset = key
-    costs = phase_costs(comp_cm, proto, build_preset(model, dataset))
+    costs = phase_costs(cm, proto, build_preset(model, dataset))
     off, on = TABLE[key]
     assert abs(costs.offline_latency_s - off) / off <= 0.10
     assert abs(costs.online_latency_s - on) / on <= 0.10
 
 
-def test_table_mode_rejects_uncalibrated_triple(table_cm):
+def test_table_mode_rejects_uncalibrated_triple(cm):
     with pytest.raises(UncalibratedTriple):
-        phase_costs(table_cm, SG, build_preset("toy_cnn", "cifar100"))
+        phase_costs(cm, SG, build_preset("toy_cnn", "cifar100"), mode="table")
 
 
-def test_table_mode_rejects_knobs(table_cm):
+def test_table_mode_rejects_knobs(cm):
     with pytest.raises(ValueError):
         phase_costs(
-            table_cm, SG, build_preset("resnet32", "cifar100"), knobs=get_optimization("delphi")
+            cm, SG, build_preset("resnet32", "cifar100"), knobs=get_optimization("delphi"),
+            mode="table",
         )
 
 
-def test_bandwidth_repricing(table_cm):
+def test_bandwidth_repricing(cm):
     arch = build_preset("resnet32", "cifar100")
-    base = phase_costs(table_cm, SG, arch)
-    slow = phase_costs(table_cm, SG, arch, bandwidth=base.bandwidth_bytes_per_s / 2)
+    base = phase_costs(cm, SG, arch, mode="table")
+    slow = phase_costs(cm, SG, arch, bandwidth=base.bandwidth_bytes_per_s / 2, mode="table")
     # halving bandwidth adds exactly the extra wire time for each phase
     extra_off = base.offline_comm_c2s_bytes + base.offline_comm_s2c_bytes
     assert slow.offline_latency_s == pytest.approx(
@@ -108,38 +104,38 @@ def test_bandwidth_repricing(table_cm):
     assert slow.online_latency_s > base.online_latency_s
 
 
-def test_gc_storage_values(comp_cm):
-    r32 = phase_costs(comp_cm, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
-    r18c = phase_costs(comp_cm, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
-    r18t = phase_costs(comp_cm, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
+def test_gc_storage_values(cm):
+    r32 = phase_costs(cm, "sg", build_preset("resnet32", "cifar100")).gc_storage_bytes
+    r18c = phase_costs(cm, "sg", build_preset("resnet18", "cifar100")).gc_storage_bytes
+    r18t = phase_costs(cm, "sg", build_preset("resnet18", "tinyimagenet")).gc_storage_bytes
     assert abs(r32 - 5.3e9) / 5.3e9 <= 0.05
     assert r18c > 9e9
     assert abs(r18t - 38.9e9) / 38.9e9 <= 0.10
-    per_relu = comp_cm.gc_bytes_per_relu
+    per_relu = cm.gc_bytes_per_relu
     assert 17_000 <= per_relu <= 20_000
     assert r18t == count(build_preset("resnet18", "tinyimagenet")).relus * per_relu
 
 
-def test_gc_storage_scales_with_relu_knob(comp_cm):
+def test_gc_storage_scales_with_relu_knob(cm):
     arch = build_preset("resnet18", "tinyimagenet")
-    base = phase_costs(comp_cm, SG, arch).gc_storage_bytes
+    base = phase_costs(cm, SG, arch).gc_storage_bytes
     knobs = OptimizationKnobs(relu_factor=0.2, name="x")
-    pruned = phase_costs(comp_cm, SG, arch, knobs=knobs).gc_storage_bytes
+    pruned = phase_costs(cm, SG, arch, knobs=knobs).gc_storage_bytes
     # priced on the ReLU count rounded to a whole ReLU, as the byte model counts it
     relus = round(count(arch).relus * 0.2)
-    assert pruned == int(round(comp_cm.gc_bytes_per_relu * relus))
-    assert pruned == pytest.approx(base * 0.2, abs=comp_cm.gc_bytes_per_relu / 2)
+    assert pruned == int(round(cm.gc_bytes_per_relu * relus))
+    assert pruned == pytest.approx(base * 0.2, abs=cm.gc_bytes_per_relu / 2)
 
 
 @pytest.mark.parametrize("relu", [0.2, 0.37, 0.5])
 @pytest.mark.parametrize("model, dataset", [("resnet18", "tinyimagenet"), ("resnet32", "cifar100")])
 @pytest.mark.parametrize("proto", [SG, Protocol.CLIENT_GARBLER])
-def test_gc_storage_is_what_phase_costs_uses(comp_cm, relu, model, dataset, proto):
+def test_gc_storage_is_what_phase_costs_uses(cm, relu, model, dataset, proto):
     arch = build_preset(model, dataset)
     knobs = OptimizationKnobs(relu_factor=relu, gc_per_relu_factor=0.6, name="x")
-    costs = phase_costs(comp_cm, proto, arch, knobs=knobs)
+    costs = phase_costs(cm, proto, arch, knobs=knobs)
     relus = round(count(arch).relus * relu)
-    assert costs.gc_storage_bytes == int(round(comp_cm.gc_bytes_per_relu * 0.6 * relus))
+    assert costs.gc_storage_bytes == int(round(cm.gc_bytes_per_relu * 0.6 * relus))
 
 
 def test_offline_comm_direction_of_gc_transfer():
@@ -203,11 +199,11 @@ def test_client_storage_flip():
     assert cg_client <= 0.01 * sg_client
 
 
-def test_knob_composition(comp_cm):
+def test_knob_composition(cm):
     arch = build_preset("resnet18", "cifar100")
-    base = phase_costs(comp_cm, SG, arch)
+    base = phase_costs(cm, SG, arch)
     k = get_optimization("deepreduce_circa")
-    opt = phase_costs(comp_cm, SG, arch, knobs=k)
+    opt = phase_costs(cm, SG, arch, knobs=k)
     # relu counts are rounded to whole gates before pricing
     assert opt.gc_storage_bytes == pytest.approx(
         base.gc_storage_bytes * k.relu_factor * k.gc_per_relu_factor, rel=1e-5
@@ -232,18 +228,18 @@ def test_knobs_reject_non_finite_factors(factor):
         OptimizationKnobs(he_per_flop_factor=factor, name="bad")
 
 
-def test_bad_costs_and_models_raise_typed_errors(comp_cm):
+def test_bad_costs_and_models_raise_typed_errors(cm):
     arch = build_preset("resnet32", "cifar100")
-    costs = phase_costs(comp_cm, SG, arch)
+    costs = phase_costs(cm, SG, arch)
     with pytest.raises(InvalidCostInput):
         dataclasses.replace(costs, online_latency_s=-1.0)
     with pytest.raises(InvalidCostInput):
-        dataclasses.replace(comp_cm, mode="replay")
+        phase_costs(cm, SG, arch, mode="replay")
     with pytest.raises(InvalidCostInput):
-        dataclasses.replace(comp_cm, online_rates=(-1.0,) + comp_cm.online_rates[1:])
+        dataclasses.replace(cm, online_rates=(-1.0,) + cm.online_rates[1:])
     for bandwidth in (0.0, -5.0, math.nan, math.inf):
         with pytest.raises(InvalidCostInput):
-            phase_costs(comp_cm, SG, arch, bandwidth=bandwidth)
+            phase_costs(cm, SG, arch, bandwidth=bandwidth)
 
 
 def test_get_optimization_aliases_and_unknown():
@@ -261,8 +257,8 @@ def test_regime_classification():
     assert classify_regime(get_optimization("deepreduce_circa")) is Regime.HIGH
 
 
-def test_max_sustainable_rate(table_cm):
-    costs = phase_costs(table_cm, SG, build_preset("resnet32", "cifar100"))
+def test_max_sustainable_rate(cm):
+    costs = phase_costs(cm, SG, build_preset("resnet32", "cifar100"), mode="table")
     rate = stability_limit(costs, SimConfig(arrival_rate=1.0, concurrency=SERIAL))
     assert rate == pytest.approx(1.0 / (115.2 + 9.4))
 
@@ -293,15 +289,15 @@ def test_sg_only_calibration_rejects_cg_query():
         phase_costs(cm, CG, build_preset("resnet32", "cifar100"))
 
 
-def test_calibration_report_bounds(comp_cm):
-    rep = comp_cm.report
+def test_calibration_report_bounds(cm):
+    rep = cm.report
     assert rep is not None
     assert rep.max_latency_residual <= 0.10
     assert rep.max_storage_residual <= 0.05
 
 
-def test_he_dominates_offline_compute(comp_cm):
-    costs = phase_costs(comp_cm, CG, build_preset("resnet18", "cifar100"))
+def test_he_dominates_offline_compute(cm):
+    costs = phase_costs(cm, CG, build_preset("resnet18", "cifar100"))
     assert costs.offline_he_s >= 0.90 * costs.offline_compute_s
 
 

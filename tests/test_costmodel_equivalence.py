@@ -26,9 +26,8 @@ from pisim.costmodel import (
 from pisim.costmodel.formula import compute_seconds
 from pisim.netarch import MODELS, build_preset
 
-COMPONENT = load_shipped_model(mode="component")
-TABLE = load_shipped_model(mode="table")
-NAMED = oracle.named_rates(COMPONENT)
+CM = load_shipped_model()
+NAMED = oracle.named_rates(CM)
 
 # vgg16 cannot pool down to 8x8 inputs
 ARCHS = [
@@ -37,7 +36,7 @@ ARCHS = [
     for d in ("cifar100", "tinyimagenet", "imagenet", "toy8")
     if (m, d) != ("vgg16", "toy8")
 ]
-CALIBRATED = [a for a in ARCHS if (a.name, a.dataset.name) in {k[1:] for k in TABLE.table}]
+CALIBRATED = [a for a in ARCHS if (a.name, a.dataset.name) in {k[1:] for k in CM.table}]
 FACTORS = st.one_of(st.just(1.0), st.floats(0.05, 2.0, exclude_min=True))
 BANDWIDTHS = st.one_of(st.none(), st.floats(1e5, 1e11))
 
@@ -66,8 +65,8 @@ def test_component_costs_match_oracle(arch, protocol, relu, flop, gc, he, bandwi
     knobs = OptimizationKnobs(
         relu_factor=relu, flop_factor=flop, gc_per_relu_factor=gc, he_per_flop_factor=he
     )
-    got = phase_costs(COMPONENT, protocol, arch, bandwidth=bandwidth, knobs=knobs)
-    bw = COMPONENT.calibrated_bandwidth if bandwidth is None else bandwidth
+    got = phase_costs(CM, protocol, arch, bandwidth=bandwidth, knobs=knobs)
+    bw = CM.calibrated_bandwidth if bandwidth is None else bandwidth
     assert_same_costs(got, oracle.component_costs(NAMED, protocol, arch, bw, knobs))
 
 
@@ -78,15 +77,15 @@ def test_component_costs_match_oracle(arch, protocol, relu, flop, gc, he, bandwi
 )
 @settings(max_examples=100, deadline=None)
 def test_table_costs_match_oracle(arch, protocol, bandwidth):
-    got = phase_costs(TABLE, protocol, arch, bandwidth=bandwidth)
-    bw = TABLE.calibrated_bandwidth if bandwidth is None else bandwidth
+    got = phase_costs(CM, protocol, arch, bandwidth=bandwidth, mode="table")
+    bw = CM.calibrated_bandwidth if bandwidth is None else bandwidth
     assert_same_costs(got, oracle.table_costs(NAMED, protocol, arch, bw))
 
 
 @pytest.mark.parametrize("row", load_shipped_costs(), ids=lambda r: f"{r.protocol.short}/{r.model}/{r.dataset}")
 def test_report_prices_rows_like_oracle(row):
     arch = build_preset(row.model, row.dataset)
-    off, on, _ = compute_seconds(COMPONENT, row.protocol, CommInputs.from_arch(arch))
+    off, on, _ = compute_seconds(CM, row.protocol, CommInputs.from_arch(arch))
     want_off, want_on = oracle.predict_compute(NAMED, row.protocol, arch)
     assert off == pytest.approx(want_off, rel=1e-12, abs=0.0)
     assert on == pytest.approx(want_on, rel=1e-12, abs=0.0)

@@ -26,11 +26,11 @@ from pisim.desim import (
 from pisim.desim.config import MAX_EXPECTED_ARRIVALS
 from pisim.netarch import build_preset
 
-CM = load_shipped_model("table")
+CM = load_shipped_model()
 
 
 def costs_for(proto="sg", model="resnet32", dataset="cifar100"):
-    return phase_costs(CM, proto, build_preset(model, dataset))
+    return phase_costs(CM, proto, build_preset(model, dataset), mode="table")
 
 
 def finished_times(schedule):
@@ -189,15 +189,12 @@ def test_infeasible_capacity_raises():
         simulate(costs, cfg)
 
 
-@pytest.mark.parametrize("unbounded", [None, math.inf])
 @pytest.mark.parametrize("side", ["server_capacity_bytes", "client_capacity_bytes"])
 @pytest.mark.parametrize("concurrency", [SERIAL, PIPELINED])
-def test_none_and_inf_capacities_are_unbounded(concurrency, side, unbounded):
+def test_infinite_capacities_are_unbounded(concurrency, side):
     costs = costs_for()
-    caps = {"server_capacity_bytes": math.inf, "client_capacity_bytes": math.inf}
     cfg = SimConfig(arrival_rate=1e-3, horizon_s=20_000.0, concurrency=concurrency,
-                    **{**caps, side: unbounded})
-    assert getattr(cfg, side) == math.inf
+                    server_capacity_bytes=math.inf, client_capacity_bytes=math.inf)
     assert capacity_bundles(costs, cfg) == math.inf
     # a capacity far above the requests in the horizon serves them alike
     ample = dataclasses.replace(cfg, **{side: 1e30})

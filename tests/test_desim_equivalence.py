@@ -32,6 +32,8 @@ from pisim.desim.sweep import format_value
 from pisim.desim.engine import pipelined_steps, serial_steps
 from pisim.netarch import build_preset
 
+CM = load_shipped_model()
+
 
 def _oracle_arrays(records) -> list[np.ndarray]:
     def opt(t):
@@ -153,18 +155,18 @@ def test_pipelined_schedule_matches_reference(batch, cap):
 @pytest.mark.parametrize(
     "proto, model, dataset, concurrency, rate, horizon, cap_gb",
     [
-        ("sg", "resnet32", "cifar100", SERIAL, 2e-2, 20_000.0, None),
-        ("cg", "resnet18", "cifar100", PIPELINED, 2e-3, 100_000.0, None),
+        ("sg", "resnet32", "cifar100", SERIAL, 2e-2, 20_000.0, math.inf),
+        ("cg", "resnet18", "cifar100", PIPELINED, 2e-3, 100_000.0, math.inf),
         ("sg", "resnet18", "tinyimagenet", PIPELINED, 4e-3, 86_400.0, 128.0),
     ],
 )
 def test_simulate_matches_reference(proto, model, dataset, concurrency, rate, horizon, cap_gb):
-    costs = phase_costs(load_shipped_model("table"), proto, build_preset(model, dataset))
+    costs = phase_costs(CM, proto, build_preset(model, dataset), mode="table")
     cfg = SimConfig(
         arrival_rate=rate,
         horizon_s=horizon,
         concurrency=concurrency,
-        client_capacity_bytes=None if cap_gb is None else cap_gb * 1e9,
+        client_capacity_bytes=cap_gb * 1e9,
     )
     for seed in range(3):
         reference = desim_oracle.aggregate([desim_oracle.simulate(costs, cfg, seed)])
@@ -233,7 +235,7 @@ def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypat
     monkeypatch.setattr(engine, "_pad", pad)
     monkeypatch.setattr(engine, "aggregate", aggregate_runs)
     arch = build_preset("resnet18", "tinyimagenet")
-    costs = phase_costs(load_shipped_model("table"), "sg", arch)
+    costs = phase_costs(CM, "sg", arch, mode="table")
     cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=7, concurrency=concurrency,
                     client_capacity_bytes=128e9)
     agg = run_many(costs, cfg, 3)
@@ -264,7 +266,7 @@ def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
 # capacities that hold the same number of bundles (20 and 29 hold two).
 _SHARING_COSTS = [
     dataclasses.replace(
-        phase_costs(load_shipped_model("table"), proto, build_preset("resnet32", "cifar100")),
+        phase_costs(CM, proto, build_preset("resnet32", "cifar100"), mode="table"),
         offline_latency_s=off, online_latency_s=on,
         client_storage_delta_bytes=client_b, server_storage_delta_bytes=server_b,
     )
@@ -274,7 +276,7 @@ _SHARING_COSTS = [
         ("cg", 4.0, 0.5, 10, 7),
     )
 ]
-_CAPACITIES = [None, math.inf, 0.0, 5.0, 10.0, 20.0, 29.0, 30.0]
+_CAPACITIES = [math.inf, 0.0, 5.0, 10.0, 20.0, 29.0, 30.0]
 
 
 @st.composite
@@ -319,7 +321,7 @@ def test_run_points_sharing_matches_sweep_point_in_workers():
                       concurrency=concurrency), 1)
         for concurrency in (SERIAL, PIPELINED)
         for c in _SHARING_COSTS
-        for cap in (5.0, 20.0, 29.0, None)
+        for cap in (5.0, 20.0, 29.0, math.inf)
     ]
     assert _cells(run_points(tasks, 2)) == _cells([sweep_point(*t) for t in tasks])
 

@@ -47,7 +47,7 @@ def test_every_binding_resolves_is_wrapped_and_restored():
 
 
 def test_a_sweep_point_records_every_desim_span():
-    costs = phase_costs(load_shipped_model("table"), "sg", build_preset("resnet32", "cifar100"))
+    costs = phase_costs(load_shipped_model(), "sg", build_preset("resnet32", "cifar100"))
     config = SimConfig(arrival_rate=1e-3, horizon_s=10_000.0, n_runs=2, concurrency=SERIAL)
     tracer = Tracer()
     restore = install_layer_spans(tracer)

@@ -11,6 +11,10 @@ The groups are the outputs a refactor must leave byte-identical:
             CalibrationReport, fit from the shipped table
   sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
   verify    stdout of `verify --trials 100` at seeds 0 to 3
+  transcripts
+            the JSONL of the sg and cg transcripts that
+            `verify_against_plaintext` keeps for toy_cnn on cifar100, one
+            trial at seeds 0 to 3
 
 It digests whichever pisim is first on the import path, so the same file
 checks a `git archive` of another commit when PYTHONPATH points there. It
@@ -28,6 +32,8 @@ from pathlib import Path
 import pisim.cli
 from pisim.cli import main
 from pisim.costmodel import load_shipped_model
+from pisim.netarch import build_preset
+from pisim.protocol import verify_against_plaintext
 
 MODELS = ("resnet32", "vgg16", "resnet18")
 DATASETS = ("cifar100", "tinyimagenet")
@@ -80,11 +86,22 @@ def verify_text() -> str:
     return "".join(run(["verify", "--trials", "100", "--seed", str(s)]) for s in range(4))
 
 
+def transcripts_text() -> str:
+    arch = build_preset("toy_cnn", "cifar100")
+    parts = []
+    for s in range(4):
+        result = verify_against_plaintext(arch, seed=s, trials=1)
+        for protocol, transcript in result.transcripts.items():
+            parts.append(f"seed {s} {protocol.value}\n{transcript.to_jsonl()}")
+    return "".join(parts)
+
+
 def main_digest() -> None:
     print(f"pisim from {Path(pisim.cli.__file__).parent}")
     for name, text in (("cost", cost_text), ("rates", rates_text),
-                       ("sweeps", sweeps_text), ("verify", verify_text)):
-        print(f"{name:<8}{hashlib.sha256(text().encode()).hexdigest()}")
+                       ("sweeps", sweeps_text), ("verify", verify_text),
+                       ("transcripts", transcripts_text)):
+        print(f"{name:<12}{hashlib.sha256(text().encode()).hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from .costmodel import (
     online_comm,
     phase_costs,
 )
+from .costmodel.query import COST_MODES
 from .costmodel.tables import open_config
 from .costmodel.types import KNOB_FACTORS
 from .desim import (
@@ -146,8 +147,9 @@ def _parse_concurrency(text: str) -> str:
 
 
 def _parse_mode(text: str) -> str:
-    if text not in ("table", "component"):
-        raise SpecError(f"mode must be 'table' or 'component', got {text!r}")
+    if text not in COST_MODES:
+        names = " or ".join(repr(mode) for mode in COST_MODES)
+        raise SpecError(f"mode must be {names}, got {text!r}")
     return text
 
 

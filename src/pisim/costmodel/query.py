@@ -35,6 +35,9 @@ from .types import (
     UncalibratedTriple,
 )
 
+# the two ways a query prices a network, in the order messages name them
+COST_MODES = ("table", "component")
+
 
 def _split_like(total: int, c2s_model: int, s2c_model: int) -> tuple[int, int]:
     model_total = c2s_model + s2c_model
@@ -191,8 +194,8 @@ def phase_costs(
     if not (math.isfinite(bandwidth) and bandwidth > 0):
         raise InvalidCostInput(f"bandwidth must be finite and positive, got {bandwidth}")
     knobs = knobs or IDENTITY
-    if mode not in ("table", "component"):
-        raise InvalidCostInput(f"unknown cost mode {mode!r}; use table or component")
+    if mode not in COST_MODES:
+        raise InvalidCostInput(f"unknown cost mode {mode!r}; use {' or '.join(COST_MODES)}")
     if mode == "table":
         if not knobs.is_identity:
             raise InvalidCostInput(

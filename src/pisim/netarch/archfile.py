@@ -198,7 +198,7 @@ def serialize(arch: NetworkArch) -> str:
             if layer.is_global:
                 lines.append("avgpool global")
             else:
-                stride = layer.stride or layer.window
+                stride = layer.window if layer.stride is None else layer.stride
                 lines.append(f"avgpool window={layer.window} stride={stride}")
         elif isinstance(layer, Flatten):
             lines.append("flatten")

@@ -16,7 +16,21 @@ class IncompatibleResolution(InvalidArch):
     """Layer list cannot be re-inferred at the requested input size."""
 
 
+def _at_least(least: int, where: str, fields: dict[str, int]) -> None:
+    """InvalidArch for the first field below `least`: 1 for sizes and
+    counts, 0 for padding."""
+    for name, value in fields.items():
+        if value < least:
+            word = "positive" if least else "non-negative"
+            raise InvalidArch(f"{where}: {name} must be {word}, got {value}")
+
+
 def conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
+    where = f"layer {idx}: conv"
+    # `in` must equal the incoming channel count, which is positive
+    _at_least(1, where, {"out": layer.out_channels, "kernel": layer.kernel,
+                         "stride": layer.stride})
+    _at_least(0, where, {"pad": layer.padding})
     if len(shape) != 3:
         raise InvalidArch(f"layer {idx}: conv applied to flattened input")
     c, h, w = shape
@@ -38,7 +52,7 @@ def pool_window(layer: AvgPool, shape: Shape) -> tuple[int, int]:
     pool's window is the input's height."""
     if layer.is_global:
         return shape[1], shape[1]
-    return layer.window, layer.stride or layer.window
+    return layer.window, layer.window if layer.stride is None else layer.stride
 
 
 def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
@@ -46,6 +60,7 @@ def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
         raise InvalidArch(f"layer {idx}: avgpool applied to flattened input")
     c, h, w = shape
     window, stride = pool_window(layer, shape)
+    _at_least(1, f"layer {idx}: avgpool", {"window": window, "stride": stride})
     if window > h or window > w:
         raise IncompatibleResolution(
             f"layer {idx}: pool window {window} exceeds input {h}x{w}"
@@ -56,6 +71,8 @@ def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
 def infer_shapes(arch: NetworkArch) -> list[Shape]:
     """Output shape of every layer, validating as it goes."""
     ds = arch.dataset
+    _at_least(1, "input", {"channels": ds.channels, "height": ds.height,
+                           "width": ds.width, "classes": ds.classes})
     shape: Shape = (ds.channels, ds.height, ds.width)
     shapes: list[Shape] = []
     for idx, layer in enumerate(arch.layers):
@@ -70,6 +87,7 @@ def infer_shapes(arch: NetworkArch) -> list[Shape]:
                 raise InvalidArch(f"layer {idx}: flatten applied twice")
             shape = (shape[0] * shape[1] * shape[2],)
         elif isinstance(layer, FC):
+            _at_least(1, f"layer {idx}: fc", {"out": layer.out_features})
             if len(shape) != 1:
                 raise InvalidArch(f"layer {idx}: fc requires flattened input")
             if shape[0] != layer.in_features:

@@ -83,9 +83,6 @@ class Channel:
         self.phase = "offline"
         self._mailboxes = {CLIENT: deque(), SERVER: deque()}
 
-    def set_phase(self, phase: str) -> None:
-        self.phase = phase
-
     def has_mail(self, receiver: str) -> bool:
         return bool(self._mailboxes[receiver])
 

@@ -2,12 +2,14 @@
 
 An offline run yields a PrecomputeBundle, the material exactly one
 online inference consumes, or a block of n such bundles that one online
-run of n inputs consumes together. Both parties are generators stepped
-in turn on the caller's thread, with the channel as their only shared
-state; strict message alternation keeps transcripts deterministic for a
-given (arch, protocol, seed, nonce). A party's exception propagates as
-is, and a run in which every unfinished party waits on an empty mailbox
-raises ProtocolHang at once. The lowered network (per arch) and the
+run of n inputs consumes together. A bundle is the two party states, the
+channel whose transcript records both phases, and whether it is spent;
+an online run returns only the decoded logits. Both parties are
+generators stepped in turn on the caller's thread, with the channel as
+their only shared state; strict message alternation keeps transcripts
+deterministic for a given (arch, protocol, seed, nonce). A party's
+exception propagates as is, and a run in which every unfinished party
+waits on an empty mailbox raises ProtocolHang at once. The lowered network (per arch) and the
 server's model (per arch and seed) are built once and shared read-only
 by every bundle.
 
@@ -22,7 +24,6 @@ is each one's transcript.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -44,16 +45,13 @@ from .parties import (
     server_online,
 )
 
-_bundle_counter = itertools.count(1)
-
 
 class BundleConsumed(RuntimeError):
     """An online run tried to reuse spent precompute material."""
 
 
 class BundleMismatch(RuntimeError):
-    """Bundle and online input disagree on shape, or the client and server
-    states come from different bundles."""
+    """The online input's shape is not the one the bundle was built for."""
 
 
 @dataclass
@@ -62,12 +60,9 @@ class PrecomputeBundle:
     with a leading axis of one entry per nonce. Stored byte counts are per
     inference."""
 
-    arch: NetworkArch
-    compiled: CompiledNetwork
     client_state: ClientState
     server_state: ServerState
     channel: Channel
-    bundle_id: int
     consumed: bool = False
 
     @property
@@ -87,12 +82,6 @@ class PrecomputeBundle:
             self.transcript.stored_bytes("server")
             + self.server_state.self_stored_bytes
         )
-
-
-@dataclass(frozen=True)
-class OnlineResult:
-    logits: np.ndarray
-    transcript: Transcript
 
 
 def _run_pair(channel: Channel, client, server) -> dict[str, object]:
@@ -149,7 +138,6 @@ def run_offline(
     bundles built in a single two-party run."""
     protocol = Protocol.parse(protocol)
     compiled = _compiled(arch)
-    bundle_id = next(_bundle_counter)
     if isinstance(nonce, Sequence):
         nonces = tuple(nonce)
         if not nonces:
@@ -162,55 +150,43 @@ def run_offline(
         compiled=compiled,
         rngs=_generators(seed, 1, nonces),
         batch=batch,
-        bundle_id=bundle_id,
     )
     server = ServerState(
         protocol=protocol,
         compiled=compiled,
         rngs=_generators(seed, 2, nonces),
         batch=batch,
-        bundle_id=bundle_id,
         weights=_field_weights(arch, seed),
     )
     channel = Channel()
     _run_pair(channel, client_offline(client, channel), server_offline(server, channel))
-    return PrecomputeBundle(
-        arch=arch,
-        compiled=compiled,
-        client_state=client,
-        server_state=server,
-        channel=channel,
-        bundle_id=bundle_id,
-    )
+    return PrecomputeBundle(client, server, channel)
 
 
-def run_online(bundle: PrecomputeBundle, x: np.ndarray) -> OnlineResult:
-    """Consume the bundle on x: one (c, h, w) input for one bundle, or
-    (n, c, h, w) for a block of n; the logits carry the same leading axis."""
+def run_online(bundle: PrecomputeBundle, x: np.ndarray) -> np.ndarray:
+    """Consume the bundle on x and return the decoded logits: x is one
+    (c, h, w) input for one bundle, or (n, c, h, w) for a block of n, and
+    the logits carry the same leading axis. The online messages join the
+    offline ones in `bundle.transcript`."""
     if bundle.consumed:
         raise BundleConsumed(
             "precompute bundle was already used; run the offline phase again"
         )
-    if bundle.client_state.bundle_id != bundle.server_state.bundle_id:
-        raise BundleMismatch("client and server state come from different bundles")
-    ds = bundle.arch.dataset
-    expected = bundle.client_state.batch + (ds.channels, ds.height, ds.width)
+    # the client's input mask has the shape batch + (c, h, w)
+    expected = bundle.client_state.masks[0].shape
     x = np.asarray(x, dtype=np.int64)
     if x.shape != expected:
         raise BundleMismatch(f"input shape {x.shape} does not match {expected}")
 
     bundle.consumed = True
     channel = bundle.channel
-    channel.set_phase("online")
+    channel.phase = "online"
     results = _run_pair(
         channel,
         client_online(bundle.client_state, channel, x),
         server_online(bundle.server_state, channel),
     )
-    logits_field = results[CLIENT]
-    return OnlineResult(
-        logits=decode_signed(logits_field), transcript=channel.transcript
-    )
+    return decode_signed(results[CLIENT])
 
 
 def sample_input(arch: NetworkArch, seed: int, trial: int = 0) -> np.ndarray:

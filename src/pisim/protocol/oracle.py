@@ -34,6 +34,7 @@ import numpy as np
 
 from ..field import FieldOverflowRisk, half_range
 from ..netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
+from ..netarch.shapes import pool_window
 
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
@@ -156,9 +157,7 @@ def plaintext_forward(
             relu_ordinal += 1
             cur = np.maximum(cur, 0)
         elif isinstance(layer, AvgPool):
-            window = cur.shape[2] if layer.is_global else layer.window
-            stride = window if layer.is_global else (layer.stride or layer.window)
-            cur = _pool_plain(cur, window, stride)
+            cur = _pool_plain(cur, *pool_window(layer, cur.shape[1:]))
         elif isinstance(layer, Flatten):
             cur = cur.reshape(len(cur), -1)
         for i, skip in skips_at.get(idx, []):

@@ -12,6 +12,8 @@ samples, sends or keeps has the shape `batch + shape`, where `batch` is
 () for one bundle and (n,) for a block of n, and bundle k draws its masks
 and shares from its own generator, `rngs[k]`. Message byte counts are per
 inference, so a block's transcript is the transcript of each bundle in it.
+The two states and the channel are all a bundle holds: the shape of the
+client's input mask, `masks[0]`, is the input shape its online run takes.
 
 Share convention per linear unit U with input activation a and mask r:
 the client ends the offline phase holding c_U = L_U(r) + s_U, the
@@ -83,7 +85,6 @@ class ClientState:
     compiled: CompiledNetwork
     rngs: tuple[np.random.Generator, ...]  # one per bundle
     batch: tuple[int, ...]  # () for one bundle, (n,) for a block
-    bundle_id: int
     key: SealKey = dc_field(default_factory=SealKey)
     masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
     shares: dict[int, np.ndarray] = dc_field(default_factory=dict)
@@ -97,7 +98,6 @@ class ServerState:
     compiled: CompiledNetwork
     rngs: tuple[np.random.Generator, ...]
     batch: tuple[int, ...]
-    bundle_id: int
     weights: Mapping
     s_shares: dict[str, np.ndarray] = dc_field(default_factory=dict)
     gadgets: dict[int, GarbledGadget] = dc_field(default_factory=dict)

@@ -88,10 +88,12 @@ def verify_against_plaintext(
         expected = plaintext_forward(arch, weights, xs)
         logits = {}
         for protocol in protocols:
-            online = run_online(run_offline(arch, protocol, seed, nonce=block), xs)
-            logits[protocol] = online.logits
+            bundle = run_offline(arch, protocol, seed, nonce=block)
+            logits[protocol] = run_online(bundle, xs)
             if start == 0:
-                transcripts[protocol] = online.transcript
+                transcripts[protocol] = bundle.transcript
+            # free the spent block before the next offline run builds one
+            del bundle
         for i, trial in enumerate(block):
             for protocol in protocols:
                 got = logits[protocol][i]

@@ -130,7 +130,7 @@ def test_criterion_04_protocol_exactness():
             run_online(bundle, x)
             trace = {}
             plaintext_forward(arch, gen_weights(arch, seed), x[None], trace=trace)
-            for j, pt in enumerate(bundle.compiled.relu_points):
+            for j, pt in enumerate(bundle.client_state.compiled.relu_points):
                 s = bundle.server_state.probe_shares[pt.index].astype(np.int64).ravel()
                 if proto is SG:
                     c = bundle.client_state.shares[pt.index].astype(np.int64).ravel()

@@ -36,11 +36,11 @@ def test_block_bundles_equal_single_runs(arch, protocol, n, start, seed):
     nonces = range(start, start + n)
     xs = np.stack([sample_input(arch, seed, trial) for trial in nonces])
     block = run_offline(arch, protocol, seed, nonce=nonces)
-    logits = run_online(block, xs).logits
+    logits = run_online(block, xs)
     assert logits.shape[0] == n
     for k, nonce in enumerate(nonces):
         single = run_offline(arch, protocol, seed, nonce=nonce)
-        assert np.array_equal(logits[k], run_online(single, xs[k]).logits)
+        assert np.array_equal(logits[k], run_online(single, xs[k]))
         for what in ("masks", "shares"):
             _assert_slice_k(getattr(block.client_state, what),
                             getattr(single.client_state, what), k, n, what)

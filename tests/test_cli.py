@@ -576,6 +576,22 @@ flatten
 fc in=2 out=4
 """
 
+# Degenerate fields that validate() refuses; otherwise well-formed, so
+# each reaches shape inference.
+DEGENERATE_ARCHS = {
+    "stride_0": "conv in=1 out=2 kernel=3 stride=0 pad=1\nrelu\nflatten\nfc in=128 out=4\n",
+    "kernel_0": "conv in=1 out=2 kernel=0\nrelu\nflatten\nfc in=162 out=4\n",
+    "channels_0": "conv in=0 out=2 kernel=3 pad=1\nrelu\nflatten\nfc in=128 out=4\n",
+    "pool_stride_0": "conv in=1 out=2 kernel=3 pad=1\nrelu\navgpool window=2 stride=0\n"
+                     "flatten\nfc in=32 out=4\n",
+}
+
+
+def _degenerate_arch(key):
+    channels = 0 if key == "channels_0" else 1
+    return (f"name {key}\ninput channels={channels} height=8 width=8 classes=4 "
+            f"dataset=toy8\n" + DEGENERATE_ARCHS[key])
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -614,6 +630,11 @@ fc in=2 out=4
         ["cost", "--model", "{skip_into_pool}", "--mode", "component"],
         ["sweep", "--model", "{skip_into_pool}", "--mode", "component", "--runs", "1",
          "--out", "{dir}"],
+        *([*cmd, "{%s}" % key, *rest] for key in DEGENERATE_ARCHS for cmd, rest in (
+            (["arch", "check"], []),
+            (["cost", "--model"], ["--mode", "component"]),
+            (["verify", "--arch"], []),
+        )),
     ],
     ids=" ".join,
 )
@@ -623,6 +644,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         ("arch", NO_FLATTEN_ARCH),
         ("skip_from_conv", SKIP_FROM_CONV_ARCH),
         ("skip_into_pool", SKIP_INTO_POOL_ARCH),
+        *((key, _degenerate_arch(key)) for key in DEGENERATE_ARCHS),
     ]:
         paths[key] = tmp_path / f"{key}.arch"
         paths[key].write_text(text)

@@ -210,6 +210,23 @@ def test_skip_projection_bias_counts_as_params():
     assert count(arch(True)).params == count(arch(False)).params + 8
 
 
+@pytest.mark.parametrize(
+    "layer, h, message",
+    [
+        (Conv(2, 4, 3, stride=0), 6, "layer 0: conv: stride must be positive, got 0"),
+        (Conv(2, 4, 0), 6, "layer 0: conv: kernel must be positive, got 0"),
+        (Conv(2, 0, 3), 6, "layer 0: conv: out must be positive, got 0"),
+        (Conv(2, 4, 3, padding=-1), 6, "layer 0: conv: pad must be non-negative, got -1"),
+        (AvgPool(window=-2), 6, "layer 0: avgpool: window must be positive, got -2"),
+        (AvgPool(window=2, stride=0), 6, "layer 0: avgpool: stride must be positive, got 0"),
+        (Conv(2, 4, 3), 0, "input: height must be positive, got 0"),
+    ],
+)
+def test_validate_rejects_degenerate_fields(layer, h, message):
+    with pytest.raises(InvalidArch, match=message):
+        validate(_tiny([layer, Flatten(), FC(1, 4)], h=h))
+
+
 def test_pool_too_large_raises():
     bad = _tiny([Conv(2, 4, 3), AvgPool(window=9, stride=9)], h=6)
     with pytest.raises((InvalidArch, IncompatibleResolution)):

@@ -83,9 +83,9 @@ def test_exact_against_oracle(arch, proto):
     for seed in range(4):
         bundle = run_offline(arch, proto, seed=seed)
         x = sample_input(arch, seed=seed)
-        result = run_online(bundle, x)
+        logits = run_online(bundle, x)
         expected = plaintext_forward(arch, gen_weights(arch, seed), x[None])[0]
-        assert np.array_equal(result.logits, expected), f"seed {seed}"
+        assert np.array_equal(logits, expected), f"seed {seed}"
 
 
 @pytest.mark.parametrize("arch", [TOY, MINI], ids=["toy_cnn", "mini_res"])
@@ -94,7 +94,7 @@ def test_protocols_agree_on_logits(arch):
         x = sample_input(arch, seed=seed)
         sg = run_online(run_offline(arch, SG, seed=seed), x)
         cg = run_online(run_offline(arch, CG, seed=seed), x)
-        assert np.array_equal(sg.logits, cg.logits)
+        assert np.array_equal(sg, cg)
 
 
 @pytest.mark.parametrize("arch", [TOY, MINI], ids=["toy_cnn", "mini_res"])
@@ -108,7 +108,7 @@ def test_share_sums_reconstruct_preactivations(arch, proto):
     plaintext_forward(arch, gen_weights(arch, seed), x[None], trace=trace)
     server = bundle.server_state
     client = bundle.client_state
-    points = bundle.compiled.relu_points
+    points = client.compiled.relu_points
     assert len(points) == len(trace)
     for j, pt in enumerate(points):
         s = server.probe_shares[pt.index].astype(np.int64).ravel()
@@ -125,13 +125,13 @@ def test_share_sums_reconstruct_preactivations(arch, proto):
 def test_transcript_bytes_match_comm_model(proto, arch):
     inputs = CommInputs.from_arch(arch)
     bundle = run_offline(arch, proto, seed=2)
-    online = run_online(bundle, sample_input(arch, seed=2))
+    run_online(bundle, sample_input(arch, seed=2))
     off = offline_comm(proto, inputs)
     on = online_comm(proto, inputs)
     assert bundle.transcript.total_bytes("offline", "c2s") == off.c2s_bytes
     assert bundle.transcript.total_bytes("offline", "s2c") == off.s2c_bytes
-    assert online.transcript.total_bytes("online", "c2s") == on.c2s_bytes
-    assert online.transcript.total_bytes("online", "s2c") == on.s2c_bytes
+    assert bundle.transcript.total_bytes("online", "c2s") == on.c2s_bytes
+    assert bundle.transcript.total_bytes("online", "s2c") == on.s2c_bytes
 
 
 @pytest.mark.parametrize("arch", [TOY, MINI, TOY_RELU], ids=["toy_cnn", "mini_res", "toy_relu"])
@@ -142,6 +142,12 @@ def test_stored_bytes_match_storage_model(proto, arch):
     d = storage_deltas(proto, inputs)
     assert bundle.client_stored_bytes == d.client_received_bytes + d.client_self_bytes
     assert bundle.server_stored_bytes == d.server_received_bytes + d.server_self_bytes
+    # each half on its own, so a byte moved between what a party receives
+    # and what it generates fails too
+    assert bundle.transcript.stored_bytes("client") == d.client_received_bytes
+    assert bundle.transcript.stored_bytes("server") == d.server_received_bytes
+    assert bundle.client_state.self_stored_bytes == d.client_self_bytes
+    assert bundle.server_state.self_stored_bytes == d.server_self_bytes
 
 
 def test_garbled_circuits_travel_toward_evaluator():
@@ -170,9 +176,9 @@ def test_transcript_deterministic(tmp_path):
     paths = []
     for run in range(2):
         bundle = run_offline(TOY, CG, seed=9)
-        online = run_online(bundle, sample_input(TOY, seed=9))
+        run_online(bundle, sample_input(TOY, seed=9))
         p = tmp_path / f"t{run}.jsonl"
-        export_transcript(online.transcript, p)
+        export_transcript(bundle.transcript, p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
     lines = paths[0].decode().splitlines()
@@ -184,7 +190,7 @@ def test_transcript_deterministic(tmp_path):
 def test_different_seeds_differ():
     a = run_online(run_offline(TOY, SG, seed=0), sample_input(TOY, seed=0))
     b = run_online(run_offline(TOY, SG, seed=1), sample_input(TOY, seed=1))
-    assert not np.array_equal(a.logits, b.logits)
+    assert not np.array_equal(a, b)
 
 
 def test_bundle_single_use():
@@ -211,7 +217,7 @@ def test_each_nonce_draws_fresh_masks_and_shares(proto):
         assert not any(np.array_equal(old[i], new[i]) for i in old), what
     old, new = a.server_state.s_shares, b.server_state.s_shares
     assert not any(np.array_equal(old[u], new[u]) for u in old)
-    assert np.array_equal(run_online(a, x).logits, run_online(b, x).logits)
+    assert np.array_equal(run_online(a, x), run_online(b, x))
 
 
 def _block_of(n):
@@ -238,12 +244,12 @@ def test_block_refuses_a_single_input():
     one, x1 = _block_of(1)
     with pytest.raises(BundleMismatch):
         run_online(one, x1[0])
-    assert run_online(one, x1).logits.shape == (1, TOY.dataset.classes)
+    assert run_online(one, x1).shape == (1, TOY.dataset.classes)
 
 
 def test_consumed_block_raises():
     block, xs = _block_of(3)
-    assert run_online(block, xs).logits.shape == (3, TOY.dataset.classes)
+    assert run_online(block, xs).shape == (3, TOY.dataset.classes)
     with pytest.raises(BundleConsumed):
         run_online(block, xs)
 

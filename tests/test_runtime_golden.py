@@ -102,7 +102,7 @@ def _sha(data: bytes) -> str:
 
 def run_digests(arch, protocol: str, seed: int) -> tuple[str, str, str, str]:
     bundle = run_offline(arch, protocol, seed)
-    logits = run_online(bundle, sample_input(arch, seed)).logits
+    logits = run_online(bundle, sample_input(arch, seed))
     probes = bundle.server_state.probe_shares
     probe_bytes = b"".join(
         f"{k}:{probes[k].shape}:".encode()

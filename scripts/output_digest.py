@@ -10,7 +10,9 @@ The groups are the outputs a refactor must leave byte-identical:
   rates     the calibrated rates (as float.hex) and the repr of the
             CalibrationReport, fit from the shipped table
   sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
-  verify    stdout of `verify --trials 100` at seeds 0 to 3
+  verify    stdout of `verify --trials 100` at seeds 0 to 3, of one
+            protocol over a partial last block (`--protocol cg
+            --trials 5`), and of one trial on toy8 at seed 7
   transcripts
             the JSONL of the sg and cg transcripts that
             `verify_against_plaintext` keeps for toy_cnn on cifar100, one
@@ -83,7 +85,13 @@ def sweeps_text() -> str:
 
 
 def verify_text() -> str:
-    return "".join(run(["verify", "--trials", "100", "--seed", str(s)]) for s in range(4))
+    return "".join(
+        run(argv) for argv in (
+            *(["verify", "--trials", "100", "--seed", str(s)] for s in range(4)),
+            ["verify", "--protocol", "cg", "--trials", "5"],
+            ["verify", "--dataset", "toy8", "--trials", "1", "--seed", "7"],
+        )
+    )
 
 
 def transcripts_text() -> str:

@@ -31,7 +31,7 @@ from .costmodel import (
 )
 from .costmodel.query import COST_MODES
 from .costmodel.tables import open_config
-from .costmodel.types import KNOB_FACTORS
+from .costmodel.types import KNOB_FACTORS, InvalidCostInput
 from .desim import (
     PIPELINED,
     SERIAL,
@@ -431,7 +431,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.protocol == "both":
         protocols = (Protocol.SERVER_GARBLER, Protocol.CLIENT_GARBLER)
     else:
-        protocols = (Protocol.parse(args.protocol),)
+        try:
+            protocols = (Protocol.parse(args.protocol),)
+        except InvalidCostInput:
+            raise SpecError(f"unknown protocol {args.protocol!r}; use sg, cg or both") from None
     if args.trials < 0:
         raise SpecError(f"--trials must be non-negative, got {args.trials}")
     if args.seed < 0:
@@ -443,14 +446,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     result = verify_against_plaintext(
         arch, seed=args.seed, trials=args.trials, protocols=protocols, force=args.force
     )
-    by_proto: dict[Protocol, list] = {p: [] for p in protocols}
-    for trial in result.trials:
-        by_proto[trial.protocol].append(trial)
     for protocol in protocols:
-        trials = by_proto[protocol]
-        bad = sum(1 for t in trials if not t.ok)
-        status = "pass" if bad == 0 else "FAIL"
-        print(f"{protocol.short}: {status} ({len(trials) - bad}/{len(trials)} trials exact)")
+        exact = result.exact(protocol)
+        status = "pass" if exact.all() else "FAIL"
+        print(f"{protocol.short}: {status} ({exact.sum()}/{exact.size} trials exact)")
 
     inputs = CommInputs.from_arch(arch)
     for protocol in protocols:

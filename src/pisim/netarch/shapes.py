@@ -25,24 +25,26 @@ def _at_least(least: int, where: str, fields: dict[str, int]) -> None:
             raise InvalidArch(f"{where}: {name} must be {word}, got {value}")
 
 
-def conv_out(layer: Conv, shape: Shape, idx: int) -> Shape:
-    where = f"layer {idx}: conv"
+def conv_out(layer: Conv, shape: Shape, where: str) -> Shape:
+    """Output shape of a conv over `shape`; `where` prefixes every error:
+    `layer {idx}: conv` on the main path, `skip {i}: conv` for a
+    projection."""
     # `in` must equal the incoming channel count, which is positive
     _at_least(1, where, {"out": layer.out_channels, "kernel": layer.kernel,
                          "stride": layer.stride})
     _at_least(0, where, {"pad": layer.padding})
     if len(shape) != 3:
-        raise InvalidArch(f"layer {idx}: conv applied to flattened input")
+        raise InvalidArch(f"{where} applied to flattened input")
     c, h, w = shape
     if c != layer.in_channels:
         raise InvalidArch(
-            f"layer {idx}: conv expects {layer.in_channels} channels, got {c}"
+            f"{where} expects {layer.in_channels} channels, got {c}"
         )
     oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
     if oh < 1 or ow < 1:
         raise IncompatibleResolution(
-            f"layer {idx}: conv output would be {oh}x{ow} for input {h}x{w}"
+            f"{where} output would be {oh}x{ow} for input {h}x{w}"
         )
     return (layer.out_channels, oh, ow)
 
@@ -77,7 +79,7 @@ def infer_shapes(arch: NetworkArch) -> list[Shape]:
     shapes: list[Shape] = []
     for idx, layer in enumerate(arch.layers):
         if isinstance(layer, Conv):
-            shape = conv_out(layer, shape, idx)
+            shape = conv_out(layer, shape, f"layer {idx}: conv")
         elif isinstance(layer, AvgPool):
             shape = pool_out(layer, shape, idx)
         elif isinstance(layer, ReLU):
@@ -120,7 +122,7 @@ def validate(arch: NetworkArch) -> list[Shape]:
         if skip.source >= skip.merge:
             raise InvalidArch(f"skip {skip.source}->{skip.merge} not forward")
         src = input_shape if skip.source == -1 else shapes[skip.source]
-        contributed = src if skip.conv is None else conv_out(skip.conv, src, skip.source)
+        contributed = src if skip.conv is None else conv_out(skip.conv, src, f"skip {i}: conv")
         if contributed != shapes[skip.merge]:
             raise InvalidArch(
                 f"skip {skip.source}->{skip.merge} shape {contributed} does not "

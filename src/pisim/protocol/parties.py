@@ -51,22 +51,22 @@ from .sealed import SealKey, apply_linear, seal, unseal
 
 
 class GarbledGadget:
-    """Opaque garbled ReLU stand-in.
+    """Opaque garbled ReLU stand-in that the client garbles and the server
+    evaluates (client-garbler).
 
-    When the server evaluates (client-garbler), the client's share and
-    next mask are baked in at garble time; evaluate() is the only
-    sanctioned access to them.
+    The client's share and next mask are baked in at garble time;
+    evaluate() is the only sanctioned access to them. Server-garbler
+    circuits carry no payload: the client computes the ReLU from its own
+    share, and the transcript counts the circuits' bytes.
     """
 
     __slots__ = ("_client_share", "_next_mask")
 
-    def __init__(self, client_share=None, next_mask=None):
+    def __init__(self, client_share: np.ndarray, next_mask: np.ndarray):
         self._client_share = client_share
         self._next_mask = next_mask
 
     def evaluate(self, server_share: np.ndarray) -> np.ndarray:
-        if self._client_share is None:
-            raise RuntimeError("this gadget is a garbler-side record, not evaluable")
         return relu_remask_mod(self._client_share, server_share.reshape(-1), self._next_mask)
 
 
@@ -88,7 +88,6 @@ class ClientState:
     key: SealKey = dc_field(default_factory=SealKey)
     masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
     shares: dict[int, np.ndarray] = dc_field(default_factory=dict)
-    gadgets: dict[int, GarbledGadget] = dc_field(default_factory=dict)
     self_stored_bytes: int = 0
 
 
@@ -185,9 +184,8 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
             )
     else:
         for pt in comp.relu_points:
-            _, gadget = yield from ch.receive(CLIENT, expect=EventKind.GARBLED_CIRCUIT)
+            yield from ch.receive(CLIENT, expect=EventKind.GARBLED_CIRCUIT)
             yield from ch.receive(CLIENT, expect=EventKind.LABELS)
-            state.gadgets[pt.index] = gadget
             ch.send(
                 CLIENT,
                 EventKind.OT_MESSAGE,
@@ -249,7 +247,7 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
             ch.send(
                 SERVER,
                 EventKind.GARBLED_CIRCUIT,
-                GarbledGadget(),
+                None,
                 GC_BLOB_BYTES_PER_RELU * pt.elems,
                 stored_by_receiver=True,
                 label=f"point{pt.index}",
@@ -298,8 +296,6 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
                 label=f"point{pt.index}",
             )
         else:
-            if pt.index not in state.gadgets:
-                raise RuntimeError(f"no garbled gadget for point {pt.index}")
             _, server_share = yield from ch.receive(CLIENT, expect=EventKind.LABELS)
             y = relu_remask_mod(state.shares[pt.index], server_share, state.masks[pt.index])
             ch.send(

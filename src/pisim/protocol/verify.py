@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,24 +34,23 @@ class VerifyGuard(PisimError, RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    protocol: Protocol
-    trial: int
-    ok: bool
-    logits: tuple[int, ...]
-    expected: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class VerifyResult:
-    ok: bool
-    trials: tuple[TrialOutcome, ...] = field(default_factory=tuple)
-    # each protocol's trial-0 transcript, offline and online phases
-    transcripts: dict[Protocol, Transcript] = field(default_factory=dict)
+    """Row t of `expected` is trial t's plaintext logits, and row t of
+    `logits[protocol]` is the protocol's masked logits for the same
+    input; every array is (trials, classes). `transcripts` holds each
+    protocol's trial-0 transcript, offline and online phases."""
+
+    expected: np.ndarray
+    logits: dict[Protocol, np.ndarray]
+    transcripts: dict[Protocol, Transcript]
+
+    def exact(self, protocol: Protocol) -> np.ndarray:
+        """One bool per trial: the protocol's logits equal the plaintext's."""
+        return (self.logits[protocol] == self.expected).all(axis=1)
 
     @property
-    def failures(self) -> tuple[TrialOutcome, ...]:
-        return tuple(t for t in self.trials if not t.ok)
+    def ok(self) -> bool:
+        return all(self.exact(protocol).all() for protocol in self.logits)
 
 
 def verify_against_plaintext(
@@ -70,7 +69,8 @@ def verify_against_plaintext(
     one online run. Matching is exact integer equality. Overflow in the
     reference pass propagates as FieldOverflowRisk before any of its
     block's masked runs. Only trial 0's transcripts are kept, one per
-    protocol; a block's transcript is each of its bundles'.
+    protocol; a block's transcript is each of its bundles'. Zero or
+    negative trials run nothing and give empty (0, classes) arrays.
     """
     relus = count(arch).relus
     if relus > GUARD_MAX_RELUS and not force:
@@ -80,35 +80,22 @@ def verify_against_plaintext(
         )
     protocols = [Protocol.parse(protocol) for protocol in protocols]
     weights = gen_weights(arch, seed)
-    outcomes = []
+    trials = max(trials, 0)
+    expected = np.empty((trials, arch.dataset.classes), dtype=np.int64)
+    logits = {protocol: np.empty_like(expected) for protocol in protocols}
     transcripts = {}
     for start in range(0, trials, TRIAL_BLOCK):
         block = range(start, min(start + TRIAL_BLOCK, trials))
         xs = np.stack([sample_input(arch, seed, trial) for trial in block])
-        expected = plaintext_forward(arch, weights, xs)
-        logits = {}
+        expected[start:block.stop] = plaintext_forward(arch, weights, xs)
         for protocol in protocols:
             bundle = run_offline(arch, protocol, seed, nonce=block)
-            logits[protocol] = run_online(bundle, xs)
+            logits[protocol][start:block.stop] = run_online(bundle, xs)
             if start == 0:
                 transcripts[protocol] = bundle.transcript
             # free the spent block before the next offline run builds one
             del bundle
-        for i, trial in enumerate(block):
-            for protocol in protocols:
-                got = logits[protocol][i]
-                outcomes.append(
-                    TrialOutcome(
-                        protocol=protocol,
-                        trial=trial,
-                        ok=bool(np.array_equal(got, expected[i])),
-                        logits=tuple(got.tolist()),
-                        expected=tuple(expected[i].tolist()),
-                    )
-                )
-    return VerifyResult(
-        ok=all(t.ok for t in outcomes), trials=tuple(outcomes), transcripts=transcripts
-    )
+    return VerifyResult(expected, logits, transcripts)
 
 
 def export_transcript(transcript: Transcript, path) -> None:

@@ -39,11 +39,11 @@ def count(arch: NetworkArch) -> LayerCounts:
     ds = arch.dataset
     input_shape = (ds.channels, ds.height, ds.width)
     mask_out = relus + math.prod(shapes[-1])
-    for skip in arch.skips:
+    for i, skip in enumerate(arch.skips):
         mask_out += math.prod(shapes[skip.merge])
         if skip.conv is not None:
             src = input_shape if skip.source == -1 else shapes[skip.source]
-            p, f = _conv(skip.conv, conv_out(skip.conv, src, skip.source))
+            p, f = _conv(skip.conv, conv_out(skip.conv, src, f"skip {i}: conv"))
             params += p
             conv_flops += f
     return LayerCounts(

@@ -16,6 +16,7 @@ from pisim.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_UNKNOWN,
+    EXIT_VERIFY_FAILED,
     ExperimentSpec,
     SpecError,
     apply_spec_pairs,
@@ -456,6 +457,32 @@ def test_verify_pass(capsys):
     assert "offline c2s +0, s2c +0" in out
 
 
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    # one cg trial off by one: the last, which runs alone in a partial block
+    run_online = verify.run_online
+
+    def off_by_one(bundle, xs):
+        logits = run_online(bundle, xs)
+        if bundle.client_state.protocol.short == "cg" and len(xs) == 1:
+            logits = logits + 1
+        return logits
+
+    monkeypatch.setattr(verify, "run_online", off_by_one)
+    rc = run_cli("verify", "--trials", "5")
+    assert rc == EXIT_VERIFY_FAILED
+    out = capsys.readouterr().out
+    assert "sg: pass (5/5 trials exact)" in out
+    assert "cg: FAIL (4/5 trials exact)" in out
+    for short in ("sg", "cg"):
+        assert f"{short} transcript vs cost model (bytes): offline c2s +0, s2c +0" in out
+
+
+def test_verify_unknown_protocol_exits_2(capsys):
+    assert run_cli("verify", "--protocol", "bogus") == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sg, cg or both" in err
+
+
 def test_verify_guard_blocks_large(capsys):
     rc = run_cli("verify", "--model", "resnet32", "--dataset", "cifar100",
                  "--trials", "1")
@@ -576,6 +603,18 @@ flatten
 fc in=2 out=4
 """
 
+BAD_PROJECTION_ARCH = """name bad_projection
+input channels=1 height=8 width=8 classes=4 dataset=toy8
+conv in=1 out=2 kernel=3 pad=1
+relu
+conv in=2 out=2 kernel=3 pad=1
+skip from=1 to=2 conv in=2 out=2 kernel=1 stride=0
+relu
+avgpool global
+flatten
+fc in=2 out=4
+"""
+
 # Degenerate fields that validate() refuses; otherwise well-formed, so
 # each reaches shape inference.
 DEGENERATE_ARCHS = {
@@ -627,6 +666,7 @@ def _degenerate_arch(key):
         ["cost", "--model", "{skip_from_conv}", "--mode", "component"],
         ["simulate", "--model", "{skip_from_conv}", "--mode", "component", "--out", "{dir}"],
         ["arch", "check", "{skip_into_pool}"],
+        ["arch", "check", "{bad_projection}"],
         ["cost", "--model", "{skip_into_pool}", "--mode", "component"],
         ["sweep", "--model", "{skip_into_pool}", "--mode", "component", "--runs", "1",
          "--out", "{dir}"],
@@ -644,6 +684,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         ("arch", NO_FLATTEN_ARCH),
         ("skip_from_conv", SKIP_FROM_CONV_ARCH),
         ("skip_into_pool", SKIP_INTO_POOL_ARCH),
+        ("bad_projection", BAD_PROJECTION_ARCH),
         *((key, _degenerate_arch(key)) for key in DEGENERATE_ARCHS),
     ]:
         paths[key] = tmp_path / f"{key}.arch"

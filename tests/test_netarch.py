@@ -210,8 +210,14 @@ def test_skip_projection_bias_counts_as_params():
     assert count(arch(True)).params == count(arch(False)).params + 8
 
 
+# A skip's projection conv feeds layer 2 of this net; a bad one is named
+# by its skip, not by the layer it leaves.
+PROJECTED = [Conv(2, 4, 3, padding=1), ReLU(), Conv(4, 4, 3, padding=1), ReLU(),
+             Flatten(), FC(144, 4)]
+
+
 @pytest.mark.parametrize(
-    "layer, h, message",
+    "part, h, message",
     [
         (Conv(2, 4, 3, stride=0), 6, "layer 0: conv: stride must be positive, got 0"),
         (Conv(2, 4, 0), 6, "layer 0: conv: kernel must be positive, got 0"),
@@ -220,11 +226,20 @@ def test_skip_projection_bias_counts_as_params():
         (AvgPool(window=-2), 6, "layer 0: avgpool: window must be positive, got -2"),
         (AvgPool(window=2, stride=0), 6, "layer 0: avgpool: stride must be positive, got 0"),
         (Conv(2, 4, 3), 0, "input: height must be positive, got 0"),
+        (SkipConnection(1, 2, Conv(4, 4, 1, stride=0)), 6,
+         "skip 0: conv: stride must be positive, got 0"),
+        (SkipConnection(-1, 2, Conv(3, 4, 1)), 6, "skip 0: conv expects 3 channels, got 2"),
+        (SkipConnection(-1, 2, Conv(2, 4, 9)), 6,
+         "skip 0: conv output would be -2x-2 for input 6x6"),
     ],
 )
-def test_validate_rejects_degenerate_fields(layer, h, message):
-    with pytest.raises(InvalidArch, match=message):
-        validate(_tiny([layer, Flatten(), FC(1, 4)], h=h))
+def test_validate_rejects_degenerate_fields(part, h, message):
+    if isinstance(part, SkipConnection):
+        arch = _tiny(PROJECTED, skips=[part], h=h)
+    else:
+        arch = _tiny([part, Flatten(), FC(1, 4)], h=h)
+    with pytest.raises(InvalidArch, match=f"^{message}$"):
+        validate(arch)
 
 
 def test_pool_too_large_raises():

@@ -114,13 +114,13 @@ def test_verify_blocks_cover_every_trial_in_order(trials, monkeypatch):
     result = verify_against_plaintext(arch, seed=2, trials=trials)
     assert result.ok
     assert calls == [min(TRIAL_BLOCK, trials - s) for s in range(0, trials, TRIAL_BLOCK)]
-    assert [(t.trial, t.protocol.short) for t in result.trials] == [
-        (trial, short) for trial in range(trials) for short in ("sg", "cg")
-    ]
+    assert [protocol.short for protocol in result.logits] == ["sg", "cg"]
     weights = gen_weights(arch, 2)
-    for t in result.trials:
-        want = protocol_oracle.plaintext_forward(arch, weights, sample_input(arch, 2, t.trial))
-        assert t.expected == tuple(want.tolist())
+    want = [protocol_oracle.plaintext_forward(arch, weights, sample_input(arch, 2, trial)).tolist()
+            for trial in range(trials)]
+    assert result.expected.tolist() == want
+    for logits in result.logits.values():
+        assert logits.tolist() == want
 
 
 # An FC from 3 inputs to 1 output: 15 * 2**50 is past 2**53, where

@@ -282,10 +282,22 @@ def test_verify_guard_on_large_arch():
 def test_verify_reports_ok():
     result = verify_against_plaintext(TOY, seed=0, trials=3)
     assert result.ok
-    assert not result.failures
-    assert len(result.trials) == 6  # 3 trials x 2 protocols
-    for trial in result.trials:
-        assert np.array_equal(trial.logits, trial.expected)
+    assert result.expected.shape == (3, TOY.dataset.classes)
+    assert list(result.logits) == [SG, CG]
+    for protocol, logits in result.logits.items():
+        assert np.array_equal(logits, result.expected)
+        assert result.exact(protocol).tolist() == [True] * 3
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_verify_without_trials_is_ok_and_empty(trials):
+    result = verify_against_plaintext(TOY, trials=trials)
+    assert result.ok and result.transcripts == {}
+    empty = (0, TOY.dataset.classes)
+    assert result.expected.shape == empty
+    for protocol in (SG, CG):
+        assert result.logits[protocol].shape == empty
+        assert result.exact(protocol).shape == (0,)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 128))
@@ -310,10 +322,3 @@ def test_gadget_evaluate_semantics(seed, n):
     gadget = GarbledGadget(client_share=c, next_mask=mask)
     out = gadget.evaluate(s)
     assert np.array_equal(out, (np.maximum(v, 0) - mask) % P)
-
-
-def test_garbler_side_gadget_not_evaluable():
-    from pisim.protocol.parties import GarbledGadget
-
-    with pytest.raises(RuntimeError):
-        GarbledGadget().evaluate(np.zeros(4, dtype=np.int64))

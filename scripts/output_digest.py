@@ -10,6 +10,9 @@ The groups are the outputs a refactor must leave byte-identical:
   rates     the calibrated rates (as float.hex) and the repr of the
             CalibrationReport, fit from the shipped table
   sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
+  blocks    stdout and CSV of `simulate` at 0.5 req/s over 24 h with 100
+            runs, serial and pipelined: each point spans five blocks of
+            runs (engine.BLOCK_ELEMENTS), where every sweep point fits one
   verify    stdout of `verify --trials 100` at seeds 0 to 3, of one
             protocol over a partial last block (`--protocol cg
             --trials 5`), and of one trial on toy8 at seed 7
@@ -84,6 +87,16 @@ def sweeps_text() -> str:
     return "".join(parts)
 
 
+def blocks_text() -> str:
+    parts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for concurrency in ("serial", "pipelined"):
+            argv = ["simulate", "--rates", "0.5", "--horizon", "86400", "--runs", "100",
+                    "--concurrency", concurrency, "--out", tmp]
+            parts.append(run(argv).replace(tmp, "OUT") + (Path(tmp) / "adhoc.csv").read_text())
+    return "".join(parts)
+
+
 def verify_text() -> str:
     return "".join(
         run(argv) for argv in (
@@ -107,7 +120,7 @@ def transcripts_text() -> str:
 def main_digest() -> None:
     print(f"pisim from {Path(pisim.cli.__file__).parent}")
     for name, text in (("cost", cost_text), ("rates", rates_text),
-                       ("sweeps", sweeps_text), ("verify", verify_text),
+                       ("sweeps", sweeps_text), ("blocks", blocks_text), ("verify", verify_text),
                        ("transcripts", transcripts_text)):
         print(f"{name:<12}{hashlib.sha256(text().encode()).hexdigest()}")
 

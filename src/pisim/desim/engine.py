@@ -14,26 +14,39 @@ when the bundle's request begins its online phase.
 
 Both modes are recurrences in the request index k (Lindley 1952; Baccelli
 et al., Synchronization and Linearity, 1992), evaluated step-major over a
-sweep point's runs. Each run draws its own arrivals from its own seed; a
-block of runs is padded with inf into one (requests, runs) float64 matrix,
-and step k updates row k of every run at once. Each element sees the same
-float operations in the same order as an event-by-event simulation of its
-run alone, so every time is bitwise equal to it. The serial step is
-start = max(a_k, t_free), ready = start + off, t_free = ready + on. Step k
-reads only rows up to k, so a run's padding never reaches its requests.
+block of a sweep point's runs. The serial step is start = max(a_k, t_free),
+ready = start + off, t_free = ready + on.
 
-Done times never decrease with k, so a run's finished requests are a
-prefix of its column. Its four means are one pairwise sum over each row
-of a contiguous (4, completed) copy of that prefix, divided by its length:
-the sums a per-run np.mean makes. Padding with zeros instead would regroup
-the pairwise sums. The closed form cummax(a_k - k S) + k S of the serial
-recurrence is not used either: it rounds differently, by up to 8e-14
-relative, which can move a sweep CSV's sixth digit. A run's means are its
-column of one (4, runs) array, which metrics.aggregate reduces.
+A block is drawn as one matrix: poisson_arrival_times fills row r from run
+r's generator and cumsums the rows in place, inf past the horizon. Its
+transpose, (requests, runs), goes straight to the step loop, and step k
+updates row k of every run at once. Each element sees the same float
+operations in the same order as an event-by-event simulation of its run
+alone, so every time is bitwise equal to it. Step k reads only rows up to
+k, so a run's padding never reaches its requests. The steps keep
+bundle_ready and online_start (the same matrix under serial serving); a
+request's finish time is online_start + on, the one add that also
+advances t_free, so it is computed where it is read and never stored.
 
-Runs are drawn and scheduled block by block, each block's matrix within
-BLOCK_ELEMENTS elements, so memory stays bounded at high arrival rates
-however many runs a point has.
+Finish times never decrease with k, so a run's finished requests are a
+prefix of its row. metrics.summarize_run takes the whole block and
+returns each run's four means as its column of one (4, runs) array, which
+metrics.aggregate reduces; its docstring says why the sums are bitwise
+those of a per-run np.mean. The closed form cummax(a_k - k S) + k S of
+the serial recurrence is not used: it rounds differently, by up to 8e-14
+relative, which can move a sweep CSV's sixth digit.
+
+A block holds as many runs as keep its matrix within BLOCK_ELEMENTS
+elements (at least one), so memory stays bounded at high arrival rates
+however many runs a point has; a run whose first segment falls short of
+the horizon can widen its block's matrix.
+
+Each run draws from np.random.default_rng(seed)'s stream. Hashing a seed
+costs more than drawing a short run, so a run restores its seed's initial
+bit-generator state into one reusable Generator. Within a seeding() block,
+which sweep.run_points opens for its own call, each seed is hashed once.
+Nothing is kept after the block, so a process that runs many sweeps
+hashes each seed once per sweep, as a single sweep would.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -52,17 +65,19 @@ The pipelined model makes two assumptions that shape its output:
 
 from __future__ import annotations
 
+import contextlib
 import math
+from contextvars import ContextVar
 from typing import Sequence
 
 import numpy as np
 
 from ..costmodel.types import PhaseCosts
-from .arrivals import poisson_arrival_times
+from .arrivals import draw_size, poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
 from .metrics import AggregateMetrics, Schedule, aggregate, summarize_run
 
-# Largest (requests, runs) matrix a block of runs is scheduled in, in elements.
+# Most elements of a block's (runs, draw_size) arrival matrix.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -126,70 +141,64 @@ def stability_limit(costs: PhaseCosts, config: SimConfig) -> float:
     return min(build_rate, online_rate)
 
 
-def serial_steps(
-    arrivals: np.ndarray, off: float, on: float
-) -> tuple[np.ndarray, np.ndarray]:
+def serial_steps(arrivals: np.ndarray, off: float, on: float) -> np.ndarray:
     """Lindley's recursion over (requests, runs) arrivals padded with inf.
 
-    Returns (bundle_ready, finish), each (requests, runs), for every
-    request, past the horizon too. A request starts online when its
-    bundle is ready.
+    Returns bundle_ready, (requests, runs), for every request, past the
+    horizon too. A request starts online when its bundle is ready and
+    finishes at bundle_ready + on.
     """
     ready = np.empty_like(arrivals)
-    finish = np.empty_like(arrivals)
     t_free = np.zeros(arrivals.shape[1])
-    for a_k, ready_k, finish_k in zip(arrivals, ready, finish):
+    for a_k, ready_k in zip(arrivals, ready):
         np.maximum(a_k, t_free, out=ready_k)
         ready_k += off
-        np.add(ready_k, on, out=finish_k)
-        t_free = finish_k
-    return ready, finish
+        np.add(ready_k, on, out=t_free)
+    return ready
 
 
 def pipelined_steps(
     arrivals: np.ndarray, off: float, on: float, cap: float, horizon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Max-plus recurrence over FIFO bundles, for (requests, runs) arrivals
     padded with inf; cap is shared by the runs.
 
     Bundle k starts building when request k - cap starts online (at t = 0
     for the first cap), and request k starts online at
-    o_k = max(a_k, ready_k, done_{k-1}). Nothing starts after the first
-    online start or completion past the horizon. t_free only grows, so
-    once it passes the horizon so does every later o_k, and the times past
-    the horizon are exactly those an event-by-event simulation never
-    reaches. Returns (bundle_ready, online_start, finish), each
-    (requests, runs): bundle_ready is inf for a build that never started,
-    and online_start and finish are not cut at the horizon.
+    o_k = max(a_k, ready_k, done_{k-1}), where done_k = o_k + on. Nothing
+    starts after the first online start or completion past the horizon.
+    t_free only grows, so once it passes the horizon so does every later
+    o_k, and the times past the horizon are exactly those an
+    event-by-event simulation never reaches. Returns (bundle_ready,
+    online_start), each (requests, runs): bundle_ready is inf for a build
+    that never started, and online_start is not cut at the horizon.
     """
     if cap < 1:
         raise ConfigInfeasible("storage capacity cannot hold a single bundle")
     n = arrivals.shape[0]
     ready = np.full_like(arrivals, off)
     start = np.empty_like(arrivals)
-    finish = np.empty_like(arrivals)
     t_free = np.zeros(arrivals.shape[1])
-    for k, (a_k, o, finish_k) in enumerate(zip(arrivals, start, finish)):
+    for k, (a_k, o) in enumerate(zip(arrivals, start)):
         np.maximum(a_k, ready[k], out=o)
         np.maximum(o, t_free, out=o)
         if k + cap < n:
             np.add(o, off, out=ready[k + cap])
-        np.add(o, on, out=finish_k)
-        t_free = finish_k
+        np.add(o, on, out=t_free)
     if cap < n:
         ready[cap:][start[: n - cap] > horizon] = math.inf
-    return ready, start, finish
+    return ready, start
 
 
 def _steps(
     arrivals: np.ndarray, costs: PhaseCosts, config: SimConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(bundle_ready, online_start, finish) of the mode's recurrence."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bundle_ready, online_start) of the mode's recurrence."""
     off = costs.offline_latency_s
     on = costs.online_latency_s
     if config.concurrency == SERIAL:
-        ready, finish = serial_steps(arrivals, off, on)
-        return ready, ready, finish
+        ready = serial_steps(arrivals, off, on)
+        return ready, ready
     cap = capacity_bundles(costs, config)
     return pipelined_steps(arrivals, off, on, cap, config.horizon_s)
 
@@ -199,19 +208,6 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
     return int(min(arrived, cap))
 
 
-def _draw_arrivals(config: SimConfig, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
-
-
-def _pad(arrivals: list[np.ndarray]) -> np.ndarray:
-    """The runs' arrivals as the columns of one matrix, padded with inf."""
-    matrix = np.full((max(a.size for a in arrivals), len(arrivals)), math.inf)
-    for column, a in zip(matrix.T, arrivals):
-        column[: a.size] = a
-    return matrix
-
-
 def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:
     """One arrival realization's schedule and its peak count of live bundles.
 
@@ -219,8 +215,10 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     same schedule; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    arrivals = _draw_arrivals(config, seed)
-    ready, start, finish = (t[:, 0] for t in _steps(arrivals[:, None], costs, config))
+    rng = np.random.default_rng(seed)
+    arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
+    ready, start = (t[:, 0] for t in _steps(arrivals[:, None], costs, config))
+    finish = start + costs.online_latency_s
     horizon = config.horizon_s
     schedule = Schedule(
         arrival=arrivals,
@@ -231,49 +229,63 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     return schedule, _peak_bundles(costs, config, arrivals.size)
 
 
+def _seed_state(seed: int) -> dict:
+    """The bit-generator state np.random.default_rng(seed) starts from."""
+    return np.random.PCG64(seed).state
+
+
+# Each seed's _seed_state, kept while a seeding() block is open.
+_seed_states: ContextVar[dict[int, dict] | None] = ContextVar("seed_states", default=None)
+
+
+@contextlib.contextmanager
+def seeding():
+    """Hash each seed once while the block is open: every later run of a
+    seed restores its cached initial state. The cache ends with the block."""
+    token = _seed_states.set({})
+    try:
+        yield
+    finally:
+        _seed_states.reset(token)
+
+
 def _simulate_seeds(
     costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
 ) -> AggregateMetrics:
-    """Aggregate one run per seed. The runs are drawn in order and
-    scheduled in blocks of consecutive runs, each padded into at most
-    BLOCK_ELEMENTS elements (or holding one run, if it alone is longer).
-    Each run's four means are its column of one (4, runs) array."""
+    """Aggregate one run per seed. The runs are drawn, scheduled and
+    summarized in blocks of consecutive runs, each block's arrivals one
+    matrix of at most BLOCK_ELEMENTS elements (or holding one run, if it
+    alone is longer). Each run's four means are its column of one
+    (4, runs) array."""
     _check_feasible(costs, config)
+    rate, horizon = config.arrival_rate, config.horizon_s
+    per_block = max(1, BLOCK_ELEMENTS // draw_size(rate, horizon))
+    cache = _seed_states.get()
+    if cache is None:
+        cache = {}
+    for seed in seeds:
+        if seed not in cache:
+            cache[seed] = _seed_state(seed)
+    states = [cache[seed] for seed in seeds]
+    rng = np.random.default_rng(seeds[0])  # restored to each run's state in turn
     means = np.empty((4, len(seeds)))
-    block: list[np.ndarray] = []
-    arrived = completed = longest = most = 0
-    for r, seed in enumerate(seeds):
-        arrivals = _draw_arrivals(config, seed)
-        arrived += arrivals.size
-        most = max(most, arrivals.size)
-        longest = max(longest, arrivals.size)
-        if block and longest * (len(block) + 1) > BLOCK_ELEMENTS:
-            completed += _simulate_block(costs, config, block, means[:, r - len(block) : r])
-            longest = arrivals.size
-        block.append(arrivals)
-    completed += _simulate_block(costs, config, block, means[:, -len(block) :])
-    saturated = config.arrival_rate > stability_limit(costs, config)
+    arrived = completed = most = 0
+    for lo in range(0, len(seeds), per_block):
+        times = poisson_arrival_times(rng, rate, horizon, states[lo : lo + per_block])
+        counts = np.count_nonzero(times < math.inf, axis=1)
+        arrived += int(counts.sum())
+        width = int(counts.max())
+        most = max(most, width)
+        times = times[:, :width]
+        ready, start = (t.T for t in _steps(times.T, costs, config))
+        means[:, lo : lo + len(times)], done = summarize_run(
+            times, ready, start, costs.online_latency_s, horizon
+        )
+        completed += sum(done)
+    saturated = rate > stability_limit(costs, config)
     peak = _peak_bundles(costs, config, most)
     client_b, server_b = _bundle_bytes(costs)
     return aggregate(means, arrived, completed, saturated, peak * client_b, peak * server_b)
-
-
-def _simulate_block(
-    costs: PhaseCosts, config: SimConfig, block: list[np.ndarray], means: np.ndarray
-) -> int:
-    """Schedule a block of runs' arrivals step-major, write each run's four
-    means into its column of means, and return how many of the block's
-    requests completed. Empties the block: the arrivals live on only in
-    their padded copy."""
-    arrivals = _pad(block)
-    block.clear()
-    ready, start, finish = _steps(arrivals, costs, config)
-    # finish never decreases, so each run's finished requests are a prefix
-    completed = np.count_nonzero(finish <= config.horizon_s, axis=0).tolist()
-    for r, k in enumerate(completed):
-        finished = Schedule(arrivals[:k, r], ready[:k, r], start[:k, r], finish[:k, r])
-        means[:, r] = summarize_run(finished)
-    return sum(completed)
 
 
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> AggregateMetrics:

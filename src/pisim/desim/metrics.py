@@ -22,26 +22,59 @@ class Schedule:
     done: np.ndarray
 
 
-def summarize_run(finished: Schedule) -> np.ndarray:
-    """The four means of a run's finished requests, a prefix of its
-    schedule: latency, precompute wait, queue wait and online time, all NaN
-    when none finished.
+# Most elements of the four terms summarize_run computes per ufunc call.
+SUMMARY_ELEMENTS = 1 << 12
 
-    They are one pairwise sum over each row of a (4, completed) stack of
-    the four terms: the same sums np.mean makes of each row alone.
+
+def summarize_run(
+    arrival: np.ndarray, ready: np.ndarray, start: np.ndarray, on: float, horizon: float
+) -> tuple[np.ndarray, list[int]]:
+    """The four means of each run of a block and how many of its requests
+    finished by the horizon.
+
+    Takes (runs, requests) times, row r run r's arrivals (inf past its
+    last), bundle-ready and online-start times. A request finishes at its
+    online start plus on, the one add the step recurrences make. Finish
+    times never decrease, so a run's finished requests are a prefix of its
+    row. Its means are latency, precompute wait, queue wait and online
+    time over that prefix, all NaN when none finished.
+
+    The terms are computed a few runs at a time, at most SUMMARY_ELEMENTS
+    per term or one run, so memory stays small. Each run's means are one
+    np.add.reduce over each term's contiguous prefix, divided by its
+    length: the pairwise sums np.mean makes of each term of the run alone.
+    np.add.reduceat is not used: it sums each segment sequentially, which
+    rounds differently from the pairwise sum for segments of three or more.
     """
-    completed = finished.done.size
-    if not completed:
-        return np.full(4, math.nan)
-    terms = np.empty((4, completed))
-    lat, pre, que, onl = terms
-    np.subtract(finished.done, finished.arrival, out=lat)
-    np.subtract(finished.bundle_ready, finished.arrival, out=pre)
-    np.maximum(pre, 0.0, out=pre)
-    np.maximum(finished.arrival, finished.bundle_ready, out=que)
-    np.subtract(finished.online_start, que, out=que)
-    np.subtract(finished.done, finished.online_start, out=onl)
-    return np.add.reduce(terms, axis=1) / completed
+    runs, width = arrival.shape
+    means = np.full((4, runs), math.nan)
+    completed = []
+    step = max(1, SUMMARY_ELEMENTS // max(width, 1))
+    terms = np.empty((4, min(step, runs), width))
+    for lo in range(0, runs, step):
+        hi = min(lo + step, runs)
+        finish = terms[3, : hi - lo]
+        np.add(start[lo:hi], on, out=finish)
+        done = np.count_nonzero(finish <= horizon, axis=1).tolist()
+        completed += done
+        w = max(done)
+        if not w:
+            continue
+        a, b, o = arrival[lo:hi, :w], ready[lo:hi, :w], start[lo:hi, :w]
+        lat, pre, que, onl = terms[:, : hi - lo, :w]
+        # past a run's prefix, inf - inf is NaN and read by no mean
+        with np.errstate(invalid="ignore"):
+            np.subtract(onl, a, out=lat)  # onl holds the finish times
+            np.subtract(onl, o, out=onl)
+            np.subtract(b, a, out=pre)
+            np.maximum(pre, 0.0, out=pre)
+            np.maximum(a, b, out=que)
+            np.subtract(o, que, out=que)
+        for i, k in enumerate(done):
+            if k:
+                np.add.reduce(terms[:, i, :k], axis=1, out=means[:, lo + i])
+    means /= completed  # a run with none finished stays NaN
+    return means, completed
 
 
 @dataclass(frozen=True)

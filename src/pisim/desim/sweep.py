@@ -10,7 +10,7 @@ from typing import Sequence
 
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
-from .engine import run_key, run_many, stability_limit
+from .engine import run_key, run_many, seeding, stability_limit
 from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
@@ -92,7 +92,7 @@ def run_points(
     share one sweep_point call; each row keeps its own _point_columns. An
     infeasible task has no key and runs alone, so its failure names its
     own capacities. jobs > 1 distributes the distinct tasks over worker
-    processes.
+    processes. Within the call each seed is hashed once (engine.seeding).
     """
     first: dict[tuple, int] = {}
     distinct: list[tuple[PhaseCosts, SimConfig, int]] = []
@@ -103,13 +103,14 @@ def run_points(
         if index == len(distinct):
             distinct.append(task)
         shared_by.append(index)
-    if jobs > 1 and len(distinct) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with seeding():
+        if jobs > 1 and len(distinct) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shared = list(pool.map(_run_point, distinct))
-    else:
-        shared = [_run_point(t) for t in distinct]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                shared = list(pool.map(_run_point, distinct))
+        else:
+            shared = [_run_point(t) for t in distinct]
     return [
         {**shared[index], **_point_columns(costs, config)}
         for index, (costs, config, _) in zip(shared_by, tasks)

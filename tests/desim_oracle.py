@@ -6,6 +6,11 @@ online-completion events from a heap. Runs are summarized by reading the
 records back through their properties into one RunMetrics each, and a
 point's runs are aggregated from a list of those. `pisim.desim.engine`
 must match it exactly on every request and every summary statistic.
+
+It also keeps the engine's per-run arrival draw and run summary as they
+were before runs were drawn and summarized a block at a time: one
+generator per seed, each run's times padded with inf into the columns of
+one matrix, and one four-term stack per run's finished prefix.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from pisim.costmodel.types import PhaseCosts
-from pisim.desim.arrivals import poisson_arrival_times
 from pisim.desim.config import SERIAL, ConfigInfeasible, SimConfig
 from pisim.desim.engine import (
     _bundle_bytes,
@@ -26,7 +30,7 @@ from pisim.desim.engine import (
     capacity_bundles,
     stability_limit,
 )
-from pisim.desim.metrics import AggregateMetrics
+from pisim.desim.metrics import AggregateMetrics, Schedule
 
 # Heap tie-break priorities at equal timestamps. Bundle completions are
 # visible to arrivals in the same instant, and a finished online slot is
@@ -34,6 +38,56 @@ from pisim.desim.metrics import AggregateMetrics
 _OFFLINE_DONE = 0
 _ONLINE_DONE = 1
 _ARRIVAL = 2
+
+
+def draw_size(rate: float, horizon_s: float) -> int:
+    expected = rate * horizon_s
+    return max(16, int(expected + 4 * np.sqrt(expected) + 16))
+
+
+def poisson_arrival_times(
+    rng: np.random.Generator, rate: float, horizon_s: float
+) -> np.ndarray:
+    """One run's arrival instants on [0, horizon), drawn in segments of
+    draw_size gaps, each cumsummed alone and offset by the last time."""
+    if rate <= 0:
+        return np.empty(0, dtype=np.float64)
+    block = draw_size(rate, horizon_s)
+    times = np.cumsum(rng.exponential(1.0 / rate, size=block))
+    while times.size and times[-1] < horizon_s:
+        more = np.cumsum(rng.exponential(1.0 / rate, size=block)) + times[-1]
+        times = np.concatenate([times, more])
+    return times[times < horizon_s]
+
+
+def draw_arrivals(rate: float, horizon_s: float, seed: int) -> np.ndarray:
+    return poisson_arrival_times(np.random.default_rng(seed), rate, horizon_s)
+
+
+def pad(arrivals: list[np.ndarray]) -> np.ndarray:
+    """The runs' arrivals as the columns of one matrix, padded with inf."""
+    matrix = np.full((max(a.size for a in arrivals), len(arrivals)), math.inf)
+    for column, a in zip(matrix.T, arrivals):
+        column[: a.size] = a
+    return matrix
+
+
+def summarize_run(finished: Schedule) -> np.ndarray:
+    """The four means of a run's finished requests, a prefix of its
+    schedule, as one pairwise sum over each row of a (4, completed) stack;
+    all NaN when none finished."""
+    completed = finished.done.size
+    if not completed:
+        return np.full(4, math.nan)
+    terms = np.empty((4, completed))
+    lat, pre, que, onl = terms
+    np.subtract(finished.done, finished.arrival, out=lat)
+    np.subtract(finished.bundle_ready, finished.arrival, out=pre)
+    np.maximum(pre, 0.0, out=pre)
+    np.maximum(finished.arrival, finished.bundle_ready, out=que)
+    np.subtract(finished.online_start, que, out=que)
+    np.subtract(finished.done, finished.online_start, out=onl)
+    return np.add.reduce(terms, axis=1) / completed
 
 
 @dataclass(frozen=True)
@@ -244,8 +298,7 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> RunMetrics:
     """One run's summary from the reference engine."""
     _check_feasible(costs, config)
-    rng = np.random.default_rng(seed)
-    arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
+    arrivals = draw_arrivals(config.arrival_rate, config.horizon_s, seed)
     off = costs.offline_latency_s
     on = costs.online_latency_s
     if config.concurrency == SERIAL:

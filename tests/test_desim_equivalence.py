@@ -27,9 +27,10 @@ from pisim.desim import (
     simulate,
     sweep_point,
 )
-from pisim.desim import engine, sweep
+from pisim.desim import arrivals, engine, metrics, sweep
 from pisim.desim.sweep import format_value
 from pisim.desim.engine import pipelined_steps, serial_steps
+from pisim.desim.metrics import Schedule, summarize_run
 from pisim.netarch import build_preset
 
 CM = load_shipped_model()
@@ -130,8 +131,8 @@ _RUNNING = ([_spaced(0.1, 400), _spaced(0.3, 150), [], _spaced(1.4, 100)], 3.0, 
 @example(_RUNNING)
 def test_serial_schedule_matches_reference(batch):
     runs, off, on, horizon = batch
-    ready, finish = serial_steps(_padded(runs), off, on)
-    _assert_rows_same(runs, (ready, ready, finish), horizon,
+    ready = serial_steps(_padded(runs), off, on)
+    _assert_rows_same(runs, (ready, ready, ready + on), horizon,
                       lambda a: desim_oracle.simulate_serial(a, off, on, horizon))
 
 
@@ -147,9 +148,74 @@ def test_serial_schedule_matches_reference(batch):
 @example(_RUNNING, math.inf)
 def test_pipelined_schedule_matches_reference(batch, cap):
     runs, off, on, horizon = batch
-    steps = pipelined_steps(_padded(runs), off, on, cap, horizon)
-    _assert_rows_same(runs, steps, horizon,
+    ready, start = pipelined_steps(_padded(runs), off, on, cap, horizon)
+    _assert_rows_same(runs, (ready, start, start + on), horizon,
                       lambda a: desim_oracle.simulate_pipelined(a, off, on, cap, horizon))
+
+
+def _fixed_draw(size):
+    return lambda rate, horizon_s: size
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+    st.floats(0.5, 200.0),
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.one_of(st.none(), st.integers(1, 20)),
+)
+@example(1.0, 50.0, 0, 3, 4)  # every run needs many segments
+@example(0.0, 86_400.0, 0, 2, None)
+def test_block_draw_matches_per_run_draws(rate, horizon, base, n, draw):
+    """The block draw against one generator per seed, padded with inf;
+    draw, when given, shrinks the segment on both sides."""
+    seeds = range(base, base + n)
+    with pytest.MonkeyPatch.context() as mp:
+        if draw is not None:
+            mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
+            mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
+        rng = np.random.default_rng(7)
+        rng.standard_exponential(3)  # the block must not depend on where rng was
+        block = arrivals.poisson_arrival_times(
+            rng, rate, horizon, [engine._seed_state(s) for s in seeds])
+        runs = [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]
+        single = [arrivals.poisson_arrival_times(np.random.default_rng(s), rate, horizon)
+                  for s in seeds]
+    reference = desim_oracle.pad(runs).T
+    width = reference.shape[1]
+    assert block.shape[0] == n and block.shape[1] >= width
+    assert np.array_equal(block[:, :width], reference)
+    assert np.all(block[:, width:] == math.inf)
+    for mine, ref in zip(single, runs):
+        assert mine.dtype == np.float64 and np.array_equal(mine, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.one_of(st.just(SERIAL), caps), st.integers(1, 64), st.booleans())
+@example(([[0.0, 1.0], [], [0.5]], 2.0, 1.0, 2.5), SERIAL, 1, False)  # nothing completes
+@example(_RUNNING, 2, 8, True)
+def test_block_summary_matches_per_run_summaries(batch, cap, budget, run_major):
+    """The block summary against one four-term stack per run's finished
+    prefix, over summary budgets of a few elements to a few runs."""
+    runs, off, on, horizon = batch
+    padded = _padded(runs)
+    if run_major:  # the engine's layout: the transpose of a (runs, requests) matrix
+        padded = np.ascontiguousarray(padded.T).T
+    if cap == SERIAL:
+        ready = start = serial_steps(padded, off, on)
+    else:
+        ready, start = pipelined_steps(padded, off, on, cap, horizon)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "SUMMARY_ELEMENTS", budget)
+        means, completed = summarize_run(padded.T, ready.T, start.T, on, horizon)
+    assert means.shape == (4, len(runs))
+    for r in range(len(runs)):
+        finish = start[:, r] + on
+        k = int(np.count_nonzero(finish <= horizon))
+        finished = Schedule(padded[:k, r], ready[:k, r], start[:k, r], finish[:k])
+        assert completed[r] == k
+        assert repr(means[:, r].tolist()) == repr(desim_oracle.summarize_run(finished).tolist())
 
 
 @pytest.mark.parametrize(
@@ -219,10 +285,10 @@ def test_aggregate_matches_list_reference(columns, saturated):
 def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypatch):
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block)
     shapes = []
-    pad_runs = engine._pad
+    draw_block = engine.poisson_arrival_times
 
-    def pad(arrivals):
-        matrix = pad_runs(arrivals)
+    def draw(*args):
+        matrix = draw_block(*args)
         shapes.append(matrix.shape)
         return matrix
 
@@ -232,7 +298,7 @@ def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypat
         aggregated.append(means.copy())
         return aggregate(means, *totals)
 
-    monkeypatch.setattr(engine, "_pad", pad)
+    monkeypatch.setattr(engine, "poisson_arrival_times", draw)
     monkeypatch.setattr(engine, "aggregate", aggregate_runs)
     arch = build_preset("resnet18", "tinyimagenet")
     costs = phase_costs(CM, "sg", arch, mode="table")
@@ -247,8 +313,19 @@ def test_run_many_matches_reference(concurrency, rate, horizon, block, monkeypat
         run = desim_oracle.simulate(costs, cfg, seed)
         assert repr(column.tolist()) == repr([getattr(run, name) for name in _MEANS]), seed
     # every block fits the budget, unless it is one run too long for it
-    assert sum(cols for _, cols in shapes) == cfg.n_runs
-    assert all(rows * cols <= block or cols == 1 for rows, cols in shapes), shapes
+    assert sum(runs for runs, _ in shapes) == cfg.n_runs
+    assert all(runs * width <= block or runs == 1 for runs, width in shapes), shapes
+
+
+@pytest.mark.parametrize("concurrency", [SERIAL, PIPELINED])
+def test_run_many_with_many_segments_matches_reference(concurrency, monkeypatch):
+    """Segments of 3 gaps, on both sides, so every run draws again."""
+    monkeypatch.setattr(arrivals, "draw_size", _fixed_draw(3))
+    monkeypatch.setattr(desim_oracle, "draw_size", _fixed_draw(3))
+    costs = phase_costs(CM, "sg", build_preset("resnet18", "tinyimagenet"), mode="table")
+    cfg = SimConfig(arrival_rate=2e-2, horizon_s=20_000.0, n_runs=5, concurrency=concurrency,
+                    client_capacity_bytes=128e9)
+    _assert_same_metrics(run_many(costs, cfg, 11), desim_oracle.run_many(costs, cfg, 11))
 
 
 @pytest.mark.parametrize("spec", ["fig4_c100", "fig5_tiny"])
@@ -339,3 +416,37 @@ def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeyp
     for passes in (1, 2):
         assert main(argv) == 0
         assert len(calls) == distinct * passes
+
+
+def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
+    """Within one run_points call each seed is hashed once, however many
+    points run it; a second call hashes them all again, and nothing is
+    kept between calls."""
+    seeded = []
+
+    def counted_state(seed):
+        seeded.append(seed)
+        return initial_state(seed)
+
+    initial_state = engine._seed_state
+    monkeypatch.setattr(engine, "_seed_state", counted_state)
+    tasks = [
+        (c, SimConfig(arrival_rate=rate, horizon_s=50.0, n_runs=3, concurrency=SERIAL), seed)
+        for c in _SHARING_COSTS
+        for rate, seed in ((0.5, 0), (1.0, 0), (1.0, 2))
+    ]
+    rows = []
+    for _ in range(2):
+        seeded.clear()
+        rows.append(_cells(run_points(tasks, 1)))
+        assert sorted(seeded) == [0, 1, 2, 3, 4]
+        assert engine._seed_states.get() is None
+    assert rows[0] == rows[1] == _cells([sweep_point(*t) for t in tasks])
+
+
+def test_sweep_in_workers_writes_the_same_csv(tmp_path, capsys):
+    for jobs in ("1", "2"):
+        argv = ["sweep", "@fig4_c100", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+        assert main(argv) == 0
+    csv = "fig4_c100.csv"
+    assert (tmp_path / "2" / csv).read_bytes() == (tmp_path / "1" / csv).read_bytes()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import FIELD_MODULUS as P, FieldOverflowRisk
+from .field import FIELD_MODULUS as P, HALF_RANGE, FieldOverflowRisk
 
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
@@ -61,7 +61,7 @@ def prepare_weights(w: np.ndarray) -> PreparedWeights:
     """
     matrix = w.reshape(w.shape[0], -1).astype(np.float64)
     np.remainder(matrix, P, out=matrix)
-    matrix[matrix > (P - 1) // 2] -= P
+    matrix[matrix > HALF_RANGE] -= P
     w_max = int(max(matrix.max(initial=0), -matrix.min(initial=0)))
     fan_in = matrix.shape[1]
     if w_max * (P - 1) * fan_in >= _EXACT:
@@ -144,7 +144,7 @@ def relu_remask_mod(a, b, r):
     """
     y = a + b
     y %= P
-    y[y > (P - 1) // 2] = 0  # negative values: relu gives 0
+    y[y > HALF_RANGE] = 0  # negative values: relu gives 0
     y -= r
     y %= P
     return y

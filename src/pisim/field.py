@@ -20,16 +20,14 @@ import numpy as np
 from .errors import PisimError
 
 FIELD_MODULUS = 2**31 - 1
+# the largest non-negative value of the signed window
+HALF_RANGE = (FIELD_MODULUS - 1) // 2
 
 
 class FieldOverflowRisk(PisimError, ValueError):
     """Worst-case activation magnitude exceeds the signed field capacity."""
 
     exit_code = 3
-
-
-def half_range() -> int:
-    return (FIELD_MODULUS - 1) // 2
 
 
 def encode(values) -> np.ndarray:
@@ -40,7 +38,7 @@ def encode(values) -> np.ndarray:
 def decode_signed(values) -> np.ndarray:
     """Invert encode: field elements back to signed integers."""
     x = np.asarray(values, dtype=np.int64) % FIELD_MODULUS
-    return np.where(x > half_range(), x - FIELD_MODULUS, x)
+    return np.where(x > HALF_RANGE, x - FIELD_MODULUS, x)
 
 
 def sample_elements(rng: np.random.Generator, shape) -> np.ndarray:

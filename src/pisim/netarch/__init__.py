@@ -22,7 +22,7 @@ from .presets import (
     canonical_dataset,
     get_dataset,
 )
-from .shapes import IncompatibleResolution, InvalidArch, infer_shapes, validate
+from .shapes import InvalidArch, infer_shapes, validate
 
 __all__ = [
     "AvgPool",
@@ -32,7 +32,6 @@ __all__ = [
     "DatasetSpec",
     "FC",
     "Flatten",
-    "IncompatibleResolution",
     "InvalidArch",
     "LayerCounts",
     "MODELS",

@@ -1,9 +1,12 @@
 """Parameter, FLOP, ReLU and masked-element counting.
 
-Convention: one multiply-accumulate = one FLOP, so a conv costs
-out_elems * in_channels * kernel**2 and an FC costs in * out. Pooling
-and elementwise ops are not counted. Skip-connection convs contribute
-params and FLOPs; identity skips contribute nothing.
+Convention: one multiply-accumulate = one FLOP, so a conv or FC costs
+out_elems * prod(weight_shape[1:]) (in_channels * kernel**2 per output
+of a conv, in per output of an FC) and holds prod(weight_shape) weights
+plus weight_shape[0] biases if it has them; `weight_shape` is the
+layer's own. Pooling and elementwise ops are not counted.
+Skip-connection convs contribute params and FLOPs; identity skips
+contribute nothing.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ class LayerCounts:
     connections (identity skips still cost a homomorphic pass for the
     client's share). mask_in/mask_out are the total elements masked at
     linear-segment inputs and shared at segment outputs. Segments are the
-    linear units of `netarch.lowering.compile_network`: the input and
-    every ReLU output are masked, and every ReLU input, the logits and
-    each skip merge carry a share.
+    linear units of `netarch.lowering.compile_network`: its masked points
+    (the input and every ReLU output) are masked, and every ReLU input,
+    the logits and each skip merge carry a share.
     """
 
     params: int
@@ -53,11 +56,12 @@ def count(arch: NetworkArch) -> LayerCounts:
     flops = {"conv": 0, "fc": 0}
     params = n_units = 0
     for unit in net.units:
-        weighted = [op for op in unit.ops if op.weight_shape is not None]
+        weighted = [op for op in unit.ops if op.weight_key is not None]
         n_units += 1 if unit.is_skip else len(weighted)
         for op in weighted:
-            params += math.prod(op.weight_shape) + op.weight_shape[0] * op.has_bias
-            flops[op.kind] += math.prod(op.out_shape) * math.prod(op.weight_shape[1:])
+            shape = op.layer.weight_shape
+            params += math.prod(shape) + shape[0] * op.layer.bias
+            flops[op.layer.kind] += math.prod(op.out_shape) * math.prod(shape[1:])
     relus = net.total_relus
     return LayerCounts(
         params=params,
@@ -66,6 +70,6 @@ def count(arch: NetworkArch) -> LayerCounts:
         conv_flops=flops["conv"],
         fc_flops=flops["fc"],
         n_units=n_units,
-        mask_in_elems=sum(p.elems for p in net.points if p.masked),
+        mask_in_elems=sum(p.elems for p in net.masked_points),
         mask_out_elems=sum(u.out_elems for u in net.units),
     )

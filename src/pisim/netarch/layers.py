@@ -36,6 +36,10 @@ class Conv:
 
     kind = "conv"
 
+    @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+
 
 @dataclass(frozen=True)
 class FC:
@@ -44,6 +48,10 @@ class FC:
     bias: bool = True
 
     kind = "fc"
+
+    @property
+    def weight_shape(self) -> tuple[int, int]:
+        return (self.out_features, self.in_features)
 
 
 @dataclass(frozen=True)

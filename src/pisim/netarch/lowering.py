@@ -8,6 +8,10 @@ a skip connection's identity or projection. Every value entering a
 ReLU or the output is the sum of its incoming units, which is what
 additive sharing needs.
 
+A unit's ops are the arch's own layers, each with its output shape, so
+`count()` and the executor read a layer's fields (`weight_shape`,
+`stride`, `padding`) where the arch states them.
+
 This is the one structural walk after `validate()`: `count()` folds
 over it and the two-party protocol executes it. Weights are keyed by
 layer index (skip projections by ("skip", i)) so the plaintext
@@ -19,29 +23,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .layers import AvgPool, Conv, FC, LayerSpec, NetworkArch, ReLU
+from .layers import AvgPool, Conv, FC, Flatten, LayerSpec, NetworkArch, ReLU
 from .shapes import Shape, pool_window, validate
 
 WeightKey = int | tuple[str, int]
 
 
 @dataclass(frozen=True)
-class PrimitiveOp:
-    kind: str  # conv | fc | pool | flatten
+class LoweredOp:
+    """One non-ReLU layer of a unit and the shape it outputs.
+
+    `layer` is the arch's own Conv, FC or Flatten, a skip's projection
+    conv, or an AvgPool with its window and stride resolved for its input.
+    `weight_key` names a conv's or FC's weights and is None otherwise.
+    """
+
+    layer: Conv | FC | AvgPool | Flatten
+    weight_key: WeightKey | None
     out_shape: Shape
-    weight_key: WeightKey | None = None
-    weight_shape: tuple | None = None
-    has_bias: bool = False
-    stride: int = 1
-    pad: int = 0
-    window: int = 0
 
 
 @dataclass(frozen=True)
 class ActivationPoint:
     index: int
     shape: Shape
-    masked: bool  # input and ReLU points carry a client mask
 
     @property
     def elems(self) -> int:
@@ -53,7 +58,7 @@ class LinearUnit:
     uid: str
     src_point: int
     dst_point: int
-    ops: tuple[PrimitiveOp, ...]
+    ops: tuple[LoweredOp, ...]
     out_shape: Shape
 
     @property
@@ -71,6 +76,11 @@ class CompiledNetwork:
     units: tuple[LinearUnit, ...]
 
     @property
+    def masked_points(self) -> tuple[ActivationPoint, ...]:
+        """The input and every ReLU output: each point but the logits."""
+        return self.points[:-1]
+
+    @property
     def relu_points(self) -> tuple[ActivationPoint, ...]:
         return self.points[1:-1]
 
@@ -86,34 +96,11 @@ class CompiledNetwork:
         return sum(p.elems for p in self.relu_points)
 
 
-def _conv_op(layer: Conv, key: WeightKey, out_shape: Shape) -> PrimitiveOp:
-    return PrimitiveOp(
-        kind="conv",
-        out_shape=out_shape,
-        weight_key=key,
-        weight_shape=(layer.out_channels, layer.in_channels, layer.kernel, layer.kernel),
-        has_bias=layer.bias,
-        stride=layer.stride,
-        pad=layer.padding,
-    )
-
-
-def _op(layer: LayerSpec, idx: int, in_shape: Shape, out_shape: Shape) -> PrimitiveOp:
+def _op(layer: LayerSpec, idx: int, in_shape: Shape, out_shape: Shape) -> LoweredOp:
     """The op of a non-ReLU layer; validate() admits no other kinds."""
-    if isinstance(layer, Conv):
-        return _conv_op(layer, idx, out_shape)
-    if isinstance(layer, FC):
-        return PrimitiveOp(
-            kind="fc",
-            out_shape=out_shape,
-            weight_key=idx,
-            weight_shape=(layer.out_features, layer.in_features),
-            has_bias=layer.bias,
-        )
     if isinstance(layer, AvgPool):
-        window, stride = pool_window(layer, in_shape)
-        return PrimitiveOp(kind="pool", out_shape=out_shape, window=window, stride=stride)
-    return PrimitiveOp(kind="flatten", out_shape=out_shape)
+        return LoweredOp(AvgPool(*pool_window(layer, in_shape)), None, out_shape)
+    return LoweredOp(layer, idx if isinstance(layer, (Conv, FC)) else None, out_shape)
 
 
 def compile_network(arch: NetworkArch) -> CompiledNetwork:
@@ -121,30 +108,30 @@ def compile_network(arch: NetworkArch) -> CompiledNetwork:
     shapes = validate(arch)
     ds = arch.dataset
     in_shape: Shape = (ds.channels, ds.height, ds.width)
-    points = [ActivationPoint(0, in_shape, masked=True)]
+    points = [ActivationPoint(0, in_shape)]
     point_of_layer: dict[int, int] = {-1: 0}
     units: list[LinearUnit] = []
 
     def close_unit(uid: str, src: int, dst: int, ops) -> None:
         units.append(LinearUnit(uid, src, dst, tuple(ops), points[dst].shape))
 
-    ops: list[PrimitiveOp] = []
+    ops: list[LoweredOp] = []
     for idx, (layer, shape) in enumerate(zip(arch.layers, shapes)):
         if isinstance(layer, ReLU):
             point_of_layer[idx] = len(points)
-            points.append(ActivationPoint(len(points), shape, masked=True))
+            points.append(ActivationPoint(len(points), shape))
             close_unit(f"u{len(units)}", len(points) - 2, len(points) - 1, ops)
             ops = []
         else:
             ops.append(_op(layer, idx, in_shape, shape))
         in_shape = shape
-    points.append(ActivationPoint(len(points), shapes[-1], masked=False))
+    points.append(ActivationPoint(len(points), shapes[-1]))
     close_unit(f"u{len(units)}", len(points) - 2, len(points) - 1, ops)
 
     # validate() guarantees each skip runs from a mask point into a ReLU.
     for i, skip in enumerate(arch.skips):
         dst = point_of_layer[skip.merge + 1]
-        ops = [] if skip.conv is None else [_conv_op(skip.conv, ("skip", i), points[dst].shape)]
+        ops = [] if skip.conv is None else [LoweredOp(skip.conv, ("skip", i), points[dst].shape)]
         close_unit(f"s{i}", point_of_layer[skip.source], dst, ops)
 
     # Canonical order: by destination, main path before skips.

@@ -12,10 +12,6 @@ class InvalidArch(PisimError, ValueError):
     """Architecture fails shape inference or structural validation."""
 
 
-class IncompatibleResolution(InvalidArch):
-    """Layer list cannot be re-inferred at the requested input size."""
-
-
 def _at_least(least: int, where: str, fields: dict[str, int]) -> None:
     """InvalidArch for the first field below `least`: 1 for sizes and
     counts, 0 for padding."""
@@ -43,7 +39,7 @@ def conv_out(layer: Conv, shape: Shape, where: str) -> Shape:
     oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
     if oh < 1 or ow < 1:
-        raise IncompatibleResolution(
+        raise InvalidArch(
             f"{where} output would be {oh}x{ow} for input {h}x{w}"
         )
     return (layer.out_channels, oh, ow)
@@ -64,7 +60,7 @@ def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:
     window, stride = pool_window(layer, shape)
     _at_least(1, f"layer {idx}: avgpool", {"window": window, "stride": stride})
     if window > h or window > w:
-        raise IncompatibleResolution(
+        raise InvalidArch(
             f"layer {idx}: pool window {window} exceeds input {h}x{w}"
         )
     return (c, (h - window) // stride + 1, (w - window) // stride + 1)

@@ -22,23 +22,19 @@ def gen_weights(arch: NetworkArch, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     weights: dict[WeightKey, tuple[np.ndarray, np.ndarray]] = {}
 
-    def draw(key: WeightKey, w_shape: tuple, out_dim: int, has_bias: bool) -> None:
-        w = rng.integers(-3, 4, size=w_shape, dtype=np.int64)
-        if has_bias:
-            b = rng.integers(-3, 4, size=(out_dim,), dtype=np.int64)
+    def draw(key: WeightKey, layer: Conv | FC) -> None:
+        shape = layer.weight_shape
+        w = rng.integers(-3, 4, size=shape, dtype=np.int64)
+        if layer.bias:
+            b = rng.integers(-3, 4, size=shape[:1], dtype=np.int64)
         else:
-            b = np.zeros(out_dim, dtype=np.int64)
+            b = np.zeros(shape[0], dtype=np.int64)
         weights[key] = (w, b)
 
     for idx, layer in enumerate(arch.layers):
-        if isinstance(layer, Conv):
-            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            draw(idx, shape, layer.out_channels, layer.bias)
-        elif isinstance(layer, FC):
-            draw(idx, (layer.out_features, layer.in_features), layer.out_features, layer.bias)
+        if isinstance(layer, (Conv, FC)):
+            draw(idx, layer)
     for i, skip in enumerate(arch.skips):
         if skip.conv is not None:
-            conv = skip.conv
-            shape = (conv.out_channels, conv.in_channels, conv.kernel, conv.kernel)
-            draw(("skip", i), shape, conv.out_channels, conv.bias)
+            draw(("skip", i), skip.conv)
     return weights

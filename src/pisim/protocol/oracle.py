@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..field import FieldOverflowRisk, half_range
+from ..field import HALF_RANGE, FieldOverflowRisk
 from ..netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 from ..netarch.shapes import pool_window
 
@@ -114,10 +114,10 @@ def _pool_plain(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 def _check_bound(x: np.ndarray, where: str) -> int:
     """max|x| over the block; raises once it leaves the signed field window."""
     peak = _peak(x)
-    if peak > half_range():
+    if peak > HALF_RANGE:
         raise FieldOverflowRisk(
             f"{where}: |value| {peak} exceeds the signed field window "
-            f"{half_range()}; results would wrap"
+            f"{HALF_RANGE}; results would wrap"
         )
     return peak
 

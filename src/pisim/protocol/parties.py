@@ -45,7 +45,7 @@ from ..costmodel.comm import (
     SHARE_BYTES_PER_ELEM,
 )
 from ..costmodel.types import Protocol
-from ..netarch import CompiledNetwork
+from ..netarch import AvgPool, CompiledNetwork, Conv, FC
 from .channel import CLIENT, SERVER, Channel, EventKind
 from .sealed import SealKey, apply_linear, seal, unseal
 
@@ -109,23 +109,18 @@ class ServerState:
 def apply_ops(ops, x: np.ndarray, weights, with_bias: bool) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.int64)
     for op in ops:
-        if op.kind == "conv":
+        layer = op.layer
+        if isinstance(layer, Conv):
             w, b = weights[op.weight_key]
-            x = conv2d_mod(x, w, b if with_bias else None, op.stride, op.pad)
-        elif op.kind == "fc":
+            x = conv2d_mod(x, w, b if with_bias else None, layer.stride, layer.padding)
+        elif isinstance(layer, FC):
             w, b = weights[op.weight_key]
             x = matvec_mod(w, x, b if with_bias else None)
-        elif op.kind == "pool":
-            x = sumpool_mod(x, op.window, op.stride)
-        elif op.kind == "flatten":
+        elif isinstance(layer, AvgPool):
+            x = sumpool_mod(x, layer.window, layer.stride)
+        else:  # Flatten
             x = np.ascontiguousarray(x.reshape(*x.shape[:-3], -1))
-        else:
-            raise AssertionError(f"unknown op {op.kind}")
     return x
-
-
-def _masked_points(comp: CompiledNetwork):
-    return [pt for pt in comp.points if pt.masked]
 
 
 def client_offline(state: ClientState, ch: Channel) -> Generator:
@@ -133,7 +128,7 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
     cg = state.protocol is Protocol.CLIENT_GARBLER
 
     ch.send(CLIENT, EventKind.KEYS, state.key, KEY_BYTES, stored_by_receiver=True, label="setup")
-    for pt in _masked_points(comp):
+    for pt in comp.masked_points:
         r = _draw(state.rngs, state.batch, pt.shape)
         state.masks[pt.index] = r
         ch.send(
@@ -194,7 +189,7 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
                 label=f"choice point{pt.index}",
             )
 
-    mask_elems = sum(pt.elems for pt in _masked_points(comp))
+    mask_elems = sum(pt.elems for pt in comp.masked_points)
     state.self_stored_bytes = SHARE_BYTES_PER_ELEM * mask_elems
     if cg:
         state.self_stored_bytes += CG_GARBLER_STATE_BYTES_PER_RELU * comp.total_relus
@@ -206,7 +201,7 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
 
     yield from ch.receive(SERVER, expect=EventKind.KEYS)
     sealed_masks = {}
-    for pt in _masked_points(comp):
+    for pt in comp.masked_points:
         _, sealed = yield from ch.receive(SERVER, expect=EventKind.ENCRYPTED_MASKS)
         sealed_masks[pt.index] = sealed
 

@@ -163,8 +163,8 @@ def _largest_fan_ins():
             units = compile_network(build_preset(model, dataset)).units
         except InvalidArch:
             continue
-        fan_ins[model, dataset] = max(math.prod(op.weight_shape[1:]) for unit in units
-                                      for op in unit.ops if op.weight_shape is not None)
+        fan_ins[model, dataset] = max(math.prod(op.layer.weight_shape[1:]) for unit in units
+                                      for op in unit.ops if op.weight_key is not None)
     return fan_ins
 
 

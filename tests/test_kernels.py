@@ -10,14 +10,13 @@ from pisim import _kernels as K
 from pisim.field import (
     FIELD_MODULUS,
     FieldOverflowRisk,
+    HALF_RANGE as HALF,
     decode_signed,
     encode,
-    half_range,
     sample_elements,
 )
 
 P = FIELD_MODULUS
-HALF = half_range()
 
 
 def _rng():

@@ -13,9 +13,10 @@ The groups are the outputs a refactor must leave byte-identical:
   blocks    stdout and CSV of `simulate` at 0.5 req/s over 24 h with 100
             runs, serial and pipelined: each point spans five blocks of
             runs (engine.BLOCK_ELEMENTS), where every sweep point fits one
-  verify    stdout of `verify --trials 100` at seeds 0 to 3, of one
-            protocol over a partial last block (`--protocol cg
-            --trials 5`), and of one trial on toy8 at seed 7
+  verify    stdout of `verify --trials 100` at seeds 0 to 3 (five blocks
+            of 18 trials, then a partial block of 10), of one protocol on
+            one partial block (`--protocol cg --trials 5`), and of one
+            trial on toy8 at seed 7
   transcripts
             the JSONL of the sg and cg transcripts that
             `verify_against_plaintext` keeps for toy_cnn on cifar100, one

@@ -38,7 +38,8 @@ _EXACT = 1 << 53
 # groups, so its im2col copy (kh*kw*ci float64 rows) is at most this wide.
 # On `verify --trials 100` (toy_cnn, cifar100, blocks of 4), caps of 1024,
 # 2048 and 4096 gave a peak RSS of 46.5, 46.2 and 47.1 MB (medians of 3 to
-# 6 runs; 46.1 MB with one bundle per run) at equal CPU.
+# 6 runs; 46.1 MB with one bundle per run) at equal CPU. With blocks of 18,
+# caps of 4096 to 20480 saved no CPU (ratio 0.99 to 2048).
 _CONV_COLS = 2048
 
 

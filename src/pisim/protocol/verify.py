@@ -1,4 +1,8 @@
-"""End-to-end correctness checks against the plaintext reference."""
+"""End-to-end correctness checks against the plaintext reference.
+
+Trials run in blocks sized by BLOCK_ELEMENTS, so toy networks batch many
+trials per two-party run and paper-scale networks run one at a time.
+"""
 
 from __future__ import annotations
 
@@ -19,14 +23,25 @@ from .oracle import plaintext_forward
 # default so a typo'd model name cannot wedge a terminal.
 GUARD_MAX_RELUS = 10_000
 
-# Trials per block: one plaintext pass, and per protocol one offline and
-# one online two-party run, over the block's inputs. A block's bundles and
-# transients add to peak memory: on `verify --trials 100` (toy_cnn,
-# cifar100) blocks of 4, 5 and 6 gave a peak RSS of 46.2, 46.5 and 46.8 MB
-# (medians of 3 to 6 runs, against 46.1 MB with one bundle per run and
-# plaintext blocks of 6) for 0.19, 0.21 and 0.19 s of CPU a pass at
-# reference speed, within run-to-run noise of each other.
-TRIAL_BLOCK = 4
+# Most mask and share elements of one block's bundles; a trial's are
+# count(arch).mask_in_elems + mask_out_elems. A block is one plaintext
+# pass, and per protocol one offline and one online two-party run, over
+# its inputs, so larger blocks pay the per-run overhead (channel events,
+# generator steps, small numpy calls, the oracle's FC weight pass) fewer
+# times. On perfbench `verify_toy` (verify --trials 100, toy_cnn on
+# cifar100, 7,268 elements a trial), 15 s runs at seeds 0-2 read:
+#
+#   budget          block  cpu_ref_s            peak_rss_mb
+#   4 trials           4   0.188 0.191 0.188    45.74-45.85
+#   1 << 16            9   0.171 0.177 0.171    46.54-46.56
+#   1 << 17           18   0.166 0.163 0.161    48.42-48.47
+#
+# In 30 alternating in-process passes, CPU against blocks of 4 was 0.82
+# for blocks of 16, 0.80 for 20 and 25, 0.85 for 32 and 0.91 for 100, so
+# a larger budget buys no more speed. One resnet32, resnet18 or vgg16
+# trial alone exceeds the budget on cifar100, tinyimagenet and imagenet,
+# so those run one trial a block.
+BLOCK_ELEMENTS = 1 << 17
 
 
 class VerifyGuard(PisimError, RuntimeError):
@@ -63,19 +78,20 @@ def verify_against_plaintext(
     """Run masked inference and compare logits with the plaintext pass.
 
     Trial t runs on bundle nonce t, so every trial has its own masks and
-    shares. Trials run in blocks of up to TRIAL_BLOCK: the block's inputs
-    are drawn once, the plaintext pass runs once over them, and each
-    protocol builds and consumes the block's bundles in one offline and
-    one online run. Matching is exact integer equality. Overflow in the
+    shares. Trials run in blocks of as many as keep the block's masks
+    and shares within BLOCK_ELEMENTS elements, at least one: the block's
+    inputs are drawn once, the plaintext pass runs once over them, and
+    each protocol builds and consumes the block's bundles in one offline
+    and one online run. Matching is exact integer equality. Overflow in the
     reference pass propagates as FieldOverflowRisk before any of its
     block's masked runs. Only trial 0's transcripts are kept, one per
     protocol; a block's transcript is each of its bundles'. Zero or
     negative trials run nothing and give empty (0, classes) arrays.
     """
-    relus = count(arch).relus
-    if relus > GUARD_MAX_RELUS and not force:
+    c = count(arch)
+    if c.relus > GUARD_MAX_RELUS and not force:
         raise VerifyGuard(
-            f"{arch.name} has {relus} relus (> {GUARD_MAX_RELUS}); "
+            f"{arch.name} has {c.relus} relus (> {GUARD_MAX_RELUS}); "
             "pass --force to run anyway"
         )
     protocols = [Protocol.parse(protocol) for protocol in protocols]
@@ -84,8 +100,9 @@ def verify_against_plaintext(
     expected = np.empty((trials, arch.dataset.classes), dtype=np.int64)
     logits = {protocol: np.empty_like(expected) for protocol in protocols}
     transcripts = {}
-    for start in range(0, trials, TRIAL_BLOCK):
-        block = range(start, min(start + TRIAL_BLOCK, trials))
+    per_block = max(1, BLOCK_ELEMENTS // (c.mask_in_elems + c.mask_out_elems))
+    for start in range(0, trials, per_block):
+        block = range(start, min(start + per_block, trials))
         xs = np.stack([sample_input(arch, seed, trial) for trial in block])
         expected[start:block.stop] = plaintext_forward(arch, weights, xs)
         for protocol in protocols:

@@ -10,10 +10,15 @@ logits, stored bytes and the transcript.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_protocol import MINI, TOY
+from test_protocol import MINI, TOY, verify_block
 
 from pisim.protocol import run_offline, run_online, sample_input
-from pisim.protocol.verify import TRIAL_BLOCK
+
+# an arch and a block size up to the one verify runs it in: 18 for TOY,
+# 70 for MINI
+ARCH_AND_N = st.sampled_from([TOY, MINI]).flatmap(
+    lambda arch: st.tuples(st.just(arch), st.integers(1, verify_block(arch)))
+)
 
 
 def _assert_slice_k(block: dict, single: dict, k: int, n: int, what: str) -> None:
@@ -25,14 +30,14 @@ def _assert_slice_k(block: dict, single: dict, k: int, n: int, what: str) -> Non
 
 
 @given(
-    st.sampled_from([TOY, MINI]),
+    ARCH_AND_N,
     st.sampled_from(["sg", "cg"]),
-    st.integers(1, TRIAL_BLOCK),
     st.integers(0, 2**20),
     st.integers(0, 50),
 )
 @settings(max_examples=40, deadline=None)
-def test_block_bundles_equal_single_runs(arch, protocol, n, start, seed):
+def test_block_bundles_equal_single_runs(arch_and_n, protocol, start, seed):
+    arch, n = arch_and_n
     nonces = range(start, start + n)
     xs = np.stack([sample_input(arch, seed, trial) for trial in nonces])
     block = run_offline(arch, protocol, seed, nonce=nonces)

@@ -27,7 +27,8 @@ from pisim.cli import (
     shipped_experiments,
 )
 from pisim.desim import SWEEP_COLUMNS
-from pisim.protocol import verify
+from pisim.netarch import build_preset
+from pisim.protocol import sample_input, verify
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -458,13 +459,15 @@ def test_verify_pass(capsys):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    # one cg trial off by one: the last, which runs alone in a partial block
+    # one cg trial off by one: trial 4, found by its input wherever its
+    # block puts it
+    trial_4 = sample_input(build_preset("toy_cnn", "cifar100"), 0, 4)
     run_online = verify.run_online
 
     def off_by_one(bundle, xs):
         logits = run_online(bundle, xs)
-        if bundle.client_state.protocol.short == "cg" and len(xs) == 1:
-            logits = logits + 1
+        if bundle.client_state.protocol.short == "cg":
+            logits[(xs == trial_4).all(axis=(1, 2, 3))] += 1
         return logits
 
     monkeypatch.setattr(verify, "run_online", off_by_one)

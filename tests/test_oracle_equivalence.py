@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_netarch_equivalence import networks
-from test_protocol import mini_res
+from test_protocol import mini_res, verify_block
 
 import protocol_oracle
 from pisim.field import FieldOverflowRisk
@@ -26,11 +26,12 @@ from pisim.netarch import (
     NetworkArch,
     ReLU,
     build_preset,
+    count,
     validate,
 )
 from pisim.protocol import gen_weights, plaintext_forward, sample_input
 from pisim.protocol import verify as verify_module
-from pisim.protocol.verify import TRIAL_BLOCK, verify_against_plaintext
+from pisim.protocol.verify import verify_against_plaintext
 
 TOYS = [build_preset("toy_cnn", ds) for ds in ("cifar100", "toy8")]
 # overlapping pool windows: stride below the window
@@ -99,10 +100,20 @@ def test_random_network_block_matches_reference(arch, n, seed, high):
     _assert_block_matches_reference(arch, gen_weights(arch, seed % 1000), xs)
 
 
-@pytest.mark.parametrize("trials", [1, TRIAL_BLOCK - 1, TRIAL_BLOCK, TRIAL_BLOCK + 1,
-                                    2 * TRIAL_BLOCK + 3])
-def test_verify_blocks_cover_every_trial_in_order(trials, monkeypatch):
-    arch = TOYS[1]
+@pytest.mark.parametrize("arch,n", [(TOYS[0], 18), (TOYS[1], 100)],
+                         ids=["toy_cnn-cifar100", "toy_cnn-toy8"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_sized_block_matches_reference(arch, n, seed):
+    # the blocks `verify --trials 100` runs: 18 inputs on cifar100, and all
+    # 100 in one block on toy8
+    assert n == min(verify_block(arch), 100)
+    xs = np.stack([sample_input(arch, seed, trial) for trial in range(n)])
+    _assert_block_matches_reference(arch, gen_weights(arch, seed), xs)
+
+
+def _verify_counting_blocks(arch, trials, monkeypatch) -> list[int]:
+    """Run verify on arch, hold every trial to the reference, and return
+    the number of inputs of each plaintext call, in order."""
     calls = []
     forward = verify_module.plaintext_forward
 
@@ -113,7 +124,6 @@ def test_verify_blocks_cover_every_trial_in_order(trials, monkeypatch):
     monkeypatch.setattr(verify_module, "plaintext_forward", counted)
     result = verify_against_plaintext(arch, seed=2, trials=trials)
     assert result.ok
-    assert calls == [min(TRIAL_BLOCK, trials - s) for s in range(0, trials, TRIAL_BLOCK)]
     assert [protocol.short for protocol in result.logits] == ["sg", "cg"]
     weights = gen_weights(arch, 2)
     want = [protocol_oracle.plaintext_forward(arch, weights, sample_input(arch, 2, trial)).tolist()
@@ -121,6 +131,29 @@ def test_verify_blocks_cover_every_trial_in_order(trials, monkeypatch):
     assert result.expected.tolist() == want
     for logits in result.logits.values():
         assert logits.tolist() == want
+    return calls
+
+
+# around the block the rule gives: 18 trials on cifar100, 404 on toy8
+BLOCK_CASES = [
+    pytest.param(arch, trials, id=f"{arch.dataset.name}-{trials}")
+    for arch in TOYS
+    for b in [verify_block(arch)]
+    for trials in (1, b - 1, b, b + 1, 2 * b + 3)
+]
+
+
+@pytest.mark.parametrize("arch,trials", BLOCK_CASES)
+def test_verify_blocks_cover_every_trial_in_order(arch, trials, monkeypatch):
+    b = verify_block(arch)
+    calls = _verify_counting_blocks(arch, trials, monkeypatch)
+    assert calls == [min(b, trials - s) for s in range(0, trials, b)]
+
+
+def test_verify_runs_blocks_of_one_below_one_trials_elements(monkeypatch):
+    c = count(TOYS[0])
+    monkeypatch.setattr(verify_module, "BLOCK_ELEMENTS", c.mask_in_elems + c.mask_out_elems - 1)
+    assert _verify_counting_blocks(TOYS[0], 3, monkeypatch) == [1, 1, 1]
 
 
 # An FC from 3 inputs to 1 output: 15 * 2**50 is past 2**53, where

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from pisim.costmodel import CommInputs, Protocol, offline_comm, online_comm, storage_deltas
 from pisim.field import FIELD_MODULUS, encode, sample_elements
 from pisim.netarch import (
+    DATASETS,
+    MODELS,
     AvgPool,
     Conv,
     DatasetSpec,
     FC,
     Flatten,
+    InvalidArch,
     NetworkArch,
     ReLU,
     SkipConnection,
     TOY8,
     build_preset,
+    count,
     validate,
 )
 from pisim.protocol import (
@@ -40,6 +44,7 @@ from pisim.protocol import (
     unseal,
     verify_against_plaintext,
 )
+from pisim.protocol import verify as verify_module
 
 SG = Protocol.SERVER_GARBLER
 CG = Protocol.CLIENT_GARBLER
@@ -72,6 +77,14 @@ def mini_res() -> NetworkArch:
 
 
 MINI = mini_res()
+
+
+def verify_block(arch: NetworkArch) -> int:
+    """Trials in one block of verify_against_plaintext on arch: as many as
+    keep their masks and shares within BLOCK_ELEMENTS, at least one."""
+    c = count(arch)
+    return max(1, verify_module.BLOCK_ELEMENTS // (c.mask_in_elems + c.mask_out_elems))
+
 
 # toy_cnn whose logits pass through a final relu, a masked point like any other
 TOY_RELU = NetworkArch("toy_relu", TOY8, build_preset("toy_cnn", TOY8).layers + (ReLU(),))
@@ -277,6 +290,40 @@ def test_verify_guard_on_large_arch():
     with pytest.raises(VerifyGuard):
         verify_against_plaintext(big, trials=1)
     assert GUARD_MAX_RELUS < 303_104
+
+
+def _over_the_guard() -> list:
+    """Every preset model x dataset that validates and that the ReLU guard
+    refuses."""
+    pairs = []
+    for model in MODELS:
+        for dataset in sorted({spec.name for spec in DATASETS.values()}):
+            try:
+                relus = count(build_preset(model, dataset)).relus
+            except InvalidArch:
+                continue
+            if relus > GUARD_MAX_RELUS:
+                pairs.append(pytest.param(model, dataset, id=f"{model}-{dataset}"))
+    return pairs
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+@pytest.mark.parametrize("model,dataset", _over_the_guard())
+def test_networks_over_the_guard_verify_one_trial_a_block(model, dataset, monkeypatch):
+    # no weights and no masked run: the first plaintext pass reports its block
+    def first_block(arch, weights, xs):
+        raise _FirstBlock(len(xs))
+
+    monkeypatch.setattr(verify_module, "gen_weights", lambda arch, seed: None)
+    monkeypatch.setattr(verify_module, "plaintext_forward", first_block)
+    with pytest.raises(_FirstBlock) as block:
+        verify_against_plaintext(build_preset(model, dataset), trials=3, force=True)
+    # resnet32 on toy8 (46,148 elements a trial) is the one pair that fits two
+    want = 2 if (model, dataset) == ("resnet32", "toy8") else 1
+    assert block.value.args == (want,)
 
 
 def test_verify_reports_ok():

@@ -13,14 +13,21 @@ interquartile ranges, each run's value, and the pairs the change won
 commit, the working tree's HEAD and whether it has uncommitted changes,
 and each side's first environment line (whose src_sha256 names the
 sources that ran).
+
+Each run starts in its own session. If the script stops, by an error, a
+timeout, Ctrl-C or SIGTERM, it kills the current run's process group,
+perfbench worker included, and removes the temporary directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,10 +53,17 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run: its result line plus its env line, or an error."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=600)
-    lines = proc.stdout.strip().splitlines()
+    with subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=600)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    lines = stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr[-500:]}"}
+        return {"error": f"exit {proc.returncode}: {stderr[-500:]}"}
     result = json.loads(lines[-1])
     result["env"] = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
     return result
@@ -78,6 +92,8 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, default=45)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
+    # SystemExit unwinds through run() and the TemporaryDirectory below
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {"base": {"rev": args.base, "commit": git("rev-parse", args.base)},
            "change": {"head": git("rev-parse", "HEAD"),

@@ -16,7 +16,7 @@ def draw_size(rate: float, horizon_s: float) -> int:
 
 
 def poisson_arrival_times(
-    rng: np.random.Generator, rate: float, horizon_s: float, states: Sequence[dict] | None = None
+    rng: np.random.Generator, rate: float, horizon_s: float, states: Sequence[dict]
 ) -> np.ndarray:
     """Arrival instants of a Poisson process on [0, horizon).
 
@@ -25,41 +25,35 @@ def poisson_arrival_times(
     after the first is cumsummed on its own and offset by the run's last
     time so far.
 
-    Without states, one run drawn from rng: its times before the horizon,
-    a 1-D array. With states, one run per bit-generator state, each drawn
-    from rng restored to it: a (runs, width) matrix, row r holding run r's
-    times followed by inf. The first segments are one matrix, scaled and
-    cumsummed in place; a row that needs more is drawn again from its
-    state, so its later segments follow its first as in a run alone.
+    One run per bit-generator state, each drawn from rng restored to it:
+    a (runs, width) matrix, row r holding run r's times followed by inf.
+    The first segments are one matrix, scaled and cumsummed in place; a
+    row that needs more is drawn again from its state, so its later
+    segments follow its first as in a run alone.
     """
-    runs = [None] if states is None else states
     draw = draw_size(rate, horizon_s) if rate > 0 else 0
-    times = np.empty((len(runs), draw))
+    times = np.empty((len(states), draw))
     if rate > 0:
         scale = 1.0 / rate
-        for row, state in zip(times, runs):
-            if state is not None:
-                rng.bit_generator.state = state
+        for row, state in zip(times, states):
+            rng.bit_generator.state = state
             rng.standard_exponential(out=row)
         times *= scale
         np.cumsum(times, axis=1, out=times)
         longer = {}
         for r in np.flatnonzero(times[:, -1] < horizon_s).tolist():
-            if runs[r] is not None:
-                rng.bit_generator.state = runs[r]
-                rng.standard_exponential(draw)  # the row's first segment again
+            rng.bit_generator.state = states[r]
+            rng.standard_exponential(draw)  # the row's first segment again
             row = times[r]
             while row[-1] < horizon_s:
                 more = np.cumsum(rng.exponential(scale, size=draw)) + row[-1]
                 row = np.concatenate([row, more])
             longer[r] = row
         if longer:
-            wide = np.full((len(runs), max(row.size for row in longer.values())), math.inf)
+            wide = np.full((len(states), max(row.size for row in longer.values())), math.inf)
             wide[:, :draw] = times
             for r, row in longer.items():
                 wide[r, : row.size] = row
             times = wide
-    if states is None:
-        return times[0][times[0] < horizon_s]
     times[times >= horizon_s] = math.inf
     return times

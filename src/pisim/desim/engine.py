@@ -208,16 +208,33 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
     return int(min(arrived, cap))
 
 
+def _blocks(costs: PhaseCosts, config: SimConfig, states: Sequence[dict]):
+    """Draw and step one run per bit-generator state, in blocks of
+    consecutive runs whose arrival matrix holds at most BLOCK_ELEMENTS
+    elements (or one run, if it alone is longer). Yields each block's
+    arrivals, cut to its widest run, its runs' arrival counts, and its
+    bundle_ready and online_start, each (runs, width)."""
+    rate, horizon = config.arrival_rate, config.horizon_s
+    per_block = max(1, BLOCK_ELEMENTS // draw_size(rate, horizon))
+    rng = np.random.default_rng(0)  # restored to each run's state before it draws
+    for lo in range(0, len(states), per_block):
+        times = poisson_arrival_times(rng, rate, horizon, states[lo : lo + per_block])
+        counts = np.count_nonzero(times < math.inf, axis=1)
+        times = times[:, : int(counts.max())]
+        ready, start = (t.T for t in _steps(times.T, costs, config))
+        yield times, counts, ready, start
+
+
 def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:
     """One arrival realization's schedule and its peak count of live bundles.
 
-    The same seed always produces the same arrival times and therefore the
-    same schedule; both phases are deterministic given the arrivals.
+    The run is a block of one, drawn and stepped as run_many draws and
+    steps its runs, so the same seed gives the same arrival times and
+    schedule in both; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    rng = np.random.default_rng(seed)
-    arrivals = poisson_arrival_times(rng, config.arrival_rate, config.horizon_s)
-    ready, start = (t[:, 0] for t in _steps(arrivals[:, None], costs, config))
+    (block,) = _blocks(costs, config, [_seed_state(seed)])
+    arrivals, _, ready, start = (matrix[0] for matrix in block)
     finish = start + costs.online_latency_s
     horizon = config.horizon_s
     schedule = Schedule(
@@ -253,13 +270,10 @@ def _simulate_seeds(
     costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
 ) -> AggregateMetrics:
     """Aggregate one run per seed. The runs are drawn, scheduled and
-    summarized in blocks of consecutive runs, each block's arrivals one
-    matrix of at most BLOCK_ELEMENTS elements (or holding one run, if it
-    alone is longer). Each run's four means are its column of one
-    (4, runs) array."""
+    summarized a block of _blocks at a time. Each run's four means are its
+    column of one (4, runs) array."""
     _check_feasible(costs, config)
     rate, horizon = config.arrival_rate, config.horizon_s
-    per_block = max(1, BLOCK_ELEMENTS // draw_size(rate, horizon))
     cache = _seed_states.get()
     if cache is None:
         cache = {}
@@ -267,21 +281,16 @@ def _simulate_seeds(
         if seed not in cache:
             cache[seed] = _seed_state(seed)
     states = [cache[seed] for seed in seeds]
-    rng = np.random.default_rng(seeds[0])  # restored to each run's state in turn
     means = np.empty((4, len(seeds)))
-    arrived = completed = most = 0
-    for lo in range(0, len(seeds), per_block):
-        times = poisson_arrival_times(rng, rate, horizon, states[lo : lo + per_block])
-        counts = np.count_nonzero(times < math.inf, axis=1)
+    arrived = completed = most = lo = 0
+    for times, counts, ready, start in _blocks(costs, config, states):
         arrived += int(counts.sum())
-        width = int(counts.max())
-        most = max(most, width)
-        times = times[:, :width]
-        ready, start = (t.T for t in _steps(times.T, costs, config))
+        most = max(most, times.shape[1])
         means[:, lo : lo + len(times)], done = summarize_run(
             times, ready, start, costs.online_latency_s, horizon
         )
         completed += sum(done)
+        lo += len(times)
     saturated = rate > stability_limit(costs, config)
     peak = _peak_bundles(costs, config, most)
     client_b, server_b = _bundle_bytes(costs)

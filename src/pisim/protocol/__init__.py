@@ -1,8 +1,9 @@
 """Executable two-party masked inference with functional crypto stand-ins."""
 
 from .channel import Channel, EventKind, ProtocolHang
-from .compile import gen_weights
-from .executor import BundleConsumed, BundleMismatch, run_offline, run_online, sample_input
+from .executor import (
+    BundleConsumed, BundleMismatch, gen_weights, run_offline, run_online, sample_input,
+)
 from .oracle import plaintext_forward
 from .sealed import SealKey, WrongKey, seal, unseal
 from .verify import GUARD_MAX_RELUS, VerifyGuard, export_transcript, verify_against_plaintext

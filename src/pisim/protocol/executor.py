@@ -13,8 +13,10 @@ waits on an empty mailbox raises ProtocolHang at once. The lowered network (per 
 server's model (per arch and seed) are built once and shared read-only
 by every bundle.
 
-Each bundle is fresh randomness for one inference: bundle k of a seed
-draws its masks and shares from generators seeded with
+Every seeded stream of a run is declared here: the server's weights
+come from SeedSequence([seed, 0]) and trial t's input from
+[seed, 3, t]. Each bundle is fresh randomness for one inference: bundle
+k of a seed draws its masks and shares from generators seeded with
 SeedSequence([seed, party, k]), party 1 for the client and 2 for the
 server, and bundle 0 from [seed, party]. A block of nonces holds, bundle
 for bundle, what single runs at those nonces hold, and its transcript
@@ -33,9 +35,9 @@ import numpy as np
 from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
 from ..field import decode_signed, encode
-from ..netarch import CompiledNetwork, NetworkArch, compile_network
+from ..netarch import CompiledNetwork, Conv, FC, NetworkArch, compile_network
+from ..netarch.lowering import WeightKey
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
-from .compile import gen_weights
 from .parties import (
     ClientState,
     ServerState,
@@ -100,6 +102,36 @@ def _run_pair(channel: Channel, client, server) -> dict[str, object]:
                 del parties[name]
         runnable = [name for name in parties if channel.has_mail(name)]
     return results
+
+
+def gen_weights(arch: NetworkArch, seed: int):
+    """The server's model: small random integer weights in [-3, 3], keyed
+    by layer index (skip projections by ("skip", i)), the keys
+    `compile_network` puts on its ops, so the plaintext reference can
+    regenerate them without going through the lowering.
+
+    The range keeps exact activations comfortably inside the signed
+    field window for shallow test networks.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    weights: dict[WeightKey, tuple[np.ndarray, np.ndarray]] = {}
+
+    def draw(key: WeightKey, layer: Conv | FC) -> None:
+        shape = layer.weight_shape
+        w = rng.integers(-3, 4, size=shape, dtype=np.int64)
+        if layer.bias:
+            b = rng.integers(-3, 4, size=shape[:1], dtype=np.int64)
+        else:
+            b = np.zeros(shape[0], dtype=np.int64)
+        weights[key] = (w, b)
+
+    for idx, layer in enumerate(arch.layers):
+        if isinstance(layer, (Conv, FC)):
+            draw(idx, layer)
+    for i, skip in enumerate(arch.skips):
+        if skip.conv is not None:
+            draw(("skip", i), skip.conv)
+    return weights
 
 
 # Bounded, so a process that verifies many networks or seeds keeps only

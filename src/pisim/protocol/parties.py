@@ -20,6 +20,10 @@ the client ends the offline phase holding c_U = L_U(r) + s_U, the
 server holds s_U, and online the server computes L_U(a - r) + b - s_U.
 The two sides sum to L_U(a) + b. Sums over all units into a ReLU give
 the gadget's two input shares.
+
+Offline, the protocols differ in who garbles: each ReLU point's circuit
+goes out through `ship_circuit`, from the server under server-garbler and
+from the client under client-garbler, and `receive_circuit` takes it in.
 """
 
 from __future__ import annotations
@@ -54,10 +58,12 @@ class GarbledGadget:
     """Opaque garbled ReLU stand-in that the client garbles and the server
     evaluates (client-garbler).
 
-    The client's share and next mask are baked in at garble time;
-    evaluate() is the only sanctioned access to them. Server-garbler
-    circuits carry no payload: the client computes the ReLU from its own
-    share, and the transcript counts the circuits' bytes.
+    The client's share and next mask, at the point's batch + shape, are
+    baked in at garble time; evaluate() is the only sanctioned access to
+    them. They are the client's own arrays, not copies: nothing writes
+    them after the offline phase. Server-garbler circuits carry no
+    payload: the client computes the ReLU from its own share, and the
+    transcript counts the circuits' bytes.
     """
 
     __slots__ = ("_client_share", "_next_mask")
@@ -67,7 +73,7 @@ class GarbledGadget:
         self._next_mask = next_mask
 
     def evaluate(self, server_share: np.ndarray) -> np.ndarray:
-        return relu_remask_mod(self._client_share, server_share.reshape(-1), self._next_mask)
+        return relu_remask_mod(self._client_share, server_share, self._next_mask)
 
 
 def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:
@@ -123,6 +129,24 @@ def apply_ops(ops, x: np.ndarray, weights, with_bias: bool) -> np.ndarray:
     return x
 
 
+def ship_circuit(ch: Channel, garbler: str, pt, circuit) -> None:
+    """The garbler's offline shipment of ReLU point pt: its garbled circuit,
+    then its input labels, both kept by the evaluator for the online
+    phase."""
+    label = f"point{pt.index}"
+    ch.send(garbler, EventKind.GARBLED_CIRCUIT, circuit, GC_BLOB_BYTES_PER_RELU * pt.elems,
+            stored_by_receiver=True, label=label)
+    ch.send(garbler, EventKind.LABELS, None, INPUT_LABEL_BYTES_PER_RELU * pt.elems,
+            stored_by_receiver=True, label=label)
+
+
+def receive_circuit(ch: Channel, evaluator: str) -> Generator:
+    """The evaluator's side of ship_circuit; returns the circuit's payload."""
+    _, circuit = yield from ch.receive(evaluator, expect=EventKind.GARBLED_CIRCUIT)
+    yield from ch.receive(evaluator, expect=EventKind.LABELS)
+    return circuit
+
+
 def client_offline(state: ClientState, ch: Channel) -> Generator:
     comp = state.compiled
     cg = state.protocol is Protocol.CLIENT_GARBLER
@@ -155,32 +179,12 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
     )
     yield from ch.receive(CLIENT, expect=EventKind.OT_MESSAGE)
 
-    if cg:
-        for pt in comp.relu_points:
-            gadget = GarbledGadget(
-                client_share=state.shares[pt.index].reshape(-1).copy(),
-                next_mask=state.masks[pt.index].reshape(-1).copy(),
-            )
-            ch.send(
-                CLIENT,
-                EventKind.GARBLED_CIRCUIT,
-                gadget,
-                GC_BLOB_BYTES_PER_RELU * pt.elems,
-                stored_by_receiver=True,
-                label=f"point{pt.index}",
-            )
-            ch.send(
-                CLIENT,
-                EventKind.LABELS,
-                None,
-                INPUT_LABEL_BYTES_PER_RELU * pt.elems,
-                stored_by_receiver=True,
-                label=f"point{pt.index}",
-            )
-    else:
-        for pt in comp.relu_points:
-            yield from ch.receive(CLIENT, expect=EventKind.GARBLED_CIRCUIT)
-            yield from ch.receive(CLIENT, expect=EventKind.LABELS)
+    for pt in comp.relu_points:
+        if cg:
+            gadget = GarbledGadget(state.shares[pt.index], state.masks[pt.index])
+            ship_circuit(ch, CLIENT, pt, gadget)
+        else:
+            yield from receive_circuit(ch, CLIENT)
             ch.send(
                 CLIENT,
                 EventKind.OT_MESSAGE,
@@ -232,29 +236,11 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
         label="base-ot",
     )
 
-    if cg:
-        for pt in comp.relu_points:
-            _, gadget = yield from ch.receive(SERVER, expect=EventKind.GARBLED_CIRCUIT)
-            yield from ch.receive(SERVER, expect=EventKind.LABELS)
-            state.gadgets[pt.index] = gadget
-    else:
-        for pt in comp.relu_points:
-            ch.send(
-                SERVER,
-                EventKind.GARBLED_CIRCUIT,
-                None,
-                GC_BLOB_BYTES_PER_RELU * pt.elems,
-                stored_by_receiver=True,
-                label=f"point{pt.index}",
-            )
-            ch.send(
-                SERVER,
-                EventKind.LABELS,
-                None,
-                INPUT_LABEL_BYTES_PER_RELU * pt.elems,
-                stored_by_receiver=True,
-                label=f"point{pt.index}",
-            )
+    for pt in comp.relu_points:
+        if cg:
+            state.gadgets[pt.index] = yield from receive_circuit(ch, SERVER)
+        else:
+            ship_circuit(ch, SERVER, pt, None)
             yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
 
     out_elems = sum(u.out_elems for u in comp.units)
@@ -328,13 +314,12 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
             ch.send(
                 SERVER,
                 EventKind.OT_MESSAGE,
-                {"point": pt.index},
+                None,
                 ONLINE_LABEL_BYTES_PER_RELU * pt.elems,
                 label=f"point{pt.index}",
             )
             yield from ch.receive(SERVER, expect=EventKind.OT_MESSAGE)
-            gadget = state.gadgets[pt.index]
-            masked[pt.index] = gadget.evaluate(s_share).reshape(s_share.shape)
+            masked[pt.index] = state.gadgets[pt.index].evaluate(s_share)
         else:
             ch.send(
                 SERVER,

@@ -15,8 +15,7 @@ from ..costmodel.types import Protocol
 from ..errors import PisimError
 from ..netarch import NetworkArch, count
 from .channel import Transcript
-from .compile import gen_weights
-from .executor import run_offline, run_online, sample_input
+from .executor import gen_weights, run_offline, run_online, sample_input
 from .oracle import plaintext_forward
 
 # Real-size networks take minutes per masked inference; refuse by

@@ -293,13 +293,17 @@ def test_criterion_09_limiting_behavior():
 
 
 def test_criterion_10_statistics():
-    rng = np.random.default_rng(7)
+    def one_run(rate, horizon, seed):
+        rng = np.random.default_rng(seed)
+        (times,) = poisson_arrival_times(rng, rate, horizon, [rng.bit_generator.state])
+        return times[times < math.inf]
+
     rate, horizon = 2.0, 50_000.0
     lam = rate * horizon
-    n = poisson_arrival_times(rng, rate, horizon).size
+    n = one_run(rate, horizon, 7).size
     assert abs(n - lam) <= 3 * math.sqrt(lam)
 
-    gaps = np.diff(poisson_arrival_times(np.random.default_rng(8), 1.0, 200_000.0))
+    gaps = np.diff(one_run(1.0, 200_000.0, 8))
     assert abs(gaps.mean() - 1.0) <= 3 / math.sqrt(gaps.size)
     assert abs(gaps.var() - 1.0) <= 0.05
 

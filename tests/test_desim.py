@@ -43,29 +43,32 @@ def finished_times(schedule):
 # --- arrivals ---------------------------------------------------------------
 
 
+def one_run(rate, horizon, seed):
+    """Seed's arrival times before the horizon, drawn as a block of one."""
+    rng = np.random.default_rng(seed)
+    (times,) = poisson_arrival_times(rng, rate, horizon, [rng.bit_generator.state])
+    return times[times < math.inf]
+
+
 def test_zero_rate_means_no_arrivals():
-    rng = np.random.default_rng(0)
-    assert poisson_arrival_times(rng, 0.0, 1000.0).size == 0
+    assert one_run(0.0, 1000.0, 0).size == 0
 
 
 def test_arrivals_sorted_and_inside_horizon():
-    rng = np.random.default_rng(1)
-    t = poisson_arrival_times(rng, 0.5, 5000.0)
+    t = one_run(0.5, 5000.0, 1)
     assert np.all(np.diff(t) >= 0)
     assert t.size == 0 or (t[0] >= 0 and t[-1] < 5000.0)
 
 
 def test_arrival_count_within_three_sigma():
-    rng = np.random.default_rng(2)
     rate, horizon = 2.0, 50_000.0
-    n = poisson_arrival_times(rng, rate, horizon).size
+    n = one_run(rate, horizon, 2).size
     lam = rate * horizon
     assert abs(n - lam) <= 3 * math.sqrt(lam)
 
 
 def test_interarrival_moments():
-    rng = np.random.default_rng(3)
-    t = poisson_arrival_times(rng, 1.0, 200_000.0)
+    t = one_run(1.0, 200_000.0, 3)
     gaps = np.diff(t)
     # exponential(1): mean 1, var 1
     assert abs(gaps.mean() - 1.0) < 0.02

@@ -180,15 +180,12 @@ def test_block_draw_matches_per_run_draws(rate, horizon, base, n, draw):
         block = arrivals.poisson_arrival_times(
             rng, rate, horizon, [engine._seed_state(s) for s in seeds])
         runs = [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]
-        single = [arrivals.poisson_arrival_times(np.random.default_rng(s), rate, horizon)
-                  for s in seeds]
     reference = desim_oracle.pad(runs).T
     width = reference.shape[1]
+    assert block.dtype == np.float64
     assert block.shape[0] == n and block.shape[1] >= width
     assert np.array_equal(block[:, :width], reference)
     assert np.all(block[:, width:] == math.inf)
-    for mine, ref in zip(single, runs):
-        assert mine.dtype == np.float64 and np.array_equal(mine, ref)
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,6 +234,51 @@ def test_simulate_matches_reference(proto, model, dataset, concurrency, rate, ho
     for seed in range(3):
         reference = desim_oracle.aggregate([desim_oracle.simulate(costs, cfg, seed)])
         _assert_same_metrics(simulate(costs, cfg, seed), reference)
+
+
+# One byte of storage per bundle on each side, so a client capacity of
+# cap bytes holds cap bundles.
+_UNIT_COSTS = dataclasses.replace(
+    phase_costs(CM, "cg", build_preset("resnet32", "cifar100"), mode="table"),
+    client_storage_delta_bytes=1, server_storage_delta_bytes=1,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([SERIAL, PIPELINED]),
+    st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+    st.floats(0.5, 200.0),
+    caps,
+    st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    st.integers(0, 2**32),
+    st.one_of(st.none(), st.integers(1, 20)),
+)
+@example(SERIAL, 0.0, 86_400.0, 1, 1.0, 1.0, 0, None)  # no arrivals
+@example(PIPELINED, 5.0, 1.0, 2, 3.0, 1.0, 0, None)  # nothing completes
+@example(PIPELINED, 1.0, 50.0, 3, 2.0, 0.5, 0, 4)  # many segments
+@example(PIPELINED, 2.0, 100.0, math.inf, 5.0, 0.1, 7, None)
+def test_run_schedule_matches_reference(concurrency, rate, horizon, cap, off, on, seed, draw):
+    """run_schedule's four arrays and peak bundle count against the
+    reference records of the same seed's draw, bit for bit, with None
+    read as NaN; draw, when given, shrinks the segment on both sides."""
+    costs = dataclasses.replace(_UNIT_COSTS, offline_latency_s=off, online_latency_s=on)
+    cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, concurrency=concurrency,
+                    server_capacity_bytes=math.inf, client_capacity_bytes=cap)
+    with pytest.MonkeyPatch.context() as mp:
+        if draw is not None:
+            mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
+            mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
+        schedule, peak = engine.run_schedule(costs, cfg, seed)
+        times = desim_oracle.draw_arrivals(rate, horizon, seed)
+    if concurrency == SERIAL:
+        records, reference_peak = desim_oracle.simulate_serial(times, off, on, horizon)
+    else:
+        records, reference_peak = desim_oracle.simulate_pipelined(times, off, on, cap, horizon)
+    _assert_same([schedule.arrival, schedule.bundle_ready, schedule.online_start, schedule.done],
+                  records)
+    assert type(peak) is int and peak == reference_peak
 
 
 _MEANS = ("mean_latency_s", "mean_precompute_wait_s", "mean_queue_wait_s", "mean_online_s")

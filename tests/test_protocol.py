@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pisim.costmodel import CommInputs, Protocol, offline_comm, online_comm, storage_deltas
+from pisim.costmodel.comm import GC_BLOB_BYTES_PER_RELU, INPUT_LABEL_BYTES_PER_RELU
 from pisim.field import FIELD_MODULUS, encode, sample_elements
 from pisim.netarch import (
     DATASETS,
@@ -172,6 +173,30 @@ def test_garbled_circuits_travel_toward_evaluator():
     assert cg_gc and all(e.direction == "c2s" for e in cg_gc)
     # the evaluator must hold the blob until the online phase
     assert all(e.stored_by_receiver for e in sg_gc + cg_gc)
+
+
+@pytest.mark.parametrize("arch", [TOY, MINI], ids=["toy_cnn", "mini_res"])
+@pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
+def test_each_relu_point_ships_its_circuit_then_its_labels(proto, arch):
+    """One offline shipment per ReLU point, in point order: its garbled
+    circuit immediately followed by its input labels, both from garbler
+    to evaluator under the point's label, stored by the evaluator, and
+    sized per ReLU of the point."""
+    bundle = run_offline(arch, proto, seed=0)
+    events = bundle.transcript.events
+    points = bundle.client_state.compiled.relu_points
+    direction = "s2c" if proto is SG else "c2s"
+    circuits = [j for j, e in enumerate(events) if e.kind is EventKind.GARBLED_CIRCUIT]
+    assert len(circuits) == len(points)
+    assert sum(e.kind is EventKind.LABELS for e in events) == len(points)
+    for j, pt in zip(circuits, points):
+        circuit, labels = events[j], events[j + 1]
+        assert labels.kind is EventKind.LABELS
+        for e in (circuit, labels):
+            assert e.phase == "offline" and e.direction == direction
+            assert e.stored_by_receiver and e.label == f"point{pt.index}"
+        assert circuit.nbytes == GC_BLOB_BYTES_PER_RELU * pt.elems
+        assert labels.nbytes == INPUT_LABEL_BYTES_PER_RELU * pt.elems
 
 
 def test_ot_setup_stored_only_by_garbling_client():
@@ -356,16 +381,23 @@ def test_share_reconstruction_property(seed, n):
     assert np.array_equal(((v - r) % P + r) % P, v)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 4), max_size=1),
+    st.tuples(*[st.integers(1, 4)] * 3),
+)
 @settings(max_examples=30, deadline=None)
-def test_gadget_evaluate_semantics(seed, n):
+def test_gadget_evaluate_semantics(seed, batch, chw):
+    """The gadget takes and returns a point's arrays at batch + (c, h, w)."""
     from pisim.protocol.parties import GarbledGadget
 
+    shape = (*batch, *chw)
     rng = np.random.default_rng(seed)
-    v = rng.integers(-1000, 1000, size=n)
-    c = sample_elements(rng, (n,))
+    v = rng.integers(-1000, 1000, size=shape)
+    c = sample_elements(rng, shape)
     s = (encode(v) - c) % P
-    mask = sample_elements(rng, (n,))
+    mask = sample_elements(rng, shape)
     gadget = GarbledGadget(client_share=c, next_mask=mask)
     out = gadget.evaluate(s)
+    assert out.shape == shape
     assert np.array_equal(out, (np.maximum(v, 0) - mask) % P)

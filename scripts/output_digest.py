@@ -24,7 +24,9 @@ The groups are the outputs a refactor must leave byte-identical:
 
 It digests whichever pisim is first on the import path, so the same file
 checks a `git archive` of another commit when PYTHONPATH points there. It
-takes no options and runs in a few seconds.
+takes no options and runs in a few seconds. tests/output_digests.txt holds
+the digests every group must keep, and tests/test_output_digests.py checks
+them in process.
 """
 
 from __future__ import annotations
@@ -118,12 +120,25 @@ def transcripts_text() -> str:
     return "".join(parts)
 
 
+GROUPS = {
+    "cost": cost_text,
+    "rates": rates_text,
+    "sweeps": sweeps_text,
+    "blocks": blocks_text,
+    "verify": verify_text,
+    "transcripts": transcripts_text,
+}
+
+
+def digest(group: str) -> str:
+    """The SHA-256 of one group's text."""
+    return hashlib.sha256(GROUPS[group]().encode()).hexdigest()
+
+
 def main_digest() -> None:
     print(f"pisim from {Path(pisim.cli.__file__).parent}")
-    for name, text in (("cost", cost_text), ("rates", rates_text),
-                       ("sweeps", sweeps_text), ("blocks", blocks_text), ("verify", verify_text),
-                       ("transcripts", transcripts_text)):
-        print(f"{name:<12}{hashlib.sha256(text().encode()).hexdigest()}")
+    for name in GROUPS:
+        print(f"{name:<12}{digest(name)}")
 
 
 if __name__ == "__main__":

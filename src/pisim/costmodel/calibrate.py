@@ -21,6 +21,8 @@ residuals are within the tolerances below.
 
 from __future__ import annotations
 
+import functools
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from ..netarch import build_preset, canonical_dataset
 from .comm import CommInputs, storage_deltas
 from .formula import Columns, compute_seconds
 from .query import component_costs, measured_phases
-from .tables import load_shipped_costs
+from .tables import MEASURED_COSTS_FILENAME, open_config, read_measured_costs
 from .types import (
     CalibrationReport,
     CostModel,
@@ -200,8 +202,22 @@ def calibrate(rows: list[MeasuredCosts]) -> CostModel:
 
 
 def load_shipped_model() -> CostModel:
-    """Calibrate from the packaged measured-costs table."""
-    return calibrate(load_shipped_costs())
+    """Calibrate from the packaged measured-costs table, or its shadow
+    under PISIM_CONFIG_DIR.
+
+    The table is read on every call, but a table whose text equals the
+    last one fitted is not fitted again, so repeated loads of one table
+    fit it once. The returned model is shared between such calls and
+    must not be mutated. A table that fails to parse or calibrate is not
+    kept.
+    """
+    with open_config(MEASURED_COSTS_FILENAME) as stream:
+        return _calibrate_text(stream.read())
+
+
+@functools.lru_cache(maxsize=1)
+def _calibrate_text(text: str) -> CostModel:
+    return calibrate(read_measured_costs(io.StringIO(text)))
 
 
 def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:

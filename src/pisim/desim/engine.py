@@ -18,7 +18,7 @@ block of a sweep point's runs. The serial step is start = max(a_k, t_free),
 ready = start + off, t_free = ready + on.
 
 A block is drawn as one matrix: poisson_arrival_times fills row r from run
-r's generator and cumsums the rows in place, inf past the horizon. Its
+r's gap stream and cumsums the rows in place, inf past the horizon. Its
 transpose, (requests, runs), goes straight to the step loop, and step k
 updates row k of every run at once. Each element sees the same float
 operations in the same order as an event-by-event simulation of its run
@@ -41,12 +41,16 @@ elements (at least one), so memory stays bounded at high arrival rates
 however many runs a point has; a run whose first segment falls short of
 the horizon can widen its block's matrix.
 
-Each run draws from np.random.default_rng(seed)'s stream. Hashing a seed
-costs more than drawing a short run, so a run restores its seed's initial
-bit-generator state into one reusable Generator. Within a seeding() block,
-which sweep.run_points opens for its own call, each seed is hashed once.
-Nothing is kept after the block, so a process that runs many sweeps
-hashes each seed once per sweep, as a single sweep would.
+Each run reads its gaps from np.random.default_rng(seed)'s stream. Within
+a seeding() block, which sweep.run_points opens for its own call, each
+seed is hashed once and its standard-exponential gaps are drawn once,
+from its initial state: every point of the sweep reads the same stream
+(common random numbers), scaled by its own rate, and a point that needs
+more gaps continues the stream from where the kept gaps end. The kept
+gaps of all seeds stay within BLOCK_ELEMENTS; a seed past that draws
+without keeping. Nothing is kept after the block, so a process that runs
+many sweeps draws each seed once per sweep, as a single sweep would.
+Outside a block every run draws its gaps afresh.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -73,11 +77,12 @@ from typing import Sequence
 import numpy as np
 
 from ..costmodel.types import PhaseCosts
-from .arrivals import draw_size, poisson_arrival_times
+from .arrivals import GapCache, GapRoom, GapStream, draw_size, poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
 from .metrics import AggregateMetrics, Schedule, aggregate, summarize_run
 
-# Most elements of a block's (runs, draw_size) arrival matrix.
+# Most elements of a block's (runs, draw_size) arrival matrix, and most
+# gaps a seeding() block keeps over all seeds.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -208,17 +213,16 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
     return int(min(arrived, cap))
 
 
-def _blocks(costs: PhaseCosts, config: SimConfig, states: Sequence[dict]):
-    """Draw and step one run per bit-generator state, in blocks of
-    consecutive runs whose arrival matrix holds at most BLOCK_ELEMENTS
-    elements (or one run, if it alone is longer). Yields each block's
-    arrivals, cut to its widest run, its runs' arrival counts, and its
-    bundle_ready and online_start, each (runs, width)."""
+def _blocks(costs: PhaseCosts, config: SimConfig, streams: Sequence[GapStream]):
+    """Draw and step one run per gap stream, in blocks of consecutive runs
+    whose arrival matrix holds at most BLOCK_ELEMENTS elements (or one
+    run, if it alone is longer). Yields each block's arrivals, cut to its
+    widest run, its runs' arrival counts, and its bundle_ready and
+    online_start, each (runs, width)."""
     rate, horizon = config.arrival_rate, config.horizon_s
     per_block = max(1, BLOCK_ELEMENTS // draw_size(rate, horizon))
-    rng = np.random.default_rng(0)  # restored to each run's state before it draws
-    for lo in range(0, len(states), per_block):
-        times = poisson_arrival_times(rng, rate, horizon, states[lo : lo + per_block])
+    for lo in range(0, len(streams), per_block):
+        times = poisson_arrival_times(rate, horizon, streams[lo : lo + per_block])
         counts = np.count_nonzero(times < math.inf, axis=1)
         times = times[:, : int(counts.max())]
         ready, start = (t.T for t in _steps(times.T, costs, config))
@@ -233,7 +237,7 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     schedule in both; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    (block,) = _blocks(costs, config, [_seed_state(seed)])
+    (block,) = _blocks(costs, config, _gap_streams([seed]))
     arrivals, _, ready, start = (matrix[0] for matrix in block)
     finish = start + costs.online_latency_s
     horizon = config.horizon_s
@@ -246,24 +250,40 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     return schedule, _peak_bundles(costs, config, arrivals.size)
 
 
-def _seed_state(seed: int) -> dict:
-    """The bit-generator state np.random.default_rng(seed) starts from."""
-    return np.random.PCG64(seed).state
+def _seed_state(seed: int) -> np.random.BitGenerator:
+    """The bit generator np.random.default_rng(seed) draws from, at its
+    initial state."""
+    return np.random.PCG64(seed)
 
 
-# Each seed's _seed_state, kept while a seeding() block is open.
-_seed_states: ContextVar[dict[int, dict] | None] = ContextVar("seed_states", default=None)
+# The gap streams of the open seeding() block.
+_gap_cache: ContextVar[GapCache | None] = ContextVar("gap_cache", default=None)
 
 
 @contextlib.contextmanager
 def seeding():
-    """Hash each seed once while the block is open: every later run of a
-    seed restores its cached initial state. The cache ends with the block."""
-    token = _seed_states.set({})
+    """Hash each seed once while the block is open, and keep its gaps
+    (up to BLOCK_ELEMENTS over all seeds): every later run of a seed reads
+    its kept gaps. The cache ends with the block."""
+    token = _gap_cache.set(GapCache(GapRoom(BLOCK_ELEMENTS)))
     try:
         yield
     finally:
-        _seed_states.reset(token)
+        _gap_cache.reset(token)
+
+
+def _gap_streams(seeds: Sequence[int]) -> list[GapStream]:
+    """Each seed's gap stream in the open seeding() block, made on first
+    use; outside a block, new streams that keep nothing."""
+    cache = _gap_cache.get()
+    if cache is None:
+        no_room = GapRoom(0)
+        return [GapStream(_seed_state(seed), no_room) for seed in seeds]
+    streams = cache.streams
+    for seed in seeds:
+        if seed not in streams:
+            streams[seed] = GapStream(_seed_state(seed), cache.room)
+    return [streams[seed] for seed in seeds]
 
 
 def _simulate_seeds(
@@ -274,16 +294,9 @@ def _simulate_seeds(
     column of one (4, runs) array."""
     _check_feasible(costs, config)
     rate, horizon = config.arrival_rate, config.horizon_s
-    cache = _seed_states.get()
-    if cache is None:
-        cache = {}
-    for seed in seeds:
-        if seed not in cache:
-            cache[seed] = _seed_state(seed)
-    states = [cache[seed] for seed in seeds]
     means = np.empty((4, len(seeds)))
     arrived = completed = most = lo = 0
-    for times, counts, ready, start in _blocks(costs, config, states):
+    for times, counts, ready, start in _blocks(costs, config, _gap_streams(seeds)):
         arrived += int(counts.sum())
         most = max(most, times.shape[1])
         means[:, lo : lo + len(times)], done = summarize_run(

@@ -193,3 +193,20 @@ def test_nnls_iteration_cap_raises():
     assert np.allclose(nnls(a, b, max_iter=3), 1.0)
     with pytest.raises(InconsistentRows):
         nnls(a, b, max_iter=2)
+
+
+def test_the_shipped_fit_is_kept_per_table_text(rows, tmp_path, monkeypatch):
+    """Loads of one table share one fit; a shadow table with other text is
+    fitted afresh, and the shipped table again after it."""
+    shipped = pisim.costmodel.load_shipped_model()
+    assert pisim.costmodel.load_shipped_model() is shipped
+    with open(tmp_path / "measured_costs.tsv", "w") as fh:
+        write_measured_costs(fh, rows[::-1])
+    monkeypatch.setenv("PISIM_CONFIG_DIR", str(tmp_path))
+    shadow = pisim.costmodel.load_shipped_model()
+    assert shadow is not shipped
+    assert shadow.offline_rates == shipped.offline_rates
+    assert shadow.online_rates == shipped.online_rates
+    monkeypatch.delenv("PISIM_CONFIG_DIR")
+    again = pisim.costmodel.load_shipped_model()
+    assert again is not shadow and again.report == shipped.report

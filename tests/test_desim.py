@@ -23,6 +23,7 @@ from pisim.desim import (
     sweep_point,
     write_sweep_csv,
 )
+from pisim.desim.arrivals import GapRoom, GapStream
 from pisim.desim.config import MAX_EXPECTED_ARRIVALS
 from pisim.netarch import build_preset
 
@@ -45,8 +46,8 @@ def finished_times(schedule):
 
 def one_run(rate, horizon, seed):
     """Seed's arrival times before the horizon, drawn as a block of one."""
-    rng = np.random.default_rng(seed)
-    (times,) = poisson_arrival_times(rng, rate, horizon, [rng.bit_generator.state])
+    stream = GapStream(np.random.PCG64(seed), GapRoom(0))
+    (times,) = poisson_arrival_times(rate, horizon, [stream])
     return times[times < math.inf]
 
 

@@ -4,9 +4,12 @@ Every per-request time must be equal with ==, not merely close: the sweep
 CSVs are compared byte for byte.
 """
 
+import collections
 import dataclasses
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -169,17 +172,17 @@ def _fixed_draw(size):
 @example(0.0, 86_400.0, 0, 2, None)
 def test_block_draw_matches_per_run_draws(rate, horizon, base, n, draw):
     """The block draw against one generator per seed, padded with inf;
-    draw, when given, shrinks the segment on both sides."""
+    draw, when given, shrinks the segment on both sides. Outside a
+    seeding() block the streams keep nothing."""
     seeds = range(base, base + n)
     with pytest.MonkeyPatch.context() as mp:
         if draw is not None:
             mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
             mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
-        rng = np.random.default_rng(7)
-        rng.standard_exponential(3)  # the block must not depend on where rng was
-        block = arrivals.poisson_arrival_times(
-            rng, rate, horizon, [engine._seed_state(s) for s in seeds])
+        streams = engine._gap_streams(seeds)
+        block = arrivals.poisson_arrival_times(rate, horizon, streams)
         runs = [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]
+    assert all(s.kept.size == 0 for s in streams)
     reference = desim_oracle.pad(runs).T
     width = reference.shape[1]
     assert block.dtype == np.float64
@@ -461,29 +464,151 @@ def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeyp
 
 
 def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
-    """Within one run_points call each seed is hashed once, however many
-    points run it; a second call hashes them all again, and nothing is
-    kept between calls."""
-    seeded = []
+    """Within one run_points call each seed is hashed once and its gaps
+    are drawn once, however many points run it: a seed's generator ends
+    where drawing the longest prefix any point read leaves it. A second
+    call hashes and draws them all again, and nothing is kept between
+    calls, not even in a reference cycle left for the garbage collector."""
+    generators = {}
+    longest = collections.Counter()
+    streams = []
 
     def counted_state(seed):
-        seeded.append(seed)
-        return initial_state(seed)
+        assert seed not in generators
+        generators[seed] = initial_state(seed)
+        return generators[seed]
 
-    initial_state = engine._seed_state
-    monkeypatch.setattr(engine, "_seed_state", counted_state)
+    class WatchedStream(arrivals.GapStream):
+        def __init__(self, bit_generator, room):
+            super().__init__(bit_generator, room)
+            self.seed = next(s for s, g in generators.items() if g is bit_generator)
+            streams.append(weakref.ref(self))
+
+        def read(self, lo, hi):
+            longest[self.seed] = max(longest[self.seed], hi)
+            return super().read(lo, hi)
+
     tasks = [
         (c, SimConfig(arrival_rate=rate, horizon_s=50.0, n_runs=3, concurrency=SERIAL), seed)
         for c in _SHARING_COSTS
         for rate, seed in ((0.5, 0), (1.0, 0), (1.0, 2))
     ]
-    rows = []
+    expected = _cells([sweep_point(*t) for t in tasks])
+    initial_state = engine._seed_state
+    monkeypatch.setattr(engine, "_seed_state", counted_state)
+    monkeypatch.setattr(engine, "GapStream", WatchedStream)
     for _ in range(2):
-        seeded.clear()
-        rows.append(_cells(run_points(tasks, 1)))
-        assert sorted(seeded) == [0, 1, 2, 3, 4]
-        assert engine._seed_states.get() is None
-    assert rows[0] == rows[1] == _cells([sweep_point(*t) for t in tasks])
+        generators.clear()
+        longest.clear()
+        streams.clear()
+        gc.disable()
+        try:
+            assert _cells(run_points(tasks, 1)) == expected
+            assert len(streams) == 5 and all(ref() is None for ref in streams)
+        finally:
+            gc.enable()
+        assert sorted(generators) == [0, 1, 2, 3, 4]
+        assert longest == {s: arrivals.draw_size(1.0, 50.0) for s in range(5)}
+        for seed, bit_generator in generators.items():
+            fresh = np.random.default_rng(seed)
+            fresh.standard_exponential(longest[seed])
+            assert bit_generator.state == fresh.bit_generator.state, seed
+        assert engine._gap_cache.get() is None
+
+
+@st.composite
+def gap_points(draw):
+    """Two to four (rate, horizon, first seed offset) points over one seed
+    range, in ascending, descending or shuffled order of expected arrivals."""
+    points = draw(st.lists(
+        st.tuples(st.floats(1e-3, 5.0), st.floats(0.5, 200.0), st.integers(0, 2)),
+        min_size=2, max_size=4,
+    ))
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled"]))
+    if order == "shuffled":
+        return draw(st.permutations(points))
+    return sorted(points, key=lambda p: p[0] * p[1], reverse=order == "descending")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gap_points(),
+    st.integers(0, 2**32),
+    st.integers(1, 6),
+    st.one_of(st.none(), st.integers(1, 20)),
+    st.one_of(st.none(), st.integers(0, 600)),
+)
+@example([(1.0, 50.0, 0), (0.5, 50.0, 1), (2.0, 50.0, 0)], 0, 3, 4, None)  # many segments
+@example([(1.0, 50.0, 0), (2.0, 50.0, 0)], 0, 4, 4, 150)  # some seeds' continuations unkept
+@example([(2.0, 100.0, 0), (0.2, 100.0, 2)], 5, 4, None, 300)  # room for one seed
+@example([(1.0, 50.0, 0), (3.0, 50.0, 1)], 0, 2, None, 0)  # nothing kept
+def test_kept_gaps_match_per_run_draws(points, base, n, draw, room):
+    """Blocks drawn in one seeding() block, the same seeds at several rates
+    and horizons, against one generator per seed: every block bit for bit,
+    with at most BLOCK_ELEMENTS (room, when given) gaps kept at any time."""
+    with pytest.MonkeyPatch.context() as mp:
+        if draw is not None:
+            mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
+            mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
+        if room is not None:
+            mp.setattr(engine, "BLOCK_ELEMENTS", room)
+        with engine.seeding():
+            cache = engine._gap_cache.get()
+            for rate, horizon, offset in points:
+                seeds = range(base + offset, base + offset + n)
+                block = arrivals.poisson_arrival_times(rate, horizon, engine._gap_streams(seeds))
+                reference = desim_oracle.pad(
+                    [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]).T
+                width = reference.shape[1]
+                assert block.shape[0] == n and block.shape[1] >= width
+                assert np.array_equal(block[:, :width], reference)
+                assert np.all(block[:, width:] == math.inf)
+                kept = sum(s.kept.size for s in cache.streams.values())
+                assert kept <= engine.BLOCK_ELEMENTS
+                assert kept + cache.room.gaps == engine.BLOCK_ELEMENTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 300), st.integers(1, 120)), min_size=1, max_size=8),
+    st.integers(0, 2**32),
+    st.integers(0, 400),
+)
+@example([(0, 50), (0, 100), (100, 20), (0, 30)], 0, 60)  # kept, then unkept past the room
+@example([(0, 10), (200, 10), (5, 10), (200, 10)], 0, 15)  # skip ahead, rewind, skip again
+def test_a_stream_reads_its_seeds_gaps(reads, seed, room):
+    """Any reads, in any order, return the seed's gaps at those positions
+    as one draw gives them, and keep at most room of them."""
+    gaps = np.random.default_rng(seed).standard_exponential(420)
+    left = arrivals.GapRoom(room)
+    stream = arrivals.GapStream(np.random.PCG64(seed), left)
+    for lo, size in reads:
+        assert np.array_equal(stream.read(lo, lo + size), gaps[lo : lo + size])
+        assert stream.kept.size <= room and stream.kept.size + left.gaps == room
+
+
+def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
+    """With room for a few seeds' gaps, the rest draw without keeping: the
+    kept gaps never pass BLOCK_ELEMENTS, and every cell is as without
+    a cache."""
+    peaks = []
+
+    class WatchedStream(arrivals.GapStream):
+        def read(self, lo, hi):
+            gaps = super().read(lo, hi)
+            peaks.append(sum(s.kept.size for s in engine._gap_cache.get().streams.values()))
+            return gaps
+
+    tasks = [
+        (c, SimConfig(arrival_rate=rate, horizon_s=60.0, n_runs=6, concurrency=SERIAL), 0)
+        for c in _SHARING_COSTS
+        for rate in (0.5, 2.0, 1.0)
+    ]
+    expected = _cells([sweep_point(*t) for t in tasks])
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 400)
+    monkeypatch.setattr(engine, "GapStream", WatchedStream)
+    assert _cells(run_points(tasks, 1)) == expected
+    assert 0 < max(peaks) <= 400
 
 
 def test_sweep_in_workers_writes_the_same_csv(tmp_path, capsys):

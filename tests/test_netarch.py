@@ -4,6 +4,7 @@ from dataclasses import astuple
 
 import pytest
 
+import pisim.costmodel.calibrate as calibrate_module
 from pisim.costmodel import CommInputs, load_shipped_model
 from pisim.netarch import (
     AvgPool,
@@ -70,8 +71,12 @@ def test_one_shape_walk_per_count(monkeypatch):
     CommInputs.from_arch(arch)
     assert len(walks) == 2
     walks.clear()
+    calibrate_module._calibrate_text.cache_clear()  # fit the shipped table afresh
     load_shipped_model()
     assert 0 < len(walks) <= 12
+    walks.clear()
+    load_shipped_model()  # the same table is fitted once per process
+    assert walks == []
 
 
 def test_published_rounding_cifar100():

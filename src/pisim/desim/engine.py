@@ -17,8 +17,8 @@ et al., Synchronization and Linearity, 1992), evaluated step-major over a
 block of a sweep point's runs. The serial step is start = max(a_k, t_free),
 ready = start + off, t_free = ready + on.
 
-A block is drawn as one matrix: poisson_arrival_times fills row r from run
-r's gap stream and cumsums the rows in place, inf past the horizon. Its
+A block is drawn as one matrix: poisson_arrival_times fills row r from
+row r of its Gaps and cumsums the rows in place, inf past the horizon. Its
 transpose, (requests, runs), goes straight to the step loop, and step k
 updates row k of every run at once. Each element sees the same float
 operations in the same order as an event-by-event simulation of its run
@@ -42,15 +42,13 @@ however many runs a point has; a run whose first segment falls short of
 the horizon can widen its block's matrix.
 
 Each run reads its gaps from np.random.default_rng(seed)'s stream. Within
-a seeding() block, which sweep.run_points opens for its own call, each
-seed is hashed once and its standard-exponential gaps are drawn once,
-from its initial state: every point of the sweep reads the same stream
-(common random numbers), scaled by its own rate, and a point that needs
-more gaps continues the stream from where the kept gaps end. The kept
-gaps of all seeds stay within BLOCK_ELEMENTS; a seed past that draws
-without keeping. Nothing is kept after the block, so a process that runs
-many sweeps draws each seed once per sweep, as a single sweep would.
-Outside a block every run draws its gaps afresh.
+a seeding() block, which sweep.run_points opens for its own call, a point
+whose runs form one block (len(seeds) * draw_size <= BLOCK_ELEMENTS)
+reads its seeds' kept Gaps: each seed is hashed once and its gaps drawn
+once, and every such point scales the same gaps by its own rate (common
+random numbers). The block keeps one seed range's Gaps; another range's
+replace them. Other points, and every run outside a block, draw each
+block from new Gaps, dropped once the block is drawn.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -77,12 +75,11 @@ from typing import Sequence
 import numpy as np
 
 from ..costmodel.types import PhaseCosts
-from .arrivals import GapCache, GapRoom, GapStream, draw_size, poisson_arrival_times
+from .arrivals import Gaps, draw_size, poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig
 from .metrics import AggregateMetrics, Schedule, aggregate, summarize_run
 
-# Most elements of a block's (runs, draw_size) arrival matrix, and most
-# gaps a seeding() block keeps over all seeds.
+# Most elements of a block's (runs, draw_size) arrival matrix.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -213,16 +210,40 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
     return int(min(arrived, cap))
 
 
-def _blocks(costs: PhaseCosts, config: SimConfig, streams: Sequence[GapStream]):
-    """Draw and step one run per gap stream, in blocks of consecutive runs
-    whose arrival matrix holds at most BLOCK_ELEMENTS elements (or one
-    run, if it alone is longer). Yields each block's arrivals, cut to its
-    widest run, its runs' arrival counts, and its bundle_ready and
-    online_start, each (runs, width)."""
+# The open seeding() block's kept Gaps, by their seeds: at most one.
+_kept: ContextVar[dict[tuple[int, ...], Gaps] | None] = ContextVar("kept_gaps", default=None)
+
+
+@contextlib.contextmanager
+def seeding():
+    """Keep one seed range's Gaps while the block is open (see the module
+    docstring); they end with the block."""
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
+def _blocks(costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]):
+    """Draw and step one run per seed, in blocks of consecutive runs whose
+    arrival matrix holds at most BLOCK_ELEMENTS elements (or one run, if
+    it alone is longer). Yields each block's arrivals, cut to its widest
+    run, its runs' arrival counts, and its bundle_ready and online_start,
+    each (runs, width)."""
     rate, horizon = config.arrival_rate, config.horizon_s
-    per_block = max(1, BLOCK_ELEMENTS // draw_size(rate, horizon))
-    for lo in range(0, len(streams), per_block):
-        times = poisson_arrival_times(rate, horizon, streams[lo : lo + per_block])
+    draw, kept = draw_size(rate, horizon), _kept.get()
+    if len(seeds) * draw <= BLOCK_ELEMENTS and kept is not None:
+        seeds = tuple(seeds)
+        if seeds not in kept:
+            kept.clear()
+            kept[seeds] = Gaps(seeds)
+        draws = [poisson_arrival_times(rate, horizon, kept[seeds])]
+    else:
+        per_block = max(1, BLOCK_ELEMENTS // draw)
+        draws = (poisson_arrival_times(rate, horizon, Gaps(seeds[lo : lo + per_block]))
+                 for lo in range(0, len(seeds), per_block))
+    for times in draws:
         counts = np.count_nonzero(times < math.inf, axis=1)
         times = times[:, : int(counts.max())]
         ready, start = (t.T for t in _steps(times.T, costs, config))
@@ -237,7 +258,7 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     schedule in both; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    (block,) = _blocks(costs, config, _gap_streams([seed]))
+    (block,) = _blocks(costs, config, [seed])
     arrivals, _, ready, start = (matrix[0] for matrix in block)
     finish = start + costs.online_latency_s
     horizon = config.horizon_s
@@ -250,42 +271,6 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     return schedule, _peak_bundles(costs, config, arrivals.size)
 
 
-def _seed_state(seed: int) -> np.random.BitGenerator:
-    """The bit generator np.random.default_rng(seed) draws from, at its
-    initial state."""
-    return np.random.PCG64(seed)
-
-
-# The gap streams of the open seeding() block.
-_gap_cache: ContextVar[GapCache | None] = ContextVar("gap_cache", default=None)
-
-
-@contextlib.contextmanager
-def seeding():
-    """Hash each seed once while the block is open, and keep its gaps
-    (up to BLOCK_ELEMENTS over all seeds): every later run of a seed reads
-    its kept gaps. The cache ends with the block."""
-    token = _gap_cache.set(GapCache(GapRoom(BLOCK_ELEMENTS)))
-    try:
-        yield
-    finally:
-        _gap_cache.reset(token)
-
-
-def _gap_streams(seeds: Sequence[int]) -> list[GapStream]:
-    """Each seed's gap stream in the open seeding() block, made on first
-    use; outside a block, new streams that keep nothing."""
-    cache = _gap_cache.get()
-    if cache is None:
-        no_room = GapRoom(0)
-        return [GapStream(_seed_state(seed), no_room) for seed in seeds]
-    streams = cache.streams
-    for seed in seeds:
-        if seed not in streams:
-            streams[seed] = GapStream(_seed_state(seed), cache.room)
-    return [streams[seed] for seed in seeds]
-
-
 def _simulate_seeds(
     costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
 ) -> AggregateMetrics:
@@ -296,7 +281,7 @@ def _simulate_seeds(
     rate, horizon = config.arrival_rate, config.horizon_s
     means = np.empty((4, len(seeds)))
     arrived = completed = most = lo = 0
-    for times, counts, ready, start in _blocks(costs, config, _gap_streams(seeds)):
+    for times, counts, ready, start in _blocks(costs, config, seeds):
         arrived += int(counts.sum())
         most = max(most, times.shape[1])
         means[:, lo : lo + len(times)], done = summarize_run(

@@ -92,7 +92,8 @@ def run_points(
     share one sweep_point call; each row keeps its own _point_columns. An
     infeasible task has no key and runs alone, so its failure names its
     own capacities. jobs > 1 distributes the distinct tasks over worker
-    processes. Within the call each seed is hashed once (engine.seeding).
+    processes. Within the call the one-block points of one seed range
+    hash each seed once and draw its gaps once (engine.seeding).
     """
     first: dict[tuple, int] = {}
     distinct: list[tuple[PhaseCosts, SimConfig, int]] = []

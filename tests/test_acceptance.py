@@ -32,7 +32,7 @@ from pisim.desim import (
     run_schedule,
     stability_limit,
 )
-from pisim.desim.arrivals import GapRoom, GapStream
+from pisim.desim.arrivals import Gaps
 from pisim.field import FIELD_MODULUS, encode
 from pisim.netarch import build_preset, count
 from pisim.protocol import (
@@ -295,8 +295,7 @@ def test_criterion_09_limiting_behavior():
 
 def test_criterion_10_statistics():
     def one_run(rate, horizon, seed):
-        stream = GapStream(np.random.PCG64(seed), GapRoom(0))
-        (times,) = poisson_arrival_times(rate, horizon, [stream])
+        (times,) = poisson_arrival_times(rate, horizon, Gaps([seed]))
         return times[times < math.inf]
 
     rate, horizon = 2.0, 50_000.0

@@ -71,19 +71,31 @@ def test_parse_minimal():
     assert len(arch.layers) == 5
 
 
+_INPUT = "input channels=3 height=8 width=8 classes=4\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, match",
     [
-        "input channels=3 height=8 width=8 classes=4\nconv in=3",
-        "conv in=3 out=4 kernel=3",
-        "input channels=3 height=8 width=8 classes=4\nwibble",
-        "input channels=3 height=8 width=8 classes=4\nconv in=3 out=4 kernel=3 frobnicate=1",
-        "input channels=3 height=8 width=8 classes=4\nskip from=0 to=5",
+        (_INPUT + "conv in=3", "line 2: missing field 'out'"),
+        ("conv in=3 out=4 kernel=3", "line 0: missing input directive"),
+        (_INPUT + "wibble", "unknown directive 'wibble'"),
+        (_INPUT + "conv in=3 out=4 kernel=3 frobnicate=1", r"unknown fields \['frobnicate'\]"),
+        (_INPUT + "skip from=0 to=5", "no layers defined"),
+        (_INPUT + "conv in=3 out kernel=3", "expected key=value, got 'out'"),
+        (_INPUT + "conv in=3 in=3 out=4 kernel=3", "duplicate field 'in'"),
+        (_INPUT + "conv in=3 out=4 kernel=3x3", "field 'kernel' is not an integer"),
+        (_INPUT + "fc in=4 out=4 bias=yes", "field 'bias' must be true or false"),
+        ("name tiny net\n" + _INPUT + "relu", "line 1: name takes exactly one identifier"),
+        (_INPUT + "relu inplace=true", "relu takes no fields"),
+        (_INPUT + "flatten start=1", "flatten takes no fields"),
     ],
-    ids=["missing-keys", "no-input", "unknown-directive", "unknown-key", "skip-oob"],
+    ids=["missing-keys", "no-input", "unknown-directive", "unknown-key", "skip-oob",
+         "no-equals", "duplicate-field", "not-integer", "bad-bool", "name-extra", "relu-fields",
+         "flatten-fields"],
 )
-def test_parse_errors(text):
-    with pytest.raises(ParseError):
+def test_parse_errors(text, match):
+    with pytest.raises(ParseError, match=match):
         parse(text)
 
 

@@ -13,6 +13,7 @@ import pisim.costmodel
 from pisim.costmodel import (
     CommInputs,
     InconsistentRows,
+    InsufficientRows,
     Protocol,
     TableFormatError,
     load_shipped_costs,
@@ -94,6 +95,35 @@ def test_wire_time_exceeding_latency_rejected(rows):
     )
     with pytest.raises(InconsistentRows):
         calibrate(rows[1:] + [bloated])
+
+
+def _scaled(row, field, factor):
+    return dataclasses.replace(row, **{field: int(getattr(row, field) * factor)})
+
+
+def _gc_field(row):
+    """The storage column of the party that holds the garbled circuits."""
+    if row.protocol is Protocol.SERVER_GARBLER:
+        return "client_storage_bytes"
+    return "server_storage_bytes"
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda rows: [], InsufficientRows, "^no measured rows to calibrate from$"),
+        (lambda rows: [_scaled(rows[0], _gc_field(rows[0]), 1.5)] + rows[1:], InconsistentRows,
+         r"^per-row GC storage rates disagree by \d+\.\d% \(tolerance 5%\)$"),
+        (lambda rows: [_scaled(r, _gc_field(r), 0) for r in rows], InconsistentRows,
+         "^fitted GC storage rate is not positive$"),
+        (lambda rows: [_scaled(rows[0], "server_storage_bytes", 2)] + rows[1:], InconsistentRows,
+         r"^storage residuals exceed 5% \(worst \d+\.\d%\)$"),
+    ],
+    ids=["no-rows", "gc-rates-disagree", "gc-rate-not-positive", "storage-residual"],
+)
+def test_bad_rows_rejected(rows, edit, error, message):
+    with pytest.raises(error, match=message):
+        calibrate(edit(list(rows)))
 
 
 def test_tsv_roundtrip_preserves_rows(rows):
@@ -181,6 +211,34 @@ def test_nnls_meets_kkt_and_matches_scipy(system):
     assert (x >= 0).all()
     assert (grad[x == 0] <= tol[x == 0]).all()
     assert (np.abs(grad[x > 0]) <= tol[x > 0]).all()
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    want = scipy_optimize.nnls(a, b)[0]
+    assert np.allclose(x, want, rtol=1e-7, atol=1e-9 * np.abs(want).max(initial=1.0))
+
+
+def test_nnls_steps_back_from_a_non_positive_solution(monkeypatch):
+    """A system whose unconstrained solution on the passive columns has an
+    entry <= 0, so nnls takes the step toward it that stops at the first
+    blocking entry; the result still matches scipy."""
+    rng = np.random.default_rng(33)
+    n = rng.integers(1, 8)
+    m = rng.integers(n, 16)
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    a = rng.standard_normal((m, n)) * scale
+    b = rng.standard_normal(m)
+    assert a.shape == (10, 7)
+    solutions = []
+    lstsq = np.linalg.lstsq
+
+    def recorded(*args, **kwargs):
+        result = lstsq(*args, **kwargs)
+        solutions.append(result[0])
+        return result
+
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    x = nnls(a, b)
+    monkeypatch.undo()
+    assert any((z <= 0).any() for z in solutions)
     scipy_optimize = pytest.importorskip("scipy.optimize")
     want = scipy_optimize.nnls(a, b)[0]
     assert np.allclose(x, want, rtol=1e-7, atol=1e-9 * np.abs(want).max(initial=1.0))

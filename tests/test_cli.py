@@ -160,6 +160,7 @@ def test_cost_unknown_knobs(capsys):
         ["--knobs", "relu=0"],
         ["--knobs", "relu=nan"],
         ["--knobs", "relu=abc"],
+        ["--knobs", "relu=0.2,gc"],
         ["--mode", "table", "--knobs", "relu=0.5"],
         ["--protocol", "xx"],
     ],
@@ -170,6 +171,8 @@ def test_cost_bad_input_exits_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if argv == ["--knobs", "relu=0.2,gc"]:
+        assert "knob 'gc' is not name=value" in err
 
 
 def _priced_argv(command, out_dir, *argv):

@@ -23,7 +23,7 @@ from pisim.desim import (
     sweep_point,
     write_sweep_csv,
 )
-from pisim.desim.arrivals import GapRoom, GapStream
+from pisim.desim.arrivals import Gaps
 from pisim.desim.config import MAX_EXPECTED_ARRIVALS
 from pisim.netarch import build_preset
 
@@ -46,8 +46,7 @@ def finished_times(schedule):
 
 def one_run(rate, horizon, seed):
     """Seed's arrival times before the horizon, drawn as a block of one."""
-    stream = GapStream(np.random.PCG64(seed), GapRoom(0))
-    (times,) = poisson_arrival_times(rate, horizon, [stream])
+    (times,) = poisson_arrival_times(rate, horizon, Gaps([seed]))
     return times[times < math.inf]
 
 

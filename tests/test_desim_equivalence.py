@@ -172,17 +172,20 @@ def _fixed_draw(size):
 @example(0.0, 86_400.0, 0, 2, None)
 def test_block_draw_matches_per_run_draws(rate, horizon, base, n, draw):
     """The block draw against one generator per seed, padded with inf;
-    draw, when given, shrinks the segment on both sides. Outside a
-    seeding() block the streams keep nothing."""
+    draw, when given, shrinks the segment on both sides. The gaps kept
+    are each seed's first gaps, each drawn once."""
     seeds = range(base, base + n)
     with pytest.MonkeyPatch.context() as mp:
         if draw is not None:
             mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
             mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
-        streams = engine._gap_streams(seeds)
-        block = arrivals.poisson_arrival_times(rate, horizon, streams)
+        gaps = arrivals.Gaps(seeds)
+        block = arrivals.poisson_arrival_times(rate, horizon, gaps)
         runs = [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]
-    assert all(s.kept.size == 0 for s in streams)
+    for row, rng, seed in zip(gaps.kept, gaps._rngs, seeds):
+        fresh = np.random.default_rng(seed)
+        assert np.array_equal(row, fresh.standard_exponential(row.size))
+        assert rng.bit_generator.state == fresh.bit_generator.state
     reference = desim_oracle.pad(runs).T
     width = reference.shape[1]
     assert block.dtype == np.float64
@@ -464,56 +467,54 @@ def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeyp
 
 
 def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
-    """Within one run_points call each seed is hashed once and its gaps
-    are drawn once, however many points run it: a seed's generator ends
-    where drawing the longest prefix any point read leaves it. A second
-    call hashes and draws them all again, and nothing is kept between
-    calls, not even in a reference cycle left for the garbage collector."""
+    """Within one run_points call over one seed range, as every CLI sweep
+    runs, each seed is hashed once and its gaps are drawn once, however
+    many points run it: a seed's generator ends where drawing the widest
+    prefix any point read leaves it. A second call hashes and draws them
+    all again, and nothing is kept between calls, not even in a reference
+    cycle left for the garbage collector."""
     generators = {}
-    longest = collections.Counter()
-    streams = []
+    widest = collections.Counter()
+    made = []
 
-    def counted_state(seed):
-        assert seed not in generators
-        generators[seed] = initial_state(seed)
-        return generators[seed]
+    class WatchedGaps(arrivals.Gaps):
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            self.seeds = tuple(seeds)
+            for seed, rng in zip(self.seeds, self._rngs):
+                assert seed not in generators
+                generators[seed] = rng
+            made.append(weakref.ref(self))
 
-    class WatchedStream(arrivals.GapStream):
-        def __init__(self, bit_generator, room):
-            super().__init__(bit_generator, room)
-            self.seed = next(s for s, g in generators.items() if g is bit_generator)
-            streams.append(weakref.ref(self))
-
-        def read(self, lo, hi):
-            longest[self.seed] = max(longest[self.seed], hi)
-            return super().read(lo, hi)
+        def first(self, n):
+            for seed in self.seeds:
+                widest[seed] = max(widest[seed], n)
+            return super().first(n)
 
     tasks = [
-        (c, SimConfig(arrival_rate=rate, horizon_s=50.0, n_runs=3, concurrency=SERIAL), seed)
+        (c, SimConfig(arrival_rate=rate, horizon_s=50.0, n_runs=3, concurrency=SERIAL), 0)
         for c in _SHARING_COSTS
-        for rate, seed in ((0.5, 0), (1.0, 0), (1.0, 2))
+        for rate in (0.5, 2.0, 1.0)
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
-    initial_state = engine._seed_state
-    monkeypatch.setattr(engine, "_seed_state", counted_state)
-    monkeypatch.setattr(engine, "GapStream", WatchedStream)
+    monkeypatch.setattr(engine, "Gaps", WatchedGaps)
     for _ in range(2):
         generators.clear()
-        longest.clear()
-        streams.clear()
+        widest.clear()
+        made.clear()
         gc.disable()
         try:
             assert _cells(run_points(tasks, 1)) == expected
-            assert len(streams) == 5 and all(ref() is None for ref in streams)
+            assert len(made) == 1 and made[0]() is None
         finally:
             gc.enable()
-        assert sorted(generators) == [0, 1, 2, 3, 4]
-        assert longest == {s: arrivals.draw_size(1.0, 50.0) for s in range(5)}
-        for seed, bit_generator in generators.items():
+        assert sorted(generators) == [0, 1, 2]
+        assert widest == {s: arrivals.draw_size(2.0, 50.0) for s in range(3)}
+        for seed, rng in generators.items():
             fresh = np.random.default_rng(seed)
-            fresh.standard_exponential(longest[seed])
-            assert bit_generator.state == fresh.bit_generator.state, seed
-        assert engine._gap_cache.get() is None
+            fresh.standard_exponential(widest[seed])
+            assert rng.bit_generator.state == fresh.bit_generator.state, seed
+        assert engine._kept.get() is None
 
 
 @st.composite
@@ -539,75 +540,90 @@ def gap_points(draw):
     st.one_of(st.none(), st.integers(0, 600)),
 )
 @example([(1.0, 50.0, 0), (0.5, 50.0, 1), (2.0, 50.0, 0)], 0, 3, 4, None)  # many segments
-@example([(1.0, 50.0, 0), (2.0, 50.0, 0)], 0, 4, 4, 150)  # some seeds' continuations unkept
-@example([(2.0, 100.0, 0), (0.2, 100.0, 2)], 5, 4, None, 300)  # room for one seed
+@example([(1.0, 50.0, 0), (2.0, 50.0, 0)], 0, 4, 4, 400)  # one kept, one in blocks
+@example([(2.0, 100.0, 0), (0.2, 100.0, 2)], 5, 4, None, 300)  # a block per run, then kept
 @example([(1.0, 50.0, 0), (3.0, 50.0, 1)], 0, 2, None, 0)  # nothing kept
-def test_kept_gaps_match_per_run_draws(points, base, n, draw, room):
-    """Blocks drawn in one seeding() block, the same seeds at several rates
-    and horizons, against one generator per seed: every block bit for bit,
-    with at most BLOCK_ELEMENTS (room, when given) gaps kept at any time."""
+@example([(0.5, 50.0, 0), (0.5, 50.0, 1), (1.0, 50.0, 0)], 0, 3, None, None)  # range replaced
+def test_kept_gaps_match_per_run_draws(points, base, n, draw, block):
+    """Points run in one seeding() block, the same seeds at several rates
+    and horizons, against one generator per seed: every run's arrivals bit
+    for bit, with BLOCK_ELEMENTS (block, when given) small enough that
+    some points span several blocks. The block keeps only the Gaps of the
+    last one-block point's seeds, each row that seed's first gaps."""
+    costs = _SHARING_COSTS[0]
     with pytest.MonkeyPatch.context() as mp:
         if draw is not None:
             mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
             mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
-        if room is not None:
-            mp.setattr(engine, "BLOCK_ELEMENTS", room)
+        if block is not None:
+            mp.setattr(engine, "BLOCK_ELEMENTS", block)
         with engine.seeding():
-            cache = engine._gap_cache.get()
+            kept = engine._kept.get()
+            last = {}
             for rate, horizon, offset in points:
                 seeds = range(base + offset, base + offset + n)
-                block = arrivals.poisson_arrival_times(rate, horizon, engine._gap_streams(seeds))
-                reference = desim_oracle.pad(
-                    [desim_oracle.draw_arrivals(rate, horizon, s) for s in seeds]).T
-                width = reference.shape[1]
-                assert block.shape[0] == n and block.shape[1] >= width
-                assert np.array_equal(block[:, :width], reference)
-                assert np.all(block[:, width:] == math.inf)
-                kept = sum(s.kept.size for s in cache.streams.values())
-                assert kept <= engine.BLOCK_ELEMENTS
-                assert kept + cache.room.gaps == engine.BLOCK_ELEMENTS
+                cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n,
+                                concurrency=SERIAL)
+                rows = [row[row < math.inf]
+                        for times, *_ in engine._blocks(costs, cfg, seeds) for row in times]
+                assert len(rows) == n
+                for row, seed in zip(rows, seeds):
+                    assert np.array_equal(row, desim_oracle.draw_arrivals(rate, horizon, seed))
+                if n * engine.draw_size(rate, horizon) <= engine.BLOCK_ELEMENTS:
+                    last = {tuple(seeds): kept[tuple(seeds)]}
+                assert kept == last
+            for seeds, gaps in kept.items():
+                width = gaps.kept.shape[1]
+                for row, seed in zip(gaps.kept, seeds):
+                    assert np.array_equal(
+                        row, np.random.default_rng(seed).standard_exponential(width))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(0, 300), st.integers(1, 120)), min_size=1, max_size=8),
-    st.integers(0, 2**32),
-    st.integers(0, 400),
+    st.lists(st.integers(0, 420), min_size=1, max_size=8),
+    st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
 )
-@example([(0, 50), (0, 100), (100, 20), (0, 30)], 0, 60)  # kept, then unkept past the room
-@example([(0, 10), (200, 10), (5, 10), (200, 10)], 0, 15)  # skip ahead, rewind, skip again
-def test_a_stream_reads_its_seeds_gaps(reads, seed, room):
-    """Any reads, in any order, return the seed's gaps at those positions
-    as one draw gives them, and keep at most room of them."""
-    gaps = np.random.default_rng(seed).standard_exponential(420)
-    left = arrivals.GapRoom(room)
-    stream = arrivals.GapStream(np.random.PCG64(seed), left)
-    for lo, size in reads:
-        assert np.array_equal(stream.read(lo, lo + size), gaps[lo : lo + size])
-        assert stream.kept.size <= room and stream.kept.size + left.gaps == room
+@example([50, 100, 20, 130], [0])  # widen, read a prefix, widen again
+@example([0, 10, 0, 420], [0, 1, 2**32])
+def test_gaps_read_each_seeds_first_gaps(reads, seeds):
+    """Any reads, in any order, return each seed's first n gaps as one
+    draw gives them, and keep only the widest read."""
+    drawn = [np.random.default_rng(seed).standard_exponential(420) for seed in seeds]
+    gaps = arrivals.Gaps(seeds)
+    for i, n in enumerate(reads):
+        assert np.array_equal(gaps.first(n), np.stack([d[:n] for d in drawn]))
+        assert gaps.kept.shape == (len(seeds), max(reads[: i + 1]))
 
 
 def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
-    """With room for a few seeds' gaps, the rest draw without keeping: the
-    kept gaps never pass BLOCK_ELEMENTS, and every cell is as without
-    a cache."""
+    """With BLOCK_ELEMENTS small enough that two of a cost's three points
+    span several blocks, those draw from new Gaps per block and leave the
+    kept ones alone: the kept matrix never passes BLOCK_ELEMENTS, and
+    every cell is as without a kept matrix."""
     peaks = []
+    rows = []
 
-    class WatchedStream(arrivals.GapStream):
-        def read(self, lo, hi):
-            gaps = super().read(lo, hi)
-            peaks.append(sum(s.kept.size for s in engine._gap_cache.get().streams.values()))
+    class WatchedGaps(arrivals.Gaps):
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            rows.append(len(seeds))
+
+        def first(self, n):
+            gaps = super().first(n)
+            peaks.append(sum(g.kept.size for g in engine._kept.get().values()))
             return gaps
 
     tasks = [
-        (c, SimConfig(arrival_rate=rate, horizon_s=60.0, n_runs=6, concurrency=SERIAL), 0)
+        (c, SimConfig(arrival_rate=rate, horizon_s=60.0, n_runs=4, concurrency=SERIAL), 0)
         for c in _SHARING_COSTS
         for rate in (0.5, 2.0, 1.0)
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 400)
-    monkeypatch.setattr(engine, "GapStream", WatchedStream)
+    monkeypatch.setattr(engine, "Gaps", WatchedGaps)
     assert _cells(run_points(tasks, 1)) == expected
+    assert rows == [4] + [2, 2, 3, 1] * len(_SHARING_COSTS)
     assert 0 < max(peaks) <= 400
 
 

@@ -250,3 +250,24 @@ def test_pool_too_large_raises():
     bad = _tiny([Conv(2, 4, 3), AvgPool(window=9, stride=9)], h=6)
     with pytest.raises(InvalidArch):
         validate(bad)
+
+
+@pytest.mark.parametrize(
+    "layers, skips, message",
+    [
+        ([Conv(2, 4, 3), Flatten(), Flatten(), FC(64, 4)], (), "layer 2: flatten applied twice"),
+        ([Flatten(), Conv(72, 4, 1)], (), "layer 1: conv applied to flattened input"),
+        ([Flatten(), AvgPool(window=2)], (), "layer 1: avgpool applied to flattened input"),
+        ([Conv(2, 4, 3), FC(64, 4)], (), "layer 1: fc requires flattened input"),
+        ([], (), "empty layer list"),
+        (PROJECTED, [SkipConnection(1, 6)], "skip 1->6 out of range"),
+        (PROJECTED, [SkipConnection(-2, 2)], "skip -2->2 out of range"),
+        (PROJECTED, [SkipConnection(3, 2)], "skip 3->2 not forward"),
+        (PROJECTED, [SkipConnection(1, 1)], "skip 1->1 not forward"),
+    ],
+    ids=["flatten-twice", "conv-flattened", "avgpool-flattened", "fc-unflattened", "empty",
+         "merge-out-of-range", "source-out-of-range", "backward", "self"],
+)
+def test_validate_rejects_bad_structure(layers, skips, message):
+    with pytest.raises(InvalidArch, match=f"^{message}$"):
+        validate(_tiny(layers, skips))

@@ -76,11 +76,41 @@ class SpecError(PisimError, ValueError):
     """Experiment spec has an unknown key or a malformed value."""
 
 
+def _list_of(parse, what: str):
+    """A parser of a comma or space separated list, each item through parse."""
+    def parse_list(text: str) -> tuple:
+        items = tuple(parse(t) for t in text.replace(",", " ").split())
+        if not items:
+            raise SpecError(f"empty {what} list")
+        return items
+
+    return parse_list
+
+
+def _choice(key: str, choices: tuple[str, ...]):
+    """A parser of one of choices, which names key in its error."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise SpecError(f"{key} must be {' or '.join(map(repr, choices))}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _int_at_least(low: int, rule: str):
+    """A parser of an integer of at least low, which states rule in its error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{rule}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_rates(text: str) -> tuple[float, ...]:
     """req/s; NaN and +inf pass on to SimConfig, which rejects them."""
-    rates = tuple(float(t) for t in text.replace(",", " ").split())
-    if not rates:
-        raise SpecError("empty number list")
+    rates = _list_of(float, "number")(text)
     if any(r < 0 for r in rates):
         raise SpecError(f"rates must be non-negative, got {text}")
     return rates
@@ -104,53 +134,12 @@ def _parse_capacity(text: str) -> float:
     return value
 
 
-def _parse_caps(text: str) -> tuple[float, ...]:
-    out = tuple(_parse_capacity(tok) for tok in text.replace(",", " ").split())
-    if not out:
-        raise SpecError("empty capacity list")
-    return out
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    names = tuple(t for t in text.replace(",", " ").split())
-    if not names:
-        raise SpecError("empty name list")
-    return names
-
-
-def _parse_runs(text: str) -> int:
-    runs = int(text)
-    if runs < 1:
-        raise ValueError(f"need at least 1 run, got {runs}")
-    return runs
-
-
-def _parse_seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def _parse_formats(text: str) -> tuple[str, ...]:
-    fmts = _parse_names(text)
+    fmts = _list_of(str, "name")(text)
     bad = [f for f in fmts if f not in ("csv", "json")]
     if bad:
         raise SpecError(f"unsupported output formats {bad}; choose from csv, json")
     return fmts
-
-
-def _parse_concurrency(text: str) -> str:
-    if text not in (SERIAL, PIPELINED):
-        raise SpecError(f"concurrency must be {SERIAL!r} or {PIPELINED!r}, got {text!r}")
-    return text
-
-
-def _parse_mode(text: str) -> str:
-    if text not in COST_MODES:
-        names = " or ".join(repr(mode) for mode in COST_MODES)
-        raise SpecError(f"mode must be {names}, got {text!r}")
-    return text
 
 
 def _key(default, parse, flag: str | None = None, help: str | None = None):
@@ -169,18 +158,19 @@ class ExperimentSpec:
     name: str = _key("adhoc", str, "--name", "output file stem")
     model: str = _key("resnet32", str, "--model", "preset name or .arch path")
     dataset: str = _key("cifar100", canonical_dataset, "--dataset")
-    protocols: tuple[str, ...] = _key(("sg", "cg"), _parse_names, "--protocols",
+    protocols: tuple[str, ...] = _key(("sg", "cg"), _list_of(str, "name"), "--protocols",
                                       "comma list, e.g. sg,cg")
     rates: tuple[float, ...] = _key((1e-3,), _parse_rates, "--rates", "comma list of req/s")
     client_capacity_gb: tuple[float, ...] = _key(
-        (math.inf,), _parse_caps, "--capacities",
+        (math.inf,), _list_of(_parse_capacity, "capacity"), "--capacities",
         "comma list of client capacities in GB (none = unbounded)")
     server_capacity_gb: float = _key(10000.0, _parse_capacity)
-    concurrency: str = _key(SERIAL, _parse_concurrency, "--concurrency", "serial or pipelined")
+    concurrency: str = _key(SERIAL, _choice("concurrency", (SERIAL, PIPELINED)), "--concurrency",
+                            "serial or pipelined")
     horizon_s: float = _key(86400.0, _parse_horizon, "--horizon", "seconds simulated")
-    n_runs: int = _key(100, _parse_runs, "--runs", "independent runs")
-    seed: int = _key(0, _parse_seed, "--seed")
-    mode: str | None = _key(None, _parse_mode, "--mode",
+    n_runs: int = _key(100, _int_at_least(1, "need at least 1 run"), "--runs", "independent runs")
+    seed: int = _key(0, _int_at_least(0, "seed must be non-negative"), "--seed")
+    mode: str | None = _key(None, _choice("mode", COST_MODES), "--mode",
                             "table or component; default table without knobs, component with them")
     knobs: str = _key("none", str, "--knobs",
                       "optimization name or " + ",".join(f"{k}=F" for k in _KNOB_NAMES))

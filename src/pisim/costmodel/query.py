@@ -25,6 +25,7 @@ from .comm import (
 )
 from .formula import IDENTITY, compute_seconds
 from .types import (
+    KNOB_FACTORS,
     CostModel,
     InsufficientRows,
     InvalidCostInput,
@@ -184,7 +185,9 @@ def phase_costs(
     mode: str = "component",
 ) -> PhaseCosts:
     """Predict per-inference offline and online costs: mode "table"
-    replays a measured row, "component" prices with the fitted rates."""
+    replays a measured row, "component" prices with the fitted rates.
+    Component costs that a float cannot hold are an InvalidCostInput that
+    names the knob factors."""
     protocol = Protocol.parse(protocol)
     if protocol not in cm.calibrated_protocols:
         raise InsufficientRows(
@@ -204,4 +207,12 @@ def phase_costs(
             )
         return _table_costs(cm, protocol, arch, bandwidth)
     labels = (arch.name, arch.dataset.name)
-    return component_costs(cm, protocol, labels, CommInputs.from_arch(arch), bandwidth, knobs)
+    try:
+        costs = component_costs(cm, protocol, labels, CommInputs.from_arch(arch), bandwidth, knobs)
+        if math.isfinite(costs.offline_compute_s + costs.online_compute_s):
+            return costs
+    except (OverflowError, InvalidCostInput):  # an infinite or NaN scaled count or cost
+        pass
+    scaled = ", ".join(f"{f}={getattr(knobs, f):g}" for f in KNOB_FACTORS if getattr(knobs, f) != 1)
+    raise InvalidCostInput(f"the costs of {'/'.join(labels)} overflow"
+                           + (f" under knobs {scaled}" if scaled else ""))

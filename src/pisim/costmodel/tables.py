@@ -2,7 +2,7 @@
 
 Both tables are tab-separated with a header row. Missing optional
 values are written as "-"; a row shorter than the header reads its
-missing cells as empty, which the value parsers reject. The copies
+missing cells as empty, which only optional columns accept. The copies
 shipped under pisim/configs/ can be overridden by pointing
 PISIM_CONFIG_DIR at a directory with the same file names.
 """
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import os
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .types import (
     KNOB_FACTORS,
@@ -27,18 +28,19 @@ from .types import (
 MEASURED_COSTS_FILENAME = "measured_costs.tsv"
 OPTIMIZATIONS_FILENAME = "optimizations.tsv"
 
-_COST_COLUMNS = [
-    "protocol",
-    "model",
-    "dataset",
-    "offline_latency_s",
-    "online_latency_s",
-    "client_storage_bytes",
-    "server_storage_bytes",
-    "bandwidth_bytes_per_s",
-    "offline_comm_bytes",
-    "online_comm_bytes",
-]
+# The measured-costs columns are MeasuredCosts' fields in order; a field
+# with a default is an optional column. Each field type's cell reader
+# and writer: an optional count reads "-", an empty cell or an absent
+# column as None and writes None as "-".
+_COST_FIELDS = fields(MeasuredCosts)
+_CELLS = {
+    "Protocol": (Protocol.parse, lambda p: p.short),
+    "str": (str.strip, lambda s: s),
+    "float": (float, lambda x: f"{x:g}"),
+    "int": (int, lambda n: n),
+    "int | None": (lambda t: int(t) if t not in ("", "-") else None,
+                   lambda n: "-" if n is None else n),
+}
 
 KNOB_COLUMNS = ["name", *KNOB_FACTORS, "notes"]
 
@@ -47,75 +49,40 @@ class TableFormatError(CostModelError, ValueError):
     """A measured-costs or optimizations table that does not parse."""
 
 
-def _opt_int(text: str) -> int | None:
-    return None if text == "-" else int(text)
-
-
-def read_measured_costs(stream: TextIO) -> list[MeasuredCosts]:
+def _read_rows(stream: TextIO, table: str, required: list[str], parse: Callable) -> list:
+    """Each row's cells, by column name, through parse."""
     reader = csv.DictReader(stream, delimiter="\t", restval="")
     if reader.fieldnames is None:
-        raise TableFormatError("empty measured-costs table")
-    missing = [c for c in _COST_COLUMNS[:8] if c not in reader.fieldnames]
+        raise TableFormatError(f"empty {table} table")
+    missing = [c for c in required if c not in reader.fieldnames]
     if missing:
-        raise TableFormatError(f"measured-costs table missing columns: {missing}")
+        raise TableFormatError(f"{table} table missing columns: {missing}")
     rows = []
     for lineno, raw in enumerate(reader, start=2):
         try:
-            rows.append(
-                MeasuredCosts(
-                    protocol=Protocol.parse(raw["protocol"]),
-                    model=raw["model"].strip(),
-                    dataset=raw["dataset"].strip(),
-                    offline_latency_s=float(raw["offline_latency_s"]),
-                    online_latency_s=float(raw["online_latency_s"]),
-                    client_storage_bytes=int(raw["client_storage_bytes"]),
-                    server_storage_bytes=int(raw["server_storage_bytes"]),
-                    bandwidth_bytes_per_s=float(raw["bandwidth_bytes_per_s"]),
-                    offline_comm_bytes=_opt_int(raw.get("offline_comm_bytes", "-") or "-"),
-                    online_comm_bytes=_opt_int(raw.get("online_comm_bytes", "-") or "-"),
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            raise TableFormatError(f"measured-costs line {lineno}: {exc}") from exc
+            rows.append(parse(raw))
+        except ValueError as exc:
+            raise TableFormatError(f"{table} line {lineno}: {exc}") from exc
     return rows
+
+
+def read_measured_costs(stream: TextIO) -> list[MeasuredCosts]:
+    required = [f.name for f in _COST_FIELDS if f.default is MISSING]
+    return _read_rows(stream, "measured-costs", required, lambda raw: MeasuredCosts(
+        **{f.name: _CELLS[f.type][0](raw.get(f.name, "")) for f in _COST_FIELDS}))
 
 
 def write_measured_costs(stream: TextIO, rows: Iterable[MeasuredCosts]) -> None:
     writer = csv.writer(stream, delimiter="\t", lineterminator="\n")
-    writer.writerow(_COST_COLUMNS)
+    writer.writerow(f.name for f in _COST_FIELDS)
     for row in rows:
-        writer.writerow(
-            [
-                row.protocol.short,
-                row.model,
-                row.dataset,
-                f"{row.offline_latency_s:g}",
-                f"{row.online_latency_s:g}",
-                row.client_storage_bytes,
-                row.server_storage_bytes,
-                f"{row.bandwidth_bytes_per_s:g}",
-                "-" if row.offline_comm_bytes is None else row.offline_comm_bytes,
-                "-" if row.online_comm_bytes is None else row.online_comm_bytes,
-            ]
-        )
+        writer.writerow(_CELLS[f.type][1](getattr(row, f.name)) for f in _COST_FIELDS)
 
 
 def read_optimizations(stream: TextIO) -> dict[str, OptimizationKnobs]:
-    reader = csv.DictReader(stream, delimiter="\t", restval="")
-    if reader.fieldnames is None:
-        raise TableFormatError("empty optimizations table")
-    missing = [c for c in KNOB_COLUMNS[:-1] if c not in reader.fieldnames]
-    if missing:
-        raise TableFormatError(f"optimizations table missing columns: {missing}")
-    knobs = {}
-    for lineno, raw in enumerate(reader, start=2):
-        try:
-            name = raw["name"].strip()
-            factors = {f: float(raw[f]) for f in KNOB_FACTORS}
-            knobs[name] = OptimizationKnobs(name=name, **factors)
-        except (KeyError, ValueError) as exc:
-            raise TableFormatError(f"optimizations line {lineno}: {exc}") from exc
-    return knobs
+    rows = _read_rows(stream, "optimizations", KNOB_COLUMNS[:-1], lambda raw: OptimizationKnobs(
+        name=raw["name"].strip(), **{f: float(raw[f]) for f in KNOB_FACTORS}))
+    return {knobs.name: knobs for knobs in rows}
 
 
 def config_dir() -> Path | None:

@@ -89,10 +89,11 @@ _INPUT = "input channels=3 height=8 width=8 classes=4\n"
         ("name tiny net\n" + _INPUT + "relu", "line 1: name takes exactly one identifier"),
         (_INPUT + "relu inplace=true", "relu takes no fields"),
         (_INPUT + "flatten start=1", "flatten takes no fields"),
+        (_INPUT + "avgpool window=0", "line 2: window must be positive"),
     ],
     ids=["missing-keys", "no-input", "unknown-directive", "unknown-key", "skip-oob",
          "no-equals", "duplicate-field", "not-integer", "bad-bool", "name-extra", "relu-fields",
-         "flatten-fields"],
+         "flatten-fields", "window-0"],
 )
 def test_parse_errors(text, match):
     with pytest.raises(ParseError, match=match):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from pisim.costmodel import (
     CommInputs,
     InconsistentRows,
     InsufficientRows,
+    MeasuredCosts,
     Protocol,
     TableFormatError,
     load_shipped_costs,
@@ -21,6 +23,7 @@ from pisim.costmodel import (
     write_measured_costs,
 )
 from pisim.costmodel.calibrate import calibrate, nnls
+from pisim.costmodel.tables import read_optimizations
 from pisim.netarch import build_preset
 
 
@@ -134,19 +137,69 @@ def test_tsv_roundtrip_preserves_rows(rows):
 
 
 def test_tsv_missing_columns():
-    with pytest.raises(TableFormatError):
+    missing = ("['dataset', 'offline_latency_s', 'online_latency_s', 'client_storage_bytes', "
+               "'server_storage_bytes', 'bandwidth_bytes_per_s']")
+    with pytest.raises(TableFormatError, match=re.escape(
+            f"measured-costs table missing columns: {missing}")):
         read_measured_costs(io.StringIO("protocol\tmodel\nsg\tresnet32\n"))
 
 
+COSTS_HEADER = (
+    "protocol\tmodel\tdataset\toffline_latency_s\tonline_latency_s\t"
+    "client_storage_bytes\tserver_storage_bytes\tbandwidth_bytes_per_s\t"
+    "offline_comm_bytes\tonline_comm_bytes\n"
+)
+KNOBS_HEADER = "name\trelu_factor\tflop_factor\tgc_per_relu_factor\the_per_flop_factor\tnotes\n"
+
+
 def test_tsv_bad_number():
-    header = (
-        "protocol\tmodel\tdataset\toffline_latency_s\tonline_latency_s\t"
-        "client_storage_bytes\tserver_storage_bytes\tbandwidth_bytes_per_s\t"
-        "offline_comm_bytes\tonline_comm_bytes\n"
-    )
     line = "sg\tresnet32\tc100\tnope\t9.4\t1\t1\t1e8\t1\t1\n"
-    with pytest.raises(TableFormatError):
-        read_measured_costs(io.StringIO(header + line))
+    with pytest.raises(TableFormatError,
+                       match="^measured-costs line 2: could not convert string to float: 'nope'$"):
+        read_measured_costs(io.StringIO(COSTS_HEADER + line))
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (read_measured_costs, "", "^empty measured-costs table$"),
+        (read_optimizations, "", "^empty optimizations table$"),
+        (read_measured_costs, COSTS_HEADER + "sg\tresnet32\tc100\t115\n",
+         "^measured-costs line 2: could not convert string to float: ''$"),
+        (read_optimizations, KNOBS_HEADER + "x\t0.5\n",
+         "^optimizations line 2: could not convert string to float: ''$"),
+        (read_measured_costs, COSTS_HEADER + "sg\tresnet32\tc100\t1\t1\t1\t1\t1\t1\t1\n"
+         "mg\tresnet32\tc100\t1\t1\t1\t1\t1\t1\t1\n",
+         "^measured-costs line 3: unknown protocol 'mg'; use sg or cg$"),
+        (read_optimizations, KNOBS_HEADER + "x\t0\t1\t1\t1\t\n",
+         "^optimizations line 2: knob factors must be finite and positive, got 0.0$"),
+        (read_optimizations, "name\trelu_factor\tnotes\nx\t1\t\n",
+         r"^optimizations table missing columns: "
+         r"\['flop_factor', 'gc_per_relu_factor', 'he_per_flop_factor'\]$"),
+    ],
+    ids=["costs-empty", "knobs-empty", "costs-short-row", "knobs-short-row",
+         "costs-bad-protocol", "knobs-bad-factor", "knobs-missing-columns"],
+)
+def test_malformed_table_message(read, text, message):
+    with pytest.raises(TableFormatError, match=message):
+        read(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "header, cells",
+    [
+        (COSTS_HEADER, "\t-\t-"),
+        (COSTS_HEADER, "\t\t"),
+        (COSTS_HEADER, ""),
+        (COSTS_HEADER.replace("\toffline_comm_bytes\tonline_comm_bytes", ""), ""),
+    ],
+    ids=["dash", "empty", "short-row", "absent"],
+)
+def test_unmeasured_comm_cells_read_as_none(header, cells):
+    (row,) = read_measured_costs(
+        io.StringIO(header + "cg\tresnet32\tc100\t1.5\t2\t3\t4\t1e8" + cells + "\n"))
+    assert row.offline_comm_bytes is None and row.online_comm_bytes is None
+    assert row == MeasuredCosts(Protocol.CLIENT_GARBLER, "resnet32", "c100", 1.5, 2.0, 3, 4, 1e8)
 
 
 def test_calibration_is_deterministic(rows):

@@ -163,6 +163,10 @@ def test_cost_unknown_knobs(capsys):
         ["--knobs", "relu=0.2,gc"],
         ["--mode", "table", "--knobs", "relu=0.5"],
         ["--protocol", "xx"],
+        ["--knobs", "relu=1e300"],
+        ["--knobs", "gc=1e300"],
+        ["--knobs", "flop=1e308"],
+        ["--knobs", "he=1e308"],
     ],
     ids=" ".join,
 )
@@ -173,6 +177,31 @@ def test_cost_bad_input_exits_2(argv, capsys):
     assert "Traceback" not in err
     if argv == ["--knobs", "relu=0.2,gc"]:
         assert "knob 'gc' is not name=value" in err
+
+
+@pytest.mark.parametrize(
+    "command, knob, field",
+    [
+        ("cost", "relu=1e300", "relu_factor=1e+300"),
+        ("cost", "gc=1e300", "gc_per_relu_factor=1e+300"),
+        ("cost", "flop=1e308", "flop_factor=1e+308"),
+        ("cost", "he=1e308", "he_per_flop_factor=1e+308"),
+        ("simulate", "relu=1e300", "relu_factor=1e+300"),
+    ],
+)
+def test_an_overflowing_knob_is_named(command, knob, field, tmp_path, capsys):
+    assert run_cli(*_priced_argv(command, tmp_path, "--knobs", knob)) == EXIT_UNKNOWN
+    err = capsys.readouterr().err
+    assert err == f"error: the costs of resnet32/cifar100 overflow under knobs {field}\n"
+
+
+def test_tiny_positive_values_are_valid(tmp_path, capsys):
+    # finite positive knob factors and horizons run; a ReLU count that
+    # rounds to zero prints its bytes below 1 KB
+    assert run_cli("cost", "--knobs", "relu=1e-300") == EXIT_OK
+    assert "gc storage            0 B (held by client)\n" in capsys.readouterr().out
+    assert run_cli("simulate", "--horizon", "1e-300", "--out", str(tmp_path)) == EXIT_OK
+    assert "completed 0/0" in capsys.readouterr().out
 
 
 def _priced_argv(command, out_dir, *argv):
@@ -621,6 +650,15 @@ flatten
 fc in=2 out=4
 """
 
+# Valid, but its counts are past a float's range.
+HUGE_ARCH = f"""name huge
+input channels=1 height=8 width=8 classes=4 dataset=toy8
+conv in=1 out={10**320} kernel=3 pad=1
+relu
+flatten
+fc in={64 * 10**320} out=4
+"""
+
 # Degenerate fields that validate() refuses; otherwise well-formed, so
 # each reaches shape inference.
 DEGENERATE_ARCHS = {
@@ -676,6 +714,8 @@ def _degenerate_arch(key):
         ["cost", "--model", "{skip_into_pool}", "--mode", "component"],
         ["sweep", "--model", "{skip_into_pool}", "--mode", "component", "--runs", "1",
          "--out", "{dir}"],
+        ["simulate", "--knobs", "relu=1e300", "--out", "{dir}"],
+        ["cost", "--model", "{huge}", "--mode", "component"],
         *([*cmd, "{%s}" % key, *rest] for key in DEGENERATE_ARCHS for cmd, rest in (
             (["arch", "check"], []),
             (["cost", "--model"], ["--mode", "component"]),
@@ -691,6 +731,7 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
         ("skip_from_conv", SKIP_FROM_CONV_ARCH),
         ("skip_into_pool", SKIP_INTO_POOL_ARCH),
         ("bad_projection", BAD_PROJECTION_ARCH),
+        ("huge", HUGE_ARCH),
         *((key, _degenerate_arch(key)) for key in DEGENERATE_ARCHS),
     ]:
         paths[key] = tmp_path / f"{key}.arch"

@@ -1,5 +1,6 @@
 """Preset architectures, shape inference, and count goldens."""
 
+import re
 from dataclasses import astuple
 
 import pytest
@@ -264,10 +265,16 @@ def test_pool_too_large_raises():
         (PROJECTED, [SkipConnection(-2, 2)], "skip -2->2 out of range"),
         (PROJECTED, [SkipConnection(3, 2)], "skip 3->2 not forward"),
         (PROJECTED, [SkipConnection(1, 1)], "skip 1->1 not forward"),
+        ([Conv(2, 4, 3, padding=1), ReLU(), Flatten(), FC(100, 4)], (),
+         "layer 3: fc expects 100 features, got 144"),
+        ([Conv(2, 4, 3, padding=1), ReLU(), Conv(4, 8, 3, padding=1), ReLU(), Flatten(),
+          FC(288, 4)], [SkipConnection(1, 2)],
+         "skip 1->2 shape (4, 6, 6) does not match merge shape (8, 6, 6)"),
     ],
     ids=["flatten-twice", "conv-flattened", "avgpool-flattened", "fc-unflattened", "empty",
-         "merge-out-of-range", "source-out-of-range", "backward", "self"],
+         "merge-out-of-range", "source-out-of-range", "backward", "self", "fc-features",
+         "skip-shape"],
 )
 def test_validate_rejects_bad_structure(layers, skips, message):
-    with pytest.raises(InvalidArch, match=f"^{message}$"):
+    with pytest.raises(InvalidArch, match=f"^{re.escape(message)}$"):
         validate(_tiny(layers, skips))

@@ -58,11 +58,12 @@ def _read_rows(stream: TextIO, table: str, required: list[str], parse: Callable)
     if missing:
         raise TableFormatError(f"{table} table missing columns: {missing}")
     rows = []
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
         try:
             rows.append(parse(raw))
         except ValueError as exc:
-            raise TableFormatError(f"{table} line {lineno}: {exc}") from exc
+            # line_num counts physical lines, blank ones too
+            raise TableFormatError(f"{table} line {reader.line_num}: {exc}") from exc
     return rows
 
 

@@ -12,7 +12,8 @@ PIPELINED = "pipelined"
 
 # Upper bound, exclusive, on a run's expected arrival count
 # arrival_rate * horizon_s. A run keeps several float64 timelines of its
-# requests, 8 GB each at this count, so no larger run fits in memory.
+# requests, 8 GB each at this count, so the bound rejects only runs that
+# can never fit in memory; runs far below it can still exhaust a machine.
 MAX_EXPECTED_ARRIVALS = 1e9
 
 

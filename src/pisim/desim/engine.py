@@ -18,15 +18,19 @@ block of a sweep point's runs. The serial step is start = max(a_k, t_free),
 ready = start + off, t_free = ready + on.
 
 A block is drawn as one matrix: poisson_arrival_times fills row r from
-row r of its Gaps and cumsums the rows in place, inf past the horizon. Its
-transpose, (requests, runs), goes straight to the step loop, and step k
-updates row k of every run at once. Each element sees the same float
-operations in the same order as an event-by-event simulation of its run
-alone, so every time is bitwise equal to it. Step k reads only rows up to
-k, so a run's padding never reaches its requests. The steps keep
-bundle_ready and online_start (the same matrix under serial serving); a
-request's finish time is online_start + on, the one add that also
-advances t_free, so it is computed where it is read and never stored.
+row r of its Gaps and cumsums the rows in place, inf past the horizon.
+_step copies its (runs, requests) arrivals once per point that steps
+over it (once for a point alone, see below), side by side, and the
+transpose, (requests, members * runs), goes to the step loop with one
+off and one on value per column. The loop overwrites it in place, so
+step k updates row k of every run of every member at once. Each element
+sees the same float operations in the same order as an event-by-event
+simulation of its run alone, so every time is bitwise equal to it. Step
+k reads only rows up to k, so a run's padding never reaches its
+requests. The steps keep bundle_ready and online_start (the same matrix
+under serial serving); a request's finish time is online_start + on, the
+one add that also advances t_free, so it is computed where it is read
+and never stored.
 
 Finish times never decrease with k, so a run's finished requests are a
 prefix of its row. metrics.summarize_run takes the whole block and
@@ -49,6 +53,14 @@ once, and every such point scales the same gaps by its own rate (common
 random numbers). The block keeps one seed range's Gaps; another range's
 replace them. Other points, and every run outside a block, draw each
 block from new Gaps, dropped once the block is drawn.
+
+Points whose run_keys differ only in costs read the same arrival
+realization. run_points tells seeding() which of them form a draw group:
+those whose runs fit one block together (one_block). The first member to
+run draws the realization once and steps every member over it as one
+matrix; the block keeps the others' stepped blocks until they read them
+or the next group replaces them. Under pipelined serving equal keys mean
+equal capacity_bundles, so a group shares its cap.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -143,27 +155,28 @@ def stability_limit(costs: PhaseCosts, config: SimConfig) -> float:
     return min(build_rate, online_rate)
 
 
-def serial_steps(arrivals: np.ndarray, off: float, on: float) -> np.ndarray:
-    """Lindley's recursion over (requests, runs) arrivals padded with inf.
+def serial_steps(times: np.ndarray, off, on) -> np.ndarray:
+    """Lindley's recursion, in place, over (requests, columns) arrival
+    times padded with inf; off and on are scalars or one per column.
 
-    Returns bundle_ready, (requests, runs), for every request, past the
-    horizon too. A request starts online when its bundle is ready and
-    finishes at bundle_ready + on.
+    times enters holding the arrivals and leaves holding bundle_ready for
+    every request, past the horizon too; it is returned. A request starts
+    online when its bundle is ready and finishes at bundle_ready + on.
     """
-    ready = np.empty_like(arrivals)
-    t_free = np.zeros(arrivals.shape[1])
-    for a_k, ready_k in zip(arrivals, ready):
-        np.maximum(a_k, t_free, out=ready_k)
+    t_free = np.zeros(times.shape[1])
+    for ready_k in times:
+        np.maximum(ready_k, t_free, out=ready_k)
         ready_k += off
         np.add(ready_k, on, out=t_free)
-    return ready
+    return times
 
 
 def pipelined_steps(
-    arrivals: np.ndarray, off: float, on: float, cap: float, horizon: float
+    times: np.ndarray, off, on, cap: float, horizon: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max-plus recurrence over FIFO bundles, for (requests, runs) arrivals
-    padded with inf; cap is shared by the runs.
+    """Max-plus recurrence over FIFO bundles, in place, over (requests,
+    columns) arrival times padded with inf; off and on are scalars or one
+    per column, and cap is shared by the columns.
 
     Bundle k starts building when request k - cap starts online (at t = 0
     for the first cap), and request k starts online at
@@ -171,38 +184,49 @@ def pipelined_steps(
     starts after the first online start or completion past the horizon.
     t_free only grows, so once it passes the horizon so does every later
     o_k, and the times past the horizon are exactly those an
-    event-by-event simulation never reaches. Returns (bundle_ready,
-    online_start), each (requests, runs): bundle_ready is inf for a build
-    that never started, and online_start is not cut at the horizon.
+    event-by-event simulation never reaches. times enters holding the
+    arrivals and leaves holding online_start. Returns (bundle_ready,
+    online_start), each (requests, columns): bundle_ready is inf for a
+    build that never started, and online_start is not cut at the horizon.
     """
     if cap < 1:
         raise ConfigInfeasible("storage capacity cannot hold a single bundle")
-    n = arrivals.shape[0]
-    ready = np.full_like(arrivals, off)
-    start = np.empty_like(arrivals)
-    t_free = np.zeros(arrivals.shape[1])
-    for k, (a_k, o) in enumerate(zip(arrivals, start)):
-        np.maximum(a_k, ready[k], out=o)
+    n = times.shape[0]
+    ready = np.full_like(times, off)
+    t_free = np.zeros(times.shape[1])
+    for k, o in enumerate(times):
+        np.maximum(o, ready[k], out=o)
         np.maximum(o, t_free, out=o)
         if k + cap < n:
             np.add(o, off, out=ready[k + cap])
         np.add(o, on, out=t_free)
     if cap < n:
-        ready[cap:][start[: n - cap] > horizon] = math.inf
-    return ready, start
+        ready[cap:][times[: n - cap] > horizon] = math.inf
+    return ready, times
 
 
-def _steps(
-    arrivals: np.ndarray, costs: PhaseCosts, config: SimConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bundle_ready, online_start) of the mode's recurrence."""
-    off = costs.offline_latency_s
-    on = costs.online_latency_s
+def _step(times: np.ndarray, members: Sequence[PhaseCosts], config: SimConfig) -> list[tuple]:
+    """Step one drawn block, (runs, draw) times padded with inf, for each
+    member's costs: each member's copy of the arrival columns sits beside
+    the others in one (requests, members * runs) matrix, with per-column
+    off and on, and the mode's recurrence runs once over it. Returns each
+    member's block: the arrivals cut to the widest run, the runs' arrival
+    counts, and its bundle_ready and online_start, each (runs, width)."""
+    counts = np.count_nonzero(times < math.inf, axis=1)
+    times = times[:, : int(counts.max())]
+    runs, width = times.shape
+    copies = np.empty((len(members), runs, width))
+    copies[:] = times
+    columns = copies.reshape(len(members) * runs, width).T
+    off = np.repeat([c.offline_latency_s for c in members], runs)
+    on = np.repeat([c.online_latency_s for c in members], runs)
     if config.concurrency == SERIAL:
-        ready = serial_steps(arrivals, off, on)
-        return ready, ready
-    cap = capacity_bundles(costs, config)
-    return pipelined_steps(arrivals, off, on, cap, config.horizon_s)
+        ready = start = serial_steps(columns, off, on)
+    else:
+        cap = capacity_bundles(members[0], config)
+        ready, start = pipelined_steps(columns, off, on, cap, config.horizon_s)
+    return [(times, counts, ready.T[lo : lo + runs], start.T[lo : lo + runs])
+            for lo in range(0, columns.shape[1], runs)]
 
 
 def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
@@ -212,25 +236,45 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
 
 # The open seeding() block's kept Gaps, by their seeds: at most one.
 _kept: ContextVar[dict[tuple[int, ...], Gaps] | None] = ContextVar("kept_gaps", default=None)
+# Its draw groups, by member, and the blocks its last stepped group left
+# for the members that have not read theirs. A member is (costs, config,
+# seeds), as _blocks is called for it.
+_groups: ContextVar[tuple[dict, dict] | None] = ContextVar("draw_groups", default=None)
+
+
+def one_block(config: SimConfig, points: int) -> bool:
+    """Whether points sweep points of config's rate, horizon and run count
+    draw within BLOCK_ELEMENTS elements together, as one block."""
+    draw = draw_size(config.arrival_rate, config.horizon_s)
+    return points * config.n_runs * draw <= BLOCK_ELEMENTS
 
 
 @contextlib.contextmanager
-def seeding():
-    """Keep one seed range's Gaps while the block is open (see the module
-    docstring); they end with the block."""
-    token = _kept.set({})
+def seeding(groups: Sequence[Sequence[tuple[PhaseCosts, SimConfig, int]]] = ()):
+    """Keep one seed range's Gaps while the block is open, and step each
+    of groups, lists of (costs, config, base_seed) tasks that differ only
+    in costs and fit one block together (one_block), as one matrix: the
+    first of its tasks to run steps all (see the module docstring). Both
+    end with the block."""
+    plan = {}
+    for group in groups:
+        members = [(c, cfg, tuple(range(seed, seed + cfg.n_runs))) for c, cfg, seed in group]
+        plan.update(dict.fromkeys(members, members))
+    gaps_token, groups_token = _kept.set({}), _groups.set((plan, {}))
     try:
         yield
     finally:
-        _kept.reset(token)
+        _kept.reset(gaps_token)
+        _groups.reset(groups_token)
 
 
 def _blocks(costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]):
     """Draw and step one run per seed, in blocks of consecutive runs whose
     arrival matrix holds at most BLOCK_ELEMENTS elements (or one run, if
-    it alone is longer). Yields each block's arrivals, cut to its widest
-    run, its runs' arrival counts, and its bundle_ready and online_start,
-    each (runs, width)."""
+    it alone is longer). Yields each block of _step. Within seeding(), a
+    one-block point reads the kept Gaps, and the first member of its
+    group to run draws once and steps every member; the others read the
+    blocks it left."""
     rate, horizon = config.arrival_rate, config.horizon_s
     draw, kept = draw_size(rate, horizon), _kept.get()
     if len(seeds) * draw <= BLOCK_ELEMENTS and kept is not None:
@@ -238,16 +282,19 @@ def _blocks(costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]):
         if seeds not in kept:
             kept.clear()
             kept[seeds] = Gaps(seeds)
-        draws = [poisson_arrival_times(rate, horizon, kept[seeds])]
-    else:
-        per_block = max(1, BLOCK_ELEMENTS // draw)
-        draws = (poisson_arrival_times(rate, horizon, Gaps(seeds[lo : lo + per_block]))
-                 for lo in range(0, len(seeds), per_block))
-    for times in draws:
-        counts = np.count_nonzero(times < math.inf, axis=1)
-        times = times[:, : int(counts.max())]
-        ready, start = (t.T for t in _steps(times.T, costs, config))
-        yield times, counts, ready, start
+        plan, stepped = _groups.get()
+        member = (costs, config, seeds)
+        if member not in stepped:
+            members = plan.get(member, [member])
+            times = poisson_arrival_times(rate, horizon, kept[seeds])
+            stepped.clear()
+            stepped.update(zip(members, _step(times, [c for c, *_ in members], config)))
+        yield stepped.pop(member)
+        return
+    per_block = max(1, BLOCK_ELEMENTS // draw)
+    for lo in range(0, len(seeds), per_block):
+        times = poisson_arrival_times(rate, horizon, Gaps(seeds[lo : lo + per_block]))
+        yield from _step(times, [costs], config)
 
 
 def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:

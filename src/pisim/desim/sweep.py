@@ -10,7 +10,7 @@ from typing import Sequence
 
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
-from .engine import run_key, run_many, seeding, stability_limit
+from .engine import one_block, run_key, run_many, seeding, stability_limit
 from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
@@ -78,8 +78,8 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
     return {c: row[c] for c in SWEEP_COLUMNS}
 
 
-def _run_point(args: tuple[PhaseCosts, SimConfig, int]) -> dict[str, object]:
-    return sweep_point(*args)
+def _run_group(group: Sequence[tuple[PhaseCosts, SimConfig, int]]) -> list[dict[str, object]]:
+    return [sweep_point(*task) for task in group]
 
 
 def run_points(
@@ -91,27 +91,40 @@ def run_points(
     count, concurrency, base seed and, when pipelined, capacity_bundles)
     share one sweep_point call; each row keeps its own _point_columns. An
     infeasible task has no key and runs alone, so its failure names its
-    own capacities. jobs > 1 distributes the distinct tasks over worker
-    processes. Within the call the one-block points of one seed range
-    hash each seed once and draw its gaps once (engine.seeding).
+    own capacities. The distinct tasks whose keys differ only in costs
+    read one arrival draw: when their runs fit one block together
+    (engine.one_block), they form a group that runs back to back, is drawn
+    once and advances as one matrix, bitwise as each would alone; a larger
+    group's tasks run one at a time. jobs > 1 distributes the groups over
+    worker processes. Within the call the one-block points of one seed
+    range hash each seed once and draw its gaps once (engine.seeding).
     """
     first: dict[tuple, int] = {}
     distinct: list[tuple[PhaseCosts, SimConfig, int]] = []
     shared_by = []
+    by_draw: dict[object, list[int]] = {}
     for task in tasks:
         key = run_key(*task)
         index = len(distinct) if key is None else first.setdefault(key, len(distinct))
         if index == len(distinct):
             distinct.append(task)
+            by_draw.setdefault(index if key is None else key[1:], []).append(index)
         shared_by.append(index)
-    with seeding():
-        if jobs > 1 and len(distinct) > 1:
+    order = []
+    for members in by_draw.values():
+        fits = one_block(distinct[members[0]][1], len(members))
+        order += [members] if fits else [[i] for i in members]
+    order.sort()  # each group runs where its first task would
+    groups = [[distinct[i] for i in group] for group in order]
+    with seeding(groups):
+        if jobs > 1 and len(groups) > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                shared = list(pool.map(_run_point, distinct))
+                done = list(pool.map(_run_group, groups))
         else:
-            shared = [_run_point(t) for t in distinct]
+            done = [_run_group(group) for group in groups]
+    shared = {i: row for group, rows in zip(order, done) for i, row in zip(group, rows)}
     return [
         {**shared[index], **_point_columns(costs, config)}
         for index, (costs, config, _) in zip(shared_by, tasks)

@@ -5,7 +5,9 @@ writer, with the measured-costs schema spelled out column by column, and
 the original experiment-spec value parsers, each with its own list split,
 choice check and integer bound. `pisim.costmodel.tables` and `pisim.cli`
 must agree with them: the same bytes written, and on any text the same
-rows or value, or the same exception type and message.
+rows or value, or the same exception type and message. The table readers
+name a bad row by its physical line (csv's line_num), blank lines
+counted, as pisim's readers do.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def read_measured_costs(stream: TextIO) -> list[MeasuredCosts]:
     if missing:
         raise TableFormatError(f"measured-costs table missing columns: {missing}")
     rows = []
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
         try:
             rows.append(
                 MeasuredCosts(
@@ -68,7 +70,7 @@ def read_measured_costs(stream: TextIO) -> list[MeasuredCosts]:
                 )
             )
         except (KeyError, ValueError) as exc:
-            raise TableFormatError(f"measured-costs line {lineno}: {exc}") from exc
+            raise TableFormatError(f"measured-costs line {reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -100,13 +102,13 @@ def read_optimizations(stream: TextIO) -> dict[str, OptimizationKnobs]:
     if missing:
         raise TableFormatError(f"optimizations table missing columns: {missing}")
     knobs = {}
-    for lineno, raw in enumerate(reader, start=2):
+    for raw in reader:
         try:
             name = raw["name"].strip()
             factors = {f: float(raw[f]) for f in KNOB_FACTORS}
             knobs[name] = OptimizationKnobs(name=name, **factors)
         except (KeyError, ValueError) as exc:
-            raise TableFormatError(f"optimizations line {lineno}: {exc}") from exc
+            raise TableFormatError(f"optimizations line {reader.line_num}: {exc}") from exc
     return knobs
 
 

@@ -173,12 +173,17 @@ def test_tsv_bad_number():
          "^measured-costs line 3: unknown protocol 'mg'; use sg or cg$"),
         (read_optimizations, KNOBS_HEADER + "x\t0\t1\t1\t1\t\n",
          "^optimizations line 2: knob factors must be finite and positive, got 0.0$"),
+        (read_measured_costs, COSTS_HEADER + "\n\nmg\tresnet32\tc100\t1\t1\t1\t1\t1\t1\t1\n",
+         "^measured-costs line 4: unknown protocol 'mg'; use sg or cg$"),
+        (read_optimizations, KNOBS_HEADER + "y\t1\t1\t1\t1\t\n\n\nx\t0\t1\t1\t1\t\n",
+         "^optimizations line 5: knob factors must be finite and positive, got 0.0$"),
         (read_optimizations, "name\trelu_factor\tnotes\nx\t1\t\n",
          r"^optimizations table missing columns: "
          r"\['flop_factor', 'gc_per_relu_factor', 'he_per_flop_factor'\]$"),
     ],
     ids=["costs-empty", "knobs-empty", "costs-short-row", "knobs-short-row",
-         "costs-bad-protocol", "knobs-bad-factor", "knobs-missing-columns"],
+         "costs-bad-protocol", "knobs-bad-factor", "costs-after-blank-lines",
+         "knobs-after-blank-lines", "knobs-missing-columns"],
 )
 def test_malformed_table_message(read, text, message):
     with pytest.raises(TableFormatError, match=message):

@@ -205,10 +205,11 @@ def test_block_summary_matches_per_run_summaries(batch, cap, budget, run_major):
     padded = _padded(runs)
     if run_major:  # the engine's layout: the transpose of a (runs, requests) matrix
         padded = np.ascontiguousarray(padded.T).T
+    steps = padded.copy(order="K")  # the steps overwrite the arrivals
     if cap == SERIAL:
-        ready = start = serial_steps(padded, off, on)
+        ready = start = serial_steps(steps, off, on)
     else:
-        ready, start = pipelined_steps(padded, off, on, cap, horizon)
+        ready, start = pipelined_steps(steps, off, on, cap, horizon)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "SUMMARY_ELEMENTS", budget)
         means, completed = summarize_run(padded.T, ready.T, start.T, on, horizon)
@@ -404,16 +405,37 @@ _SHARING_COSTS = [
 _CAPACITIES = [math.inf, 0.0, 5.0, 10.0, 20.0, 29.0, 30.0]
 
 
+# Costs that share the offline latency of one _SHARING_COSTS entry and
+# the online latency of another, with the first one's bundle bytes, so
+# that they group with it in both modes and repeat an off and an on
+# value across a group's columns.
+_EQUAL_PHASE_COSTS = [
+    dataclasses.replace(_SHARING_COSTS[0], online_latency_s=3.0),
+    dataclasses.replace(_SHARING_COSTS[1], online_latency_s=0.5),
+]
+
+
+def _grid(costs, clients, servers, rates, horizons, runs, modes, seeds):
+    """run_points tasks over the product of the values of each input."""
+    product = itertools.product(costs, clients, servers, rates, horizons, runs, modes, seeds)
+    return [
+        (c, SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n_runs,
+                      client_capacity_bytes=client, server_capacity_bytes=server,
+                      concurrency=concurrency), seed)
+        for c, client, server, rate, horizon, n_runs, concurrency, seed in product
+    ]
+
+
 @st.composite
 def grids(draw):
-    """run_points tasks over a small grid: the product of one to a few
-    values of each input of a sweep point."""
+    """run_points tasks over a small grid: one to a few values of each
+    input of a sweep point."""
 
     def some(values, most=2):
         return draw(st.lists(values, min_size=1, max_size=most))
 
-    product = itertools.product(
-        some(st.sampled_from(_SHARING_COSTS)),
+    return _grid(
+        some(st.sampled_from(_SHARING_COSTS + _EQUAL_PHASE_COSTS)),
         some(st.sampled_from(_CAPACITIES), most=3),
         some(st.sampled_from(_CAPACITIES)),
         some(st.sampled_from([0.0, 0.2, 1.0, 3.0])),
@@ -422,22 +444,34 @@ def grids(draw):
         some(st.sampled_from([SERIAL, PIPELINED])),
         some(st.integers(0, 3)),
     )
-    return [
-        (costs, SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n_runs,
-                          client_capacity_bytes=client, server_capacity_bytes=server,
-                          concurrency=concurrency), seed)
-        for costs, client, server, rate, horizon, n_runs, concurrency, seed in product
-    ]
 
 
 def _cells(rows):
     return [[format_value(row[c]) for c in SWEEP_COLUMNS] for row in rows]
 
 
+# Groups of two members, each repeating an off or an on value, in each
+# mode; two pipelined points whose caps differ (2 and 4 bundles), so
+# they draw apart; and in the last two examples 2 * 3 runs * 53 gaps
+# pass BLOCK_ELEMENTS while one point's 3 * 53 fit, so the members run
+# one at a time.
+_PAIRS = [[_SHARING_COSTS[0], _EQUAL_PHASE_COSTS[0]], [_SHARING_COSTS[1], _EQUAL_PHASE_COSTS[1]]]
+
+
 @settings(max_examples=60, deadline=None)
-@given(grids())
-def test_run_points_sharing_matches_sweep_point(tasks):
-    assert _cells(run_points(tasks, 1)) == _cells([sweep_point(*t) for t in tasks])
+@given(grids(), st.one_of(st.none(), st.integers(1, 600)))
+@example(_grid(_PAIRS[0], [math.inf], [math.inf], [1.0], [20.0], [3], [SERIAL], [1]), None)
+@example(_grid(_PAIRS[1], [math.inf], [40.0], [1.0], [20.0], [3], [PIPELINED], [1]), None)
+@example(_grid(_SHARING_COSTS[:2], [20.0], [29.0], [3.0], [20.0], [3], [PIPELINED], [1]), None)
+@example(_grid(_PAIRS[0], [math.inf], [math.inf], [1.0], [20.0], [3], [SERIAL], [1]), 200)
+@example(_grid(_PAIRS[1], [math.inf], [math.inf], [1.0], [20.0], [3], [PIPELINED], [1]), 200)
+def test_run_points_sharing_matches_sweep_point(tasks, block):
+    """Every cell as sweep_point alone gives it, with BLOCK_ELEMENTS
+    (block, when given) small enough that some groups and points pass it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(engine, "BLOCK_ELEMENTS", block)
+        assert _cells(run_points(tasks, 1)) == _cells([sweep_point(*t) for t in tasks])
 
 
 def test_run_points_sharing_matches_sweep_point_in_workers():
@@ -464,6 +498,26 @@ def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeyp
     for passes in (1, 2):
         assert main(argv) == 0
         assert len(calls) == distinct * passes
+
+
+def test_fig4_draws_each_rate_once(tmp_path, monkeypatch, capsys):
+    """fig4's sg and cg points at one rate differ only in costs, so the
+    full profile draws each of its five rates' arrivals once and steps
+    both protocols over that draw, in ten run_many calls."""
+    draws, calls = [], []
+
+    def counted(into, function):
+        def call(*args):
+            into.append(args)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(engine, "poisson_arrival_times",
+                        counted(draws, engine.poisson_arrival_times))
+    monkeypatch.setattr(sweep, "run_many", counted(calls, run_many))
+    assert main(["sweep", "@fig4_c100", "--jobs", "1", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 10
+    assert sorted(rate for rate, *_ in draws) == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
 
 
 def test_run_points_seeds_each_seed_once_per_call(monkeypatch):

@@ -13,6 +13,18 @@ products of residues and weights stay exact below 2**53 (see
 pisim._kernels), which for weights in [-3, 3] admits fan-ins up to
 1,398,101, and the signed window +-(2**30 - 1) holds every activation of
 the toy networks the executors are meant to run.
+
+Reduction takes one of two forms. Where an operand is a sum of two
+residues, or a difference of two offset by +p, it lies in [0, 2p), and
+`reduce_once` takes at most one p off with an unsigned `min`. The
+protocol reduces that way in the ReLU gadget, in the server's share of
+each linear unit, in the server's online share sums, and in the
+client's share sums, input masking and final unmask. On the 36,864 sums
+of a toy_cnn ReLU point in a block of 18 (2-vCPU Xeon VM), `%`, an
+int64 division, took 4.4-4.5 ns an element and `reduce_once` 0.6-0.7 ns.
+`%` stays where an operand has no such bound: `encode`,
+`decode_signed`, and the kernels' matrix products and pooling sums
+(see pisim._kernels).
 """
 
 import numpy as np
@@ -39,6 +51,18 @@ def decode_signed(values) -> np.ndarray:
     """Invert encode: field elements back to signed integers."""
     x = np.asarray(values, dtype=np.int64) % FIELD_MODULUS
     return np.where(x > HALF_RANGE, x - FIELD_MODULUS, x)
+
+
+def reduce_once(x: np.ndarray) -> np.ndarray:
+    """x mod p, in place, for an int64 array x with entries in [0, 2p);
+    returns x.
+
+    On the uint64 view, u - p wraps past 2**63 for u < p, so
+    min(u, u - p) is u below p and u - p from p up.
+    """
+    u = x.view(np.uint64)
+    np.minimum(u, u - FIELD_MODULUS, out=u)
+    return x
 
 
 def sample_elements(rng: np.random.Generator, shape) -> np.ndarray:

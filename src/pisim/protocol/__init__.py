@@ -2,7 +2,8 @@
 
 from .channel import Channel, EventKind, ProtocolHang
 from .executor import (
-    BundleConsumed, BundleMismatch, gen_weights, run_offline, run_online, sample_input,
+    BundleConsumed, BundleMismatch, Tapes, draw_tapes, gen_weights, run_offline, run_online,
+    sample_input,
 )
 from .oracle import plaintext_forward
 from .sealed import SealKey, WrongKey, seal, unseal
@@ -16,8 +17,10 @@ __all__ = [
     "GUARD_MAX_RELUS",
     "ProtocolHang",
     "SealKey",
+    "Tapes",
     "VerifyGuard",
     "WrongKey",
+    "draw_tapes",
     "export_transcript",
     "gen_weights",
     "plaintext_forward",

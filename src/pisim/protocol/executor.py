@@ -15,12 +15,16 @@ by every bundle.
 
 Every seeded stream of a run is declared here: the server's weights
 come from SeedSequence([seed, 0]) and trial t's input from
-[seed, 3, t]. Each bundle is fresh randomness for one inference: bundle
-k of a seed draws its masks and shares from generators seeded with
-SeedSequence([seed, party, k]), party 1 for the client and 2 for the
-server, and bundle 0 from [seed, party]. A block of nonces holds, bundle
-for bundle, what single runs at those nonces hold, and its transcript
-is each one's transcript.
+[seed, 3, t]. Each bundle is fresh randomness for one inference, its
+parties' tapes (`draw_tapes`): bundle k of a seed holds the client's
+masks, one per masked point in order, drawn from a generator seeded with
+SeedSequence([seed, 1, k]), and the server's shares, one per linear
+unit in order, from [seed, 2, k]; bundle 0 keeps [seed, party]. The
+tapes are drawn before the offline run and are read-only, so one
+block's tapes serve both protocols, and a run given no tapes draws its
+own through the same function. A block of nonces holds, bundle for
+bundle, what single runs at those nonces hold, and its transcript is
+each one's transcript.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
-from ..field import decode_signed, encode
+from ..field import decode_signed, encode, sample_elements
 from ..netarch import CompiledNetwork, Conv, FC, NetworkArch, compile_network
 from ..netarch.lowering import WeightKey
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
@@ -160,35 +164,81 @@ def _generators(seed: int, party: int, nonces) -> tuple[np.random.Generator, ...
     return tuple(np.random.default_rng(np.random.SeedSequence(e)) for e in entropy)
 
 
+def _nonces(nonce: int | Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nonces of one bundle or a block, and its batch: () or (n,)."""
+    if not isinstance(nonce, Sequence):
+        return (nonce,), ()
+    nonces = tuple(nonce)
+    if not nonces:
+        raise ValueError("a block needs at least one nonce")
+    return nonces, (len(nonces),)
+
+
+def _tape(seed: int, party: int, nonces, batch, shapes: dict) -> MappingProxyType:
+    """One party's read-only arrays at batch + shape, one per key of
+    `shapes` in order; bundle k's part of each comes from its own
+    generator."""
+    rngs = _generators(seed, party, nonces)
+    tape = {}
+    for key, shape in shapes.items():
+        out = np.empty((len(rngs), *shape), dtype=np.int64)
+        for k, rng in enumerate(rngs):
+            out[k] = sample_elements(rng, shape)
+        out = out.reshape(batch + shape)
+        out.setflags(write=False)
+        tape[key] = out
+    return MappingProxyType(tape)
+
+
+@dataclass(frozen=True)
+class Tapes:
+    """The randomness of one bundle or block, for either protocol: the
+    client's mask for each masked point and the server's share for each
+    linear unit, read-only. `drawn_for` is the (arch, seed, nonces) they
+    were drawn for."""
+
+    drawn_for: tuple
+    masks: MappingProxyType
+    shares: MappingProxyType
+
+
+def draw_tapes(arch: NetworkArch, seed: int, nonce: int | Sequence[int] = 0) -> Tapes:
+    """Both parties' tapes for `nonce`, or for a sequence of nonces a
+    block's, with a leading axis of one entry per nonce."""
+    nonces, batch = _nonces(nonce)
+    compiled = _compiled(arch)
+    masks = {pt.index: pt.shape for pt in compiled.masked_points}
+    shares = {unit.uid: unit.out_shape for unit in compiled.units}
+    return Tapes(
+        (arch, seed, nonces),
+        _tape(seed, 1, nonces, batch, masks),
+        _tape(seed, 2, nonces, batch, shares),
+    )
+
+
 def run_offline(
     arch: NetworkArch,
     protocol,
     seed: int,
     nonce: int | Sequence[int] = 0,
+    tapes: Tapes | None = None,
 ) -> PrecomputeBundle:
     """The bundle for `nonce`, or for a sequence of nonces one block of
-    bundles built in a single two-party run."""
+    bundles built in a single two-party run. The parties read `tapes`,
+    which must be `draw_tapes(arch, seed, nonce)`; without them the run
+    draws its own."""
     protocol = Protocol.parse(protocol)
+    if tapes is None:
+        tapes = draw_tapes(arch, seed, nonce)
+    elif tapes.drawn_for != (arch, seed, _nonces(nonce)[0]):
+        raise ValueError("tapes were drawn for another arch, seed or nonce")
     compiled = _compiled(arch)
-    if isinstance(nonce, Sequence):
-        nonces = tuple(nonce)
-        if not nonces:
-            raise ValueError("a block needs at least one nonce")
-        batch = (len(nonces),)
-    else:
-        nonces, batch = (nonce,), ()
-    client = ClientState(
-        protocol=protocol,
-        compiled=compiled,
-        rngs=_generators(seed, 1, nonces),
-        batch=batch,
-    )
+    client = ClientState(protocol=protocol, compiled=compiled, masks=tapes.masks)
     server = ServerState(
         protocol=protocol,
         compiled=compiled,
-        rngs=_generators(seed, 2, nonces),
-        batch=batch,
         weights=_field_weights(arch, seed),
+        s_shares=tapes.shares,
     )
     channel = Channel()
     _run_pair(channel, client_offline(client, channel), server_offline(server, channel))

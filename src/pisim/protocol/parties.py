@@ -8,12 +8,16 @@ value. Message order is strict request/reply, so a run's transcript is
 deterministic.
 
 One run drives one bundle or a block of them. Every array a party
-samples, sends or keeps has the shape `batch + shape`, where `batch` is
-() for one bundle and (n,) for a block of n, and bundle k draws its masks
-and shares from its own generator, `rngs[k]`. Message byte counts are per
-inference, so a block's transcript is the transcript of each bundle in it.
-The two states and the channel are all a bundle holds: the shape of the
-client's input mask, `masks[0]`, is the input shape its online run takes.
+reads, sends or keeps has the shape `batch + shape`, where `batch` is
+() for one bundle and (n,) for a block of n. Neither party draws: each
+reads its randomness from a read-only tape drawn before the run
+(`pisim.protocol.executor.draw_tapes`), the client its mask for each
+masked point (`masks`) and the server its share for each linear unit
+(`s_shares`), so both protocols' runs over one block can read one tape.
+Message byte counts are per inference, so a block's transcript is the
+transcript of each bundle in it. The two states and the channel are all
+a bundle holds: the shape of the client's input mask, `masks[0]`, is the
+input shape its online run takes.
 
 Share convention per linear unit U with input activation a and mask r:
 the client ends the offline phase holding c_U = L_U(r) + s_U, the
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .._kernels import conv2d_mod, matvec_mod, relu_remask_mod, sumpool_mod
-from ..field import FIELD_MODULUS as P, encode, sample_elements
+from ..field import FIELD_MODULUS as P, encode, reduce_once
 from ..costmodel.comm import (
     BASE_OT_BYTES_PER_DIRECTION,
     CG_EVALUATOR_STATE_BYTES_PER_RELU,
@@ -76,23 +80,13 @@ class GarbledGadget:
         return relu_remask_mod(self._client_share, server_share, self._next_mask)
 
 
-def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:
-    """Uniform field elements of shape batch + shape, each bundle's from its
-    own generator."""
-    out = np.empty((len(rngs), *shape), dtype=np.int64)
-    for k, rng in enumerate(rngs):
-        out[k] = sample_elements(rng, shape)
-    return out.reshape(batch + shape)
-
-
 @dataclass
 class ClientState:
     protocol: Protocol
     compiled: CompiledNetwork
-    rngs: tuple[np.random.Generator, ...]  # one per bundle
-    batch: tuple[int, ...]  # () for one bundle, (n,) for a block
+    # the client's tape: its read-only mask for each masked point
+    masks: Mapping[int, np.ndarray]
     key: SealKey = dc_field(default_factory=SealKey)
-    masks: dict[int, np.ndarray] = dc_field(default_factory=dict)
     shares: dict[int, np.ndarray] = dc_field(default_factory=dict)
     self_stored_bytes: int = 0
 
@@ -101,10 +95,9 @@ class ClientState:
 class ServerState:
     protocol: Protocol
     compiled: CompiledNetwork
-    rngs: tuple[np.random.Generator, ...]
-    batch: tuple[int, ...]
     weights: Mapping
-    s_shares: dict[str, np.ndarray] = dc_field(default_factory=dict)
+    # the server's tape: its read-only share for each linear unit
+    s_shares: Mapping[str, np.ndarray]
     gadgets: dict[int, GarbledGadget] = dc_field(default_factory=dict)
     self_stored_bytes: int = 0
     # filled during the online phase; per-point server input shares,
@@ -153,12 +146,10 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
 
     ch.send(CLIENT, EventKind.KEYS, state.key, KEY_BYTES, stored_by_receiver=True, label="setup")
     for pt in comp.masked_points:
-        r = _draw(state.rngs, state.batch, pt.shape)
-        state.masks[pt.index] = r
         ch.send(
             CLIENT,
             EventKind.ENCRYPTED_MASKS,
-            seal(state.key, r),
+            seal(state.key, state.masks[pt.index]),
             HE_CT_BYTES_PER_ELEM * pt.elems,
             label=f"point{pt.index}",
         )
@@ -167,7 +158,7 @@ def client_offline(state: ClientState, ch: Channel) -> Generator:
         _, sealed = yield from ch.receive(CLIENT, expect=EventKind.ENCRYPTED_LINEAR_SHARE)
         c = unseal(state.key, sealed)
         prev = state.shares.get(unit.dst_point)
-        state.shares[unit.dst_point] = c if prev is None else (prev + c) % P
+        state.shares[unit.dst_point] = c if prev is None else reduce_once(prev + c)
 
     ch.send(
         CLIENT,
@@ -210,12 +201,9 @@ def server_offline(state: ServerState, ch: Channel) -> Generator:
         sealed_masks[pt.index] = sealed
 
     for unit in comp.units:
-        s = _draw(state.rngs, state.batch, unit.out_shape)
-        state.s_shares[unit.uid] = s
-
-        def share_of(r, unit=unit, s=s):
+        def share_of(r, unit=unit):
             lin = apply_ops(unit.ops, r, state.weights, with_bias=False)
-            return (lin + s) % P
+            return reduce_once(lin + state.s_shares[unit.uid])
 
         ch.send(
             SERVER,
@@ -257,7 +245,8 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
 
     y0 = encode(x)
     y0 -= state.masks[0]
-    y0 %= P
+    y0 += P
+    reduce_once(y0)
     ch.send(
         CLIENT,
         EventKind.MASKED_TENSOR,
@@ -289,7 +278,7 @@ def client_online(state: ClientState, ch: Channel, x: np.ndarray) -> Generator:
 
     _, server_out = yield from ch.receive(CLIENT, expect=EventKind.MASKED_TENSOR)
     out = comp.output_point
-    return (state.shares[out.index] + server_out) % P
+    return reduce_once(state.shares[out.index] + server_out)
 
 
 def server_online(state: ServerState, ch: Channel) -> Generator:
@@ -303,8 +292,12 @@ def server_online(state: ServerState, ch: Channel) -> Generator:
         total = None
         for unit in comp.units_into(point_index):
             lin = apply_ops(unit.ops, masked[unit.src_point], state.weights, True)
-            contrib = (lin - state.s_shares[unit.uid]) % P
-            total = contrib if total is None else (total + contrib) % P
+            # lin may be masked[src] itself (an identity skip), so subtract
+            # into a new array
+            contrib = lin - state.s_shares[unit.uid]
+            contrib += P
+            reduce_once(contrib)
+            total = contrib if total is None else reduce_once(total + contrib)
         return total
 
     for pt in comp.relu_points:

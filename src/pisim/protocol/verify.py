@@ -15,7 +15,7 @@ from ..costmodel.types import Protocol
 from ..errors import PisimError
 from ..netarch import NetworkArch, count
 from .channel import Transcript
-from .executor import gen_weights, run_offline, run_online, sample_input
+from .executor import draw_tapes, gen_weights, run_offline, run_online, sample_input
 from .oracle import plaintext_forward
 
 # Real-size networks take minutes per masked inference; refuse by
@@ -31,15 +31,15 @@ GUARD_MAX_RELUS = 10_000
 # cifar100, 7,268 elements a trial), 15 s runs at seeds 0-2 read:
 #
 #   budget          block  cpu_ref_s            peak_rss_mb
-#   4 trials           4   0.188 0.191 0.188    45.74-45.85
-#   1 << 16            9   0.171 0.177 0.171    46.54-46.56
-#   1 << 17           18   0.166 0.163 0.161    48.42-48.47
+#   4 trials           4   0.178 0.163 0.165    45.76-45.85
+#   1 << 16            9   0.145 0.141 0.153    46.17-46.36
+#   1 << 17           18   0.124 0.128 0.124    47.66-47.78
 #
-# In 30 alternating in-process passes, CPU against blocks of 4 was 0.82
-# for blocks of 16, 0.80 for 20 and 25, 0.85 for 32 and 0.91 for 100, so
-# a larger budget buys no more speed. One resnet32, resnet18 or vgg16
-# trial alone exceeds the budget on cifar100, tinyimagenet and imagenet,
-# so those run one trial a block.
+# In 30 alternating in-process passes with one BLAS thread, CPU against
+# blocks of 4 was 0.79 for blocks of 16 and 18, 0.77 for 20 and 25, 0.78
+# for 32 and 0.83 for 100, so a larger budget buys no more speed. One
+# resnet32, resnet18 or vgg16 trial alone exceeds the budget on cifar100,
+# tinyimagenet and imagenet, so those run one trial a block.
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -79,9 +79,10 @@ def verify_against_plaintext(
     Trial t runs on bundle nonce t, so every trial has its own masks and
     shares. Trials run in blocks of as many as keep the block's masks
     and shares within BLOCK_ELEMENTS elements, at least one: the block's
-    inputs are drawn once, the plaintext pass runs once over them, and
-    each protocol builds and consumes the block's bundles in one offline
-    and one online run. Matching is exact integer equality. Overflow in the
+    inputs and its parties' tapes (masks and shares) are drawn once, the
+    plaintext pass runs once over the inputs, and each protocol builds its
+    bundles from the same tapes and consumes them in one offline and one
+    online run. Matching is exact integer equality. Overflow in the
     reference pass propagates as FieldOverflowRisk before any of its
     block's masked runs. Only trial 0's transcripts are kept, one per
     protocol; a block's transcript is each of its bundles'. Zero or
@@ -104,13 +105,16 @@ def verify_against_plaintext(
         block = range(start, min(start + per_block, trials))
         xs = np.stack([sample_input(arch, seed, trial) for trial in block])
         expected[start:block.stop] = plaintext_forward(arch, weights, xs)
+        tapes = draw_tapes(arch, seed, block)
         for protocol in protocols:
-            bundle = run_offline(arch, protocol, seed, nonce=block)
+            bundle = run_offline(arch, protocol, seed, nonce=block, tapes=tapes)
             logits[protocol][start:block.stop] = run_online(bundle, xs)
             if start == 0:
                 transcripts[protocol] = bundle.transcript
             # free the spent block before the next offline run builds one
             del bundle
+        # and its tapes before the next block draws its own
+        del tapes
     return VerifyResult(expected, logits, transcripts)
 
 

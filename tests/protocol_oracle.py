@@ -1,10 +1,16 @@
-"""Reference for the plaintext oracle: the per-input int64 walk.
+"""References for the masked executor's draws and the plaintext oracle.
+
+`party_draws` is how each party drew its masks and shares before the
+executor drew them as tapes (`pisim.protocol.executor.draw_tapes`): in
+the party's own program, from `rngs`, one generator per bundle, in the
+order the party needed them. `tests/test_block_equivalence.py` holds the
+tapes bitwise equal to it.
 
 `pisim.protocol.oracle.plaintext_forward` runs a block of inputs at once
-on exact float64 products; this is the walk it replaced, one input of
-shape (c, h, w) at a time, on numpy int64 products, which need no 2**53
-guard. `tests/test_oracle_equivalence.py` holds the batched oracle bitwise
-equal to it, input by input.
+on exact float64 products; `plaintext_forward` here is the walk it
+replaced, one input of shape (c, h, w) at a time, on numpy int64
+products, which need no 2**53 guard. `tests/test_oracle_equivalence.py`
+holds the batched oracle bitwise equal to it, input by input.
 """
 
 from __future__ import annotations
@@ -12,8 +18,39 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from pisim.field import FIELD_MODULUS, FieldOverflowRisk
-from pisim.netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
+from pisim.field import FIELD_MODULUS, FieldOverflowRisk, sample_elements
+from pisim.netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU, compile_network
+
+
+def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:
+    """Uniform field elements of shape batch + shape, each bundle's from its
+    own generator."""
+    out = np.empty((len(rngs), *shape), dtype=np.int64)
+    for k, rng in enumerate(rngs):
+        out[k] = sample_elements(rng, shape)
+    return out.reshape(batch + shape)
+
+
+def party_draws(arch: NetworkArch, seed: int, nonce) -> tuple[dict, dict]:
+    """The client's masks by point index and the server's shares by unit
+    id for `nonce`, or for a sequence of nonces a block's, drawn as the
+    parties drew them: party 1 (client) and 2 (server) from
+    SeedSequence([seed, party, k]) for bundle k, [seed, party] for k = 0."""
+    block = not isinstance(nonce, int)
+    nonces = tuple(nonce) if block else (nonce,)
+    batch = (len(nonces),) if block else ()
+
+    def rngs(party):
+        return tuple(
+            np.random.default_rng(np.random.SeedSequence([seed, party, k] if k else [seed, party]))
+            for k in nonces
+        )
+
+    compiled = compile_network(arch)
+    client, server = rngs(1), rngs(2)
+    masks = {pt.index: _draw(client, batch, pt.shape) for pt in compiled.masked_points}
+    shares = {u.uid: _draw(server, batch, u.out_shape) for u in compiled.units}
+    return masks, shares
 
 
 def _conv_plain(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, pad: int):

@@ -13,6 +13,7 @@ from pisim.field import (
     HALF_RANGE as HALF,
     decode_signed,
     encode,
+    reduce_once,
     sample_elements,
 )
 
@@ -61,6 +62,39 @@ def test_sample_elements_in_range():
     x = sample_elements(_rng(), (1000,))
     assert x.dtype == np.int64
     assert x.min() >= 0 and x.max() < P
+
+
+@given(st.lists(st.integers(0, 2 * P - 1), max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_reduce_once_equals_remainder(values):
+    # the edges 0, p - 1, p and 2p - 1 ride along with every draw
+    x = np.array([0, P - 1, P, 2 * P - 1, *values], dtype=np.int64)
+    want = np.remainder(x, P)
+    got = reduce_once(x)
+    assert got is x and got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+# share pairs (a, b) whose sums sit at the reductions' edges: p - 1, p and
+# 2p - 2, and HALF_RANGE and HALF_RANGE + 1 with and without a p to take off
+_EDGE_SHARES = [
+    (0, P - 1), (P - 1, 0), (HALF, HALF),
+    (1, P - 1), (P - 1, 1),
+    (P - 1, P - 1),
+    (0, HALF), (HALF, 0), (P - 1, HALF + 1),
+    (1, HALF), (HALF + 1, 0), (P - 1, HALF + 2),
+]
+
+
+def test_relu_remask_at_the_reduction_edges():
+    a, b, r = (
+        np.array(column, dtype=np.int64)
+        for column in zip(*((a, b, r) for a, b in _EDGE_SHARES for r in (0, P - 1)))
+    )
+    want = ref.relu_remask_mod_loop(a, b, r, P)
+    assert np.array_equal(K.relu_remask_mod(a, b, r), want)
+    # every edge sum is among the cases
+    assert set((a + b).tolist()) >= {P - 1, P, 2 * P - 2, HALF, HALF + 1}
 
 
 class TestBackendsAgree:

@@ -30,11 +30,13 @@ from pisim.netarch import (
 from pisim.protocol import (
     BundleConsumed,
     BundleMismatch,
+    Channel,
     EventKind,
     GUARD_MAX_RELUS,
     SealKey,
     VerifyGuard,
     WrongKey,
+    draw_tapes,
     export_transcript,
     gen_weights,
     plaintext_forward,
@@ -45,6 +47,8 @@ from pisim.protocol import (
     unseal,
     verify_against_plaintext,
 )
+from pisim.protocol import executor
+from pisim.protocol.sealed import SealedVector
 from pisim.protocol import verify as verify_module
 
 SG = Protocol.SERVER_GARBLER
@@ -359,6 +363,77 @@ def test_verify_reports_ok():
     for protocol, logits in result.logits.items():
         assert np.array_equal(logits, result.expected)
         assert result.exact(protocol).tolist() == [True] * 3
+
+
+def test_verify_draws_each_block_once_for_both_protocols(monkeypatch):
+    """sg and cg read one block's tapes: a verify of n trials over both
+    protocols builds one generator per party per trial, 2n in all."""
+    built, generators = [], executor._generators
+
+    def counted(seed, party, nonces):
+        rngs = generators(seed, party, nonces)
+        built.extend(party for _ in rngs)
+        return rngs
+
+    drawn = []
+
+    def kept(arch, seed, nonce):
+        drawn.append(executor.draw_tapes(arch, seed, nonce))
+        return drawn[-1]
+
+    monkeypatch.setattr(executor, "_generators", counted)
+    monkeypatch.setattr(verify_module, "draw_tapes", kept)
+    trials = verify_block(TOY) + 2  # a full block, then a partial one
+    result = verify_against_plaintext(TOY, trials=trials)
+    assert result.ok
+    assert sorted(built) == [1] * trials + [2] * trials
+    assert [len(t.masks[0]) for t in drawn] == [verify_block(TOY), 2]
+    tape = drawn[0]
+    for arrays in (tape.masks, tape.shares):
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("arch", [TOY, MINI], ids=["toy_cnn", "mini_res"])
+@pytest.mark.parametrize("proto", [SG, CG], ids=["sg", "cg"])
+def test_every_array_a_party_sends_holds_residues(arch, proto, monkeypatch):
+    """Sealed or not, each array sent is in [0, p), and the masked input
+    is each input minus its mask, mod p."""
+    sent = []
+    send = Channel.send
+
+    def recording(self, sender, kind, payload, *args, **kwargs):
+        sent.append((kind, payload))
+        return send(self, sender, kind, payload, *args, **kwargs)
+
+    monkeypatch.setattr(Channel, "send", recording)
+    xs = np.stack([sample_input(arch, 0, trial) for trial in range(3)])
+    bundle = run_offline(arch, proto, 0, nonce=range(3))
+    run_online(bundle, xs)
+    key = bundle.client_state.key
+    arrays = [
+        (kind, unseal(key, payload) if isinstance(payload, SealedVector) else payload)
+        for kind, payload in sent
+    ]
+    arrays = [(kind, a) for kind, a in arrays if isinstance(a, np.ndarray)]
+    assert {kind for kind, _ in arrays} >= {
+        EventKind.ENCRYPTED_MASKS, EventKind.ENCRYPTED_LINEAR_SHARE, EventKind.MASKED_TENSOR,
+    }
+    for kind, a in arrays:
+        assert a.dtype == np.int64 and 0 <= a.min() and a.max() < P, kind
+    masked_input = next(a for kind, a in arrays if kind is EventKind.MASKED_TENSOR)
+    assert np.array_equal(masked_input, (xs - bundle.client_state.masks[0]) % P)
+
+
+def test_tapes_for_another_draw_are_refused():
+    tapes = draw_tapes(TOY, 0, range(3))
+    run_offline(TOY, SG, 0, nonce=range(3), tapes=tapes)
+    for seed, nonce in ((1, range(3)), (0, range(1, 4)), (0, 0)):
+        with pytest.raises(ValueError, match="another arch, seed or nonce"):
+            run_offline(TOY, SG, seed, nonce=nonce, tapes=tapes)
+    with pytest.raises(ValueError, match="another arch, seed or nonce"):
+        run_offline(MINI, SG, 0, nonce=range(3), tapes=tapes)
 
 
 @pytest.mark.parametrize("trials", [0, -2])

@@ -41,6 +41,8 @@ NOTES = [
     "while the engine simulates 249,950",
     "traced runs only: desim.schedule_s reads 0, protocol.recv_wait_s times only the "
     "creation of a generator, protocol.compile_ms reads 0 on a warm cache",
+    "traced sweeps only: desim.aggregate_s reads 0, since run_points hands its groups to "
+    "engine.run_group and calls neither sweep_point nor run_many",
 ]
 
 

@@ -38,9 +38,9 @@ from .desim import (
     SimConfig,
     run_points,
     stability_limit,
-    sweep_point,
     write_sweep_csv,
 )
+from .desim import sweep
 from .desim.sweep import SWEEP_COLUMNS, format_value
 from .errors import PisimError
 from .netarch import (
@@ -377,7 +377,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     _, _, (costs,) = _spec_costs(spec, spec.protocols[:1])
     config = _spec_config(spec, spec.rates[0], spec.client_capacity_gb[0])
-    row = sweep_point(costs, config, spec.seed)
+    row = sweep.sweep_point(costs, config, spec.seed)
     if not row["feasible"]:
         print(f"infeasible: {row['failure']}", file=sys.stderr)
         if not args.allow_infeasible:

@@ -40,27 +40,21 @@ those of a per-run np.mean. The closed form cummax(a_k - k S) + k S of
 the serial recurrence is not used: it rounds differently, by up to 8e-14
 relative, which can move a sweep CSV's sixth digit.
 
-A block holds as many runs as keep its matrix within BLOCK_ELEMENTS
-elements (at least one), so memory stays bounded at high arrival rates
-however many runs a point has; a run whose first segment falls short of
-the horizon can widen its block's matrix.
+A block holds as many runs as keep its points' copies within
+BLOCK_ELEMENTS elements (at least one run), so memory stays bounded at
+high arrival rates however many runs a point has; a run whose first
+segment falls short of the horizon can widen its block's matrix.
 
-Each run reads its gaps from np.random.default_rng(seed)'s stream. Within
-a seeding() block, which sweep.run_points opens for its own call, a point
-whose runs form one block (len(seeds) * draw_size <= BLOCK_ELEMENTS)
-reads its seeds' kept Gaps: each seed is hashed once and its gaps drawn
-once, and every such point scales the same gaps by its own rate (common
-random numbers). The block keeps one seed range's Gaps; another range's
-replace them. Other points, and every run outside a block, draw each
-block from new Gaps, dropped once the block is drawn.
-
-Points whose run_keys differ only in costs read the same arrival
-realization. run_points tells seeding() which of them form a draw group:
-those whose runs fit one block together (one_block). The first member to
-run draws the realization once and steps every member over it as one
-matrix; the block keeps the others' stepped blocks until they read them
-or the next group replaces them. Under pipelined serving equal keys mean
-equal capacity_bundles, so a group shares its cap.
+run_group(points, base_seed, gaps) runs sweep points, (costs, config)
+pairs whose run_keys differ only in costs, over one arrival realization
+(common random numbers): run r reads its gaps from
+np.random.default_rng(base_seed + r)'s stream. It draws each block once,
+from the caller's gaps for those seeds (allowed only when the points fit
+one block, one_block) or else from new Gaps, dropped once the block is
+drawn, and steps every point over it as one matrix. Each point is then
+summarized and aggregated with its own costs and config: under pipelined
+serving equal keys mean equal capacity_bundles, so a group shares its
+cap, but not the capacities that give it. run_many is a group of one.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -79,9 +73,8 @@ The pipelined model makes two assumptions that shape its output:
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import math
-from contextvars import ContextVar
 from typing import Sequence
 
 import numpy as np
@@ -121,6 +114,13 @@ def run_key(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> tuple |
     bundles = None if config.concurrency == SERIAL else capacity_bundles(costs, config)
     return (costs, config.arrival_rate, config.horizon_s, config.n_runs,
             config.concurrency, base_seed, bundles)
+
+
+def one_block(config: SimConfig, points: int) -> bool:
+    """Whether points sweep points of config's rate, horizon and run count
+    draw within BLOCK_ELEMENTS elements together, as one block."""
+    draw = draw_size(config.arrival_rate, config.horizon_s)
+    return points * config.n_runs * draw <= BLOCK_ELEMENTS
 
 
 def _check_feasible(costs: PhaseCosts, config: SimConfig) -> None:
@@ -234,67 +234,50 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
     return int(min(arrived, cap))
 
 
-# The open seeding() block's kept Gaps, by their seeds: at most one.
-_kept: ContextVar[dict[tuple[int, ...], Gaps] | None] = ContextVar("kept_gaps", default=None)
-# Its draw groups, by member, and the blocks its last stepped group left
-# for the members that have not read theirs. A member is (costs, config,
-# seeds), as _blocks is called for it.
-_groups: ContextVar[tuple[dict, dict] | None] = ContextVar("draw_groups", default=None)
+def run_group(
+    points: Sequence[tuple[PhaseCosts, SimConfig]], base_seed: int = 0, gaps: Gaps | None = None
+) -> list[AggregateMetrics]:
+    """run_many of each (costs, config) point, over one arrival draw.
 
-
-def one_block(config: SimConfig, points: int) -> bool:
-    """Whether points sweep points of config's rate, horizon and run count
-    draw within BLOCK_ELEMENTS elements together, as one block."""
-    draw = draw_size(config.arrival_rate, config.horizon_s)
-    return points * config.n_runs * draw <= BLOCK_ELEMENTS
-
-
-@contextlib.contextmanager
-def seeding(groups: Sequence[Sequence[tuple[PhaseCosts, SimConfig, int]]] = ()):
-    """Keep one seed range's Gaps while the block is open, and step each
-    of groups, lists of (costs, config, base_seed) tasks that differ only
-    in costs and fit one block together (one_block), as one matrix: the
-    first of its tasks to run steps all (see the module docstring). Both
-    end with the block."""
-    plan = {}
-    for group in groups:
-        members = [(c, cfg, tuple(range(seed, seed + cfg.n_runs))) for c, cfg, seed in group]
-        plan.update(dict.fromkeys(members, members))
-    gaps_token, groups_token = _kept.set({}), _groups.set((plan, {}))
-    try:
-        yield
-    finally:
-        _kept.reset(gaps_token)
-        _groups.reset(groups_token)
-
-
-def _blocks(costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]):
-    """Draw and step one run per seed, in blocks of consecutive runs whose
-    arrival matrix holds at most BLOCK_ELEMENTS elements (or one run, if
-    it alone is longer). Yields each block of _step. Within seeding(), a
-    one-block point reads the kept Gaps, and the first member of its
-    group to run draws once and steps every member; the others read the
-    blocks it left."""
-    rate, horizon = config.arrival_rate, config.horizon_s
-    draw, kept = draw_size(rate, horizon), _kept.get()
-    if len(seeds) * draw <= BLOCK_ELEMENTS and kept is not None:
-        seeds = tuple(seeds)
-        if seeds not in kept:
-            kept.clear()
-            kept[seeds] = Gaps(seeds)
-        plan, stepped = _groups.get()
-        member = (costs, config, seeds)
-        if member not in stepped:
-            members = plan.get(member, [member])
-            times = poisson_arrival_times(rate, horizon, kept[seeds])
-            stepped.clear()
-            stepped.update(zip(members, _step(times, [c for c, *_ in members], config)))
-        yield stepped.pop(member)
-        return
-    per_block = max(1, BLOCK_ELEMENTS // draw)
-    for lo in range(0, len(seeds), per_block):
-        times = poisson_arrival_times(rate, horizon, Gaps(seeds[lo : lo + per_block]))
-        yield from _step(times, [costs], config)
+    The points' run_keys must differ only in costs. Runs are drawn in
+    blocks that keep every point's copy within BLOCK_ELEMENTS elements,
+    from gaps (the Gaps of seeds base_seed + r, allowed only when the
+    points fit one block) or from new Gaps, and stepped as one matrix
+    (see the module docstring). Each point is summarized a block at a
+    time and aggregated with its own config; each run's four means are
+    its column of one (4, runs) array.
+    """
+    for costs, config in points:
+        _check_feasible(costs, config)
+    if len({run_key(costs, config)[1:] for costs, config in points}) > 1:
+        raise ValueError("a group's points must differ only in costs")
+    config = points[0][1]
+    if gaps is not None and not one_block(config, len(points)):
+        raise ValueError("gaps are given for points that do not fit one block")
+    rate, horizon, n = config.arrival_rate, config.horizon_s, config.n_runs
+    per_block = max(1, BLOCK_ELEMENTS // (len(points) * draw_size(rate, horizon)))
+    means = np.empty((len(points), 4, n))
+    completed = [0] * len(points)
+    arrived = most = 0
+    for lo in range(0, n, per_block):
+        seeds = range(base_seed + lo, base_seed + min(lo + per_block, n))
+        times = poisson_arrival_times(rate, horizon, Gaps(seeds) if gaps is None else gaps)
+        blocks = _step(times, [costs for costs, _ in points], config)
+        for i, ((costs, _), (cut, counts, ready, start)) in enumerate(zip(points, blocks)):
+            means[i, :, lo : lo + len(cut)], done = summarize_run(
+                cut, ready, start, costs.online_latency_s, horizon
+            )
+            completed[i] += sum(done)
+        arrived += int(counts.sum())
+        most = max(most, cut.shape[1])
+    results = []
+    for (costs, config), point_means, done in zip(points, means, completed):
+        saturated = rate > stability_limit(costs, config)
+        peak = _peak_bundles(costs, config, most)
+        client_b, server_b = _bundle_bytes(costs)
+        results.append(aggregate(point_means, arrived, done, saturated,
+                                 peak * client_b, peak * server_b))
+    return results
 
 
 def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[Schedule, int]:
@@ -305,7 +288,8 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     schedule in both; both phases are deterministic given the arrivals.
     """
     _check_feasible(costs, config)
-    (block,) = _blocks(costs, config, [seed])
+    times = poisson_arrival_times(config.arrival_rate, config.horizon_s, Gaps([seed]))
+    (block,) = _step(times, [costs], config)
     arrivals, _, ready, start = (matrix[0] for matrix in block)
     finish = start + costs.online_latency_s
     horizon = config.horizon_s
@@ -318,35 +302,11 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     return schedule, _peak_bundles(costs, config, arrivals.size)
 
 
-def _simulate_seeds(
-    costs: PhaseCosts, config: SimConfig, seeds: Sequence[int]
-) -> AggregateMetrics:
-    """Aggregate one run per seed. The runs are drawn, scheduled and
-    summarized a block of _blocks at a time. Each run's four means are its
-    column of one (4, runs) array."""
-    _check_feasible(costs, config)
-    rate, horizon = config.arrival_rate, config.horizon_s
-    means = np.empty((4, len(seeds)))
-    arrived = completed = most = lo = 0
-    for times, counts, ready, start in _blocks(costs, config, seeds):
-        arrived += int(counts.sum())
-        most = max(most, times.shape[1])
-        means[:, lo : lo + len(times)], done = summarize_run(
-            times, ready, start, costs.online_latency_s, horizon
-        )
-        completed += sum(done)
-        lo += len(times)
-    saturated = rate > stability_limit(costs, config)
-    peak = _peak_bundles(costs, config, most)
-    client_b, server_b = _bundle_bytes(costs)
-    return aggregate(means, arrived, completed, saturated, peak * client_b, peak * server_b)
+def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:
+    """Simulate config.n_runs independent realizations, seeds base_seed+i."""
+    return run_group([(costs, config)], base_seed)[0]
 
 
 def simulate(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> AggregateMetrics:
     """Run one arrival realization: run_many's aggregate of that one run."""
-    return _simulate_seeds(costs, config, [seed])
-
-
-def run_many(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> AggregateMetrics:
-    """Simulate config.n_runs independent realizations, seeds base_seed+i."""
-    return _simulate_seeds(costs, config, range(base_seed, base_seed + config.n_runs))
+    return run_many(costs, dataclasses.replace(config, n_runs=1), seed)

@@ -10,7 +10,8 @@ from typing import Sequence
 
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
-from .engine import one_block, run_key, run_many, seeding, stability_limit
+from .arrivals import Gaps
+from .engine import one_block, run_group, run_key, run_many, stability_limit
 from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
@@ -67,19 +68,36 @@ def _point_columns(costs: PhaseCosts, config: SimConfig) -> dict[str, object]:
     }
 
 
-def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dict[str, object]:
-    """One grid cell: n_runs realizations of one (costs, rate) pair."""
+def _row(costs: PhaseCosts, config: SimConfig,
+         result: AggregateMetrics | ConfigInfeasible) -> dict[str, object]:
+    """One grid cell from its run_many result, or the reason it has none."""
     row = _point_columns(costs, config)
-    try:
-        row.update(dataclasses.asdict(run_many(costs, config, base_seed)), feasible=True,
-                   failure="")
-    except ConfigInfeasible as exc:
-        row.update(_NO_RUNS, feasible=False, failure=str(exc))
+    if isinstance(result, ConfigInfeasible):
+        row.update(_NO_RUNS, feasible=False, failure=str(result))
+    else:
+        row.update(dataclasses.asdict(result), feasible=True, failure="")
     return {c: row[c] for c in SWEEP_COLUMNS}
 
 
-def _run_group(group: Sequence[tuple[PhaseCosts, SimConfig, int]]) -> list[dict[str, object]]:
-    return [sweep_point(*task) for task in group]
+def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dict[str, object]:
+    """One grid cell: n_runs realizations of one (costs, rate) pair."""
+    try:
+        result = run_many(costs, config, base_seed)
+    except ConfigInfeasible as exc:
+        result = exc
+    return _row(costs, config, result)
+
+
+def _run_group(
+    group: Sequence[tuple[PhaseCosts, SimConfig, int]], gaps: Gaps | None = None
+) -> list[dict[str, object]]:
+    """The cells of run_group's points; a group with an infeasible task
+    is that task alone."""
+    try:
+        results = run_group([(costs, config) for costs, config, _ in group], group[0][2], gaps)
+    except ConfigInfeasible as exc:
+        results = [exc]
+    return [_row(costs, config, result) for (costs, config, _), result in zip(group, results)]
 
 
 def run_points(
@@ -89,15 +107,17 @@ def run_points(
 
     Feasible tasks with equal engine.run_key (costs, rate, horizon, run
     count, concurrency, base seed and, when pipelined, capacity_bundles)
-    share one sweep_point call; each row keeps its own _point_columns. An
+    are simulated once; each row keeps its own _point_columns. An
     infeasible task has no key and runs alone, so its failure names its
     own capacities. The distinct tasks whose keys differ only in costs
     read one arrival draw: when their runs fit one block together
-    (engine.one_block), they form a group that runs back to back, is drawn
+    (engine.one_block), they form a group that one run_group call draws
     once and advances as one matrix, bitwise as each would alone; a larger
     group's tasks run one at a time. jobs > 1 distributes the groups over
-    worker processes. Within the call the one-block points of one seed
-    range hash each seed once and draw its gaps once (engine.seeding).
+    worker processes. With jobs == 1 the call keeps the Gaps of the last
+    seed range it drew and passes them to each feasible group that fits
+    one block, so a seed range's seeds are hashed and their gaps drawn
+    once while its groups run back to back.
     """
     first: dict[tuple, int] = {}
     distinct: list[tuple[PhaseCosts, SimConfig, int]] = []
@@ -116,14 +136,22 @@ def run_points(
         order += [members] if fits else [[i] for i in members]
     order.sort()  # each group runs where its first task would
     groups = [[distinct[i] for i in group] for group in order]
-    with seeding(groups):
-        if jobs > 1 and len(groups) > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    if jobs > 1 and len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                done = list(pool.map(_run_group, groups))
-        else:
-            done = [_run_group(group) for group in groups]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_run_group, groups))
+    else:
+        done, kept = [], {}
+        for group in groups:
+            costs, config, seed = group[0]
+            gaps = None
+            if run_key(costs, config) is not None and one_block(config, len(group)):
+                seeds = range(seed, seed + config.n_runs)
+                if seeds not in kept:
+                    kept = {seeds: Gaps(seeds)}
+                gaps = kept[seeds]
+            done.append(_run_group(group, gaps))
     shared = {i: row for group, rows in zip(order, done) for i, row in zip(group, rows)}
     return [
         {**shared[index], **_point_columns(costs, config)}

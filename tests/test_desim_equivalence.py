@@ -5,15 +5,18 @@ CSVs are compared byte for byte.
 """
 
 import collections
+import concurrent.futures
+import contextvars
 import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import desim_oracle
@@ -30,6 +33,7 @@ from pisim.desim import (
     simulate,
     sweep_point,
 )
+from pisim.desim.engine import run_group
 from pisim.desim import arrivals, engine, metrics, sweep
 from pisim.desim.sweep import format_value
 from pisim.desim.engine import pipelined_steps, serial_steps
@@ -377,12 +381,27 @@ def test_run_many_with_many_segments_matches_reference(concurrency, monkeypatch)
     _assert_same_metrics(run_many(costs, cfg, 11), desim_oracle.run_many(costs, cfg, 11))
 
 
+# Each shipped sweep's distinct problems at --runs 4, and the draw groups
+# run_points hands to run_group.
+_DISTINCT = {"fig4_c100": 10, "fig5_tiny": 16}
+_GROUPS = {"fig4_c100": 5, "fig5_tiny": 16}
+
+
 @pytest.mark.parametrize("spec", ["fig4_c100", "fig5_tiny"])
 def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
+    """The CSV against one whose every group is run point by point by the
+    reference engine; the reference must stand in for every group."""
     argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--seed", "0"]
     assert main(argv + ["--out", str(tmp_path / "new")]) == 0
-    monkeypatch.setattr("pisim.desim.sweep.run_many", desim_oracle.run_many)
+    sizes = []
+
+    def reference_group(points, base_seed=0, gaps=None):
+        sizes.append(len(points))
+        return [desim_oracle.run_many(costs, config, base_seed) for costs, config in points]
+
+    monkeypatch.setattr(sweep, "run_group", reference_group)
     assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
+    assert len(sizes) == _GROUPS[spec] and sum(sizes) == _DISTINCT[spec]
     new = (tmp_path / "new" / f"{spec}.csv").read_bytes()
     assert new == (tmp_path / "ref" / f"{spec}.csv").read_bytes()
 
@@ -485,39 +504,178 @@ def test_run_points_sharing_matches_sweep_point_in_workers():
     assert _cells(run_points(tasks, 2)) == _cells([sweep_point(*t) for t in tasks])
 
 
+def _group(points, concurrency, rate=1.0, horizon=20.0, n_runs=3):
+    """(costs, config) points of one rate, horizon and run count, each
+    (costs, client capacity, server capacity)."""
+    return [
+        (costs, SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n_runs,
+                          client_capacity_bytes=client, server_capacity_bytes=server,
+                          concurrency=concurrency))
+        for costs, client, server in points
+    ]
+
+
+@st.composite
+def draw_groups(draw):
+    """A base seed and one to three points whose run_keys differ only in
+    costs, in either mode: the first feasible of a few drawn points and
+    those that share its key but for costs."""
+    candidates = _group(
+        draw(st.lists(st.tuples(st.sampled_from(_SHARING_COSTS + _EQUAL_PHASE_COSTS),
+                                st.sampled_from(_CAPACITIES), st.sampled_from(_CAPACITIES)),
+                      min_size=1, max_size=6)),
+        draw(st.sampled_from([SERIAL, PIPELINED])),
+        rate=draw(st.sampled_from([0.0, 0.2, 1.0, 3.0])),
+        horizon=draw(st.floats(1.0, 30.0)),
+        n_runs=draw(st.integers(1, 3)),
+    )
+    keyed = [(point, key) for point in candidates if (key := engine.run_key(*point))]
+    assume(keyed)
+    points = [point for point, key in keyed if key[1:] == keyed[0][1][1:]]
+    return points[:3], draw(st.integers(0, 3))
+
+
+# Three pipelined points whose capacities differ but each hold two
+# bundles (20 and 29 client bytes hold two bundles of 10, and 20 server
+# bytes two of 7), so they share a key but for costs.
+_TWO_BUNDLES = [
+    (_SHARING_COSTS[0], 20.0, math.inf),
+    (_EQUAL_PHASE_COSTS[0], 29.0, math.inf),
+    (_SHARING_COSTS[1], math.inf, 20.0),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw_groups(), st.one_of(st.none(), st.integers(1, 600)))
+@example((_group(_TWO_BUNDLES, PIPELINED), 1), None)
+@example((_group(_TWO_BUNDLES, PIPELINED), 1), 400)  # blocks of two runs and one
+@example((_group(_TWO_BUNDLES, SERIAL), 0), 60)  # a block per run
+@example((_group(_TWO_BUNDLES[:1], PIPELINED), 2), None)
+def test_run_group_matches_each_point_alone(group, block):
+    """run_group against each point's run_many alone and the reference
+    engine, bit for bit, with BLOCK_ELEMENTS (block, when given) small
+    enough that some groups span several blocks; without the caller's
+    Gaps, and with them when the group fits one block, which alone may
+    take them."""
+    points, seed = group
+    config = points[0][1]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(engine, "BLOCK_ELEMENTS", block)
+        alone = [run_many(costs, cfg, seed) for costs, cfg in points]
+        results = [run_group(points, seed)]
+        gaps = arrivals.Gaps(range(seed, seed + config.n_runs))
+        if engine.one_block(config, len(points)):
+            results.append(run_group(points, seed, gaps))
+        else:
+            with pytest.raises(ValueError, match="one block"):
+                run_group(points, seed, gaps)
+    references = [desim_oracle.run_many(costs, cfg, seed) for costs, cfg in points]
+    for result in results:
+        assert len(result) == len(points)
+        for mine, one, reference in zip(result, alone, references):
+            _assert_same_metrics(mine, one)
+            _assert_same_metrics(mine, reference)
+
+
+@pytest.mark.parametrize("points, concurrency, other", [
+    ([(_SHARING_COSTS[0], math.inf, math.inf)], SERIAL, {"arrival_rate": 2.0}),
+    ([(_SHARING_COSTS[0], math.inf, math.inf)], SERIAL, {"n_runs": 2}),
+    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED, {"client_capacity_bytes": 30.0}),
+    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED, {"concurrency": SERIAL}),
+])
+def test_run_group_rejects_points_that_differ_beyond_costs(points, concurrency, other):
+    group = _group(points, concurrency)
+    costs, config = group[0]
+    group.append((_SHARING_COSTS[2], dataclasses.replace(config, **other)))
+    with pytest.raises(ValueError, match="differ only in costs"):
+        run_group(group)
+
+
+def test_run_group_rejects_gaps_for_points_beyond_one_block(monkeypatch):
+    group = _group(_TWO_BUNDLES, PIPELINED)
+    gaps = arrivals.Gaps(range(3))
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 3 * 3 * arrivals.draw_size(1.0, 20.0) - 1)
+    assert engine.one_block(group[0][1], 2)
+    with pytest.raises(ValueError, match="one block"):
+        run_group(group, 0, gaps)
+    assert gaps.kept.size == 0
+
+
+def _counted(into, function, record=lambda *args: args):
+    def call(*args):
+        into.append(record(*args))
+        return function(*args)
+    return call
+
+
 @pytest.mark.parametrize("spec, distinct", [("fig4_c100", 10), ("fig5_tiny", 16)])
 def test_sweep_runs_each_distinct_problem_once(spec, distinct, tmp_path, monkeypatch, capsys):
-    calls = []
-
-    def counted_run_many(*args):
-        calls.append(args)
-        return run_many(*args)
-
-    monkeypatch.setattr(sweep, "run_many", counted_run_many)
+    sizes = []
+    monkeypatch.setattr(sweep, "run_group",
+                        _counted(sizes, run_group, lambda points, *_: len(points)))
     argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--out", str(tmp_path)]
     for passes in (1, 2):
         assert main(argv) == 0
-        assert len(calls) == distinct * passes
+        assert sum(sizes) == distinct * passes
+
+
+def _counted_draws(monkeypatch) -> list[tuple]:
+    """The arguments of every arrival draw from now on."""
+    draws = []
+    monkeypatch.setattr(engine, "poisson_arrival_times",
+                        _counted(draws, engine.poisson_arrival_times))
+    return draws
 
 
 def test_fig4_draws_each_rate_once(tmp_path, monkeypatch, capsys):
     """fig4's sg and cg points at one rate differ only in costs, so the
     full profile draws each of its five rates' arrivals once and steps
-    both protocols over that draw, in ten run_many calls."""
-    draws, calls = [], []
-
-    def counted(into, function):
-        def call(*args):
-            into.append(args)
-            return function(*args)
-        return call
-
-    monkeypatch.setattr(engine, "poisson_arrival_times",
-                        counted(draws, engine.poisson_arrival_times))
-    monkeypatch.setattr(sweep, "run_many", counted(calls, run_many))
+    both protocols over that draw, in five run_group calls of two points."""
+    sizes = []
+    draws = _counted_draws(monkeypatch)
+    monkeypatch.setattr(sweep, "run_group",
+                        _counted(sizes, run_group, lambda points, *_: len(points)))
     assert main(["sweep", "@fig4_c100", "--jobs", "1", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 10
+    assert sizes == [2] * 5
     assert sorted(rate for rate, *_ in draws) == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
+
+
+class _FreshContextPool:
+    """A ProcessPoolExecutor whose workers start with an empty context, as
+    under the forkserver and spawn start methods: map runs each call in a
+    new contextvars.Context, on pickled copies of the function and its
+    arguments, and returns a pickled copy of the result."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, function, *iterables):
+        for args in zip(*iterables):
+            function_copy, args_copy = pickle.loads(pickle.dumps((function, args)))
+            result = contextvars.Context().run(function_copy, *args_copy)
+            yield pickle.loads(pickle.dumps(result))
+
+
+def test_fig4_in_workers_draws_each_rate_once_under_any_start_method(
+    tmp_path, monkeypatch, capsys
+):
+    """Workers get whole draw groups, so a group is drawn once however its
+    worker starts, and the CSV is the serial one."""
+    out = {jobs: tmp_path / jobs for jobs in ("1", "2")}
+    assert main(["sweep", "@fig4_c100", "--jobs", "1", "--out", str(out["1"])]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FreshContextPool)
+    draws = _counted_draws(monkeypatch)
+    assert main(["sweep", "@fig4_c100", "--jobs", "2", "--out", str(out["2"])]) == 0
+    assert sorted(rate for rate, *_ in draws) == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
+    csv = "fig4_c100.csv"
+    assert (out["2"] / csv).read_bytes() == (out["1"] / csv).read_bytes()
 
 
 def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
@@ -551,6 +709,7 @@ def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
         for rate in (0.5, 2.0, 1.0)
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
+    monkeypatch.setattr(sweep, "Gaps", WatchedGaps)
     monkeypatch.setattr(engine, "Gaps", WatchedGaps)
     for _ in range(2):
         generators.clear()
@@ -568,7 +727,6 @@ def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
             fresh = np.random.default_rng(seed)
             fresh.standard_exponential(widest[seed])
             assert rng.bit_generator.state == fresh.bit_generator.state, seed
-        assert engine._kept.get() is None
 
 
 @st.composite
@@ -599,38 +757,43 @@ def gap_points(draw):
 @example([(1.0, 50.0, 0), (3.0, 50.0, 1)], 0, 2, None, 0)  # nothing kept
 @example([(0.5, 50.0, 0), (0.5, 50.0, 1), (1.0, 50.0, 0)], 0, 3, None, None)  # range replaced
 def test_kept_gaps_match_per_run_draws(points, base, n, draw, block):
-    """Points run in one seeding() block, the same seeds at several rates
-    and horizons, against one generator per seed: every run's arrivals bit
-    for bit, with BLOCK_ELEMENTS (block, when given) small enough that
-    some points span several blocks. The block keeps only the Gaps of the
-    last one-block point's seeds, each row that seed's first gaps."""
+    """Points run through run_group as run_points runs them, the same
+    seeds at several rates and horizons, each one-block point reading the
+    one Gaps kept for its seed range, against one generator per seed:
+    every run's arrivals bit for bit, with BLOCK_ELEMENTS (block, when
+    given) small enough that some points span several blocks, which draw
+    from new Gaps. The kept Gaps hold each seed's first gaps."""
     costs = _SHARING_COSTS[0]
+    drawn = []
     with pytest.MonkeyPatch.context() as mp:
         if draw is not None:
             mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
             mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
         if block is not None:
             mp.setattr(engine, "BLOCK_ELEMENTS", block)
-        with engine.seeding():
-            kept = engine._kept.get()
-            last = {}
-            for rate, horizon, offset in points:
-                seeds = range(base + offset, base + offset + n)
-                cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n,
-                                concurrency=SERIAL)
-                rows = [row[row < math.inf]
-                        for times, *_ in engine._blocks(costs, cfg, seeds) for row in times]
-                assert len(rows) == n
-                for row, seed in zip(rows, seeds):
-                    assert np.array_equal(row, desim_oracle.draw_arrivals(rate, horizon, seed))
-                if n * engine.draw_size(rate, horizon) <= engine.BLOCK_ELEMENTS:
-                    last = {tuple(seeds): kept[tuple(seeds)]}
-                assert kept == last
-            for seeds, gaps in kept.items():
-                width = gaps.kept.shape[1]
-                for row, seed in zip(gaps.kept, seeds):
-                    assert np.array_equal(
-                        row, np.random.default_rng(seed).standard_exponential(width))
+        # each block's arrivals, cut to its widest run, as summarize_run reads them
+        mp.setattr(engine, "summarize_run",
+                   _counted(drawn, summarize_run, lambda times, *_: times))
+        kept = {}
+        for rate, horizon, offset in points:
+            seeds = range(base + offset, base + offset + n)
+            cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n, concurrency=SERIAL)
+            gaps = None
+            if engine.one_block(cfg, 1):
+                if seeds not in kept:
+                    kept = {seeds: arrivals.Gaps(seeds)}
+                gaps = kept[seeds]
+            drawn.clear()
+            run_group([(costs, cfg)], seeds.start, gaps)
+            rows = [row[row < math.inf] for times in drawn for row in times]
+            assert len(rows) == n
+            for row, seed in zip(rows, seeds):
+                assert np.array_equal(row, desim_oracle.draw_arrivals(rate, horizon, seed))
+        for seeds, gaps in kept.items():
+            width = gaps.kept.shape[1]
+            for row, seed in zip(gaps.kept, seeds):
+                assert np.array_equal(
+                    row, np.random.default_rng(seed).standard_exponential(width))
 
 
 @settings(max_examples=200, deadline=None)
@@ -653,20 +816,27 @@ def test_gaps_read_each_seeds_first_gaps(reads, seeds):
 def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
     """With BLOCK_ELEMENTS small enough that two of a cost's three points
     span several blocks, those draw from new Gaps per block and leave the
-    kept ones alone: the kept matrix never passes BLOCK_ELEMENTS, and
-    every cell is as without a kept matrix."""
+    kept ones alone: the kept matrix never passes BLOCK_ELEMENTS, no
+    block's Gaps outlives its draw, and every cell is as without a kept
+    matrix. Live Gaps are tracked by weak reference."""
     peaks = []
     rows = []
+    live = {"kept": weakref.WeakSet(), "block": weakref.WeakSet()}
 
-    class WatchedGaps(arrivals.Gaps):
-        def __init__(self, seeds):
-            super().__init__(seeds)
-            rows.append(len(seeds))
+    def watched(kind):
+        class WatchedGaps(arrivals.Gaps):
+            def __init__(self, seeds):
+                super().__init__(seeds)
+                rows.append(len(seeds))
+                live[kind].add(self)
 
-        def first(self, n):
-            gaps = super().first(n)
-            peaks.append(sum(g.kept.size for g in engine._kept.get().values()))
-            return gaps
+            def first(self, n):
+                gaps = super().first(n)
+                peaks.append(sum(g.kept.size for g in live["kept"]))
+                assert len(live["kept"]) == 1 and len(live["block"]) <= 1
+                return gaps
+
+        return WatchedGaps
 
     tasks = [
         (c, SimConfig(arrival_rate=rate, horizon_s=60.0, n_runs=4, concurrency=SERIAL), 0)
@@ -675,10 +845,16 @@ def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 400)
-    monkeypatch.setattr(engine, "Gaps", WatchedGaps)
-    assert _cells(run_points(tasks, 1)) == expected
+    monkeypatch.setattr(sweep, "Gaps", watched("kept"))
+    monkeypatch.setattr(engine, "Gaps", watched("block"))
+    gc.disable()
+    try:
+        assert _cells(run_points(tasks, 1)) == expected
+    finally:
+        gc.enable()
     assert rows == [4] + [2, 2, 3, 1] * len(_SHARING_COSTS)
     assert 0 < max(peaks) <= 400
+    assert not live["kept"] and not live["block"]
 
 
 def test_sweep_in_workers_writes_the_same_csv(tmp_path, capsys):

@@ -56,12 +56,28 @@ def test_a_sweep_point_records_every_desim_span():
     finally:
         restore()
     names = [s.name for s in tracer.spans]
-    assert names.count("desim.sweep_point") == 1
-    assert names.count("desim.run_many") == 1
-    # run_many draws, schedules and summarizes its runs as blocks, and
-    # both runs fit one: one arrival draw and one summary, and no call to
-    # the one-run simulate.
+    # run_points hands its one task to engine.run_group, which draws,
+    # schedules and summarizes the runs as blocks, and both runs fit one:
+    # one arrival draw and one summary, and no call to sweep_point,
+    # run_many or the one-run simulate.
     for name in ("desim.poisson_arrival_times", "desim.summarize_run"):
+        assert names.count(name) == 1, name
+    for name in ("desim.sweep_point", "desim.run_many", "desim.simulate"):
+        assert names.count(name) == 0, name
+
+
+def test_a_traced_simulate_records_its_sweep_point(tmp_path, capsys):
+    tracer = Tracer()
+    restore = install_layer_spans(tracer)
+    try:
+        argv = ["simulate", "--runs", "2", "--horizon", "10000", "--out", str(tmp_path)]
+        assert main(argv) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    names = [s.name for s in tracer.spans]
+    for name in ("desim.sweep_point", "desim.run_many", "desim.poisson_arrival_times",
+                 "desim.summarize_run"):
         assert names.count(name) == 1, name
     assert names.count("desim.simulate") == 0
 

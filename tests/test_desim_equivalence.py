@@ -33,10 +33,9 @@ from pisim.desim import (
     simulate,
     sweep_point,
 )
-from pisim.desim.engine import run_group
 from pisim.desim import arrivals, engine, metrics, sweep
 from pisim.desim.sweep import format_value
-from pisim.desim.engine import pipelined_steps, serial_steps
+from pisim.desim.engine import pipelined_steps, run_group, serial_steps
 from pisim.desim.metrics import Schedule, summarize_run
 from pisim.netarch import build_preset
 
@@ -535,9 +534,9 @@ def draw_groups(draw):
     return points[:3], draw(st.integers(0, 3))
 
 
-# Three pipelined points whose capacities differ but each hold two
-# bundles (20 and 29 client bytes hold two bundles of 10, and 20 server
-# bytes two of 7), so they share a key but for costs.
+# Three points whose capacities differ but each hold two bundles (20 and
+# 29 client bytes hold two bundles of 10, and 20 server bytes two of 7),
+# so they share a key but for costs in both modes.
 _TWO_BUNDLES = [
     (_SHARING_COSTS[0], 20.0, math.inf),
     (_EQUAL_PHASE_COSTS[0], 29.0, math.inf),
@@ -586,8 +585,7 @@ def test_run_group_matches_each_point_alone(group, block):
 ])
 def test_run_group_rejects_points_that_differ_beyond_costs(points, concurrency, other):
     group = _group(points, concurrency)
-    costs, config = group[0]
-    group.append((_SHARING_COSTS[2], dataclasses.replace(config, **other)))
+    group.append((_SHARING_COSTS[2], dataclasses.replace(group[0][1], **other)))
     with pytest.raises(ValueError, match="differ only in costs"):
         run_group(group)
 

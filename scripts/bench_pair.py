@@ -4,15 +4,29 @@
 
 Exports REV with `git archive` into a temporary directory (removed at the
 end) and copies the working tree beside it without `.git` and `__pycache__`,
-so neither side starts from bytecode the other lacks. Then for each workload of BENCHMARK.json runs --pairs pairs of
-`perfbench/run.py --trace 0`, one run in each tree at the pair's seed,
-alternating which side runs first. Each run uses its own tree's perfbench.
+so neither side starts from bytecode the other lacks. Then for each
+workload of BENCHMARK.json runs --pairs pairs of `perfbench/run.py
+--trace 0`, one run in each tree at the pair's seed, alternating which
+side runs first. Each run uses its own tree's perfbench.
 For every end-to-end metric the output holds both sides' medians and
 interquartile ranges, each run's value, and the pairs the change won
 (ties count for neither side); it also holds failed counts, the base
 commit, the working tree's HEAD and whether it has uncommitted changes,
 and each side's first environment line (whose src_sha256 names the
 sources that ran).
+
+Then a fresh-process stage times what users wait for: --pairs pairs of
+each FRESH command, `python -c pass` as the floor and fresh
+`python -m pisim ...` runs, base and change interleaved, command by
+command, with the same alternating order. Each side first runs every
+command once untimed, so both start from their own compiled bytecode.
+Every run has OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and
+a new temporary directory as its working directory, where sweeps write
+their CSVs. Wall time comes from time.perf_counter and CPU time from the
+change in resource.getrusage(RUSAGE_CHILDREN). Under `fresh` the output
+holds, per command, both sides' medians, interquartile ranges and runs
+of wall_s and cpu_s, the pairs the change won, and each pair whose
+stdout or output files differ byte for byte (listed under `differs`).
 
 Each run starts in its own session. If the script stops, by an error, a
 timeout, Ctrl-C or SIGTERM, it kills the current run's process group,
@@ -24,8 +38,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
+import resource
 import shutil
 import signal
 import statistics
@@ -33,6 +49,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,26 +63,44 @@ NOTES = [
 ]
 
 
+# name: the interpreter's arguments
+FRESH = {
+    "floor": ["-c", "pass"],
+    "cost": ["-m", "pisim", "cost"],
+    "sweep_fig4": ["-m", "pisim", "sweep", "@fig4_c100", "--jobs", "1"],
+    "sweep_fig5": ["-m", "pisim", "sweep", "@fig5_tiny", "--jobs", "1"],
+    "verify": ["-m", "pisim", "verify", "--trials", "100"],
+}
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run: its result line plus its env line, or an error."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    with subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, start_new_session=True) as proc:
+def communicate(argv: list[str], cwd: Path, env: dict | None = None) -> tuple:
+    """Run argv in its own session; returns (exit code, stdout, stderr) as
+    bytes. Kills the session's process group if the wait is cut short."""
+    with subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, start_new_session=True) as proc:
         try:
             stdout, stderr = proc.communicate(timeout=600)
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             raise
+    return proc.returncode, stdout, stderr
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run: its result line plus its env line, or an error."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    code, stdout, stderr = communicate(argv, tree)
+    stdout, stderr = stdout.decode(), stderr.decode(errors="replace")
     lines = stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {stderr[-500:]}"}
+    if code != 0 or not lines:
+        return {"error": f"exit {code}: {stderr[-500:]}"}
     result = json.loads(lines[-1])
     result["env"] = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
     return result
@@ -77,13 +112,68 @@ def summary(base: list[dict], change: list[dict], metric: dict) -> dict:
     pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
              for b, c in zip(base, change) if "error" not in b and "error" not in c]
     out = {"unit": metric["unit"], "better": metric["better"], "pairs": len(pairs)}
+    return out | compare(pairs, metric["better"])
+
+
+def compare(pairs: list[tuple[float, float]], better: str) -> dict:
+    """Both sides' median, interquartile range and values over (base,
+    change) pairs, and the pairs the change won; empty below two pairs."""
     if len(pairs) < 2:
-        return out
+        return {}
+    out = {}
     for label, values in (("base", [b for b, _ in pairs]), ("change", [c for _, c in pairs])):
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
         out[label] = {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
-    sign = -1 if metric["better"] == "lower" else 1
+    sign = -1 if better == "lower" else 1
     out["change_wins"] = sum(1 for b, c in pairs if sign * (c - b) > 0)
+    return out
+
+
+def fresh_run(tree: Path, args: list[str]) -> dict:
+    """One fresh interpreter in a new working directory: wall and CPU
+    seconds, and its stdout and output files (by relative path), or an
+    error."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        start = time.perf_counter()
+        code, stdout, stderr = communicate([sys.executable, *args], Path(cwd), env)
+        wall = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if code != 0:
+            return {"error": f"exit {code}: {stderr.decode(errors='replace')[-500:]}"}
+        files = {str(f.relative_to(cwd)): f.read_bytes()
+                 for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"wall_s": wall, "cpu_s": cpu, "stdout": stdout, "files": files}
+
+
+def fresh(base_tree: Path, change_tree: Path, pairs: int) -> dict:
+    """The fresh-process stage (see the module docstring)."""
+    trees = [("base", base_tree), ("change", change_tree)]
+    for (_, tree), args in itertools.product(trees, FRESH.values()):
+        fresh_run(tree, args)  # untimed: writes each tree's bytecode
+    runs = {name: [] for name in FRESH}
+    for i in range(pairs):
+        for name, args in FRESH.items():
+            pair = {}
+            for side, tree in trees if i % 2 == 0 else trees[::-1]:
+                pair[side] = fresh_run(tree, args)
+            runs[name].append(pair)
+        print("fresh", i + 1, flush=True)
+    out = {}
+    for name, pair_runs in runs.items():
+        ok = [(i, p) for i, p in enumerate(pair_runs, 1)
+              if "error" not in p["base"] and "error" not in p["change"]]
+        out[name] = {
+            "argv": ["python", *FRESH[name]],
+            "errors": [r["error"] for p in pair_runs for r in p.values() if "error" in r],
+            "differs": [i for i, p in ok if (p["base"]["stdout"], p["base"]["files"])
+                        != (p["change"]["stdout"], p["change"]["files"])],
+            **{metric: compare([(p["base"][metric], p["change"][metric]) for _, p in ok],
+                               "lower")
+               for metric in ("wall_s", "cpu_s")},
+        }
     return out
 
 
@@ -124,6 +214,7 @@ def main() -> int:
                 "metrics": {m["name"]: summary(runs["base"], runs["change"], m)
                             for m in spec["end_to_end"]},
             }
+        out["fresh"] = fresh(base_tree, change_tree, args.pairs)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

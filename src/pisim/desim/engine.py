@@ -33,12 +33,16 @@ one add that also advances t_free, so it is computed where it is read
 and never stored.
 
 Finish times never decrease with k, so a run's finished requests are a
-prefix of its row. metrics.summarize_run takes the whole block and
-returns each run's four means as its column of one (4, runs) array, which
-metrics.aggregate reduces; its docstring says why the sums are bitwise
-those of a per-run np.mean. The closed form cummax(a_k - k S) + k S of
-the serial recurrence is not used: it rounds differently, by up to 8e-14
-relative, which can move a sweep CSV's sixth digit.
+prefix of its row. One metrics.summarize_run call summarizes the block
+for every point: it takes the arrivals and the (members * runs,
+requests) stepped times with one on per row, orders the rows by their
+finished counts and sums each stretch of equal counts in one reduction;
+its docstring says why each sum is still bitwise that of a per-run
+np.mean. Each point's rows of the (4, members * runs) means go to its
+own (4, runs) array, which metrics.aggregate reduces. The closed form
+cummax(a_k - k S) + k S of the serial recurrence is not used: it rounds
+differently, by up to 8e-14 relative, which can move a sweep CSV's sixth
+digit.
 
 A block holds as many runs as keep its points' copies within
 BLOCK_ELEMENTS elements (at least one run), so memory stays bounded at
@@ -51,8 +55,8 @@ pairs whose run_keys differ only in costs, over one arrival realization
 np.random.default_rng(base_seed + r)'s stream. It draws each block once,
 from the caller's gaps for those seeds (allowed only when the points fit
 one block, one_block) or else from new Gaps, dropped once the block is
-drawn, and steps every point over it as one matrix. Each point is then
-summarized and aggregated with its own costs and config: under pipelined
+drawn, and steps and summarizes every point over it as one matrix. Each
+point is then aggregated with its own costs and config: under pipelined
 serving equal keys mean equal capacity_bundles, so a group shares its
 cap, but not the capacities that give it. run_many is a group of one.
 
@@ -205,13 +209,15 @@ def pipelined_steps(
     return ready, times
 
 
-def _step(times: np.ndarray, members: Sequence[PhaseCosts], config: SimConfig) -> list[tuple]:
+def _step(times: np.ndarray, members: Sequence[PhaseCosts], config: SimConfig) -> tuple:
     """Step one drawn block, (runs, draw) times padded with inf, for each
     member's costs: each member's copy of the arrival columns sits beside
     the others in one (requests, members * runs) matrix, with per-column
-    off and on, and the mode's recurrence runs once over it. Returns each
-    member's block: the arrivals cut to the widest run, the runs' arrival
-    counts, and its bundle_ready and online_start, each (runs, width)."""
+    off and on, and the mode's recurrence runs once over it. Returns the
+    arrivals cut to the widest run, the runs' arrival counts, the
+    bundle_ready and online_start of every member's runs, each
+    (members * runs, width) with member i's runs at rows i * runs on, and
+    each row's on."""
     counts = np.count_nonzero(times < math.inf, axis=1)
     times = times[:, : int(counts.max())]
     runs, width = times.shape
@@ -221,12 +227,11 @@ def _step(times: np.ndarray, members: Sequence[PhaseCosts], config: SimConfig) -
     off = np.repeat([c.offline_latency_s for c in members], runs)
     on = np.repeat([c.online_latency_s for c in members], runs)
     if config.concurrency == SERIAL:
-        ready = start = serial_steps(columns, off, on)
+        ready = start = serial_steps(columns, off, on).T
     else:
         cap = capacity_bundles(members[0], config)
-        ready, start = pipelined_steps(columns, off, on, cap, config.horizon_s)
-    return [(times, counts, ready.T[lo : lo + runs], start.T[lo : lo + runs])
-            for lo in range(0, columns.shape[1], runs)]
+        ready, start = (m.T for m in pipelined_steps(columns, off, on, cap, config.horizon_s))
+    return times, counts, ready, start, on
 
 
 def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
@@ -242,10 +247,10 @@ def run_group(
     The points' run_keys must differ only in costs. Runs are drawn in
     blocks that keep every point's copy within BLOCK_ELEMENTS elements,
     from gaps (the Gaps of seeds base_seed + r, allowed only when the
-    points fit one block) or from new Gaps, and stepped as one matrix
-    (see the module docstring). Each point is summarized a block at a
-    time and aggregated with its own config; each run's four means are
-    its column of one (4, runs) array.
+    points fit one block) or from new Gaps, and stepped and summarized as
+    one matrix (see the module docstring). Each point is aggregated with
+    its own config; each run's four means are its column of one (4, runs)
+    array.
     """
     for costs, config in points:
         _check_feasible(costs, config)
@@ -254,6 +259,7 @@ def run_group(
     config = points[0][1]
     if gaps is not None and not one_block(config, len(points)):
         raise ValueError("gaps are given for points that do not fit one block")
+    members = [costs for costs, _ in points]
     rate, horizon, n = config.arrival_rate, config.horizon_s, config.n_runs
     per_block = max(1, BLOCK_ELEMENTS // (len(points) * draw_size(rate, horizon)))
     means = np.empty((len(points), 4, n))
@@ -262,12 +268,11 @@ def run_group(
     for lo in range(0, n, per_block):
         seeds = range(base_seed + lo, base_seed + min(lo + per_block, n))
         times = poisson_arrival_times(rate, horizon, Gaps(seeds) if gaps is None else gaps)
-        blocks = _step(times, [costs for costs, _ in points], config)
-        for i, ((costs, _), (cut, counts, ready, start)) in enumerate(zip(points, blocks)):
-            means[i, :, lo : lo + len(cut)], done = summarize_run(
-                cut, ready, start, costs.online_latency_s, horizon
-            )
-            completed[i] += sum(done)
+        cut, counts, ready, start, on = _step(times, members, config)
+        runs = len(cut)
+        block, done = summarize_run(cut, ready, start, on, horizon)
+        means[:, :, lo : lo + runs] = block.reshape(4, len(members), runs).swapaxes(0, 1)
+        completed = [c + sum(done[i * runs : (i + 1) * runs]) for i, c in enumerate(completed)]
         arrived += int(counts.sum())
         most = max(most, cut.shape[1])
     results = []
@@ -289,8 +294,7 @@ def run_schedule(costs: PhaseCosts, config: SimConfig, seed: int = 0) -> tuple[S
     """
     _check_feasible(costs, config)
     times = poisson_arrival_times(config.arrival_rate, config.horizon_s, Gaps([seed]))
-    (block,) = _step(times, [costs], config)
-    arrivals, _, ready, start = (matrix[0] for matrix in block)
+    arrivals, _, ready, start, _ = (matrix[0] for matrix in _step(times, [costs], config))
     finish = start + costs.online_latency_s
     horizon = config.horizon_s
     schedule = Schedule(

@@ -23,58 +23,77 @@ class Schedule:
 
 
 # Most elements of the four terms summarize_run computes per ufunc call.
-SUMMARY_ELEMENTS = 1 << 12
+SUMMARY_ELEMENTS = 1 << 13
 
 
 def summarize_run(
-    arrival: np.ndarray, ready: np.ndarray, start: np.ndarray, on: float, horizon: float
+    arrival: np.ndarray, ready: np.ndarray, start: np.ndarray, on, horizon: float
 ) -> tuple[np.ndarray, list[int]]:
-    """The four means of each run of a block and how many of its requests
+    """The four means of each row of a block and how many of its requests
     finished by the horizon.
 
-    Takes (runs, requests) times, row r run r's arrivals (inf past its
-    last), bundle-ready and online-start times. A request finishes at its
-    online start plus on, the one add the step recurrences make. Finish
-    times never decrease, so a run's finished requests are a prefix of its
-    row. Its means are latency, precompute wait, queue wait and online
-    time over that prefix, all NaN when none finished.
+    Takes a block's (runs, requests) arrivals, row r run r's (inf past its
+    last), and (rows, requests) bundle-ready and online-start times, rows
+    a multiple of runs: a draw group's members, each stepped over the same
+    runs. Row i reads arrival row i % runs and on[i] (on is a scalar or one
+    value per row). A request finishes at its online start plus on, the
+    one add the step recurrences make. Finish times never decrease, so a
+    row's finished requests are a prefix of it, and its count is found by
+    a binary search. The means are latency, precompute wait, queue wait
+    and online time over that prefix, all NaN when none finished; row i's
+    are column i of the (4, rows) result.
 
-    The terms are computed a few runs at a time, at most SUMMARY_ELEMENTS
-    per term or one run, so memory stays small. Each run's means are one
-    np.add.reduce over each term's contiguous prefix, divided by its
-    length: the pairwise sums np.mean makes of each term of the run alone.
+    The rows are taken in order of their counts (a stable argsort), and
+    the terms are computed a few of them at a time, at most
+    SUMMARY_ELEMENTS per term or one row, each up to the largest count
+    among them, so memory stays small. Each stretch of rows with the same
+    count k is one np.add.reduce over the terms' first k columns. So each
+    row's sum is still one contiguous pairwise sum of its k terms, the sum
+    np.mean makes of each term of the run alone, divided by k.
     np.add.reduceat is not used: it sums each segment sequentially, which
     rounds differently from the pairwise sum for segments of three or more.
     """
-    runs, width = arrival.shape
-    means = np.full((4, runs), math.nan)
-    completed = []
+    rows, width = start.shape
+    on = np.broadcast_to(on, (rows,))
+    every = np.arange(rows)
+    # bit by bit, each row's count grows while the finish time just
+    # before it is within the horizon
+    completed = np.zeros(rows, dtype=np.intp)
+    for bit in reversed([1 << i for i in range(width.bit_length())]):
+        k = np.minimum(completed + bit, width)
+        np.copyto(completed, k, where=start[every, k - 1] + on <= horizon)
+    order = np.argsort(completed, kind="stable")
+    counts = completed[order].tolist()
+    rows_of, on_of = order % arrival.shape[0], on[order, None]
+    sums = np.full((4, rows), math.nan)  # column j sums row order[j]'s terms
     step = max(1, SUMMARY_ELEMENTS // max(width, 1))
-    terms = np.empty((4, min(step, runs), width))
-    for lo in range(0, runs, step):
-        hi = min(lo + step, runs)
-        finish = terms[3, : hi - lo]
-        np.add(start[lo:hi], on, out=finish)
-        done = np.count_nonzero(finish <= horizon, axis=1).tolist()
-        completed += done
-        w = max(done)
-        if not w:
-            continue
-        a, b, o = arrival[lo:hi, :w], ready[lo:hi, :w], start[lo:hi, :w]
-        lat, pre, que, onl = terms[:, : hi - lo, :w]
-        # past a run's prefix, inf - inf is NaN and read by no mean
-        with np.errstate(invalid="ignore"):
-            np.subtract(onl, a, out=lat)  # onl holds the finish times
+    terms = np.empty((4, min(step, rows), width))
+    # past a row's prefix, inf - inf is NaN and read by no mean
+    with np.errstate(invalid="ignore"):
+        # rows with none finished come first and stay NaN
+        for lo in range(counts.count(0), rows, step):
+            hi = min(lo + step, rows)
+            w = counts[hi - 1]
+            idx = order[lo:hi]
+            a, o = arrival[rows_of[lo:hi], :w], start[idx, :w]
+            b = o if ready is start else ready[idx, :w]  # one matrix when serial
+            lat, pre, que, onl = terms[:, : hi - lo, :w]
+            np.add(o, on_of[lo:hi], out=onl)
+            np.subtract(onl, a, out=lat)
             np.subtract(onl, o, out=onl)
             np.subtract(b, a, out=pre)
             np.maximum(pre, 0.0, out=pre)
             np.maximum(a, b, out=que)
             np.subtract(o, que, out=que)
-        for i, k in enumerate(done):
-            if k:
-                np.add.reduce(terms[:, i, :k], axis=1, out=means[:, lo + i])
-    means /= completed  # a run with none finished stays NaN
-    return means, completed
+            s = lo  # the first row of a stretch of one count
+            for e in range(lo + 1, hi + 1):
+                if e == hi or counts[e] != counts[s]:
+                    stretch = terms[:, s - lo : e - lo, : counts[s]]
+                    np.add.reduce(stretch, axis=-1, out=sums[:, s:e])
+                    s = e
+    means = np.empty_like(sums)
+    means[:, order] = sums / completed[order]  # a row with none finished stays NaN
+    return means, completed.tolist()
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,14 @@ the toy networks the executors are meant to run.
 
 Reduction takes one of two forms. Where an operand is a sum of two
 residues, or a difference of two offset by +p, it lies in [0, 2p), and
-`reduce_once` takes at most one p off with an unsigned `min`. The
-protocol reduces that way in the ReLU gadget, in the server's share of
-each linear unit, in the server's online share sums, and in the
-client's share sums, input masking and final unmask. On the 36,864 sums
-of a toy_cnn ReLU point in a block of 18 (2-vCPU Xeon VM), `%`, an
-int64 division, took 4.4-4.5 ns an element and `reduce_once` 0.6-0.7 ns.
-`%` stays where an operand has no such bound: `encode`,
-`decode_signed`, and the kernels' matrix products and pooling sums
-(see pisim._kernels).
+`reduce_once` takes at most one p off with an unsigned `min`, much
+cheaper than `%`, an int64 division. The protocol reduces that way in
+the ReLU gadget, in the server's share of each linear unit, in the
+server's online share sums, and in the client's share sums, input
+masking and final unmask. `%` stays where an operand has no such bound:
+`decode_signed`, the kernels' matrix products and pooling sums (see
+pisim._kernels), and `encode`, which skips it when every value already
+lies in [0, p), as a block of the sampled inputs does.
 """
 
 import numpy as np
@@ -43,8 +42,15 @@ class FieldOverflowRisk(PisimError, ValueError):
 
 
 def encode(values) -> np.ndarray:
-    """Embed signed integers into [0, p)."""
-    return np.asarray(values, dtype=np.int64) % FIELD_MODULUS
+    """Embed signed integers into [0, p), as a new int64 array.
+
+    The `%` runs only when some value lies outside [0, p): on the uint64
+    view a negative value is 2**63 or more, so one max finds any.
+    """
+    x = np.array(values, dtype=np.int64)
+    if x.size and x.view(np.uint64).max() >= FIELD_MODULUS:
+        x %= FIELD_MODULUS
+    return x
 
 
 def decode_signed(values) -> np.ndarray:

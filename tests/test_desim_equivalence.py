@@ -225,6 +225,64 @@ def test_block_summary_matches_per_run_summaries(batch, cap, budget, run_major):
         assert repr(means[:, r].tolist()) == repr(desim_oracle.summarize_run(finished).tolist())
 
 
+# finished counts about the pairwise sum's edges (it adds 8 terms at a
+# time, in blocks of 128), and a few hundred
+_EDGE_COUNTS = [0, 1, 7, 8, 9, 127, 128, 129, 300, 301, 450]
+_FAR = 1e9  # a horizon every request finishes by
+
+
+@st.composite
+def shared_blocks(draw):
+    """(lengths, phases, horizon, seed): runs whose arrival counts repeat,
+    and 2-3 members with their own (off, on). Under the far horizon every
+    request finishes, so a run's length is the finished count of each
+    member's row of it, and rows of equal count abound."""
+    lengths = draw(st.lists(st.sampled_from(_EDGE_COUNTS), min_size=2, max_size=8))
+    phase = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+    phases = draw(st.lists(st.tuples(phase, phase), min_size=2, max_size=3, unique=True))
+    horizon = draw(st.one_of(st.just(_FAR), st.floats(1.0, 600.0)))
+    return lengths, phases, horizon, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_blocks(), st.one_of(st.just(SERIAL), st.sampled_from([1, 2, 5, math.inf])),
+       st.sampled_from([1, 2, 3, 5]), st.integers(0, 10**6))
+@example((_EDGE_COUNTS, [(0.5, 0.25), (0.0, 1.0), (1.0, 0.0)], _FAR, 7), SERIAL, 2, 0)
+@example((_EDGE_COUNTS[::-1], [(0.5, 0.25), (0.25, 0.5)], _FAR, 7), 2, 3, 1)
+def test_group_summary_shares_reductions(block, cap, step, extra):
+    """One summarize_run call over a draw group's block, members' rows side
+    by side as engine._step returns them, against each row's own four-term
+    stack, with SUMMARY_ELEMENTS giving step rows a chunk, so that chunk
+    edges cut through stretches of rows of one finished count."""
+    lengths, phases, horizon, seed = block
+    rng = np.random.default_rng(seed)
+    runs = [np.sort(rng.uniform(0.0, 500.0, n)) for n in lengths]
+    runs = [a[a < horizon] for a in runs]
+    members = [
+        dataclasses.replace(_SHARING_COSTS[0], offline_latency_s=off, online_latency_s=on,
+                            client_storage_delta_bytes=1, server_storage_delta_bytes=0)
+        for off, on in phases
+    ]
+    config = SimConfig(arrival_rate=0.0, horizon_s=horizon, n_runs=len(runs),
+                       concurrency=SERIAL if cap == SERIAL else PIPELINED,
+                       client_capacity_bytes=1.0 if cap == SERIAL else cap)
+    arrivals, _, ready, start, on = engine._step(desim_oracle.pad(runs).T, members, config)
+    assert on.tolist() == [on for _, on in phases for _ in runs]
+    width = arrivals.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "SUMMARY_ELEMENTS", step * width + extra % max(width, 1))
+        means, completed = summarize_run(arrivals, ready, start, on, horizon)
+    assert means.shape == (4, len(members) * len(runs))
+    if horizon == _FAR:
+        assert completed == lengths * len(members)
+    for i, k in enumerate(completed):
+        r = i % len(runs)
+        finish = start[i] + on[i]
+        assert k == np.count_nonzero(finish <= horizon)
+        finished = Schedule(arrivals[r, :k], ready[i, :k], start[i, :k], finish[:k])
+        assert repr(means[:, i].tolist()) == repr(desim_oracle.summarize_run(finished).tolist())
+
+
 @pytest.mark.parametrize(
     "proto, model, dataset, concurrency, rate, horizon, cap_gb",
     [

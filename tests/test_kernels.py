@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as ref
@@ -73,6 +73,33 @@ def test_reduce_once_equals_remainder(values):
     got = reduce_once(x)
     assert got is x and got.dtype == np.int64
     assert np.array_equal(got, want)
+
+
+_ENCODE_EDGES = [-P, -1, 0, P - 1, P, 2 * P]
+
+
+@given(st.lists(st.one_of(st.sampled_from(_ENCODE_EDGES), st.integers(-2**62, 2**62)),
+                max_size=64))
+@settings(max_examples=200, deadline=None)
+@example([])
+@example([0, 3, P - 1, 7])  # all in [0, p): no % runs
+def test_encode_equals_remainder(values):
+    """encode against an unconditional remainder, values in [0, p) or not,
+    empty arrays and two axes included; it returns a new array."""
+    v = np.array(values, dtype=np.int64)
+    for x in (v, v[: len(v) // 2 * 2].reshape(2, -1)):
+        want = np.asarray(x, np.int64) % P
+        got = encode(x)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("edge", _ENCODE_EDGES)
+def test_encode_edges_alone(edge):
+    # a 0-d value and a one-element array at each edge
+    for v in (edge, [edge]):
+        assert np.array_equal(encode(v), np.asarray(v, np.int64) % P)
 
 
 # share pairs (a, b) whose sums sit at the reductions' edges: p - 1, p and

@@ -27,7 +27,8 @@ SUMMARY_ELEMENTS = 1 << 13
 
 
 def summarize_run(
-    arrival: np.ndarray, ready: np.ndarray, start: np.ndarray, on, horizon: float
+    arrival: np.ndarray, ready: np.ndarray, start: np.ndarray, on: float | np.ndarray,
+    horizon: float,
 ) -> tuple[np.ndarray, list[int]]:
     """The four means of each row of a block and how many of its requests
     finished by the horizon.

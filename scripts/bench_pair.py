@@ -58,8 +58,9 @@ NOTES = [
     "while the engine simulates 249,950",
     "traced runs only: desim.schedule_s reads 0, protocol.recv_wait_s times only the "
     "creation of a generator, protocol.compile_ms reads 0 on a warm cache",
-    "traced sweeps only: desim.aggregate_s reads 0, since run_points hands its groups to "
-    "engine.run_group and calls neither sweep_point nor run_many",
+    "traced sweeps only: desim.aggregate_s reads 0, since run_points hands a seed range's "
+    "feasible points to one engine.run_group call and calls sweep_point, and so run_many, "
+    "only for an infeasible point, of which fig4 has none",
 ]
 
 
@@ -67,6 +68,9 @@ NOTES = [
 FRESH = {
     "floor": ["-c", "pass"],
     "cost": ["-m", "pisim", "cost"],
+    # the serial config of output_digest.py's blocks group: five blocks of runs
+    "simulate": ["-m", "pisim", "simulate", "--rates", "0.5", "--horizon", "86400",
+                 "--runs", "100", "--concurrency", "serial"],
     "sweep_fig4": ["-m", "pisim", "sweep", "@fig4_c100", "--jobs", "1"],
     "sweep_fig5": ["-m", "pisim", "sweep", "@fig5_tiny", "--jobs", "1"],
     "verify": ["-m", "pisim", "verify", "--trials", "100"],

@@ -25,10 +25,9 @@ dimensions, numpy style; a batch adds columns to the product, not
 products. An unbatched call returns what one input of a batch would.
 
 The matrix products and pooling sums reduce with `%`: their sums span far
-more than [0, 2p). On a 2x2048 toy conv output (2-vCPU Xeon VM), a
-Mersenne fold (two shift, mask and add rounds, then `reduce_once`; seven
-ufunc calls) took 20-27 us against 20-23 us for `%`, so it would gain
-nothing. The ReLU gadget's two reductions, of a sum of two shares and of
+more than [0, 2p). A Mersenne fold (two shift, mask and add rounds, then
+`reduce_once`; seven ufunc calls) was measured to be no faster
+(CHANGES.md). The ReLU gadget's two reductions, of a sum of two shares and of
 a difference offset by +p, lie in [0, 2p) and take at most one p off
 (`pisim.field.reduce_once`).
 """
@@ -43,11 +42,9 @@ from .field import FIELD_MODULUS as P, HALF_RANGE, FieldOverflowRisk, reduce_onc
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
 # Output positions per conv product. A batch's images are convolved in
-# groups, so its im2col copy (kh*kw*ci float64 rows) is at most this wide.
-# On `verify --trials 100` (toy_cnn, cifar100, blocks of 4), caps of 1024,
-# 2048 and 4096 gave a peak RSS of 46.5, 46.2 and 47.1 MB (medians of 3 to
-# 6 runs; 46.1 MB with one bundle per run) at equal CPU. With blocks of 18,
-# caps of 4096 to 20480 saved no CPU (ratio 0.99 to 2048).
+# groups, so its im2col copy (kh*kw*ci float64 rows) is at most this wide,
+# which bounds peak memory; wider caps were measured to save no CPU
+# (CHANGES.md).
 _CONV_COLS = 2048
 
 

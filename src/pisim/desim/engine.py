@@ -44,21 +44,22 @@ cummax(a_k - k S) + k S of the serial recurrence is not used: it rounds
 differently, by up to 8e-14 relative, which can move a sweep CSV's sixth
 digit.
 
-A block holds as many runs as keep its points' copies within
-BLOCK_ELEMENTS elements (at least one run), so memory stays bounded at
-high arrival rates however many runs a point has; a run whose first
-segment falls short of the horizon can widen its block's matrix.
+A block holds as many runs as keep its widest draw group's copies
+within BLOCK_ELEMENTS elements (at least one run), so memory stays
+bounded at high arrival rates however many runs a point has; a run whose
+first segment falls short of the horizon can widen its block's matrix.
 
-run_group(points, base_seed, gaps) runs sweep points, (costs, config)
-pairs whose run_keys differ only in costs, over one arrival realization
-(common random numbers): run r reads its gaps from
-np.random.default_rng(base_seed + r)'s stream. It draws each block once,
-from the caller's gaps for those seeds (allowed only when the points fit
-one block, one_block) or else from new Gaps, dropped once the block is
-drawn, and steps and summarizes every point over it as one matrix. Each
-point is then aggregated with its own costs and config: under pipelined
-serving equal keys mean equal capacity_bundles, so a group shares its
-cap, but not the capacities that give it. run_many is a group of one.
+run_group(points, base_seed) runs sweep points, (costs, config) pairs of
+one run count, over one realization of each seed (common random
+numbers): run r of every point reads its gaps from
+np.random.default_rng(base_seed + r)'s stream. The points whose run_keys
+differ only in costs form a draw group. Each block's seeds are hashed
+once, into one Gaps dropped after the block, and every group draws its
+arrivals from it at its own rate and horizon and steps and summarizes
+its points over them as one matrix. Each point is then aggregated with
+its own costs and config: under pipelined serving equal keys mean equal
+capacity_bundles, so a group shares its cap, but not the capacities
+that give it. run_many is a group of one.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what
@@ -118,13 +119,6 @@ def run_key(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> tuple |
     bundles = None if config.concurrency == SERIAL else capacity_bundles(costs, config)
     return (costs, config.arrival_rate, config.horizon_s, config.n_runs,
             config.concurrency, base_seed, bundles)
-
-
-def one_block(config: SimConfig, points: int) -> bool:
-    """Whether points sweep points of config's rate, horizon and run count
-    draw within BLOCK_ELEMENTS elements together, as one block."""
-    draw = draw_size(config.arrival_rate, config.horizon_s)
-    return points * config.n_runs * draw <= BLOCK_ELEMENTS
 
 
 def _check_feasible(costs: PhaseCosts, config: SimConfig) -> None:
@@ -240,47 +234,50 @@ def _peak_bundles(costs: PhaseCosts, config: SimConfig, arrived: int) -> int:
 
 
 def run_group(
-    points: Sequence[tuple[PhaseCosts, SimConfig]], base_seed: int = 0, gaps: Gaps | None = None
+    points: Sequence[tuple[PhaseCosts, SimConfig]], base_seed: int = 0
 ) -> list[AggregateMetrics]:
-    """run_many of each (costs, config) point, over one arrival draw.
+    """run_many of each (costs, config) point, over one draw of each seed.
 
-    The points' run_keys must differ only in costs. Runs are drawn in
-    blocks that keep every point's copy within BLOCK_ELEMENTS elements,
-    from gaps (the Gaps of seeds base_seed + r, allowed only when the
-    points fit one block) or from new Gaps, and stepped and summarized as
-    one matrix (see the module docstring). Each point is aggregated with
-    its own config; each run's four means are its column of one (4, runs)
-    array.
+    The points must share a run count. Those whose run_keys differ only in
+    costs form a draw group. Runs are drawn in blocks that keep the widest
+    group's copies within BLOCK_ELEMENTS elements; each block's seeds are
+    hashed into one Gaps that every group reads, and each group is stepped
+    and summarized as one matrix (see the module docstring). Each point is
+    aggregated with its own config; each run's four means are its column
+    of one (4, runs) array.
     """
     for costs, config in points:
         _check_feasible(costs, config)
-    if len({run_key(costs, config)[1:] for costs, config in points}) > 1:
-        raise ValueError("a group's points must differ only in costs")
-    config = points[0][1]
-    if gaps is not None and not one_block(config, len(points)):
-        raise ValueError("gaps are given for points that do not fit one block")
-    members = [costs for costs, _ in points]
-    rate, horizon, n = config.arrival_rate, config.horizon_s, config.n_runs
-    per_block = max(1, BLOCK_ELEMENTS // (len(points) * draw_size(rate, horizon)))
+    n = points[0][1].n_runs
+    if any(config.n_runs != n for _, config in points):
+        raise ValueError("a group's points must share a run count")
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        groups.setdefault(run_key(*point)[1:], []).append(i)
+    widest = max(len(members) * draw_size(*key[:2]) for key, members in groups.items())
+    per_block = max(1, BLOCK_ELEMENTS // widest)
     means = np.empty((len(points), 4, n))
-    completed = [0] * len(points)
-    arrived = most = 0
+    completed, arrived, most = ([0] * len(points) for _ in range(3))
     for lo in range(0, n, per_block):
-        seeds = range(base_seed + lo, base_seed + min(lo + per_block, n))
-        times = poisson_arrival_times(rate, horizon, Gaps(seeds) if gaps is None else gaps)
-        cut, counts, ready, start, on = _step(times, members, config)
-        runs = len(cut)
-        block, done = summarize_run(cut, ready, start, on, horizon)
-        means[:, :, lo : lo + runs] = block.reshape(4, len(members), runs).swapaxes(0, 1)
-        completed = [c + sum(done[i * runs : (i + 1) * runs]) for i, c in enumerate(completed)]
-        arrived += int(counts.sum())
-        most = max(most, cut.shape[1])
+        gaps = Gaps(range(base_seed + lo, base_seed + min(lo + per_block, n)))
+        for members in groups.values():
+            config = points[members[0]][1]
+            times = poisson_arrival_times(config.arrival_rate, config.horizon_s, gaps)
+            cut, counts, ready, start, on = _step(times, [points[i][0] for i in members], config)
+            runs = len(cut)
+            block, done = summarize_run(cut, ready, start, on, config.horizon_s)
+            means[members, :, lo : lo + runs] = block.reshape(4, len(members), runs).swapaxes(0, 1)
+            for j, i in enumerate(members):
+                completed[i] += sum(done[j * runs : (j + 1) * runs])
+                arrived[i] += int(counts.sum())
+                most[i] = max(most[i], cut.shape[1])
+            del times, cut, ready, start  # before the next group draws its own
     results = []
-    for (costs, config), point_means, done in zip(points, means, completed):
-        saturated = rate > stability_limit(costs, config)
-        peak = _peak_bundles(costs, config, most)
+    for i, (costs, config) in enumerate(points):
+        saturated = config.arrival_rate > stability_limit(costs, config)
+        peak = _peak_bundles(costs, config, most[i])
         client_b, server_b = _bundle_bytes(costs)
-        results.append(aggregate(point_means, arrived, done, saturated,
+        results.append(aggregate(means[i], arrived[i], completed[i], saturated,
                                  peak * client_b, peak * server_b))
     return results
 

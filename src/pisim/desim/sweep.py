@@ -10,8 +10,7 @@ from typing import Sequence
 
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
-from .arrivals import Gaps
-from .engine import one_block, run_group, run_key, run_many, stability_limit
+from .engine import run_group, run_key, run_many, stability_limit
 from .metrics import AggregateMetrics
 
 SWEEP_COLUMNS = [
@@ -88,16 +87,10 @@ def sweep_point(costs: PhaseCosts, config: SimConfig, base_seed: int = 0) -> dic
     return _row(costs, config, result)
 
 
-def _run_group(
-    group: Sequence[tuple[PhaseCosts, SimConfig, int]], gaps: Gaps | None = None
-) -> list[dict[str, object]]:
-    """The cells of run_group's points; a group with an infeasible task
-    is that task alone."""
-    try:
-        results = run_group([(costs, config) for costs, config, _ in group], group[0][2], gaps)
-    except ConfigInfeasible as exc:
-        results = [exc]
-    return [_row(costs, config, result) for (costs, config, _), result in zip(group, results)]
+def _run_chunk(chunk: Sequence[tuple[PhaseCosts, SimConfig, int]]) -> list[dict[str, object]]:
+    """The cells of feasible tasks of one seed range, from one run_group call."""
+    results = run_group([(costs, config) for costs, config, _ in chunk], chunk[0][2])
+    return [_row(costs, config, result) for (costs, config, _), result in zip(chunk, results)]
 
 
 def run_points(
@@ -108,54 +101,40 @@ def run_points(
     Feasible tasks with equal engine.run_key (costs, rate, horizon, run
     count, concurrency, base seed and, when pipelined, capacity_bundles)
     are simulated once; each row keeps its own _point_columns. An
-    infeasible task has no key and runs alone, so its failure names its
-    own capacities. The distinct tasks whose keys differ only in costs
-    read one arrival draw: when their runs fit one block together
-    (engine.one_block), they form a group that one run_group call draws
-    once and advances as one matrix, bitwise as each would alone; a larger
-    group's tasks run one at a time. jobs > 1 distributes the groups over
-    worker processes. With jobs == 1 the call keeps the Gaps of the last
-    seed range it drew and passes them to each feasible group that fits
-    one block, so a seed range's seeds are hashed and their gaps drawn
-    once while its groups run back to back.
+    infeasible task has no key and takes sweep_point's row, so its failure
+    names its own capacities. The distinct tasks of one seed range (base
+    seed and run count) run in one run_group call, which hashes and draws
+    each block of seeds once for every draw group (tasks whose keys differ
+    only in costs). jobs > 1 deals each seed range's whole draw groups
+    round-robin into at most jobs chunks, each one run_group call, and runs
+    the chunks in at most that many worker processes.
     """
-    first: dict[tuple, int] = {}
-    distinct: list[tuple[PhaseCosts, SimConfig, int]] = []
-    shared_by = []
-    by_draw: dict[object, list[int]] = {}
-    for task in tasks:
-        key = run_key(*task)
-        index = len(distinct) if key is None else first.setdefault(key, len(distinct))
-        if index == len(distinct):
-            distinct.append(task)
-            by_draw.setdefault(index if key is None else key[1:], []).append(index)
-        shared_by.append(index)
+    keys = [run_key(*task) for task in tasks]
+    distinct: dict[tuple, tuple[PhaseCosts, SimConfig, int]] = {}
+    ranges: dict[tuple, dict[tuple, list[tuple]]] = {}
+    for key, task in zip(keys, tasks):
+        if key is not None and key not in distinct:
+            distinct[key] = task
+            # key[1:] is (rate, horizon, run count, concurrency, base seed, bundles)
+            ranges.setdefault((key[3], key[5]), {}).setdefault(key[1:], []).append(key)
     order = []
-    for members in by_draw.values():
-        fits = one_block(distinct[members[0]][1], len(members))
-        order += [members] if fits else [[i] for i in members]
-    order.sort()  # each group runs where its first task would
-    groups = [[distinct[i] for i in group] for group in order]
-    if jobs > 1 and len(groups) > 1:
+    for groups in ranges.values():
+        dealt = [[] for _ in range(min(jobs, len(groups)))]
+        for i, group in enumerate(groups.values()):
+            dealt[i % len(dealt)] += group
+        order += dealt
+    chunks = [[distinct[key] for key in chunk] for chunk in order]
+    if jobs > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_group, groups))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            done = list(pool.map(_run_chunk, chunks))
     else:
-        done, kept = [], {}
-        for group in groups:
-            costs, config, seed = group[0]
-            gaps = None
-            if run_key(costs, config) is not None and one_block(config, len(group)):
-                seeds = range(seed, seed + config.n_runs)
-                if seeds not in kept:
-                    kept = {seeds: Gaps(seeds)}
-                gaps = kept[seeds]
-            done.append(_run_group(group, gaps))
-    shared = {i: row for group, rows in zip(order, done) for i, row in zip(group, rows)}
+        done = list(map(_run_chunk, chunks))
+    shared = {key: row for chunk, rows in zip(order, done) for key, row in zip(chunk, rows)}
     return [
-        {**shared[index], **_point_columns(costs, config)}
-        for index, (costs, config, _) in zip(shared_by, tasks)
+        sweep_point(*task) if key is None else {**shared[key], **_point_columns(*task[:2])}
+        for key, task in zip(keys, tasks)
     ]
 
 

@@ -27,19 +27,9 @@ GUARD_MAX_RELUS = 10_000
 # pass, and per protocol one offline and one online two-party run, over
 # its inputs, so larger blocks pay the per-run overhead (channel events,
 # generator steps, small numpy calls, the oracle's FC weight pass) fewer
-# times. On perfbench `verify_toy` (verify --trials 100, toy_cnn on
-# cifar100, 7,268 elements a trial), 15 s runs at seeds 0-2 read:
-#
-#   budget          block  cpu_ref_s            peak_rss_mb
-#   4 trials           4   0.178 0.163 0.165    45.76-45.85
-#   1 << 16            9   0.145 0.141 0.153    46.17-46.36
-#   1 << 17           18   0.124 0.128 0.124    47.66-47.78
-#
-# In 30 alternating in-process passes with one BLAS thread, CPU against
-# blocks of 4 was 0.79 for blocks of 16 and 18, 0.77 for 20 and 25, 0.78
-# for 32 and 0.83 for 100, so a larger budget buys no more speed. One
-# resnet32, resnet18 or vgg16 trial alone exceeds the budget on cifar100,
-# tinyimagenet and imagenet, so those run one trial a block.
+# times. The budget holds 18 toy_cnn trials on cifar100; larger blocks
+# were measured to gain no more speed (CHANGES.md). One resnet32,
+# resnet18 or vgg16 trial alone exceeds it, so those run one trial a block.
 BLOCK_ELEMENTS = 1 << 17
 
 

@@ -439,26 +439,32 @@ def test_run_many_with_many_segments_matches_reference(concurrency, monkeypatch)
 
 
 # Each shipped sweep's distinct problems at --runs 4, and the draw groups
-# run_points hands to run_group.
+# among the points run_points hands to run_group.
 _DISTINCT = {"fig4_c100": 10, "fig5_tiny": 16}
 _GROUPS = {"fig4_c100": 5, "fig5_tiny": 16}
 
 
+def _draw_groups(points) -> int:
+    return len({engine.run_key(*point)[1:] for point in points})
+
+
 @pytest.mark.parametrize("spec", ["fig4_c100", "fig5_tiny"])
 def test_sweep_csv_matches_reference(spec, tmp_path, monkeypatch, capsys):
-    """The CSV against one whose every group is run point by point by the
-    reference engine; the reference must stand in for every group."""
+    """The CSV against one whose every point is run alone by the reference
+    engine; the reference must stand in for every draw group."""
     argv = ["sweep", f"@{spec}", "--runs", "4", "--jobs", "1", "--seed", "0"]
     assert main(argv + ["--out", str(tmp_path / "new")]) == 0
     sizes = []
+    groups = []
 
-    def reference_group(points, base_seed=0, gaps=None):
+    def reference_group(points, base_seed=0):
         sizes.append(len(points))
+        groups.append(_draw_groups(points))
         return [desim_oracle.run_many(costs, config, base_seed) for costs, config in points]
 
     monkeypatch.setattr(sweep, "run_group", reference_group)
     assert main(argv + ["--out", str(tmp_path / "ref")]) == 0
-    assert len(sizes) == _GROUPS[spec] and sum(sizes) == _DISTINCT[spec]
+    assert sum(groups) == _GROUPS[spec] and sum(sizes) == _DISTINCT[spec]
     new = (tmp_path / "new" / f"{spec}.csv").read_bytes()
     assert new == (tmp_path / "ref" / f"{spec}.csv").read_bytes()
 
@@ -528,9 +534,8 @@ def _cells(rows):
 
 # Groups of two members, each repeating an off or an on value, in each
 # mode; two pipelined points whose caps differ (2 and 4 bundles), so
-# they draw apart; and in the last two examples 2 * 3 runs * 53 gaps
-# pass BLOCK_ELEMENTS while one point's 3 * 53 fit, so the members run
-# one at a time.
+# they draw apart; and in the last two examples two members' 2 * 53 gaps
+# fit BLOCK_ELEMENTS but two runs of them do not, so each run is a block.
 _PAIRS = [[_SHARING_COSTS[0], _EQUAL_PHASE_COSTS[0]], [_SHARING_COSTS[1], _EQUAL_PHASE_COSTS[1]]]
 
 
@@ -574,22 +579,26 @@ def _group(points, concurrency, rate=1.0, horizon=20.0, n_runs=3):
 
 @st.composite
 def draw_groups(draw):
-    """A base seed and one to three points whose run_keys differ only in
-    costs, in either mode: the first feasible of a few drawn points and
-    those that share its key but for costs."""
-    candidates = _group(
-        draw(st.lists(st.tuples(st.sampled_from(_SHARING_COSTS + _EQUAL_PHASE_COSTS),
-                                st.sampled_from(_CAPACITIES), st.sampled_from(_CAPACITIES)),
-                      min_size=1, max_size=6)),
-        draw(st.sampled_from([SERIAL, PIPELINED])),
-        rate=draw(st.sampled_from([0.0, 0.2, 1.0, 3.0])),
-        horizon=draw(st.floats(1.0, 30.0)),
-        n_runs=draw(st.integers(1, 3)),
-    )
-    keyed = [(point, key) for point in candidates if (key := engine.run_key(*point))]
-    assume(keyed)
-    points = [point for point, key in keyed if key[1:] == keyed[0][1][1:]]
-    return points[:3], draw(st.integers(0, 3))
+    """A base seed and one to four feasible points of one run count, each
+    with its own costs, capacities, rate, horizon and mode, drawn from a
+    few values of each so that some share a draw group and some do not."""
+    rates = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0, 3.0]), min_size=1, max_size=2))
+    horizons = draw(st.lists(st.floats(1.0, 30.0), min_size=1, max_size=2))
+    n_runs = draw(st.integers(1, 3))
+    candidates = [
+        (costs, SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n_runs,
+                          client_capacity_bytes=client, server_capacity_bytes=server,
+                          concurrency=concurrency))
+        for costs, client, server, rate, horizon, concurrency in draw(st.lists(
+            st.tuples(st.sampled_from(_SHARING_COSTS + _EQUAL_PHASE_COSTS),
+                      st.sampled_from(_CAPACITIES), st.sampled_from(_CAPACITIES),
+                      st.sampled_from(rates), st.sampled_from(horizons),
+                      st.sampled_from([SERIAL, PIPELINED])),
+            min_size=1, max_size=8))
+    ]
+    points = [point for point in candidates if engine.run_key(*point)]
+    assume(points)
+    return points[:4], draw(st.integers(0, 3))
 
 
 # Three points whose capacities differ but each hold two bundles (20 and
@@ -601,6 +610,14 @@ _TWO_BUNDLES = [
     (_SHARING_COSTS[1], math.inf, 20.0),
 ]
 
+# Two draw groups at two rates, horizons and modes, and a third of one
+# point whose cap (4 bundles) parts it from the pipelined pair (2).
+_MIXED = (
+    _group(_TWO_BUNDLES[:2], PIPELINED)
+    + _group(_TWO_BUNDLES, SERIAL, rate=3.0, horizon=7.5)
+    + _group([(_SHARING_COSTS[0], 40.0, math.inf)], PIPELINED)
+)
+
 
 @settings(max_examples=60, deadline=None)
 @given(draw_groups(), st.one_of(st.none(), st.integers(1, 600)))
@@ -608,54 +625,42 @@ _TWO_BUNDLES = [
 @example((_group(_TWO_BUNDLES, PIPELINED), 1), 400)  # blocks of two runs and one
 @example((_group(_TWO_BUNDLES, SERIAL), 0), 60)  # a block per run
 @example((_group(_TWO_BUNDLES[:1], PIPELINED), 2), None)
+@example((_MIXED, 3), None)
+@example((_MIXED, 3), 400)  # the serial trio's 3 * 57 gaps make blocks of two runs and one
 def test_run_group_matches_each_point_alone(group, block):
     """run_group against each point's run_many alone and the reference
-    engine, bit for bit, with BLOCK_ELEMENTS (block, when given) small
-    enough that some groups span several blocks; without the caller's
-    Gaps, and with them when the group fits one block, which alone may
-    take them."""
+    engine, bit for bit, over points of several rates, horizons, modes and
+    caps in one call, with BLOCK_ELEMENTS (block, when given) small enough
+    that some calls span several blocks."""
     points, seed = group
-    config = points[0][1]
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(engine, "BLOCK_ELEMENTS", block)
         alone = [run_many(costs, cfg, seed) for costs, cfg in points]
-        results = [run_group(points, seed)]
-        gaps = arrivals.Gaps(range(seed, seed + config.n_runs))
-        if engine.one_block(config, len(points)):
-            results.append(run_group(points, seed, gaps))
-        else:
-            with pytest.raises(ValueError, match="one block"):
-                run_group(points, seed, gaps)
+        result = run_group(points, seed)
     references = [desim_oracle.run_many(costs, cfg, seed) for costs, cfg in points]
-    for result in results:
-        assert len(result) == len(points)
-        for mine, one, reference in zip(result, alone, references):
-            _assert_same_metrics(mine, one)
-            _assert_same_metrics(mine, reference)
+    assert len(result) == len(points)
+    for mine, one, reference in zip(result, alone, references):
+        _assert_same_metrics(mine, one)
+        _assert_same_metrics(mine, reference)
 
 
 @pytest.mark.parametrize("points, concurrency, other", [
-    ([(_SHARING_COSTS[0], math.inf, math.inf)], SERIAL, {"arrival_rate": 2.0}),
     ([(_SHARING_COSTS[0], math.inf, math.inf)], SERIAL, {"n_runs": 2}),
-    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED, {"client_capacity_bytes": 30.0}),
-    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED, {"concurrency": SERIAL}),
+    ([(_SHARING_COSTS[0], math.inf, math.inf)], SERIAL, {"n_runs": 1, "arrival_rate": 2.0}),
+    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED,
+     {"n_runs": 4, "client_capacity_bytes": 40.0}),
+    ([(_SHARING_COSTS[0], 20.0, math.inf)], PIPELINED, {"n_runs": 2, "concurrency": SERIAL}),
 ])
-def test_run_group_rejects_points_that_differ_beyond_costs(points, concurrency, other):
+def test_run_group_rejects_points_of_different_run_counts(points, concurrency, other):
+    """A second point of another run count is refused; of the same run
+    count, it is run beside the first whatever else differs."""
     group = _group(points, concurrency)
-    group.append((_SHARING_COSTS[2], dataclasses.replace(group[0][1], **other)))
-    with pytest.raises(ValueError, match="differ only in costs"):
-        run_group(group)
-
-
-def test_run_group_rejects_gaps_for_points_beyond_one_block(monkeypatch):
-    group = _group(_TWO_BUNDLES, PIPELINED)
-    gaps = arrivals.Gaps(range(3))
-    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 3 * 3 * arrivals.draw_size(1.0, 20.0) - 1)
-    assert engine.one_block(group[0][1], 2)
-    with pytest.raises(ValueError, match="one block"):
-        run_group(group, 0, gaps)
-    assert gaps.kept.size == 0
+    config = group[0][1]
+    with pytest.raises(ValueError, match="share a run count"):
+        run_group(group + [(_SHARING_COSTS[2], dataclasses.replace(config, **other))])
+    same_runs = dataclasses.replace(config, **{**other, "n_runs": config.n_runs})
+    assert len(run_group(group + [(_SHARING_COSTS[2], same_runs)])) == 2
 
 
 def _counted(into, function, record=lambda *args: args):
@@ -687,13 +692,14 @@ def _counted_draws(monkeypatch) -> list[tuple]:
 def test_fig4_draws_each_rate_once(tmp_path, monkeypatch, capsys):
     """fig4's sg and cg points at one rate differ only in costs, so the
     full profile draws each of its five rates' arrivals once and steps
-    both protocols over that draw, in five run_group calls of two points."""
+    both protocols over that draw: one run_group call of ten points in
+    five draw groups."""
     sizes = []
     draws = _counted_draws(monkeypatch)
-    monkeypatch.setattr(sweep, "run_group",
-                        _counted(sizes, run_group, lambda points, *_: len(points)))
+    monkeypatch.setattr(sweep, "run_group", _counted(
+        sizes, run_group, lambda points, *_: (len(points), _draw_groups(points))))
     assert main(["sweep", "@fig4_c100", "--jobs", "1", "--out", str(tmp_path)]) == 0
-    assert sizes == [2] * 5
+    assert sizes == [(10, 5)]
     assert sorted(rate for rate, *_ in draws) == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
 
 
@@ -701,10 +707,13 @@ class _FreshContextPool:
     """A ProcessPoolExecutor whose workers start with an empty context, as
     under the forkserver and spawn start methods: map runs each call in a
     new contextvars.Context, on pickled copies of the function and its
-    arguments, and returns a pickled copy of the result."""
+    arguments, and returns a pickled copy of the result. It starts no
+    process; each instance's max_workers is appended to `sizes`."""
+
+    sizes: list = []
 
     def __init__(self, max_workers=None):
-        pass
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -723,15 +732,29 @@ def test_fig4_in_workers_draws_each_rate_once_under_any_start_method(
     tmp_path, monkeypatch, capsys
 ):
     """Workers get whole draw groups, so a group is drawn once however its
-    worker starts, and the CSV is the serial one."""
+    worker starts, and the CSV is the serial one. The five groups are
+    dealt into two chunks, so the 100 seeds are hashed twice, once per
+    worker's run_group call."""
     out = {jobs: tmp_path / jobs for jobs in ("1", "2")}
     assert main(["sweep", "@fig4_c100", "--jobs", "1", "--out", str(out["1"])]) == 0
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FreshContextPool)
     draws = _counted_draws(monkeypatch)
+    made = []
+    monkeypatch.setattr(engine, "Gaps", _counted(made, engine.Gaps, len))
     assert main(["sweep", "@fig4_c100", "--jobs", "2", "--out", str(out["2"])]) == 0
     assert sorted(rate for rate, *_ in draws) == [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
+    assert made == [100, 100]
     csv = "fig4_c100.csv"
     assert (out["2"] / csv).read_bytes() == (out["1"] / csv).read_bytes()
+
+
+def test_run_points_starts_no_more_workers_than_chunks(tmp_path, monkeypatch, capsys):
+    """fig4's five draw groups make five chunks at most, so --jobs 16 asks
+    the pool for five workers. The stand-in pool starts no process."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FreshContextPool)
+    monkeypatch.setattr(_FreshContextPool, "sizes", [])
+    assert main(["sweep", "@fig4_c100", "--jobs", "16", "--out", str(tmp_path)]) == 0
+    assert _FreshContextPool.sizes == [5]
 
 
 def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
@@ -765,7 +788,6 @@ def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
         for rate in (0.5, 2.0, 1.0)
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
-    monkeypatch.setattr(sweep, "Gaps", WatchedGaps)
     monkeypatch.setattr(engine, "Gaps", WatchedGaps)
     for _ in range(2):
         generators.clear()
@@ -783,6 +805,23 @@ def test_run_points_seeds_each_seed_once_per_call(monkeypatch):
             fresh = np.random.default_rng(seed)
             fresh.standard_exponential(widest[seed])
             assert rng.bit_generator.state == fresh.bit_generator.state, seed
+
+
+def test_points_of_several_blocks_hash_each_seed_once(monkeypatch):
+    """Three points at two rates whose runs span a block each still build
+    each seed's generator once in one run_points call: both draw groups
+    read every block's Gaps."""
+    tasks = [
+        (c, SimConfig(arrival_rate=rate, horizon_s=50.0, n_runs=4, concurrency=SERIAL), 0)
+        for c, rate in ((_SHARING_COSTS[0], 0.5), (_SHARING_COSTS[0], 2.0),
+                        (_SHARING_COSTS[1], 2.0))
+    ]
+    expected = _cells([sweep_point(*t) for t in tasks])
+    blocks = []
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", arrivals.draw_size(2.0, 50.0))
+    monkeypatch.setattr(engine, "Gaps", _counted(blocks, engine.Gaps, list))
+    assert _cells(run_points(tasks, 1)) == expected
+    assert blocks == [[0], [1], [2], [3]]
 
 
 @st.composite
@@ -808,48 +847,62 @@ def gap_points(draw):
     st.one_of(st.none(), st.integers(0, 600)),
 )
 @example([(1.0, 50.0, 0), (0.5, 50.0, 1), (2.0, 50.0, 0)], 0, 3, 4, None)  # many segments
-@example([(1.0, 50.0, 0), (2.0, 50.0, 0)], 0, 4, 4, 400)  # one kept, one in blocks
-@example([(2.0, 100.0, 0), (0.2, 100.0, 2)], 5, 4, None, 300)  # a block per run, then kept
-@example([(1.0, 50.0, 0), (3.0, 50.0, 1)], 0, 2, None, 0)  # nothing kept
-@example([(0.5, 50.0, 0), (0.5, 50.0, 1), (1.0, 50.0, 0)], 0, 3, None, None)  # range replaced
+@example([(1.0, 50.0, 0), (2.0, 50.0, 0)], 0, 4, 4, 400)  # two rates, one block
+@example([(2.0, 100.0, 0), (0.2, 100.0, 2)], 5, 4, None, 300)  # a block per run, then one
+@example([(1.0, 50.0, 0), (3.0, 50.0, 1)], 0, 2, None, 0)  # a block per run
+@example([(0.5, 50.0, 0), (0.5, 50.0, 1), (1.0, 50.0, 0)], 0, 3, None, None)  # two seed ranges
 def test_kept_gaps_match_per_run_draws(points, base, n, draw, block):
-    """Points run through run_group as run_points runs them, the same
-    seeds at several rates and horizons, each one-block point reading the
-    one Gaps kept for its seed range, against one generator per seed:
-    every run's arrivals bit for bit, with BLOCK_ELEMENTS (block, when
-    given) small enough that some points span several blocks, which draw
-    from new Gaps. The kept Gaps hold each seed's first gaps."""
+    """Points run through run_group as run_points runs them, one call per
+    seed range, the same seeds at several rates and horizons, against one
+    generator per seed: every run's arrivals bit for bit, with
+    BLOCK_ELEMENTS (block, when given) small enough that some calls span
+    several blocks. A call hashes each of its seeds once, and each block's
+    Gaps keeps its seeds' first gaps."""
     costs = _SHARING_COSTS[0]
+    made = []
+    calls = []
     drawn = []
+
+    class WatchedGaps(arrivals.Gaps):
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            self.seeds = seeds
+            made.append(self)
+
+    ranges = {}
+    for rate, horizon, offset in points:
+        cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n, concurrency=SERIAL)
+        ranges.setdefault(range(base + offset, base + offset + n), []).append((costs, cfg))
     with pytest.MonkeyPatch.context() as mp:
         if draw is not None:
             mp.setattr(arrivals, "draw_size", _fixed_draw(draw))
             mp.setattr(desim_oracle, "draw_size", _fixed_draw(draw))
         if block is not None:
             mp.setattr(engine, "BLOCK_ELEMENTS", block)
-        # each block's arrivals, cut to its widest run, as summarize_run reads them
+        mp.setattr(engine, "Gaps", WatchedGaps)
+        mp.setattr(engine, "poisson_arrival_times", _counted(calls, engine.poisson_arrival_times))
+        # each draw's arrivals, cut to its widest run, as summarize_run reads them
         mp.setattr(engine, "summarize_run",
                    _counted(drawn, summarize_run, lambda times, *_: times))
-        kept = {}
-        for rate, horizon, offset in points:
-            seeds = range(base + offset, base + offset + n)
-            cfg = SimConfig(arrival_rate=rate, horizon_s=horizon, n_runs=n, concurrency=SERIAL)
-            gaps = None
-            if engine.one_block(cfg, 1):
-                if seeds not in kept:
-                    kept = {seeds: arrivals.Gaps(seeds)}
-                gaps = kept[seeds]
-            drawn.clear()
-            run_group([(costs, cfg)], seeds.start, gaps)
-            rows = [row[row < math.inf] for times in drawn for row in times]
-            assert len(rows) == n
-            for row, seed in zip(rows, seeds):
-                assert np.array_equal(row, desim_oracle.draw_arrivals(rate, horizon, seed))
-        for seeds, gaps in kept.items():
-            width = gaps.kept.shape[1]
-            for row, seed in zip(gaps.kept, seeds):
-                assert np.array_equal(
-                    row, np.random.default_rng(seed).standard_exponential(width))
+        for seeds, group in ranges.items():
+            run_group(group, seeds.start)
+        assert len(calls) == len(drawn)
+        read = collections.Counter()
+        for (rate, horizon, gaps), times in zip(calls, drawn):
+            assert len(times) == len(gaps.seeds)
+            for row, seed in zip(times, gaps.seeds):
+                assert np.array_equal(row[row < math.inf],
+                                      desim_oracle.draw_arrivals(rate, horizon, seed))
+                read[rate, horizon, seed] += 1
+    assert read == collections.Counter(
+        (rate, horizon, seed)
+        for rate, horizon, offset in set(points) for seed in range(base + offset, base + offset + n)
+    )
+    assert sorted(s for gaps in made for s in gaps.seeds) == sorted(s for r in ranges for s in r)
+    for gaps in made:
+        width = gaps.kept.shape[1]
+        for row, seed in zip(gaps.kept, gaps.seeds):
+            assert np.array_equal(row, np.random.default_rng(seed).standard_exponential(width))
 
 
 @settings(max_examples=200, deadline=None)
@@ -870,29 +923,26 @@ def test_gaps_read_each_seeds_first_gaps(reads, seeds):
 
 
 def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
-    """With BLOCK_ELEMENTS small enough that two of a cost's three points
-    span several blocks, those draw from new Gaps per block and leave the
-    kept ones alone: the kept matrix never passes BLOCK_ELEMENTS, no
-    block's Gaps outlives its draw, and every cell is as without a kept
-    matrix. Live Gaps are tracked by weak reference."""
+    """With BLOCK_ELEMENTS small enough that three points at each of three
+    rates span two blocks of two runs, each block draws from one new Gaps
+    that all three draw groups read: its kept matrix never passes
+    BLOCK_ELEMENTS, no block's Gaps outlives its block, and every cell is
+    as sweep_point gives it. Live Gaps are tracked by weak reference."""
     peaks = []
     rows = []
-    live = {"kept": weakref.WeakSet(), "block": weakref.WeakSet()}
+    live = weakref.WeakSet()
 
-    def watched(kind):
-        class WatchedGaps(arrivals.Gaps):
-            def __init__(self, seeds):
-                super().__init__(seeds)
-                rows.append(len(seeds))
-                live[kind].add(self)
+    class WatchedGaps(arrivals.Gaps):
+        def __init__(self, seeds):
+            super().__init__(seeds)
+            rows.append(len(seeds))
+            live.add(self)
 
-            def first(self, n):
-                gaps = super().first(n)
-                peaks.append(sum(g.kept.size for g in live["kept"]))
-                assert len(live["kept"]) == 1 and len(live["block"]) <= 1
-                return gaps
-
-        return WatchedGaps
+        def first(self, n):
+            gaps = super().first(n)
+            peaks.append(sum(g.kept.size for g in live))
+            assert len(live) == 1
+            return gaps
 
     tasks = [
         (c, SimConfig(arrival_rate=rate, horizon_s=60.0, n_runs=4, concurrency=SERIAL), 0)
@@ -900,17 +950,17 @@ def test_run_points_keeps_at_most_block_elements_gaps(monkeypatch):
         for rate in (0.5, 2.0, 1.0)
     ]
     expected = _cells([sweep_point(*t) for t in tasks])
-    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 400)
-    monkeypatch.setattr(sweep, "Gaps", watched("kept"))
-    monkeypatch.setattr(engine, "Gaps", watched("block"))
+    block = 2 * len(_SHARING_COSTS) * arrivals.draw_size(2.0, 60.0)
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(engine, "Gaps", WatchedGaps)
     gc.disable()
     try:
         assert _cells(run_points(tasks, 1)) == expected
     finally:
         gc.enable()
-    assert rows == [4] + [2, 2, 3, 1] * len(_SHARING_COSTS)
-    assert 0 < max(peaks) <= 400
-    assert not live["kept"] and not live["block"]
+    assert rows == [2, 2]
+    assert 0 < max(peaks) <= block
+    assert not live
 
 
 def test_sweep_in_workers_writes_the_same_csv(tmp_path, capsys):

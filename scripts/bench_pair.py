@@ -19,10 +19,14 @@ Then a fresh-process stage times what users wait for: --pairs pairs of
 each FRESH command, `python -c pass` as the floor and fresh
 `python -m pisim ...` runs, base and change interleaved, command by
 command, with the same alternating order. Each side first runs every
-command once untimed, so both start from their own compiled bytecode.
-Every run has OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and
-a new temporary directory as its working directory, where sweeps write
-their CSVs. Wall time comes from time.perf_counter and CPU time from the
+command once untimed, so both start from their own compiled bytecode:
+the fresh runs' environment drops PYTHONDONTWRITEBYTECODE, under which
+that run would write none and every timed run would compile src/ again.
+The perfbench runs keep the environment they inherit, as the benchmark
+runs them; `bytecode` in the output records which setting each stage
+ran with. Every fresh run has OPENBLAS_NUM_THREADS=1, its tree's src/
+on PYTHONPATH and a new temporary directory as its working directory,
+where sweeps write their CSVs. Wall time comes from time.perf_counter and CPU time from the
 change in resource.getrusage(RUSAGE_CHILDREN). Under `fresh` the output
 holds, per command, both sides' medians, interquartile ranges and runs
 of wall_s and cpu_s, the pairs the change won, and each pair whose
@@ -67,6 +71,8 @@ NOTES = [
 # name: the interpreter's arguments
 FRESH = {
     "floor": ["-c", "pass"],
+    # the path of perfbench's set-up probe: start-up and the cost model's load
+    "startup": ["-c", "import pisim.cli; pisim.cli.load_shipped_model()"],
     "cost": ["-m", "pisim", "cost"],
     # the serial config of output_digest.py's blocks group: five blocks of runs
     "simulate": ["-m", "pisim", "simulate", "--rates", "0.5", "--horizon", "86400",
@@ -137,7 +143,8 @@ def fresh_run(tree: Path, args: list[str]) -> dict:
     """One fresh interpreter in a new working directory: wall and CPU
     seconds, and its stdout and output files (by relative path), or an
     error."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env |= {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as cwd:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
@@ -194,7 +201,10 @@ def main() -> int:
     out = {"base": {"rev": args.base, "commit": git("rev-parse", args.base)},
            "change": {"head": git("rev-parse", "HEAD"),
                       "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))},
-           "pairs": args.pairs, "seconds": args.seconds, "notes": NOTES, "workloads": {}}
+           "pairs": args.pairs, "seconds": args.seconds, "notes": NOTES,
+           # PYTHONDONTWRITEBYTECODE as each stage's runs saw it
+           "bytecode": {"perfbench": os.environ.get("PYTHONDONTWRITEBYTECODE"), "fresh": None},
+           "workloads": {}}
     with tempfile.TemporaryDirectory() as tmp:
         base_tree, change_tree = Path(tmp, "base"), Path(tmp, "change")
         shutil.copytree(ROOT, change_tree, ignore=shutil.ignore_patterns(".git", "__pycache__"))

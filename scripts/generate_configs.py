@@ -1,8 +1,12 @@
 """Regenerate the packaged config files under src/pisim/configs/.
 
+    PYTHONPATH=src python3 scripts/generate_configs.py
+
 Latency numbers are the measured testbed values; comm and storage
 columns are filled in from the structural byte model so the shipped
-table is self-consistent with the calibration code.
+table is self-consistent with the calibration code. The shipped fit,
+measured_costs.fit, is the cost model `calibrate()` fits from that
+table, written by `write_fit`.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from pisim.costmodel import (
     offline_comm,
     online_comm,
     storage_deltas,
+    read_measured_costs,
     write_measured_costs,
 )
+from pisim.costmodel.calibrate import calibrate
+from pisim.costmodel.shipped import FIT_FILENAME, write_fit
 from pisim.costmodel.tables import KNOB_COLUMNS
 from pisim.netarch import build_preset, serialize
 
@@ -83,6 +90,13 @@ def make_costs() -> str:
     return buf.getvalue()
 
 
+def make_fit(costs: str) -> str:
+    """The fit file of the measured-costs table text costs."""
+    buf = io.StringIO()
+    write_fit(buf, calibrate(read_measured_costs(io.StringIO(costs))), costs)
+    return buf.getvalue()
+
+
 def make_optimizations() -> str:
     lines = ["\t".join(KNOB_COLUMNS)]
     for name, (*factors, notes) in OPTIMIZATIONS.items():
@@ -92,7 +106,9 @@ def make_optimizations() -> str:
 
 def main() -> None:
     CONFIG_DIR.mkdir(parents=True, exist_ok=True)
-    (CONFIG_DIR / "measured_costs.tsv").write_text(make_costs())
+    costs = make_costs()
+    (CONFIG_DIR / "measured_costs.tsv").write_text(costs)
+    (CONFIG_DIR / FIT_FILENAME).write_text(make_fit(costs))
     (CONFIG_DIR / "optimizations.tsv").write_text(make_optimizations())
     arch_dir = CONFIG_DIR / "archs"
     arch_dir.mkdir(exist_ok=True)

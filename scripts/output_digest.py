@@ -8,7 +8,8 @@ The groups are the outputs a refactor must leave byte-identical:
             model x dataset x protocol under 14 mode, knob and bandwidth
             variants
   rates     the calibrated rates (as float.hex) and the repr of the
-            CalibrationReport, fit from the shipped table
+            CalibrationReport of the shipped model, as load_shipped_model
+            reads them from the shipped fit file
   sweeps    the full-profile CSVs of `sweep @fig4_c100` and `@fig5_tiny`
   blocks    stdout and CSV of `simulate` at 0.5 req/s over 24 h with 100
             runs, serial and pipelined: each point spans five blocks of

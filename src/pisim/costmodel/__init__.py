@@ -1,10 +1,14 @@
 """Calibrated latency, communication, and storage model.
 
 The fit itself is `pisim.costmodel.calibrate.calibrate`; the package
-attribute `calibrate` is that submodule.
+attribute `calibrate` is that submodule, imported on first use (PEP 562),
+since it needs numpy and the package does not. `load_shipped_model`
+reads the shipped fit as data (see `shipped`) and fits only a table
+whose text differs from the one that fit holds.
 """
 
-from .calibrate import load_shipped_model
+import importlib
+
 from .comm import (
     BASE_OT_BYTES_PER_DIRECTION,
     CG_EVALUATOR_STATE_BYTES_PER_RELU,
@@ -19,6 +23,7 @@ from .comm import (
 )
 from .query import phase_costs
 from .regimes import Regime, classify_regime
+from .shipped import load_shipped_model
 from .tables import (
     TableFormatError,
     get_optimization,
@@ -74,3 +79,9 @@ __all__ = [
     "storage_deltas",
     "write_measured_costs",
 ]
+
+
+def __getattr__(name: str):
+    if name == "calibrate":
+        return importlib.import_module(".calibrate", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

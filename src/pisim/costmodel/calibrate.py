@@ -21,17 +21,15 @@ residuals are within the tolerances below.
 
 from __future__ import annotations
 
-import functools
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..netarch import build_preset, canonical_dataset
+from ..netarch import build_preset
 from .comm import CommInputs, storage_deltas
 from .formula import Columns, compute_seconds
 from .query import component_costs, measured_phases
-from .tables import MEASURED_COSTS_FILENAME, open_config, read_measured_costs
+from .tables import measured_table
 from .types import (
     CalibrationReport,
     CostModel,
@@ -194,30 +192,11 @@ def calibrate(rows: list[MeasuredCosts]) -> CostModel:
         offline_rates=_solve(offline),
         online_rates=_solve(online),
         calibrated_bandwidth=float(views[0].row.bandwidth_bytes_per_s),
-        table={(r.protocol, r.model, canonical_dataset(r.dataset)): r for r in rows},
+        table=measured_table(rows),
     )
     model = replace(model, report=_build_report(model, views))
     _validate(model.report)
     return model
-
-
-def load_shipped_model() -> CostModel:
-    """Calibrate from the packaged measured-costs table, or its shadow
-    under PISIM_CONFIG_DIR.
-
-    The table is read on every call, but a table whose text equals the
-    last one fitted is not fitted again, so repeated loads of one table
-    fit it once. The returned model is shared between such calls and
-    must not be mutated. A table that fails to parse or calibrate is not
-    kept.
-    """
-    with open_config(MEASURED_COSTS_FILENAME) as stream:
-        return _calibrate_text(stream.read())
-
-
-@functools.lru_cache(maxsize=1)
-def _calibrate_text(text: str) -> CostModel:
-    return calibrate(read_measured_costs(io.StringIO(text)))
 
 
 def _build_report(model: CostModel, views: list[_RowView]) -> CalibrationReport:

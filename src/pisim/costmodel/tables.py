@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
+from ..netarch import canonical_dataset
 from .types import (
     KNOB_FACTORS,
     CostModelError,
@@ -80,6 +81,12 @@ def write_measured_costs(stream: TextIO, rows: Iterable[MeasuredCosts]) -> None:
         writer.writerow(_CELLS[f.type][1](getattr(row, f.name)) for f in _COST_FIELDS)
 
 
+def measured_table(rows: Iterable[MeasuredCosts]) -> dict[tuple, MeasuredCosts]:
+    """The rows by (protocol, model, canonical dataset), as table-mode
+    queries look them up."""
+    return {(r.protocol, r.model, canonical_dataset(r.dataset)): r for r in rows}
+
+
 def read_optimizations(stream: TextIO) -> dict[str, OptimizationKnobs]:
     rows = _read_rows(stream, "optimizations", KNOB_COLUMNS[:-1], lambda raw: OptimizationKnobs(
         name=raw["name"].strip(), **{f: float(raw[f]) for f in KNOB_FACTORS}))
@@ -99,6 +106,11 @@ def open_config(filename: str):
         path = override / filename
         if path.exists():
             return path.open("r", encoding="utf-8")
+    return open_shipped(filename)
+
+
+def open_shipped(filename: str):
+    """Open a config file shipped in the package, whatever PISIM_CONFIG_DIR holds."""
     ref = resources.files("pisim").joinpath("configs").joinpath(filename)
     return ref.open("r", encoding="utf-8")
 

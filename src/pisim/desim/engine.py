@@ -54,9 +54,11 @@ one run count, over one realization of each seed (common random
 numbers): run r of every point reads its gaps from
 np.random.default_rng(base_seed + r)'s stream. The points whose run_keys
 differ only in costs form a draw group. Each block's seeds are hashed
-once, into one Gaps dropped after the block, and every group draws its
-arrivals from it at its own rate and horizon and steps and summarizes
-its points over them as one matrix. Each point is then aggregated with
+once, into one Gaps dropped after the block and widened once to the
+widest first segment of its groups (split draws equal one draw, so this
+moves no bit), and every group draws its arrivals from it at its own
+rate and horizon and steps and summarizes its points over them as one
+matrix. Each point is then aggregated with
 its own costs and config: under pipelined serving equal keys mean equal
 capacity_bundles, so a group shares its cap, but not the capacities
 that give it. run_many is a group of one.
@@ -256,10 +258,13 @@ def run_group(
         groups.setdefault(run_key(*point)[1:], []).append(i)
     widest = max(len(members) * draw_size(*key[:2]) for key, members in groups.items())
     per_block = max(1, BLOCK_ELEMENTS // widest)
+    # the widest first segment of a group that draws at all
+    first = max((draw_size(*key[:2]) for key in groups if key[0] > 0), default=0)
     means = np.empty((len(points), 4, n))
     completed, arrived, most = ([0] * len(points) for _ in range(3))
     for lo in range(0, n, per_block):
         gaps = Gaps(range(base_seed + lo, base_seed + min(lo + per_block, n)))
+        gaps.first(first)  # one widening for every group's first segment
         for members in groups.values():
             config = points[members[0]][1]
             times = poisson_arrival_times(config.arrival_rate, config.horizon_s, gaps)

@@ -26,6 +26,8 @@ pisim._kernels), and `encode`, which skips it when every value already
 lies in [0, p), as a block of the sampled inputs does.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from .errors import PisimError

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pisim.cli
 import pisim.costmodel
 from pisim.costmodel import (
     CommInputs,
@@ -23,7 +24,8 @@ from pisim.costmodel import (
     write_measured_costs,
 )
 from pisim.costmodel.calibrate import calibrate, nnls
-from pisim.costmodel.tables import read_optimizations
+from pisim.costmodel.shipped import FIT_FILENAME, write_fit
+from pisim.costmodel.tables import MEASURED_COSTS_FILENAME, open_shipped, read_optimizations
 from pisim.netarch import build_preset
 
 
@@ -76,11 +78,16 @@ def test_calibrated_protocols_cover_both(cm):
     assert cm.calibrated_protocols == frozenset(Protocol)
 
 
-def test_package_attribute_calibrate_is_the_submodule():
+def test_package_attribute_calibrate_is_the_submodule(monkeypatch):
     calibrate_module = sys.modules["pisim.costmodel.calibrate"]
     assert pisim.costmodel.calibrate is calibrate_module
     assert pisim.costmodel.calibrate.calibrate is calibrate
     assert "calibrate" not in pisim.costmodel.__all__
+    # until the submodule's import binds it, the package imports it on first use
+    monkeypatch.delattr(pisim.costmodel, "calibrate")
+    assert pisim.costmodel.calibrate is calibrate_module
+    with pytest.raises(AttributeError, match="^module 'pisim.costmodel' has no attribute 'fit'$"):
+        pisim.costmodel.fit
 
 
 def test_tight_tolerance_rejected(rows, monkeypatch):
@@ -326,3 +333,70 @@ def test_the_shipped_fit_is_kept_per_table_text(rows, tmp_path, monkeypatch):
     monkeypatch.delenv("PISIM_CONFIG_DIR")
     again = pisim.costmodel.load_shipped_model()
     assert again is not shadow and again.report == shipped.report
+
+
+def _floats(model):
+    """Every float of a model's fit and report, as float.hex."""
+    report = model.report
+    values = (model.gc_bytes_per_relu, *model.offline_rates, *model.online_rates,
+              model.calibrated_bandwidth, report.max_latency_residual,
+              report.max_storage_residual,
+              *(x for _, off, on in report.row_residuals for x in (off, on)),
+              *report.he_share_anchors.values())
+    return [v.hex() for v in values]
+
+
+def test_the_shipped_fit_is_the_fit_of_the_shipped_table(monkeypatch):
+    """The fit file is derived data, like a lockfile: refitting the packaged
+    table gives the loaded model to the last bit, and the file is what
+    write_fit writes for that refit. After editing measured_costs.tsv,
+    rerun scripts/generate_configs.py."""
+    monkeypatch.delenv("PISIM_CONFIG_DIR", raising=False)
+    with open_shipped(MEASURED_COSTS_FILENAME) as stream:
+        table_text = stream.read()
+    with open_shipped(FIT_FILENAME) as stream:
+        fit_text = stream.read()
+    refit = calibrate(read_measured_costs(io.StringIO(table_text)))
+    loaded = pisim.costmodel.load_shipped_model()
+    assert loaded == refit
+    assert _floats(loaded) == _floats(refit)
+    written = io.StringIO()
+    write_fit(written, refit, table_text)
+    assert written.getvalue() == fit_text
+
+
+def _shadow(tmp_path, monkeypatch, rows):
+    with open(tmp_path / MEASURED_COSTS_FILENAME, "w") as fh:
+        write_measured_costs(fh, rows)
+    monkeypatch.setenv("PISIM_CONFIG_DIR", str(tmp_path))
+
+
+def test_a_shadow_with_one_latency_edited_is_refit(rows, tmp_path, monkeypatch):
+    shipped = pisim.costmodel.load_shipped_model()
+    edited = [dataclasses.replace(rows[0], online_latency_s=rows[0].online_latency_s * 1.02),
+              *rows[1:]]
+    _shadow(tmp_path, monkeypatch, edited)
+    shadow = pisim.costmodel.load_shipped_model()
+    refit = calibrate(load_shipped_costs())  # the shadow's rows, as written
+    assert refit.table != shipped.table
+    assert shadow == refit
+    assert _floats(shadow) == _floats(refit)
+    assert shadow.online_rates != shipped.online_rates
+    assert pisim.costmodel.load_shipped_model() is shadow
+
+
+def test_a_shadow_that_fails_validation_raises_as_its_fit_does(rows, tmp_path, monkeypatch,
+                                                                capsys):
+    edited = [dataclasses.replace(rows[0], online_latency_s=rows[0].online_latency_s * 3),
+              *rows[1:]]
+    with pytest.raises(InconsistentRows) as fitted:
+        calibrate(edited)
+    pisim.costmodel.load_shipped_model()  # the shipped fit must not hide a bad table
+    _shadow(tmp_path, monkeypatch, edited)
+    with pytest.raises(InconsistentRows) as loaded:
+        pisim.costmodel.load_shipped_model()
+    assert str(loaded.value) == str(fitted.value)
+    assert str(fitted.value).startswith("latency residuals exceed 10%: sg/resnet32/c100")
+    capsys.readouterr()
+    assert pisim.cli.main(["cost"]) == InconsistentRows.exit_code == 2
+    assert capsys.readouterr().err == f"error: {fitted.value}\n"

@@ -248,22 +248,34 @@ def test_knobs_pick_the_mode_when_none_is_given(command, knobs, mode, tmp_path, 
 
 
 def test_cli_imports_no_scipy_or_numba():
-    # nor a process pool, which only sweep --jobs N > 1 needs
+    # nor a process pool, which only sweep --jobs N > 1 needs, nor
+    # numpy.random and the OpenSSL modules it brings, which only a draw
+    # needs: neither at start-up nor in a cost run
     code = (
-        "import sys, pisim.cli; pisim.cli.load_shipped_model(); "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & "
-        "{'scipy', 'numba', 'multiprocessing', 'concurrent'}))"
+        "import contextlib, io, sys, pisim.cli\n"
+        "unwanted = ('scipy', 'numba', 'multiprocessing', 'concurrent', 'numpy.random',\n"
+        "            'secrets', 'hmac', '_hashlib')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if any(m == u or m.startswith(u + '.') for u in unwanted))\n"
+        "pisim.cli.load_shipped_model()\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pisim.cli.main(['cost']) == 0\n"
+        "print(loaded())\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_cost_model_imports_no_protocol():
-    # the cost model reads the lowering from netarch, not from the protocol
+    # the cost model reads the lowering from netarch, not from the
+    # protocol, and the shipped fit as data, without the fitter or numpy
     code = (
         "import sys, pisim.costmodel; pisim.costmodel.load_shipped_model(); "
-        "print(sorted(m for m in sys.modules if m.startswith('pisim.protocol')))"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('pisim.protocol', 'pisim.costmodel.calibrate', 'numpy'))))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

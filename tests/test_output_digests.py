@@ -2,10 +2,12 @@
 output_digests.txt: the cost, sweep, simulate and verify outputs a refactor
 must leave byte-identical.
 
-The `rates` group hashes the calibrated rates as float.hex, which come from
-`np.linalg.lstsq`, so it depends on the BLAS and CPU the fit ran on; the
-committed line is that of numpy 2.4.6 with its bundled scipy-openblas
-0.3.31 on x86-64. The check stays exact: a host whose BLAS rounds
+The `rates` group hashes the shipped model's rates as float.hex and the
+repr of its CalibrationReport, read from the shipped fit file
+(configs/measured_costs.fit). That file was fitted with `np.linalg.lstsq`
+under numpy 2.4.6 with its bundled scipy-openblas 0.3.31 on x86-64, so
+the refit in test_calibration.py, which must match it bit for bit,
+depends on the BLAS and CPU it runs on: a host whose BLAS rounds
 differently fails it.
 """
 

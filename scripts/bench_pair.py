@@ -16,17 +16,18 @@ and each side's first environment line (whose src_sha256 names the
 sources that ran).
 
 Then a fresh-process stage times what users wait for: --pairs pairs of
-each FRESH command, `python -c pass` as the floor and fresh
-`python -m pisim ...` runs, base and change interleaved, command by
-command, with the same alternating order. Each side first runs every
-command once untimed, so both start from their own compiled bytecode:
-the fresh runs' environment drops PYTHONDONTWRITEBYTECODE, under which
-that run would write none and every timed run would compile src/ again.
-The perfbench runs keep the environment they inherit, as the benchmark
-runs them; `bytecode` in the output records which setting each stage
-ran with. Every fresh run has OPENBLAS_NUM_THREADS=1, its tree's src/
-on PYTHONPATH and a new temporary directory as its working directory,
-where sweeps write their CSVs. Wall time comes from time.perf_counter and CPU time from the
+each FRESH command, `python -c pass` as the floor, perfbench's set-up
+probe path as `startup` and fresh `python -m pisim ...` runs, base and
+change interleaved, command by command, with the same alternating order.
+Each side first runs every command once untimed, so both start from
+their own compiled bytecode: the fresh runs' environment drops
+PYTHONDONTWRITEBYTECODE, under which that run would write none and every
+timed run would compile src/ again. The perfbench runs keep the
+environment they inherit, as the benchmark runs them; `bytecode` in the
+output records which setting each stage ran with. Every fresh run has
+OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and a new
+temporary directory as its working directory, where sweeps write their
+CSVs. Wall time comes from time.perf_counter and CPU time from the
 change in resource.getrusage(RUSAGE_CHILDREN). Under `fresh` the output
 holds, per command, both sides' medians, interquartile ranges and runs
 of wall_s and cpu_s, the pairs the change won, and each pair whose

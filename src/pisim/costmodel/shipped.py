@@ -59,37 +59,34 @@ def write_fit(stream: TextIO, model: CostModel, table_text: str) -> None:
 def read_fit(stream: TextIO) -> tuple[str, CostModel]:
     """The table text of a fit file, and the model it holds for that table."""
     head, _, table_text = stream.read().partition("\n" + _TABLE_LINE)
-    cells, residuals, anchors = {}, [], {}
+    lines: dict[str, list[list[str]]] = {}
     for line in head.splitlines():
         key, *values = line.split("\t")
-        if key == "row_residual":
-            label, off, on = values
-            residuals.append((label, float.fromhex(off), float.fromhex(on)))
-        elif key == "he_share_anchor":
-            label, share = values
-            anchors[label] = float.fromhex(share)
-        else:
-            cells[key] = values
+        lines.setdefault(key, []).append(values)
 
-    def rates(key: str) -> tuple[float, ...]:
-        return tuple(float.fromhex(v) for v in cells[key])
+    def one(key: str, parse=float.fromhex) -> tuple:
+        """The values of key's one line, parsed."""
+        (values,) = lines[key]
+        return tuple(parse(v) for v in values)
 
     model = CostModel(
-        gc_bytes_per_relu=float.fromhex(cells["gc_bytes_per_relu"][0]),
+        gc_bytes_per_relu=one("gc_bytes_per_relu")[0],
         columns=Columns(
-            conv_areas=tuple(int(a) for a in cells["conv_areas"]),
-            fc_areas=tuple(int(a) for a in cells["fc_areas"]),
-            protocols=tuple(Protocol.parse(p) for p in cells["protocols"]),
+            conv_areas=one("conv_areas", int),
+            fc_areas=one("fc_areas", int),
+            protocols=one("protocols", Protocol.parse),
         ),
-        offline_rates=rates("offline_rates"),
-        online_rates=rates("online_rates"),
-        calibrated_bandwidth=float.fromhex(cells["calibrated_bandwidth"][0]),
+        offline_rates=one("offline_rates"),
+        online_rates=one("online_rates"),
+        calibrated_bandwidth=one("calibrated_bandwidth")[0],
         table=measured_table(read_measured_costs(io.StringIO(table_text))),
         report=CalibrationReport(
-            max_latency_residual=float.fromhex(cells["max_latency_residual"][0]),
-            max_storage_residual=float.fromhex(cells["max_storage_residual"][0]),
-            row_residuals=tuple(residuals),
-            he_share_anchors=anchors,
+            max_latency_residual=one("max_latency_residual")[0],
+            max_storage_residual=one("max_storage_residual")[0],
+            row_residuals=tuple((label, float.fromhex(off), float.fromhex(on))
+                                for label, off, on in lines["row_residual"]),
+            he_share_anchors={label: float.fromhex(share)
+                              for label, share in lines["he_share_anchor"]},
         ),
     )
     return table_text, model

@@ -58,10 +58,10 @@ once, into one Gaps dropped after the block and widened once to the
 widest first segment of its groups (split draws equal one draw, so this
 moves no bit), and every group draws its arrivals from it at its own
 rate and horizon and steps and summarizes its points over them as one
-matrix. Each point is then aggregated with
-its own costs and config: under pipelined serving equal keys mean equal
-capacity_bundles, so a group shares its cap, but not the capacities
-that give it. run_many is a group of one.
+matrix. Each point is then aggregated with its own costs and config:
+under pipelined serving equal keys mean equal capacity_bundles, so a
+group shares its cap, but not the capacities that give it. run_many is
+a group of one.
 
 Capacities reach a feasible run only through capacity_bundles under
 pipelined serving, and not at all under serial serving. run_key is what

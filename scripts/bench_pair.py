@@ -27,11 +27,14 @@ environment they inherit, as the benchmark runs them; `bytecode` in the
 output records which setting each stage ran with. Every fresh run has
 OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and a new
 temporary directory as its working directory, where sweeps write their
-CSVs. Wall time comes from time.perf_counter and CPU time from the
-change in resource.getrusage(RUSAGE_CHILDREN). Under `fresh` the output
-holds, per command, both sides' medians, interquartile ranges and runs
-of wall_s and cpu_s, the pairs the change won, and each pair whose
-stdout or output files differ byte for byte (listed under `differs`).
+CSVs. Wall time comes from time.perf_counter; CPU time (user plus
+system), system CPU time and minor page faults come from the change in
+resource.getrusage(RUSAGE_CHILDREN), since a layout that trades user
+time for page faults shows only in the last two. Under `fresh` the
+output holds, per command, both sides' medians, interquartile ranges and
+runs of wall_s, cpu_s, sys_s and minflt, the pairs the change won, and
+each pair whose stdout or output files differ byte for byte (listed
+under `differs`).
 
 Each run starts in its own session. If the script stops, by an error, a
 timeout, Ctrl-C or SIGTERM, it kills the current run's process group,
@@ -141,9 +144,9 @@ def compare(pairs: list[tuple[float, float]], better: str) -> dict:
 
 
 def fresh_run(tree: Path, args: list[str]) -> dict:
-    """One fresh interpreter in a new working directory: wall and CPU
-    seconds, and its stdout and output files (by relative path), or an
-    error."""
+    """One fresh interpreter in a new working directory: wall, CPU and
+    system CPU seconds, minor page faults, and its stdout and output files
+    (by relative path), or an error."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env |= {"OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory() as cwd:
@@ -156,8 +159,9 @@ def fresh_run(tree: Path, args: list[str]) -> dict:
             return {"error": f"exit {code}: {stderr.decode(errors='replace')[-500:]}"}
         files = {str(f.relative_to(cwd)): f.read_bytes()
                  for f in sorted(Path(cwd).rglob("*")) if f.is_file()}
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return {"wall_s": wall, "cpu_s": cpu, "stdout": stdout, "files": files}
+    sys_s = after.ru_stime - before.ru_stime
+    return {"wall_s": wall, "cpu_s": after.ru_utime - before.ru_utime + sys_s, "sys_s": sys_s,
+            "minflt": after.ru_minflt - before.ru_minflt, "stdout": stdout, "files": files}
 
 
 def fresh(base_tree: Path, change_tree: Path, pairs: int) -> dict:
@@ -184,7 +188,7 @@ def fresh(base_tree: Path, change_tree: Path, pairs: int) -> dict:
                         != (p["change"]["stdout"], p["change"]["files"])],
             **{metric: compare([(p["base"][metric], p["change"][metric]) for _, p in ok],
                                "lower")
-               for metric in ("wall_s", "cpu_s")},
+               for metric in ("wall_s", "cpu_s", "sys_s", "minflt")},
         }
     return out
 

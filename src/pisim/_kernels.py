@@ -1,51 +1,39 @@
 """Modular-arithmetic kernels for the protocol executors, in numpy.
 
 All kernels operate on int64 arrays with entries in [0, p), p the field
-modulus 2**31 - 1 (`pisim.field.FIELD_MODULUS`).
+modulus 2**31 - 1 (`pisim.field.FIELD_MODULUS`), and take inputs with
+zero or more leading batch dimensions, numpy style: an unbatched call
+returns what one input of a batch would.
 
-The conv and matvec share one matrix product, `_matmul_mod`: a single
-float64 dgemm, which is exact. The weights are prepared once
-(`prepare_weights`): re-centred to (-p/2, p/2] and stored as float64,
-which holds every such integer exactly. An input residue is at most
-p - 1, so with fan-in K every term w*x of an output, and every partial
-sum of any subset of its K terms, is an integer of magnitude at most
+The conv and matvec are float64 products, which are exact. The weights
+are prepared once (`prepare_weights`): re-centred to (-p/2, p/2] and
+stored as float64. An input residue is at most p - 1, so with fan-in K
+every term w*x of an output, and every partial sum of any subset of its
+K terms, is an integer of magnitude at most max|w| * (p - 1) * K, which
+`prepare_weights` requires to be below 2**53, raising FieldOverflowRisk
+otherwise. Doubles represent all integers below 2**53 exactly, so each
+multiply, add or fused multiply-add returns the exact integer, whatever
+order or blocking BLAS uses (Dumas, Giorgi & Pernet, FFLAS-FFPACK, ACM
+TOMS 2008). Weights in [-3, 3], as the executor draws them, admit
+fan-ins up to 1,398,101.
 
-    max|w| * (p - 1) * K,
-
-and `prepare_weights` requires that to be below 2**53, raising
-FieldOverflowRisk otherwise. Doubles represent all integers below 2**53
-exactly, so each multiply, add or fused multiply-add in the product
-returns the exact integer, whatever order or blocking BLAS uses (Dumas,
-Giorgi & Pernet, FFLAS-FFPACK, ACM TOMS 2008). The sums are converted to
-int64, the bias added, and the result reduced mod p. Weights in [-3, 3],
-as the executor draws them, admit fan-ins up to 1,398,101.
-
-The linear kernels take inputs with zero or more leading batch
-dimensions, numpy style; a batch adds columns to the product, not
-products. An unbatched call returns what one input of a batch would.
-
-The matrix products and pooling sums reduce with `%`: their sums span far
-more than [0, 2p). A Mersenne fold (two shift, mask and add rounds, then
-`reduce_once`; seven ufunc calls) was measured to be no faster
-(CHANGES.md). The ReLU gadget's two reductions, of a sum of two shares and of
-a difference offset by +p, lie in [0, 2p) and take at most one p off
-(`pisim.field.reduce_once`).
+`_mod_p` reduces such a sum s in float64, with no int64 `%`: s * 2**-31
+is exact and within |s| / (p * 2**31) < 2**-8 of s/p, so
+q = floor(s * 2**-31) is the true quotient or one off it. Then
+|q * p| < 2**53, s - q*p is exact and in [-p, 2p), and adding p and two
+`reduce_once` folds give [0, p); the bias is added last, with one more
+fold. `%` still runs in `sumpool_mod`'s window sums, and in
+`pisim.field`'s `decode_signed` and `encode` fallback.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import FIELD_MODULUS as P, HALF_RANGE, FieldOverflowRisk, reduce_once
 
 # doubles hold every integer of magnitude below this exactly
 _EXACT = 1 << 53
-# Output positions per conv product. A batch's images are convolved in
-# groups, so its im2col copy (kh*kw*ci float64 rows) is at most this wide,
-# which bounds peak memory; wider caps were measured to save no CPU
-# (CHANGES.md).
-_CONV_COLS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,55 +67,58 @@ def prepare_weights(w: np.ndarray) -> PreparedWeights:
     return PreparedWeights(tuple(w.shape), matrix)
 
 
-def _matmul_mod(w: PreparedWeights, cols: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """(w @ cols + b) mod p, exactly. cols: (K, n) float64; b: (o, 1), or
-    None for no bias."""
-    out = (w.matrix @ cols).astype(np.int64)
+def _mod_p(s: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """(s + b) mod p, a new C-ordered int64 array, for float64 integers s
+    below 2**53 in magnitude and b in [0, p) or None (see above)."""
+    q = np.multiply(s, 2.0**-31, out=np.empty(s.shape))
+    np.floor(q, out=q)
+    q *= -P
+    q += s
+    q += P
+    out = reduce_once(reduce_once(q.astype(np.int64)))
     if b is not None:
         out += b
-    out %= P
+        reduce_once(out)
     return out
-
-
-def _conv_product(xs, w: PreparedWeights, b, stride, pad, oh, ow) -> np.ndarray:
-    """(co, n*oh*ow) convolution of the images xs (n, ci, h, w) as one product."""
-    co, ci, kh, kw = w.shape
-    n, _, h, ww = xs.shape
-    xp = np.zeros((n, ci, h + 2 * pad, ww + 2 * pad))
-    xp[..., pad : pad + h, pad : pad + ww] = xs
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, n * oh * ow)
-    return _matmul_mod(w, cols, None if b is None else b[:, None])
 
 
 def conv2d_mod(x, w: PreparedWeights, b, stride, pad):
     """2D convolution mod p. x: batch + (ci,h,w), w: prepared (co,ci,kh,kw),
     b: (co,) or None; returns batch + (co,oh,ow).
 
-    The images of a batch are the columns of one product, in groups of at
-    most _CONV_COLS output positions (at least one image a group).
+    As in `pisim.protocol.oracle`: with the padded batch laid out one row
+    per input channel, each kernel offset is one (co, ci) @ (ci, L)
+    product with a shifted slice. Positions on a row or image edge, or
+    skipped by the stride, are computed and dropped. Each kept sum is a
+    subset sum of its output's K terms, so it is exact.
     """
     co, ci, kh, kw = w.shape
-    *batch, _, h, ww = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (ww + 2 * pad - kw) // stride + 1
-    xs = x.reshape(-1, ci, h, ww)
-    out = np.empty((len(xs), co, oh, ow), dtype=np.int64)
-    group = max(1, _CONV_COLS // (oh * ow))
-    for start in range(0, len(xs), group):
-        part = xs[start : start + group]
-        prod = _conv_product(part, w, b, stride, pad, oh, ow)
-        out[start : start + len(part)] = prod.reshape(co, -1, oh, ow).transpose(1, 0, 2, 3)
-    return out.reshape(*batch, co, oh, ow)
+    *batch, _, h, wd = x.shape
+    xs = x.reshape(-1, ci, h, wd)
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    size = len(xs) * hp * wp
+    flat = np.zeros((ci, size + (kh - 1) * wp + kw - 1))
+    padded = flat[:, :size].reshape(ci, len(xs), hp, wp)
+    padded[:, :, pad : pad + h, pad : pad + wd] = xs.transpose(1, 0, 2, 3)
+    taps = w.matrix.reshape(co, ci, kh * kw).transpose(2, 0, 1).copy()
+    acc = taps[0] @ flat[:, :size]
+    term = np.empty_like(acc)
+    for t in range(1, kh * kw):
+        start = t // kw * wp + t % kw
+        np.matmul(taps[t], flat[:, start : start + size], out=term)
+        acc += term
+    del flat, padded, term  # freed before the reduction allocates
+    valid = acc.reshape(co, len(xs), hp, wp)[:, :, : hp - kh + 1 : stride, : wp - kw + 1 : stride]
+    out = _mod_p(valid.transpose(1, 0, 2, 3), None if b is None else b[:, None, None])
+    return out.reshape(*batch, *out.shape[1:])
 
 
 def matvec_mod(w: PreparedWeights, x, b):
     """Matrix-vector product mod p. w: prepared (o,i), x: batch + (i,),
-    b: (o,) or None; returns batch + (o,). The vectors are the columns of
+    b: (o,) or None; returns batch + (o,). The vectors are the rows of
     one product."""
-    cols = x.reshape(-1, x.shape[-1]).T.astype(np.float64)
-    out = _matmul_mod(w, cols, None if b is None else b[:, None])
-    return out.T.reshape(*x.shape[:-1], w.shape[0])
+    rows = x.reshape(-1, x.shape[-1]).astype(np.float64)
+    return _mod_p(rows @ w.matrix.T, b).reshape(*x.shape[:-1], w.shape[0])
 
 
 def sumpool_mod(x, window, stride):

@@ -1,29 +1,21 @@
 """Prime-field encoding for the functional protocol stand-ins.
 
-Secret shares and masked activations live in Z_p for one fixed prime p,
-FIELD_MODULUS. Signed integers are embedded symmetrically: values in
-[0, (p-1)/2] are non-negative, the rest decode as negative. Exactness
-therefore requires every true intermediate activation to stay within
-+-(p-1)/2. The plaintext reference in pisim.protocol.oracle checks each
-intermediate against that window and raises FieldOverflowRisk once one
-leaves it.
+Secret shares and masked activations live in Z_p for the Mersenne prime
+p = FIELD_MODULUS = 2**31 - 1. Signed integers are embedded
+symmetrically: values in [0, (p-1)/2] are non-negative, the rest decode
+as negative, so exactness requires every true intermediate activation to
+stay within +-(p-1)/2. The plaintext reference in pisim.protocol.oracle
+checks each intermediate against that window and raises FieldOverflowRisk
+once one leaves it.
 
-The modulus is the Mersenne prime 2**31 - 1. The kernels' float64
-products of residues and weights stay exact below 2**53 (see
-pisim._kernels), which for weights in [-3, 3] admits fan-ins up to
-1,398,101, and the signed window +-(2**30 - 1) holds every activation of
-the toy networks the executors are meant to run.
-
-Reduction takes one of two forms. Where an operand is a sum of two
-residues, or a difference of two offset by +p, it lies in [0, 2p), and
+Reduction takes one of three forms. An operand that is a sum of two
+residues, or a difference of two offset by +p, lies in [0, 2p), and
 `reduce_once` takes at most one p off with an unsigned `min`, much
-cheaper than `%`, an int64 division. The protocol reduces that way in
-the ReLU gadget, in the server's share of each linear unit, in the
-server's online share sums, and in the client's share sums, input
-masking and final unmask. `%` stays where an operand has no such bound:
-`decode_signed`, the kernels' matrix products and pooling sums (see
-pisim._kernels), and `encode`, which skips it when every value already
-lies in [0, p), as a block of the sampled inputs does.
+cheaper than `%`, an int64 division; the protocol's share sums, ReLU
+gadget, input masking and final unmask reduce that way. The kernels
+reduce their float64 products in float64 (see pisim._kernels). `%` runs
+only in `decode_signed`, in `encode` when some value lies outside
+[0, p), and in `sumpool_mod`'s window sums.
 """
 
 from __future__ import annotations
@@ -73,7 +65,31 @@ def reduce_once(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sample_elements(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniform field elements, used for masks and additive shares."""
-    return rng.integers(0, FIELD_MODULUS, size=shape, dtype=np.int64)
+def seeded_integers(entropy, low: int, high: int, n: int) -> np.ndarray:
+    """np.random.default_rng(np.random.SeedSequence(entropy)).integers(low,
+    high, n, dtype=np.int64), bit for bit, for a span high - low in [1, 2**32).
 
+    numpy draws such a span by Lemire's multiply-shift ("Fast Random
+    Integer Generation in an Interval", ACM TOMACS 2019): each 32-bit half
+    u of PCG64's outputs, the low half first, gives low + (u * span >> 32),
+    skipping a half whose product's low word is below (2**32 - span) % span.
+    Successive draws of one span read the stream with no gap, so one call
+    equals a generator's successive calls. tests/test_kernels.py holds it
+    bit-equal to numpy's (checked on numpy 2.4.6).
+    """
+    span = high - low
+    if not 0 < span < 2**32:
+        raise ValueError(f"span {span} is outside [1, 2**32)")
+    bits = np.random.PCG64(np.random.SeedSequence(entropy))
+    skip = (2**32 - span) % span
+    m = np.empty(0, dtype=np.uint64)
+    while len(m) < n:
+        u = bits.random_raw((n - len(m) + 1) // 2).astype("<u8", copy=False).view("<u4")
+        more = np.multiply(u, span, dtype=np.uint64)
+        if skip:
+            more = more[more.astype(np.uint32) >= skip]
+        m = np.concatenate((m, more)) if len(m) else more
+    m >>= 32
+    out = m[:n].view(np.int64)
+    out += low
+    return out

@@ -17,8 +17,8 @@ Every seeded stream of a run is declared here: the server's weights
 come from SeedSequence([seed, 0]) and trial t's input from
 [seed, 3, t]. Each bundle is fresh randomness for one inference, its
 parties' tapes (`draw_tapes`): bundle k of a seed holds the client's
-masks, one per masked point in order, drawn from a generator seeded with
-SeedSequence([seed, 1, k]), and the server's shares, one per linear
+masks, one per masked point in order, drawn in one call from the stream
+of SeedSequence([seed, 1, k]), and the server's shares, one per linear
 unit in order, from [seed, 2, k]; bundle 0 keeps [seed, party]. The
 tapes are drawn before the offline run and are read-only, so one
 block's tapes serve both protocols, and a run given no tapes draws its
@@ -30,6 +30,7 @@ each one's transcript.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -38,7 +39,7 @@ import numpy as np
 
 from .._kernels import prepare_weights
 from ..costmodel.types import Protocol
-from ..field import decode_signed, encode, sample_elements
+from ..field import FIELD_MODULUS as P, decode_signed, encode, seeded_integers
 from ..netarch import CompiledNetwork, Conv, FC, NetworkArch, compile_network
 from ..netarch.lowering import WeightKey
 from .channel import CLIENT, SERVER, Channel, ProtocolHang, Transcript
@@ -158,12 +159,6 @@ def _field_weights(arch: NetworkArch, seed: int):
     return MappingProxyType(weights)
 
 
-def _generators(seed: int, party: int, nonces) -> tuple[np.random.Generator, ...]:
-    """One party's generator for each bundle; nonce 0 keeps [seed, party]."""
-    entropy = ([seed, party, k] if k else [seed, party] for k in nonces)
-    return tuple(np.random.default_rng(np.random.SeedSequence(e)) for e in entropy)
-
-
 def _nonces(nonce: int | Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The nonces of one bundle or a block, and its batch: () or (n,)."""
     if not isinstance(nonce, Sequence):
@@ -176,18 +171,15 @@ def _nonces(nonce: int | Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...
 
 def _tape(seed: int, party: int, nonces, batch, shapes: dict) -> MappingProxyType:
     """One party's read-only arrays at batch + shape, one per key of
-    `shapes` in order; bundle k's part of each comes from its own
-    generator."""
-    rngs = _generators(seed, party, nonces)
-    tape = {}
-    for key, shape in shapes.items():
-        out = np.empty((len(rngs), *shape), dtype=np.int64)
-        for k, rng in enumerate(rngs):
-            out[k] = sample_elements(rng, shape)
-        out = out.reshape(batch + shape)
-        out.setflags(write=False)
-        tape[key] = out
-    return MappingProxyType(tape)
+    `shapes` in order; each bundle's parts are one draw from its stream."""
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    draws = np.empty((len(nonces), sum(sizes)), dtype=np.int64)
+    for row, k in zip(draws, nonces):
+        row[:] = seeded_integers([seed, party, k] if k else [seed, party], 0, P, len(row))
+    draws.setflags(write=False)
+    ends = np.cumsum(sizes)
+    return MappingProxyType({key: draws[:, end - size : end].reshape(batch + shape)
+                             for (key, shape), size, end in zip(shapes.items(), sizes, ends)})
 
 
 @dataclass(frozen=True)
@@ -273,6 +265,6 @@ def run_online(bundle: PrecomputeBundle, x: np.ndarray) -> np.ndarray:
 
 def sample_input(arch: NetworkArch, seed: int, trial: int = 0) -> np.ndarray:
     """Small non-negative test image, deterministic per (seed, trial)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3, trial]))
     ds = arch.dataset
-    return rng.integers(0, 16, size=(ds.channels, ds.height, ds.width), dtype=np.int64)
+    shape = (ds.channels, ds.height, ds.width)
+    return seeded_integers([seed, 3, trial], 0, 16, math.prod(shape)).reshape(shape)

@@ -6,11 +6,17 @@ takes one `np.tensordot` per output pixel. The `*_loop` kernels go further
 and compute one output element per loop iteration; they are slow, so only
 small inputs use them. `pisim._kernels` and `pisim.protocol.oracle` must
 match all of them exactly.
+
+`conv2d_mod_im2col` is the im2col conv `pisim._kernels.conv2d_mod`
+replaced: one product of the prepared weights with a copy of every input
+window, over groups of at most `group_cols` output positions, reduced
+with int64 `%`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv2d_mod(x, w, b, stride, pad, p):
@@ -28,6 +34,30 @@ def conv2d_mod(x, w, b, stride, pad, p):
             prod = (w[:, :, ky, kx, None, None] * patch[None, :, :, :]) % p
             acc += prod.sum(axis=1)
     return (acc + b[:, None, None]) % p
+
+
+def conv2d_mod_im2col(x, w, b, stride, pad, p, group_cols=2048):
+    """2D convolution mod p. x: batch + (ci,h,w), w: PreparedWeights of
+    (co,ci,kh,kw), b: (co,) or None; returns batch + (co,oh,ow)."""
+    co, ci, kh, kw = w.shape
+    *batch, _, h, ww = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (ww + 2 * pad - kw) // stride + 1
+    xs = x.reshape(-1, ci, h, ww)
+    out = np.empty((len(xs), co, oh, ow), dtype=np.int64)
+    group = max(1, group_cols // (oh * ow))
+    for start in range(0, len(xs), group):
+        part = xs[start : start + group]
+        xp = np.zeros((len(part), ci, h + 2 * pad, ww + 2 * pad))
+        xp[..., pad : pad + h, pad : pad + ww] = part
+        win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(ci * kh * kw, -1)
+        prod = (w.matrix @ cols).astype(np.int64)
+        if b is not None:
+            prod += b[:, None]
+        prod %= p
+        out[start : start + len(part)] = prod.reshape(co, -1, oh, ow).transpose(1, 0, 2, 3)
+    return out.reshape(*batch, co, oh, ow)
 
 
 def matvec_mod(w, x, b, p):

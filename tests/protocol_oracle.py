@@ -3,8 +3,9 @@
 `party_draws` is how each party drew its masks and shares before the
 executor drew them as tapes (`pisim.protocol.executor.draw_tapes`): in
 the party's own program, from `rngs`, one generator per bundle, in the
-order the party needed them. `tests/test_block_equivalence.py` holds the
-tapes bitwise equal to it.
+order the party needed them, one `sample_elements` call per array.
+`tests/test_block_equivalence.py` holds the tapes, each bundle's drawn
+by one `pisim.field.seeded_integers` call, bitwise equal to it.
 
 `pisim.protocol.oracle.plaintext_forward` runs a block of inputs at once
 on exact float64 products; `plaintext_forward` here is the walk it
@@ -18,8 +19,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from pisim.field import FIELD_MODULUS, FieldOverflowRisk, sample_elements
+from pisim.field import FIELD_MODULUS, FieldOverflowRisk
 from pisim.netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU, compile_network
+
+
+def sample_elements(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform field elements, as the parties drew masks and shares."""
+    return rng.integers(0, FIELD_MODULUS, size=shape, dtype=np.int64)
 
 
 def _draw(rngs, batch: tuple[int, ...], shape) -> np.ndarray:

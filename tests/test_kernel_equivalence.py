@@ -6,11 +6,12 @@ kernels take weights prepared by `prepare_weights`, which admits them only
 while max|w| * (p - 1) * fan-in < 2**53; the weights here are drawn up to
 the largest |w| that bound admits for the drawn fan-in, that edge included,
 and the inputs over all of [0, p). A kernel given a batch of inputs must
-return, bit for bit, the stack of its calls on each input alone.
+return, bit for bit, the stack of its calls on each input alone, and the
+shifted-slice conv must equal the im2col conv it replaced
+(`kernel_oracle.conv2d_mod_im2col`).
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -87,8 +88,10 @@ def test_conv_at_large_fan_in():
         x = np.full((1821, 4, 3), P - 1, dtype=np.int64)
         w = np.full((2, 1821, 3, 3), fill, dtype=np.int64)
         b = np.full(2, P - 1, dtype=np.int64)
-        got = K.conv2d_mod(x, K.prepare_weights(w), b, 1, 0)
+        prepared = K.prepare_weights(w)
+        got = K.conv2d_mod(x, prepared, b, 1, 0)
         assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, 1, 0, P))
+        assert np.array_equal(got, kernel_oracle.conv2d_mod_im2col(x, prepared, b, 1, 0, P))
 
 
 @st.composite
@@ -115,6 +118,25 @@ def test_conv_matches_reference(data, case, with_bias):
     assert np.array_equal(got, kernel_oracle.conv2d_mod(x, w, b, stride, pad, P))
 
 
+BATCHES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
+
+
+@given(st.data(), conv_case(), BATCHES, st.booleans(), st.integers(1, 300))
+@settings(max_examples=200, deadline=None)
+def test_conv_equals_the_im2col_conv(data, case, batch, with_bias, group_cols):
+    # kernels as wide as tall or narrower, and im2col groups of any width,
+    # down to one image a product
+    ci, co, h, ww, kh, stride, pad = case
+    kw = data.draw(st.integers(1, kh))
+    w = K.prepare_weights(data.draw(weights((co, ci, kh, kw))))
+    x = data.draw(residues(batch + (ci, h, ww)))
+    b = data.draw(residues((co,))) if with_bias else None
+    got = K.conv2d_mod(x, w, b, stride, pad)
+    want = kernel_oracle.conv2d_mod_im2col(x, w, b, stride, pad, P, group_cols)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2**20), conv_case(), st.integers(1, 4))
 @settings(max_examples=200, deadline=None)
 def test_oracle_conv_matches_reference(seed, bound, case, n):
@@ -136,13 +158,9 @@ def _unbatched_stack(kernel, xs, batch, x_ndim):
     return np.stack(outs).reshape(*batch, *outs[0].shape)
 
 
-BATCHES = st.lists(st.integers(1, 3), max_size=2).map(tuple)
-
-
-@given(st.data(), st.booleans(), BATCHES, st.integers(1, 300))
+@given(st.data(), st.booleans(), BATCHES)
 @settings(max_examples=200, deadline=None)
-def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, conv, batch, group_cols):
-    # conv groups of any width, down to one image a product
+def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, conv, batch):
     if conv:
         ci, co, h, ww, k, stride, pad = data.draw(conv_case())
         w = data.draw(weights((co, ci, k, k)))
@@ -159,8 +177,7 @@ def test_a_batch_equals_the_stack_of_its_unbatched_calls(data, conv, batch, grou
         def kernel(x):
             return K.matvec_mod(prepared, x, b)
     xs = data.draw(residues(batch + x_shape))
-    with mock.patch.object(K, "_CONV_COLS", group_cols):
-        got = kernel(xs)
+    got = kernel(xs)
     want = _unbatched_stack(kernel, xs, batch, len(x_shape))
     assert got.dtype == want.dtype == np.int64
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -179,15 +196,17 @@ def test_a_batched_matvec_at_large_fan_in(data, cols, n):
 
 def test_a_batched_conv_at_large_fan_in():
     # test_conv_at_large_fan_in's 16389-product rows at the largest admitted
-    # weight, two images a batch, one image a product and both in one
+    # weight, two images a batch; the im2col conv with one image a product
+    # and with both in one
     xs = np.full((2, 1821, 4, 3), P - 1, dtype=np.int64)
     xs[1, :, 1] = (P - 1) // 2
     w = K.prepare_weights(np.full((2, 1821, 3, 3), w_bound(1821 * 9), dtype=np.int64))
     b = np.full(2, P - 1, dtype=np.int64)
     want = _unbatched_stack(lambda x: K.conv2d_mod(x, w, b, 1, 0), xs, (2,), 3)
+    got = K.conv2d_mod(xs, w, b, 1, 0)
+    assert np.array_equal(got, want)
     for group_cols in (1, 4):
-        with mock.patch.object(K, "_CONV_COLS", group_cols):
-            assert np.array_equal(K.conv2d_mod(xs, w, b, 1, 0), want)
+        assert np.array_equal(got, kernel_oracle.conv2d_mod_im2col(xs, w, b, 1, 0, P, group_cols))
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as ref
+from protocol_oracle import sample_elements
 from pisim import _kernels as K
 from pisim.field import (
     FIELD_MODULUS,
@@ -14,7 +15,7 @@ from pisim.field import (
     decode_signed,
     encode,
     reduce_once,
-    sample_elements,
+    seeded_integers,
 )
 
 P = FIELD_MODULUS
@@ -62,6 +63,51 @@ def test_sample_elements_in_range():
     x = sample_elements(_rng(), (1000,))
     assert x.dtype == np.int64
     assert x.min() >= 0 and x.max() < P
+
+
+SPANS = [1, 2, 7, 16, 2**31 - 1, 3 * 2**30, 2**32 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4), st.sampled_from(SPANS),
+       st.integers(-2**40, 2**40), st.integers(0, 300), st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+# span 3 * 2**30 skips a quarter of the halves: 1001 values need a refill
+@example([7], 3 * 2**30, 0, 1001, 1)
+def test_seeded_integers_equals_numpy(entropy, span, low, n, more):
+    """One draw equals a fresh generator's integers(low, high, n), and a
+    generator's two successive integers calls equal one draw of their
+    total: numpy reads the stream with no gap between calls."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    first = rng.integers(low, low + span, n, dtype=np.int64)
+    second = rng.integers(low, low + span, more, dtype=np.int64)
+    got = seeded_integers(entropy, low, low + span, n)
+    assert got.dtype == np.int64 and np.array_equal(got, first)
+    assert np.array_equal(seeded_integers(entropy, low, low + span, n + more),
+                          np.concatenate((first, second)))
+
+
+@pytest.mark.parametrize("low, high", [(0, 0), (3, 2), (0, 2**32), (-1, 2**32 + 5)])
+def test_seeded_integers_rejects_a_span_outside_32_bits(low, high):
+    with pytest.raises(ValueError, match="span"):
+        seeded_integers([1], low, high, 4)
+
+
+_TOP = 2**53 - 1  # the largest |s| a float64 product may reach
+# k * p - 1, k * p and k * p + 1, k up to the largest with k * p + 1 <= _TOP
+_QUOTIENT_EDGES = [k * P + d for k in (1, 2, 2**21, 2**22 - 1, _TOP // P) for d in (-1, 0, 1)]
+
+
+@given(st.lists(st.integers(-_TOP, _TOP), max_size=64), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_float_reduction_equals_remainder(values, with_bias):
+    """_mod_p, the kernels' float64 reduction, against int64 % at sums of
+    either sign up to 2**53 - 1 in magnitude, the quotient edges included."""
+    edges = [0, 1, _TOP, _TOP - 1, *_QUOTIENT_EDGES]
+    s = np.array([*edges, *(-e for e in edges), *values], dtype=np.int64)
+    b = (np.arange(len(s)) * 104_729 - 1) % P if with_bias else None
+    got = K._mod_p(s.astype(np.float64), b)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, (s + (0 if b is None else b)) % P)
 
 
 @given(st.lists(st.integers(0, 2 * P - 1), max_size=64))

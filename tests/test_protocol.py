@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protocol_oracle import sample_elements
 from pisim.costmodel import CommInputs, Protocol, offline_comm, online_comm, storage_deltas
 from pisim.costmodel.comm import GC_BLOB_BYTES_PER_RELU, INPUT_LABEL_BYTES_PER_RELU
-from pisim.field import FIELD_MODULUS, encode, sample_elements
+from pisim.field import FIELD_MODULUS, encode
 from pisim.netarch import (
     DATASETS,
     MODELS,
@@ -367,13 +368,13 @@ def test_verify_reports_ok():
 
 def test_verify_draws_each_block_once_for_both_protocols(monkeypatch):
     """sg and cg read one block's tapes: a verify of n trials over both
-    protocols builds one generator per party per trial, 2n in all."""
-    built, generators = [], executor._generators
+    protocols draws each party's stream once per trial, 2n in all, besides
+    each trial's input stream."""
+    streams, seeded = [], executor.seeded_integers
 
-    def counted(seed, party, nonces):
-        rngs = generators(seed, party, nonces)
-        built.extend(party for _ in rngs)
-        return rngs
+    def counted(entropy, low, high, n):
+        streams.append(tuple(entropy))
+        return seeded(entropy, low, high, n)
 
     drawn = []
 
@@ -381,12 +382,13 @@ def test_verify_draws_each_block_once_for_both_protocols(monkeypatch):
         drawn.append(executor.draw_tapes(arch, seed, nonce))
         return drawn[-1]
 
-    monkeypatch.setattr(executor, "_generators", counted)
+    monkeypatch.setattr(executor, "seeded_integers", counted)
     monkeypatch.setattr(verify_module, "draw_tapes", kept)
     trials = verify_block(TOY) + 2  # a full block, then a partial one
     result = verify_against_plaintext(TOY, trials=trials)
     assert result.ok
-    assert sorted(built) == [1] * trials + [2] * trials
+    assert len(set(streams)) == len(streams)
+    assert sorted(e[1] for e in streams) == [1] * trials + [2] * trials + [3] * trials
     assert [len(t.masks[0]) for t in drawn] == [verify_block(TOY), 2]
     tape = drawn[0]
     for arrays in (tape.masks, tape.shares):

@@ -1,3 +1,5 @@
-from .cli import entry
+import sys
 
-entry()
+from .cli import main
+
+sys.exit(main())

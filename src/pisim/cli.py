@@ -552,7 +552,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-
-
-def entry() -> None:
-    sys.exit(main())

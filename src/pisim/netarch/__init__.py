@@ -1,6 +1,6 @@
 """Network architecture descriptions, shape inference, lowering and counting."""
 
-from .archfile import ParseError, load, parse, save, serialize
+from .archfile import ParseError, load, parse, serialize
 from .counts import LayerCounts, count, layer_kind_counts
 from .layers import (
     AvgPool,
@@ -50,7 +50,6 @@ __all__ = [
     "layer_kind_counts",
     "load",
     "parse",
-    "save",
     "serialize",
     "validate",
 ]

@@ -19,17 +19,10 @@ round-trips exactly.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from ..errors import PisimError
-from .layers import (
-    AvgPool,
-    Conv,
-    DatasetSpec,
-    FC,
-    Flatten,
-    NetworkArch,
-    ReLU,
-    SkipConnection,
-)
+from .layers import AvgPool, Conv, DatasetSpec, FC, Flatten, NetworkArch, ReLU, SkipConnection
 
 
 class ParseError(PisimError, ValueError):
@@ -38,58 +31,66 @@ class ParseError(PisimError, ValueError):
         self.lineno = lineno
 
 
+# Each directive's record class, then its required and its optional
+# (file key, attribute) pairs, in the order they are written. A left-out
+# optional key takes its field's default, and an optional field is
+# written only where it differs from that default. avgpool's window is
+# required although its field has a default: 0 is the global pool,
+# spelled `avgpool global`.
+_DIRECTIVES = {
+    "input": (DatasetSpec, {"channels": "channels", "height": "height", "width": "width",
+                            "classes": "classes"}, {"dataset": "name"}),
+    "conv": (Conv, {"in": "in_channels", "out": "out_channels", "kernel": "kernel"},
+             {"stride": "stride", "pad": "padding", "bias": "bias"}),
+    "fc": (FC, {"in": "in_features", "out": "out_features"}, {"bias": "bias"}),
+    "relu": (ReLU, {}, {}),
+    "avgpool": (AvgPool, {"window": "window"}, {"stride": "stride"}),
+    "flatten": (Flatten, {}, {}),
+    "skip": (SkipConnection, {"from": "source", "to": "merge"}, {}),
+}
+
 _BOOL = {"true": True, "false": False}
 
+# Each field type's reader, which raises KeyError or ValueError on a bad
+# value, how the error names such a value, and the type's writer.
+_CELLS = {
+    "int": (int, "is not an integer", str),
+    "int | None": (int, "is not an integer", str),
+    "bool": (lambda raw: _BOOL[raw.lower()], "must be true or false", lambda b: str(b).lower()),
+    "str": (str, "", str),
+}
 
-def _fields(tokens: list[str], lineno: int) -> dict[str, str]:
-    out: dict[str, str] = {}
+
+def _record(directive: str, tokens: list[str], lineno: int, **values):
+    """The record that a directive's key=value tokens describe, with any
+    field given outside the tokens (a skip's conv) in values."""
+    if directive not in _DIRECTIVES:
+        raise ParseError(lineno, f"unknown directive {directive!r}")
+    cls, required, optional = _DIRECTIVES[directive]
+    if tokens and not (required or optional):
+        raise ParseError(lineno, f"{directive} takes no fields")
+    given: dict[str, str] = {}
     for tok in tokens:
-        if "=" not in tok:
+        key, eq, raw = tok.partition("=")
+        if not eq:
             raise ParseError(lineno, f"expected key=value, got {tok!r}")
-        key, _, value = tok.partition("=")
-        if key in out:
+        if key in given:
             raise ParseError(lineno, f"duplicate field {key!r}")
-        out[key] = value
-    return out
-
-
-def _take_int(fields: dict[str, str], key: str, lineno: int, default=None) -> int:
-    if key not in fields:
-        if default is None:
-            raise ParseError(lineno, f"missing field {key!r}")
-        return default
-    try:
-        return int(fields.pop(key))
-    except ValueError:
-        raise ParseError(lineno, f"field {key!r} is not an integer") from None
-
-
-def _take_bool(fields: dict[str, str], key: str, lineno: int, default: bool) -> bool:
-    if key not in fields:
-        return default
-    raw = fields.pop(key).lower()
-    if raw not in _BOOL:
-        raise ParseError(lineno, f"field {key!r} must be true or false")
-    return _BOOL[raw]
-
-
-def _finish(fields: dict[str, str], lineno: int) -> None:
-    if fields:
-        raise ParseError(lineno, f"unknown fields {sorted(fields)}")
-
-
-def _parse_conv(tokens: list[str], lineno: int) -> Conv:
-    f = _fields(tokens, lineno)
-    conv = Conv(
-        in_channels=_take_int(f, "in", lineno),
-        out_channels=_take_int(f, "out", lineno),
-        kernel=_take_int(f, "kernel", lineno),
-        stride=_take_int(f, "stride", lineno, default=1),
-        padding=_take_int(f, "pad", lineno, default=0),
-        bias=_take_bool(f, "bias", lineno, False),
-    )
-    _finish(f, lineno)
-    return conv
+        given[key] = raw
+    types = {f.name: f.type for f in fields(cls)}
+    for key, attr in (required | optional).items():
+        if key not in given:
+            if key in required:
+                raise ParseError(lineno, f"missing field {key!r}")
+            continue
+        read, complaint, _ = _CELLS[types[attr]]
+        try:
+            values[attr] = read(given.pop(key))
+        except (KeyError, ValueError):
+            raise ParseError(lineno, f"field {key!r} {complaint}") from None
+    if given:
+        raise ParseError(lineno, f"unknown fields {sorted(given)}")
+    return cls(**values)
 
 
 def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
@@ -106,61 +107,23 @@ def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
             if len(tokens) != 1:
                 raise ParseError(lineno, "name takes exactly one identifier")
             name = tokens[0]
-        elif directive == "input":
-            f = _fields(tokens, lineno)
-            label = f.pop("dataset", "custom")
-            dataset = DatasetSpec(
-                name=label,
-                channels=_take_int(f, "channels", lineno),
-                height=_take_int(f, "height", lineno),
-                width=_take_int(f, "width", lineno),
-                classes=_take_int(f, "classes", lineno),
-            )
-            _finish(f, lineno)
-        elif directive == "conv":
-            layers.append(_parse_conv(tokens, lineno))
-        elif directive == "fc":
-            f = _fields(tokens, lineno)
-            layers.append(
-                FC(
-                    in_features=_take_int(f, "in", lineno),
-                    out_features=_take_int(f, "out", lineno),
-                    bias=_take_bool(f, "bias", lineno, True),
-                )
-            )
-            _finish(f, lineno)
-        elif directive == "relu":
-            if tokens:
-                raise ParseError(lineno, "relu takes no fields")
-            layers.append(ReLU())
-        elif directive == "avgpool":
-            if tokens == ["global"]:
-                layers.append(AvgPool(window=0))
-            else:
-                f = _fields(tokens, lineno)
-                window = _take_int(f, "window", lineno)
-                stride = _take_int(f, "stride", lineno, default=window)
-                _finish(f, lineno)
-                if window < 1:
-                    raise ParseError(lineno, "window must be positive")
-                layers.append(AvgPool(window=window, stride=stride))
-        elif directive == "flatten":
-            if tokens:
-                raise ParseError(lineno, "flatten takes no fields")
-            layers.append(Flatten())
-        elif directive == "skip":
-            conv = None
-            if "conv" in tokens:
-                split = tokens.index("conv")
-                conv = _parse_conv(tokens[split + 1 :], lineno)
-                tokens = tokens[:split]
-            f = _fields(tokens, lineno)
-            source = _take_int(f, "from", lineno)
-            merge = _take_int(f, "to", lineno)
-            _finish(f, lineno)
-            skips.append(SkipConnection(source, merge, conv))
+            continue
+        if directive == "avgpool" and tokens == ["global"]:
+            record = AvgPool()
+        elif directive == "skip" and "conv" in tokens:
+            split = tokens.index("conv")
+            conv = _record("conv", tokens[split + 1 :], lineno)
+            record = _record("skip", tokens[:split], lineno, conv=conv)
         else:
-            raise ParseError(lineno, f"unknown directive {directive!r}")
+            record = _record(directive, tokens, lineno)
+            if isinstance(record, AvgPool) and record.window < 1:
+                raise ParseError(lineno, "window must be positive")
+        if isinstance(record, DatasetSpec):
+            dataset = record
+        elif isinstance(record, SkipConnection):
+            skips.append(record)
+        else:
+            layers.append(record)
     if dataset is None:
         raise ParseError(0, "missing input directive")
     if not layers:
@@ -168,45 +131,25 @@ def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
     return NetworkArch(name, dataset, tuple(layers), tuple(skips))
 
 
-def _conv_text(conv: Conv) -> str:
-    parts = [f"in={conv.in_channels}", f"out={conv.out_channels}", f"kernel={conv.kernel}"]
-    if conv.stride != 1:
-        parts.append(f"stride={conv.stride}")
-    if conv.padding != 0:
-        parts.append(f"pad={conv.padding}")
-    if conv.bias:
-        parts.append("bias=true")
-    return " ".join(parts)
+def _line(directive: str, record) -> str:
+    cls, required, optional = _DIRECTIVES[directive]
+    known = {f.name: f for f in fields(cls)}
+    words = [directive]
+    for key, attr in (required | optional).items():
+        value = getattr(record, attr)
+        if key in required or value != known[attr].default:
+            words.append(f"{key}={_CELLS[known[attr].type][2](value)}")
+    return " ".join(words)
 
 
 def serialize(arch: NetworkArch) -> str:
-    ds = arch.dataset
-    lines = [
-        f"name {arch.name}",
-        f"input channels={ds.channels} height={ds.height} width={ds.width} "
-        f"classes={ds.classes} dataset={ds.name}",
-    ]
+    lines = [f"name {arch.name}", _line("input", arch.dataset)]
     for layer in arch.layers:
-        if isinstance(layer, Conv):
-            lines.append(f"conv {_conv_text(layer)}")
-        elif isinstance(layer, FC):
-            bias = "" if layer.bias else " bias=false"
-            lines.append(f"fc in={layer.in_features} out={layer.out_features}{bias}")
-        elif isinstance(layer, ReLU):
-            lines.append("relu")
-        elif isinstance(layer, AvgPool):
-            if layer.is_global:
-                lines.append("avgpool global")
-            else:
-                stride = layer.window if layer.stride is None else layer.stride
-                lines.append(f"avgpool window={layer.window} stride={stride}")
-        elif isinstance(layer, Flatten):
-            lines.append("flatten")
+        is_global = isinstance(layer, AvgPool) and layer.is_global
+        lines.append("avgpool global" if is_global else _line(layer.kind, layer))
     for skip in arch.skips:
-        line = f"skip from={skip.source} to={skip.merge}"
-        if skip.conv is not None:
-            line += f" conv {_conv_text(skip.conv)}"
-        lines.append(line)
+        conv = "" if skip.conv is None else " " + _line("conv", skip.conv)
+        lines.append(_line("skip", skip) + conv)
     return "\n".join(lines) + "\n"
 
 
@@ -215,9 +158,3 @@ def load(path) -> NetworkArch:
 
     p = Path(path)
     return parse(p.read_text(), name_hint=p.stem)
-
-
-def save(arch: NetworkArch, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(serialize(arch))

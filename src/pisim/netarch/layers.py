@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 class DatasetSpec:
     """Input geometry and label count for a dataset."""
 
-    name: str
     channels: int
     height: int
     width: int
     classes: int
+    name: str = "custom"
 
     @property
     def image_elems(self) -> int:
@@ -61,12 +61,19 @@ class ReLU:
 
 @dataclass(frozen=True)
 class AvgPool:
-    """Average pooling; window 0 pools over the whole spatial extent."""
+    """Average pooling; window 0 pools over the whole spatial extent.
+
+    A windowed pool's stride defaults to its window, resolved here so
+    that one pool has one record: AvgPool(2) == AvgPool(2, 2)."""
 
     window: int = 0
     stride: int | None = None
 
     kind = "avgpool"
+
+    def __post_init__(self):
+        if self.stride is None and not self.is_global:
+            object.__setattr__(self, "stride", self.window)
 
     @property
     def is_global(self) -> bool:

@@ -25,10 +25,10 @@ from .layers import (
     SkipConnection,
 )
 
-CIFAR100 = DatasetSpec("cifar100", channels=3, height=32, width=32, classes=100)
-TINYIMAGENET = DatasetSpec("tinyimagenet", channels=3, height=64, width=64, classes=200)
-IMAGENET = DatasetSpec("imagenet", channels=3, height=224, width=224, classes=1000)
-TOY8 = DatasetSpec("toy8", channels=1, height=8, width=8, classes=4)
+CIFAR100 = DatasetSpec(name="cifar100", channels=3, height=32, width=32, classes=100)
+TINYIMAGENET = DatasetSpec(name="tinyimagenet", channels=3, height=64, width=64, classes=200)
+IMAGENET = DatasetSpec(name="imagenet", channels=3, height=224, width=224, classes=1000)
+TOY8 = DatasetSpec(name="toy8", channels=1, height=8, width=8, classes=4)
 
 DATASETS: dict[str, DatasetSpec] = {
     "cifar100": CIFAR100,

@@ -50,7 +50,7 @@ def pool_window(layer: AvgPool, shape: Shape) -> tuple[int, int]:
     pool's window is the input's height."""
     if layer.is_global:
         return shape[1], shape[1]
-    return layer.window, layer.window if layer.stride is None else layer.stride
+    return layer.window, layer.stride
 
 
 def pool_out(layer: AvgPool, shape: Shape, idx: int) -> Shape:

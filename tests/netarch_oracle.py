@@ -10,6 +10,13 @@ before its ops became the layers themselves: every layer restated under
 its own field names, with each weight shape written out. `gen_weights`
 is the weight draw as it stood then, with the same shapes spelled out a
 second time.
+
+`parse` and `serialize` are the `.arch` reader and writer as they stood
+before every directive's fields were declared once in `archfile`'s
+table: each directive's keys, types and defaults stated once in a branch
+of `parse` and again in a branch of `serialize`. On any text the new
+parser must give an equal network or the same error, and on any network
+the new serializer the same text.
 """
 
 from __future__ import annotations
@@ -19,7 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pisim.netarch import AvgPool, Conv, FC, LayerCounts, NetworkArch, ReLU, validate
+from pisim.netarch import (
+    AvgPool,
+    Conv,
+    DatasetSpec,
+    FC,
+    Flatten,
+    LayerCounts,
+    NetworkArch,
+    ParseError,
+    ReLU,
+    SkipConnection,
+    validate,
+)
 from pisim.netarch.shapes import Shape, conv_out, pool_window
 
 
@@ -154,3 +173,175 @@ def gen_weights(arch: NetworkArch, seed: int):
             shape = (conv.out_channels, conv.in_channels, conv.kernel, conv.kernel)
             draw(("skip", i), shape, conv.out_channels, conv.bias)
     return weights
+
+
+_BOOL = {"true": True, "false": False}
+
+
+def _fields(tokens: list[str], lineno: int) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ParseError(lineno, f"expected key=value, got {tok!r}")
+        key, _, value = tok.partition("=")
+        if key in out:
+            raise ParseError(lineno, f"duplicate field {key!r}")
+        out[key] = value
+    return out
+
+
+def _take_int(fields: dict[str, str], key: str, lineno: int, default=None) -> int:
+    if key not in fields:
+        if default is None:
+            raise ParseError(lineno, f"missing field {key!r}")
+        return default
+    try:
+        return int(fields.pop(key))
+    except ValueError:
+        raise ParseError(lineno, f"field {key!r} is not an integer") from None
+
+
+def _take_bool(fields: dict[str, str], key: str, lineno: int, default: bool) -> bool:
+    if key not in fields:
+        return default
+    raw = fields.pop(key).lower()
+    if raw not in _BOOL:
+        raise ParseError(lineno, f"field {key!r} must be true or false")
+    return _BOOL[raw]
+
+
+def _finish(fields: dict[str, str], lineno: int) -> None:
+    if fields:
+        raise ParseError(lineno, f"unknown fields {sorted(fields)}")
+
+
+def _parse_conv(tokens: list[str], lineno: int) -> Conv:
+    f = _fields(tokens, lineno)
+    conv = Conv(
+        in_channels=_take_int(f, "in", lineno),
+        out_channels=_take_int(f, "out", lineno),
+        kernel=_take_int(f, "kernel", lineno),
+        stride=_take_int(f, "stride", lineno, default=1),
+        padding=_take_int(f, "pad", lineno, default=0),
+        bias=_take_bool(f, "bias", lineno, False),
+    )
+    _finish(f, lineno)
+    return conv
+
+
+def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
+    name = name_hint
+    dataset: DatasetSpec | None = None
+    layers: list = []
+    skips: list[SkipConnection] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, *tokens = line.split()
+        if directive == "name":
+            if len(tokens) != 1:
+                raise ParseError(lineno, "name takes exactly one identifier")
+            name = tokens[0]
+        elif directive == "input":
+            f = _fields(tokens, lineno)
+            label = f.pop("dataset", "custom")
+            dataset = DatasetSpec(
+                name=label,
+                channels=_take_int(f, "channels", lineno),
+                height=_take_int(f, "height", lineno),
+                width=_take_int(f, "width", lineno),
+                classes=_take_int(f, "classes", lineno),
+            )
+            _finish(f, lineno)
+        elif directive == "conv":
+            layers.append(_parse_conv(tokens, lineno))
+        elif directive == "fc":
+            f = _fields(tokens, lineno)
+            layers.append(
+                FC(
+                    in_features=_take_int(f, "in", lineno),
+                    out_features=_take_int(f, "out", lineno),
+                    bias=_take_bool(f, "bias", lineno, True),
+                )
+            )
+            _finish(f, lineno)
+        elif directive == "relu":
+            if tokens:
+                raise ParseError(lineno, "relu takes no fields")
+            layers.append(ReLU())
+        elif directive == "avgpool":
+            if tokens == ["global"]:
+                layers.append(AvgPool(window=0))
+            else:
+                f = _fields(tokens, lineno)
+                window = _take_int(f, "window", lineno)
+                stride = _take_int(f, "stride", lineno, default=window)
+                _finish(f, lineno)
+                if window < 1:
+                    raise ParseError(lineno, "window must be positive")
+                layers.append(AvgPool(window=window, stride=stride))
+        elif directive == "flatten":
+            if tokens:
+                raise ParseError(lineno, "flatten takes no fields")
+            layers.append(Flatten())
+        elif directive == "skip":
+            conv = None
+            if "conv" in tokens:
+                split = tokens.index("conv")
+                conv = _parse_conv(tokens[split + 1 :], lineno)
+                tokens = tokens[:split]
+            f = _fields(tokens, lineno)
+            source = _take_int(f, "from", lineno)
+            merge = _take_int(f, "to", lineno)
+            _finish(f, lineno)
+            skips.append(SkipConnection(source, merge, conv))
+        else:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
+    if dataset is None:
+        raise ParseError(0, "missing input directive")
+    if not layers:
+        raise ParseError(0, "no layers defined")
+    return NetworkArch(name, dataset, tuple(layers), tuple(skips))
+
+
+def _conv_text(conv: Conv) -> str:
+    parts = [f"in={conv.in_channels}", f"out={conv.out_channels}", f"kernel={conv.kernel}"]
+    if conv.stride != 1:
+        parts.append(f"stride={conv.stride}")
+    if conv.padding != 0:
+        parts.append(f"pad={conv.padding}")
+    if conv.bias:
+        parts.append("bias=true")
+    return " ".join(parts)
+
+
+def serialize(arch: NetworkArch) -> str:
+    ds = arch.dataset
+    lines = [
+        f"name {arch.name}",
+        f"input channels={ds.channels} height={ds.height} width={ds.width} "
+        f"classes={ds.classes} dataset={ds.name}",
+    ]
+    for layer in arch.layers:
+        if isinstance(layer, Conv):
+            lines.append(f"conv {_conv_text(layer)}")
+        elif isinstance(layer, FC):
+            bias = "" if layer.bias else " bias=false"
+            lines.append(f"fc in={layer.in_features} out={layer.out_features}{bias}")
+        elif isinstance(layer, ReLU):
+            lines.append("relu")
+        elif isinstance(layer, AvgPool):
+            if layer.is_global:
+                lines.append("avgpool global")
+            else:
+                stride = layer.window if layer.stride is None else layer.stride
+                lines.append(f"avgpool window={layer.window} stride={stride}")
+        elif isinstance(layer, Flatten):
+            lines.append("flatten")
+    for skip in arch.skips:
+        line = f"skip from={skip.source} to={skip.merge}"
+        if skip.conv is not None:
+            line += f" conv {_conv_text(skip.conv)}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,6 @@ from pisim.netarch import (
     count,
     load,
     parse,
-    save,
     serialize,
     validate,
 )
@@ -46,10 +45,10 @@ def test_roundtrip_presets(model):
     assert count(again) == count(arch)
 
 
-def test_save_load(tmp_path):
+def test_serialize_load(tmp_path):
     arch = build_preset("toy_cnn", "cifar100")
     p = tmp_path / "toy.arch"
-    save(arch, p)
+    p.write_text(serialize(arch))
     back = load(p)
     assert back.layers == arch.layers
     assert back.dataset == arch.dataset

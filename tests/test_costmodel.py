@@ -34,7 +34,7 @@ from pisim.costmodel import (
 )
 from pisim.costmodel.calibrate import calibrate
 from pisim.desim import SERIAL, SimConfig, stability_limit
-from pisim.netarch import build_preset, count
+from pisim.netarch import build_preset, count, parse, serialize
 
 SG = Protocol.SERVER_GARBLER
 CG = Protocol.CLIENT_GARBLER
@@ -82,6 +82,18 @@ def test_component_mode_within_ten_percent(cm, key):
 def test_table_mode_rejects_uncalibrated_triple(cm):
     with pytest.raises(UncalibratedTriple):
         phase_costs(cm, SG, build_preset("toy_cnn", "cifar100"), mode="table")
+
+
+def test_table_mode_accepts_a_hand_written_vgg16(cm):
+    """A vgg16 file whose pools leave their stride to the window is the
+    network measured under that name."""
+    text = serialize(build_preset("vgg16", "cifar100"))
+    assert text.count("avgpool window=2 stride=2\n") == 5
+    arch = parse(text.replace("avgpool window=2 stride=2\n", "avgpool window=2\n"))
+    costs = phase_costs(cm, CG, arch, mode="table")
+    off, on = TABLE["cg", "vgg16", "cifar100"]
+    assert costs.offline_latency_s == pytest.approx(off, abs=1e-9)
+    assert costs.online_latency_s == pytest.approx(on, abs=1e-9)
 
 
 def test_table_mode_rejects_knobs(cm):

@@ -136,7 +136,7 @@ def test_infer_shapes_output_is_class_count():
 def _tiny(layers, skips=(), h=6):
     return NetworkArch(
         "t",
-        get_dataset("toy8").__class__("t", 2, h, h, 4),
+        get_dataset("toy8").__class__(2, h, h, 4, "t"),
         tuple(layers),
         tuple(skips),
     )

@@ -1,4 +1,5 @@
-"""The lowering and what reads it, against their old forms.
+"""The lowering and what reads it, and the `.arch` reader and writer,
+against their old forms.
 
 `tests/netarch_oracle.py` keeps the walk `count()` used before it read
 `compile_network`, the op encoding the lowering used before its ops
@@ -6,10 +7,17 @@ became the layers themselves, and the weight draw that spelled out each
 weight shape again. Every count field, every op field and every weight
 array must agree, on the presets and on random valid networks with
 identity and projection skips.
+
+It also keeps `parse` and `serialize` as they stood before `archfile`
+declared every directive's fields in one table. On mutated texts of the
+shipped archs both parsers give an equal network or the same error, and
+both serializers give the same text on the presets and on random
+networks.
 """
 
 import itertools
 from dataclasses import astuple
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -27,11 +35,14 @@ from pisim.netarch import (
     InvalidArch,
     MODELS,
     NetworkArch,
+    ParseError,
     ReLU,
     SkipConnection,
     build_preset,
     compile_network,
     count,
+    parse,
+    serialize,
     validate,
 )
 from pisim.protocol import gen_weights
@@ -171,7 +182,7 @@ def networks(draw):
     layers.append(FC(features, classes, draw(st.booleans())))
     if draw(st.booleans()):
         layers.append(ReLU())
-    dataset = DatasetSpec("rand", *points[-1], classes)
+    dataset = DatasetSpec(*points[-1], classes, "rand")
     arch = NetworkArch("random", dataset, tuple(layers), tuple(skips))
     validate(arch)
     return arch
@@ -188,3 +199,82 @@ def test_count_matches_reference_on_random_networks(arch):
 def test_ops_and_weights_match_reference_on_random_networks(arch, seed):
     _assert_ops_match_reference(arch)
     _assert_same_weights(gen_weights(arch, seed), netarch_oracle.gen_weights(arch, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks())
+def test_parse_inverts_serialize_on_random_networks(arch):
+    assert parse(serialize(arch)) == arch
+
+
+@pytest.mark.parametrize("model,dataset", itertools.product(
+    sorted(MODELS), sorted({d.name for d in DATASETS.values()})))
+def test_serialize_matches_reference_on_presets(model, dataset):
+    arch = build_preset(model, dataset)
+    assert serialize(arch) == netarch_oracle.serialize(arch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(networks())
+def test_serialize_matches_reference_on_random_networks(arch):
+    assert serialize(arch) == netarch_oracle.serialize(arch)
+
+
+_SHIPPED_ARCHS = sorted(
+    p.read_text() for p in resources.files("pisim").joinpath("configs").joinpath("archs").iterdir()
+    if p.name.endswith(".arch"))
+# What a mutation sets a field to, and the tokens and lines it inserts:
+# values of every field type, good and bad, and every directive and key.
+_VALUES = ["0", "-1", "1", "2", "3", "+2", "1_0", "1.5", "x", "", "true", "FALSE", "yes",
+           "global", "custom", "conv"]
+_TOKENS = ["stride=2", "pad=1", "bias=true", "bias=False", "bias=yes", "window=2", "window=0",
+           "in=3", "dataset=custom", "from=-1", "to=1", "kernel=1", "frob=1", "global", "conv",
+           "=", "x", "#", "relu"]
+_LINES = ["relu", "flatten", "avgpool global", "avgpool window=2", "avgpool window=3 stride=1",
+          "avgpool window=0", "avgpool", "name x", "name", "name a b", "input",
+          "input channels=3 height=8 width=8 classes=4", "skip from=0 to=1",
+          "skip from=-1 to=2 conv in=3 out=4 kernel=1 pad=1 bias=true", "fc in=4 out=4",
+          "conv in=1 out=1 kernel=1", "wibble", "", "# note"]
+
+
+@st.composite
+def mutated_archs(draw):
+    """A shipped arch's text after one to three mutations: a field set to
+    one of _VALUES, or a token or a line deleted, duplicated or inserted."""
+    lines = [line.split() for line in draw(st.sampled_from(_SHIPPED_ARCHS)).splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        words = lines[i] if i < len(lines) else []
+        j = draw(st.integers(0, len(words)))
+        op = draw(st.sampled_from(["set", "delete token", "duplicate token", "insert token",
+                                   "delete line", "duplicate line", "insert line"]))
+        if op == "insert line":
+            lines.insert(i, draw(st.sampled_from(_LINES)).split())
+        elif op == "insert token" and i < len(lines):
+            words.insert(j, draw(st.sampled_from(_TOKENS)))
+        elif op == "delete line" and i < len(lines):
+            del lines[i]
+        elif op == "duplicate line" and i < len(lines):
+            lines.insert(i, list(words))
+        elif j < len(words):
+            if op == "set":
+                key, eq, _ = words[j].partition("=")
+                words[j] = key + eq + draw(st.sampled_from(_VALUES))
+            elif op == "delete token":
+                del words[j]
+            elif op == "duplicate token":
+                words.insert(j, words[j])
+    return "\n".join(" ".join(words) for words in lines)
+
+
+def _parsed(parser, text):
+    try:
+        return parser(text, name_hint="hint")
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_archs())
+def test_parse_matches_reference_on_mutated_shipped_archs(text):
+    assert _parsed(parse, text) == _parsed(netarch_oracle.parse, text)

@@ -37,7 +37,7 @@ TOYS = [build_preset("toy_cnn", ds) for ds in ("cifar100", "toy8")]
 # overlapping pool windows: stride below the window
 OVERLAP = NetworkArch(
     "overlap",
-    DatasetSpec("overlap", 2, 9, 7, 3),
+    DatasetSpec(2, 9, 7, 3, "overlap"),
     (Conv(2, 3, 3, stride=2, padding=2), ReLU(), AvgPool(window=3, stride=2), Flatten(),
      FC(12, 3)),
     (),
@@ -160,7 +160,7 @@ def test_verify_runs_blocks_of_one_below_one_trials_elements(monkeypatch):
 # doubles step by 2, so the float64 sum 15 * 2**50 + 1 - 15 * 2**50 can
 # lose the 1 that the exact result keeps.
 INEXACT = NetworkArch(
-    "inexact", DatasetSpec("tiny3", 3, 1, 1, 1), (Flatten(), FC(3, 1, bias=False)), ()
+    "inexact", DatasetSpec(3, 1, 1, 1, "tiny3"), (Flatten(), FC(3, 1, bias=False)), ()
 )
 INEXACT_W = {1: (np.array([[2**50, 1, -(2**50)]], dtype=np.int64), np.zeros(1, dtype=np.int64))}
 

@@ -61,7 +61,7 @@ TOY = build_preset("toy_cnn", "cifar100")
 
 def mini_res() -> NetworkArch:
     """Small residual net with an identity skip and a strided projection."""
-    ds = DatasetSpec("mini", 3, 8, 8, 5)
+    ds = DatasetSpec(3, 8, 8, 5, "mini")
     layers = (
         Conv(3, 4, 3, padding=1),
         ReLU(),

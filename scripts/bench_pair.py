@@ -25,10 +25,11 @@ PYTHONDONTWRITEBYTECODE, under which that run would write none and every
 timed run would compile src/ again. The perfbench runs keep the
 environment they inherit, as the benchmark runs them; `bytecode` in the
 output records which setting each stage ran with. Every fresh run has
-OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and a new
-temporary directory as its working directory, where sweeps write their
-CSVs. Wall time comes from time.perf_counter; CPU time (user plus
-system), system CPU time and minor page faults come from the change in
+OPENBLAS_NUM_THREADS=1, its tree's src/ on PYTHONPATH and in place of
+`{src}` in its arguments, and a new temporary directory as its working
+directory, where sweeps write their CSVs. Wall time comes from
+time.perf_counter; CPU time (user plus system), system CPU time and
+minor page faults come from the change in
 resource.getrusage(RUSAGE_CHILDREN), since a layout that trades user
 time for page faults shows only in the last two. Under `fresh` the
 output holds, per command, both sides' medians, interquartile ranges and
@@ -84,6 +85,9 @@ FRESH = {
     "sweep_fig4": ["-m", "pisim", "sweep", "@fig4_c100", "--jobs", "1"],
     "sweep_fig5": ["-m", "pisim", "sweep", "@fig5_tiny", "--jobs", "1"],
     "verify": ["-m", "pisim", "verify", "--trials", "100"],
+    # {src} is the running tree's src/
+    "arch_check": ["-m", "pisim", "arch", "check", "{src}/pisim/configs/archs/resnet32.arch"],
+    "sweep_fig5_jobs2": ["-m", "pisim", "sweep", "@fig5_tiny", "--jobs", "2"],
 }
 
 
@@ -152,7 +156,8 @@ def fresh_run(tree: Path, args: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as cwd:
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         start = time.perf_counter()
-        code, stdout, stderr = communicate([sys.executable, *args], Path(cwd), env)
+        argv = [sys.executable, *(a.replace("{src}", env["PYTHONPATH"]) for a in args)]
+        code, stdout, stderr = communicate(argv, Path(cwd), env)
         wall = time.perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         if code != 0:

@@ -26,10 +26,11 @@ fold. `%` still runs in `sumpool_mod`'s window sums, and in
 `pisim.field`'s `decode_signed` and `encode` fallback.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .field import FIELD_MODULUS as P, HALF_RANGE, FieldOverflowRisk, reduce_once
 
 # doubles hold every integer of magnitude below this exactly

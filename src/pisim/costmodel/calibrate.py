@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from .._numpy import np
 from ..netarch import build_preset
 from .comm import CommInputs, storage_deltas
 from .formula import Columns, compute_seconds

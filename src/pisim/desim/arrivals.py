@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
+from .._numpy import np
 
 
 def draw_size(rate: float, horizon_s: float) -> int:

@@ -84,8 +84,7 @@ import dataclasses
 import math
 from typing import Sequence
 
-import numpy as np
-
+from .._numpy import np
 from ..costmodel.types import PhaseCosts
 from .arrivals import Gaps, draw_size, poisson_arrival_times
 from .config import SERIAL, ConfigInfeasible, SimConfig

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .._numpy import np
 
 
 @dataclass(frozen=True)

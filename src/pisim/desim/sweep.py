@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+from .._numpy import np
 from ..costmodel.types import PhaseCosts
 from .config import ConfigInfeasible, SimConfig
 from .engine import run_group, run_key, run_many, stability_limit
@@ -127,6 +128,8 @@ def run_points(
     if jobs > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # load numpy before the pool forks: each worker inherits it, not imports it again
+        np.ndarray
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             done = list(pool.map(_run_chunk, chunks))
     else:

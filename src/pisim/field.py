@@ -20,8 +20,7 @@ only in `decode_signed`, in `encode` when some value lies outside
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._numpy import np
 from .errors import PisimError
 
 FIELD_MODULUS = 2**31 - 1

@@ -1,6 +1,6 @@
 """Network architecture descriptions, shape inference, lowering and counting."""
 
-from .archfile import ParseError, load, parse, serialize
+from .archfile import ParseError, UnwritableValue, load, parse, serialize
 from .counts import LayerCounts, count, layer_kind_counts
 from .layers import (
     AvgPool,
@@ -41,6 +41,7 @@ __all__ = [
     "SkipConnection",
     "TOY8",
     "UnknownPreset",
+    "UnwritableValue",
     "build_preset",
     "canonical_dataset",
     "compile_network",

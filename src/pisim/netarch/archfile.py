@@ -14,7 +14,8 @@ Grammar (one directive per line, '#' starts a comment):
 `skip` indices refer to 0-based positions among the layer directives
 (conv/fc/relu/avgpool/flatten); from=-1 taps the network input. The
 serializer emits this canonical form, and parse(serialize(arch))
-round-trips exactly.
+round-trips exactly. An identifier or label is one word, with no
+whitespace or '#'; serialize refuses any other with UnwritableValue.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ class ParseError(PisimError, ValueError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+
+
+class UnwritableValue(PisimError, ValueError):
+    """A name or field value that parse would not read back as written."""
 
 
 # Each directive's record class, then its required and its optional
@@ -131,6 +136,15 @@ def parse(text: str, name_hint: str = "unnamed") -> NetworkArch:
     return NetworkArch(name, dataset, tuple(layers), tuple(skips))
 
 
+def _word(key: str, value, word: str) -> str:
+    """word, which writes value, if parse reads it back as one whole word:
+    no whitespace, no '#' and not empty. UnwritableValue otherwise."""
+    if "#" in word or word.split() != [word]:
+        raise UnwritableValue(f"{key} {value!r} cannot be written: an .arch word "
+                              "is not empty and holds no whitespace or '#'")
+    return word
+
+
 def _line(directive: str, record) -> str:
     cls, required, optional = _DIRECTIVES[directive]
     known = {f.name: f for f in fields(cls)}
@@ -138,12 +152,17 @@ def _line(directive: str, record) -> str:
     for key, attr in (required | optional).items():
         value = getattr(record, attr)
         if key in required or value != known[attr].default:
-            words.append(f"{key}={_CELLS[known[attr].type][2](value)}")
+            words.append(_word(key, value, f"{key}={_CELLS[known[attr].type][2](value)}"))
     return " ".join(words)
 
 
 def serialize(arch: NetworkArch) -> str:
-    lines = [f"name {arch.name}", _line("input", arch.dataset)]
+    """The canonical text of arch, which parse reads back exactly.
+
+    Raises UnwritableValue for a name or dataset label that parse would
+    read back differently, or not at all.
+    """
+    lines = [f"name {_word('name', arch.name, arch.name)}", _line("input", arch.dataset)]
     for layer in arch.layers:
         is_global = isinstance(layer, AvgPool) and layer.is_global
         lines.append("avgpool global" if is_global else _line(layer.kind, layer))

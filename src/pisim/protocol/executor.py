@@ -35,9 +35,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
-import numpy as np
-
 from .._kernels import prepare_weights
+from .._numpy import np
 from ..costmodel.types import Protocol
 from ..field import FIELD_MODULUS as P, decode_signed, encode, seeded_integers
 from ..netarch import CompiledNetwork, Conv, FC, NetworkArch, compile_network

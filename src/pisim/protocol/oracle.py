@@ -30,8 +30,7 @@ replaced is kept as the tests' reference in `tests/protocol_oracle.py`.
 
 from __future__ import annotations
 
-import numpy as np
-
+from .._numpy import np
 from ..field import HALF_RANGE, FieldOverflowRisk
 from ..netarch import AvgPool, Conv, FC, Flatten, NetworkArch, ReLU
 from ..netarch.shapes import pool_window

@@ -35,9 +35,8 @@ from __future__ import annotations
 from collections.abc import Generator, Mapping
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .._kernels import conv2d_mod, matvec_mod, relu_remask_mod, sumpool_mod
+from .._numpy import np
 from ..field import FIELD_MODULUS as P, encode, reduce_once
 from ..costmodel.comm import (
     BASE_OT_BYTES_PER_DIRECTION,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
+from .._numpy import np
 
 _key_counter = itertools.count(1)
 

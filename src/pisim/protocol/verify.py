@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .._numpy import np
 from ..costmodel.types import Protocol
 from ..errors import PisimError
 from ..netarch import NetworkArch, count

@@ -1,10 +1,15 @@
 """Text round-tripping for architecture description files."""
 
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pisim.netarch import (
     MODELS,
     ParseError,
+    UnwritableValue,
     build_preset,
     count,
     load,
@@ -102,3 +107,48 @@ def test_parse_errors(text, match):
 def test_load_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load(tmp_path / "nope.arch")
+
+
+_WORDS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_WORDS, label=_WORDS)
+@example(name="my net", label="cifar100")
+@example(name="a#b", label="cifar100")
+@example(name="", label="cifar100")
+@example(name="toy", label="")
+@example(name="toy", label="a=b")
+@example(name="toy", label="c 100")
+@example(name="toy", label="\x85")
+def test_a_name_and_label_round_trip_or_are_refused(name, label):
+    toy = build_preset("toy_cnn", "cifar100")
+    arch = dataclasses.replace(toy, name=name,
+                               dataset=dataclasses.replace(toy.dataset, name=label))
+    try:
+        text = serialize(arch)
+    except UnwritableValue as err:
+        assert str(err).split()[0] in ("name", "dataset")
+        # refused only where the text written unchecked would not read back
+        marked = serialize(dataclasses.replace(
+            toy, name="N", dataset=dataclasses.replace(toy.dataset, name="L")))
+        unchecked = marked.replace("name N\n", f"name {name}\n", 1).replace(
+            " dataset=L\n", f" dataset={label}\n", 1)
+        try:
+            back = parse(unchecked)
+        except ParseError:
+            return
+        assert (back.name, back.dataset.name) != (name, label)
+        return
+    assert parse(text) == arch
+
+
+@pytest.mark.parametrize("stem", ["my net", "a#b"])
+def test_a_file_stem_that_is_no_word_is_refused_by_name(stem, tmp_path):
+    # a file with no name line is named by its stem
+    path = tmp_path / f"{stem}.arch"
+    path.write_text(_INPUT + "flatten\nfc in=192 out=4\n")
+    arch = load(path)
+    assert arch.name == stem
+    with pytest.raises(UnwritableValue, match=f"^name {stem!r} cannot be written"):
+        serialize(arch)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, spec handling, output files."""
 
+import ast
 import csv
 import dataclasses
 import gc
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import pisim.cli
+from pisim._numpy import bind
 from pisim.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -280,6 +282,97 @@ def test_cost_model_imports_no_protocol():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cost_and_arch_check_load_no_numpy():
+    # pisim binds numpy at import and loads it at its first use, so
+    # sys.modules["numpy"] is a lazy module until then: numpy._core shows
+    # whether numpy's import ran. Imports go in perfbench/probe.py's order.
+    arch = REPO / "src" / "pisim" / "configs" / "archs" / "resnet32.arch"
+    code = (
+        "import contextlib, io, sys\n"
+        "import pisim.costmodel, pisim.protocol, pisim.desim, pisim.cli\n"
+        "pisim.cli.load_shipped_model()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pisim.cli.main(['cost']) == 0\n"
+        f"    assert pisim.cli.main(['arch', 'check', {str(arch)!r}]) == 0\n"
+        "print('numpy._core' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert pisim.cli.main(['verify', '--trials', '1']) == 0\n"
+        "print('numpy._core' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True"]
+
+
+def test_a_missing_numpy_fails_the_import():
+    code = "import sys; sys.modules['numpy'] = None; import pisim.cli"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "ModuleNotFoundError: No module named 'numpy'"
+
+
+def test_sweep_workers_inherit_numpy_from_the_parent():
+    # the parent loads numpy before its pool forks, so no worker imports it again
+    code = (
+        "import concurrent.futures, sys\n"
+        "from pisim.costmodel import load_shipped_model, phase_costs\n"
+        "from pisim.desim import SERIAL, SimConfig, run_points\n"
+        "from pisim.netarch import build_preset\n"
+        "at_start = []\n"
+        "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        at_start.append('numpy._core' in sys.modules)\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Pool\n"
+        "costs = phase_costs(load_shipped_model(), 'sg', build_preset('resnet32', 'cifar100'))\n"
+        "tasks = [(costs, SimConfig(arrival_rate=rate, horizon_s=10_000.0, n_runs=2,\n"
+        "                           concurrency=SERIAL), 0) for rate in (1e-3, 2e-3)]\n"
+        "print('numpy._core' in sys.modules)\n"
+        "run_points(tasks, jobs=2)\n"
+        "print(at_start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "[True]"]
+
+
+def test_only_the_numpy_binding_imports_numpy():
+    # every other module takes np from pisim._numpy, so that importing it loads nothing
+    importers = []
+    for path in sorted((REPO / "src" / "pisim").rglob("*.py")):
+        if path.name == "_numpy.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                importers.append(str(path.relative_to(REPO / "src")))
+    assert importers == []
+
+
+def test_bind_puts_a_lazy_module_that_loads_at_first_use(tmp_path, monkeypatch):
+    ran = tmp_path / "ran"
+    (tmp_path / "lazy_probe.py").write_text(
+        f"from pathlib import Path\nPath({str(ran)!r}).touch()\nVALUE = 7\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        module = bind("lazy_probe")
+        assert sys.modules["lazy_probe"] is module
+        assert not ran.exists()
+        assert module.VALUE == 7
+        assert ran.exists()
+        assert bind("lazy_probe") is module
+    finally:
+        sys.modules.pop("lazy_probe", None)
+    with pytest.raises(ModuleNotFoundError, match="no_such_module"):
+        bind("no_such_module")
 
 
 # --- experiment specs -------------------------------------------------------
